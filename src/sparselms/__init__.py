@@ -4,14 +4,7 @@ from .estimators import (
     Estimator,
     EstimatorConfig,
     EstimatorState,
-    hard_l0_step,
-    hard_step,
-    l0_step,
-    lms_step,
     prediction_error,
-    rza_step,
-    sza_step,
-    za_step,
 )
 from .harness import (
     AlgorithmSpec,
@@ -21,7 +14,6 @@ from .harness import (
     rmse,
     rmse_db,
     run_experiment,
-    run_tracking_experiment,
     run_trial,
 )
 from .sensing import (

@@ -1,4 +1,4 @@
-"""Command-line harness: run experiments, list presets, run verification suites."""
+"""Command-line harness: list, run and export experiments, run verification suites."""
 
 from __future__ import annotations
 
@@ -20,6 +20,17 @@ from .harness import (
 def _cmd_list(args) -> int:
     for name in experiments.REGISTRY:
         print(f"{name:15s} {experiments.DESCRIPTIONS[name]}")
+    return 0
+
+
+def _cmd_export(args) -> int:
+    built = experiments.get_experiment(args.experiment)
+    out = Path(args.out or f"{args.experiment}.yaml")
+    if isinstance(built, list):
+        experiments.save_specs(built, out)
+    else:
+        experiments.save_spec(built, out)
+    print(f"wrote {out}")
     return 0
 
 
@@ -124,6 +135,12 @@ def main(argv=None) -> int:
     run.add_argument("--gnuplot", action="store_true",
                      help="also write a wide gnuplot-style .dat file")
     run.set_defaults(func=_cmd_run)
+
+    export = sub.add_parser("export", help="write a registry experiment as a config file")
+    export.add_argument("experiment", choices=list(experiments.REGISTRY))
+    export.add_argument("--out", default=None, metavar="PATH",
+                        help="output path (default: <experiment>.yaml)")
+    export.set_defaults(func=_cmd_export)
 
     verify = sub.add_parser("verify", help="randomized support-recovery suites")
     verify.add_argument("--draws", type=int, default=100_000)

@@ -1,9 +1,18 @@
 """Single-sample online estimators: LMS and its six sparsity-aware variants.
 
-All updates share the a-priori error e(n) = y(n) - w(n)^H x(n) and the
-gradient direction e*(n) x(n).  Penalty terms are evaluated at the pre-update
-iterate w(n).  Thresholded variants apply the hard-threshold operator after
-the additive update; coefficients outside the kept set are exactly zero.
+Every variant is one update rule, w <- P(w + mu e* x - rho g(w)), with the
+a-priori error e(n) = y(n) - w(n)^H x(n).  A step runs, in this order:
+
+1. budget: the fixed ``s``, the tracker's count, or the tracker's occupancy
+   mask, computed once from the pre-update iterate w(n);
+2. penalty g(w(n)): none, za, rza, l0 or selective(s);
+3. gradient step: w += (mu e*) x;
+4. shrink: w -= rho g;
+5. projection P: none, top-s (coefficients outside the kept set are exactly
+   zero) or the occupancy mask, falling back to top-s when the mask is empty.
+
+The variant fixes the penalty (``_PENALTY``) and whether a projection runs
+(``hard`` and ``hard_l0``); the README tabulates both.
 """
 
 from __future__ import annotations
@@ -24,7 +33,8 @@ from .tracker import (
 
 VARIANTS = ("lms", "za", "rza", "l0", "sza", "hard", "hard_l0")
 
-_THRESHOLDED = ("sza", "hard", "hard_l0")
+# variants that need a sparsity budget s
+THRESHOLDED = frozenset({"sza", "hard", "hard_l0"})
 
 
 @dataclass(frozen=True)
@@ -73,87 +83,56 @@ def prediction_error(state: EstimatorState, sample) -> complex:
     return e
 
 
-def lms_step(state: EstimatorState, sample, mu: float) -> EstimatorState:
-    """w <- w + mu * e* x."""
-    e = prediction_error(state, sample)
-    state.w += (mu * e.conjugate()) * sample.x
-    state.n += 1
-    return state
+# -- penalties g(w, config, s) -------------------------------------------------
 
 
-def za_step(state: EstimatorState, sample, mu: float, rho: float) -> EstimatorState:
-    """LMS plus uniform zero attraction: w <- w + mu e* x - rho sgn(w)."""
-    pen = complex_sign(state.w)
-    e = prediction_error(state, sample)
-    state.w += (mu * e.conjugate()) * sample.x
-    state.w -= rho * pen
-    state.n += 1
-    return state
+def _za(w, cfg, s):
+    """Uniform zero attraction: sgn(w)."""
+    return complex_sign(w)
 
 
-def rza_step(state: EstimatorState, sample, mu: float, rho: float, epsilon: float) -> EstimatorState:
-    """Reweighted attraction: penalty rho * sgn(w) / (1 + epsilon |w|)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    pen = complex_sign(state.w) / (1.0 + epsilon * np.abs(state.w))
-    e = prediction_error(state, sample)
-    state.w += (mu * e.conjugate()) * sample.x
-    state.w -= rho * pen
-    state.n += 1
-    return state
+def _rza(w, cfg, s):
+    """Reweighted attraction: sgn(w) / (1 + epsilon |w|)."""
+    return complex_sign(w) / (1.0 + cfg.epsilon * np.abs(w))
 
 
-def l0_step(state: EstimatorState, sample, mu: float, rho: float, beta: float) -> EstimatorState:
-    """Smoothed-l0 attraction: penalty rho * sgn(w) * exp(-beta |w|)."""
-    pen = complex_sign(state.w) * np.exp(-beta * np.abs(state.w))
-    e = prediction_error(state, sample)
-    state.w += (mu * e.conjugate()) * sample.x
-    state.w -= rho * pen
-    state.n += 1
-    return state
+def _l0(w, cfg, s):
+    """Smoothed-l0 attraction: sgn(w) * exp(-beta |w|)."""
+    return complex_sign(w) * np.exp(-cfg.beta * np.abs(w))
 
 
-def sza_step(state: EstimatorState, sample, mu: float, rho: float, s: int) -> EstimatorState:
-    """Selective attraction: sign penalty only off the top-s support."""
-    pen = selective_penalty(state.w, s)
-    e = prediction_error(state, sample)
-    state.w += (mu * e.conjugate()) * sample.x
-    state.w -= rho * pen
-    state.n += 1
-    return state
+def _selective(w, cfg, s):
+    """Sign penalty only off the top-s support."""
+    return selective_penalty(w, s)
 
 
-def hard_step(state: EstimatorState, sample, mu: float, s: int) -> EstimatorState:
-    """LMS update followed by the hard threshold with budget s."""
-    e = prediction_error(state, sample)
-    state.w += (mu * e.conjugate()) * sample.x
-    state.w = hard_threshold(state.w, s)
-    state.n += 1
-    return state
+_PENALTY = {"za": _za, "rza": _rza, "l0": _l0, "sza": _selective, "hard_l0": _l0}
+
+# -- projections P(w, s, mask) -------------------------------------------------
 
 
-def hard_l0_step(
-    state: EstimatorState, sample, mu: float, rho: float, beta: float, s: int
-) -> EstimatorState:
-    """Smoothed-l0 update followed by the hard threshold."""
-    pen = complex_sign(state.w) * np.exp(-beta * np.abs(state.w))
-    e = prediction_error(state, sample)
-    state.w += (mu * e.conjugate()) * sample.x
-    state.w -= rho * pen
-    state.w = hard_threshold(state.w, s)
-    state.n += 1
-    return state
+def _top_s(w, s, mask):
+    return hard_threshold(w, s)
+
+
+def _occupancy(w, s, mask):
+    # the passing set becomes the next support
+    if mask.any():
+        w[~mask] = 0
+        return w
+    return hard_threshold(w, s)
 
 
 class Estimator:
     """Drives one update rule over a measurement stream.
 
-    Burn-in (the first ``config.burn_in`` samples) disables the sparsity
-    machinery: penalized variants fall back to the plain LMS update and
-    thresholded variants skip the threshold, except hard_l0 whose penalty
-    stays active.  When ``config.s`` is None the threshold budget is supplied
-    each step by the tracker, which consumes the update direction b(n) the
-    step already computed.
+    Burn-in (the first ``config.burn_in`` samples) skips both the penalty and
+    the projection, so every variant runs plain LMS, with one exception:
+    hard_l0 keeps its l0 penalty during burn-in (exp3's HARD-L0 curve depends
+    on it).  When ``config.s`` is None the budget is supplied each step by the
+    tracker, which consumes the update direction b(n) the step already
+    computed.  With ``use_support`` the tracker's occupancy mask replaces the
+    top-s cut of the thresholded variants.
     """
 
     def __init__(
@@ -169,75 +148,51 @@ class Estimator:
             self.tracker = make_tracker(tracker_params, n_dim)
         if config.s is not None and not 1 <= config.s <= n_dim:
             raise ValueError(f"need 1 <= s <= {n_dim}, got s={config.s}")
-        if config.variant in _THRESHOLDED and config.s is None and self.tracker is None:
-            raise ValueError(f"{config.variant} needs a fixed s or a tracker")
+        variant = config.variant
+        if variant in THRESHOLDED and config.s is None and self.tracker is None:
+            raise ValueError(f"{variant} needs a fixed s or a tracker")
         self.last_s: int | None = None
 
-    def _budget(self) -> int:
+        self._penalty = _PENALTY.get(variant)
+        self._penalty_in_burn_in = variant == "hard_l0"
+        self._budget = self._project = None
+        if variant in THRESHOLDED:
+            self._budget = self._tracker_budget if config.s is None else self._fixed_budget
+        if variant in ("hard", "hard_l0"):
+            self._project = _top_s
+            if self.tracker is not None and self.tracker.use_support:
+                self._budget, self._project = self._mask_budget, _occupancy
+
+    def _fixed_budget(self, w):
+        return self.config.s, None
+
+    def _tracker_budget(self, w):
+        return estimate_sparsity(self.tracker, w), None
+
+    def _mask_budget(self, w):
+        mask = occupancy_mask(self.tracker, w)
         if self.config.s is not None:
-            return self.config.s
-        return estimate_sparsity(self.tracker, self.state.w)
+            return self.config.s, mask
+        return min(max(int(np.count_nonzero(mask)), 1), w.size), mask
 
     def step(self, sample) -> complex:
         cfg = self.config
         st = self.state
-        burn = st.n < cfg.burn_in
-        s = None
-
-        if cfg.variant == "lms":
-            lms_step(st, sample, cfg.mu)
-        elif cfg.variant == "za":
-            if burn:
-                lms_step(st, sample, cfg.mu)
-            else:
-                za_step(st, sample, cfg.mu, cfg.rho)
-        elif cfg.variant == "rza":
-            if burn:
-                lms_step(st, sample, cfg.mu)
-            else:
-                rza_step(st, sample, cfg.mu, cfg.rho, cfg.epsilon)
-        elif cfg.variant == "l0":
-            if burn:
-                lms_step(st, sample, cfg.mu)
-            else:
-                l0_step(st, sample, cfg.mu, cfg.rho, cfg.beta)
-        elif cfg.variant == "sza":
-            if burn:
-                lms_step(st, sample, cfg.mu)
-            else:
-                s = self._budget()
-                sza_step(st, sample, cfg.mu, cfg.rho, s)
-        elif cfg.variant == "hard":
-            if burn:
-                lms_step(st, sample, cfg.mu)
-            else:
-                s = self._budget()
-                if self.tracker is not None and self.tracker.use_support:
-                    mask = occupancy_mask(self.tracker, st.w)
-                    lms_step(st, sample, cfg.mu)
-                    self._apply_mask(mask, s)
-                else:
-                    hard_step(st, sample, cfg.mu, s)
-        elif cfg.variant == "hard_l0":
-            if burn:
-                l0_step(st, sample, cfg.mu, cfg.rho, cfg.beta)
-            else:
-                s = self._budget()
-                if self.tracker is not None and self.tracker.use_support:
-                    mask = occupancy_mask(self.tracker, st.w)
-                    l0_step(st, sample, cfg.mu, cfg.rho, cfg.beta)
-                    self._apply_mask(mask, s)
-                else:
-                    hard_l0_step(st, sample, cfg.mu, cfg.rho, cfg.beta, s)
+        active = st.n >= cfg.burn_in
+        s = mask = pen = None
+        if active and self._budget is not None:
+            s, mask = self._budget(st.w)
+        if self._penalty is not None and (active or self._penalty_in_burn_in):
+            pen = self._penalty(st.w, cfg, s)
+        e = prediction_error(st, sample)
+        st.w += (cfg.mu * e.conjugate()) * sample.x
+        if pen is not None:
+            st.w -= cfg.rho * pen
+        if active and self._project is not None:
+            st.w = self._project(st.w, s, mask)
+        st.n += 1
 
         if self.tracker is not None:
-            tracker_update(self.tracker, st.last_e.conjugate() * sample.x)
+            tracker_update(self.tracker, e.conjugate() * sample.x)
         self.last_s = s
-        return st.last_e
-
-    def _apply_mask(self, mask: np.ndarray, s: int) -> None:
-        # occupancy shortcut: the passing set becomes the next support
-        if mask.any():
-            self.state.w[~mask] = 0
-        else:
-            self.state.w = hard_threshold(self.state.w, s)
+        return e

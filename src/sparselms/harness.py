@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimators import Estimator, EstimatorConfig
+from .estimators import THRESHOLDED, Estimator, EstimatorConfig
 from .sensing import SensingConfig, Windowed, make_stream
 from .signals import SignalSpec, multisine, noise_std, random_bins, signal_power, true_spectrum
 from .sparse_ops import SupportSet, support
@@ -236,13 +236,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(spec, curves_lin, curves_db, s_mean, records)
 
 
-def run_tracking_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Runner for two-phase tracking experiments (requires spec.tracking)."""
-    if spec.tracking is None:
-        raise ValueError("spec has no tracking section")
-    return run_experiment(spec)
-
-
 def time_to_reach(rmse_lin: np.ndarray, threshold_db: float) -> int | None:
     """1-based iteration at which the trajectory first reaches threshold_db."""
     hits = np.flatnonzero(rmse_lin <= 10.0 ** (threshold_db / 10.0))
@@ -276,9 +269,14 @@ def write_curves_csv(result: ExperimentResult, path) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["experiment", "label", "iteration", "rmse_db", "s_est_mean"])
+        fixed = {
+            a.label: a.estimator.s
+            for a in result.spec.algorithms
+            if a.estimator.variant in THRESHOLDED
+        }
         for label, db in result.curves_db.items():
             s_curve = result.s_mean[label]
-            fixed_s = _fixed_budget(result.spec, label)
+            fixed_s = fixed.get(label)
             for i in range(db.size):
                 if s_curve is not None and not math.isnan(s_curve[i]):
                     s_val = f"{s_curve[i]:.4f}"
@@ -287,15 +285,6 @@ def write_curves_csv(result: ExperimentResult, path) -> None:
                 else:
                     s_val = ""
                 w.writerow([result.spec.name, label, i + 1, f"{db[i]:.6f}", s_val])
-
-
-def _fixed_budget(spec: ExperimentSpec, label: str) -> int | None:
-    for algo in spec.algorithms:
-        if algo.label == label:
-            if algo.estimator.variant in ("sza", "hard", "hard_l0"):
-                return algo.estimator.s
-            return None
-    return None
 
 
 def write_summary_csv(result: ExperimentResult, path, tail: int | None = None) -> None:

@@ -14,8 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sensing import fourier_rows
-
 
 @dataclass(frozen=True)
 class SignalSpec:
@@ -113,13 +111,3 @@ def add_noise(values, snr_db: float, power: float, rng: np.random.Generator):
     if sigma == 0.0:
         return values.copy()
     return values + rng.normal(0.0, sigma, size=values.shape)
-
-
-def reconstruct(spec: SignalSpec) -> np.ndarray:
-    """Rebuild the time window from the spectrum through the regressor rows.
-
-    Round-trip identity: this equals multisine(spec) up to rounding.
-    """
-    w = true_spectrum(spec)
-    rows = fourier_rows(spec.n)
-    return (rows @ w.conj()).real

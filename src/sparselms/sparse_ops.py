@@ -20,8 +20,8 @@ def _sq_mag(v: np.ndarray) -> np.ndarray:
     return v.real * v.real + v.imag * v.imag
 
 
-def hard_threshold(v, s: int) -> np.ndarray:
-    """Keep the s largest-magnitude coefficients (all ties kept), zero the rest.
+def keep_mask(v, s: int) -> np.ndarray:
+    """Boolean mask of the s largest-magnitude coefficients, all ties kept.
 
     Uses introselect partitioning, so expected cost is linear in len(v).
     """
@@ -30,23 +30,16 @@ def hard_threshold(v, s: int) -> np.ndarray:
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= s <= {n}, got s={s}")
     if s == n:
-        return v.copy()
-    m2 = _sq_mag(v)
-    cut = np.partition(m2, n - s)[n - s]
-    return np.where(m2 >= cut, v, 0)
-
-
-def keep_mask(v, s: int) -> np.ndarray:
-    """Boolean mask of the coefficients hard_threshold(v, s) would keep."""
-    v = np.asarray(v)
-    n = v.size
-    if not 1 <= s <= n:
-        raise ValueError(f"need 1 <= s <= {n}, got s={s}")
-    if s == n:
-        return np.ones(n, dtype=bool)
+        return np.ones(v.shape, dtype=bool)
     m2 = _sq_mag(v)
     cut = np.partition(m2, n - s)[n - s]
     return m2 >= cut
+
+
+def hard_threshold(v, s: int) -> np.ndarray:
+    """Keep the s largest-magnitude coefficients (all ties kept), zero the rest."""
+    v = np.asarray(v)
+    return np.where(keep_mask(v, s), v, 0)
 
 
 def complex_sign(v):

@@ -16,7 +16,6 @@ from sparselms.harness import (
     bootstrap_diff_ci,
     rmse_db,
     run_experiment,
-    run_tracking_experiment,
     run_trial,
     time_to_reach,
 )
@@ -161,7 +160,7 @@ def test_criterion_7_experiment3_convergence_speed():
 def test_criterion_8_tracking_experiment():
     t0 = time.perf_counter()
     spec = get_experiment("exp4-tracking")
-    res = run_tracking_experiment(spec)
+    res = run_experiment(spec)
     elapsed = time.perf_counter() - t0
     m = spec.sensing.m
 

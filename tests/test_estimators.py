@@ -3,19 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sparselms.estimators import (
-    Estimator,
-    EstimatorConfig,
-    EstimatorState,
-    hard_l0_step,
-    hard_step,
-    l0_step,
-    lms_step,
-    prediction_error,
-    rza_step,
-    sza_step,
-    za_step,
-)
+from sparselms.estimators import Estimator, EstimatorConfig, EstimatorState, prediction_error
 from sparselms.sensing import MeasurementSample, RepeatedPass, SensingConfig, make_stream
 from sparselms.signals import SignalSpec, multisine, true_spectrum
 
@@ -57,99 +45,96 @@ def test_error_dimension_mismatch():
 # -- single update rules, hand-computed ---------------------------------------
 
 
+def step_from(variant, w, sample, **params):
+    """One Estimator.step from iterate w, burn-in off; returns the estimator."""
+    est = Estimator(EstimatorConfig(variant, burn_in=0, **params), len(w))
+    est.state.w = np.array(w, dtype=complex)
+    est.step(sample)
+    return est
+
+
 def test_lms_zero_error_no_change():
-    st = EstimatorState(w=np.array([1.0 + 0j, -2.0]))
-    lms_step(st, sample_of([1, 1], 1.0 + -2.0), mu=0.5)
-    np.testing.assert_array_equal(st.w, [1.0, -2.0])
+    est = step_from("lms", [1.0 + 0j, -2.0], sample_of([1, 1], 1.0 + -2.0), mu=0.5)
+    np.testing.assert_array_equal(est.state.w, [1.0, -2.0])
 
 
 def test_lms_real_example():
-    st = EstimatorState.zeros(2)
-    lms_step(st, sample_of([1, 1], 1.0), mu=0.5)
-    np.testing.assert_allclose(st.w, [0.5, 0.5])
-    assert st.n == 1
+    est = step_from("lms", np.zeros(2), sample_of([1, 1], 1.0), mu=0.5)
+    np.testing.assert_allclose(est.state.w, [0.5, 0.5])
+    assert est.state.n == 1
 
 
 def test_lms_conjugation_example():
-    st = EstimatorState.zeros(1)
-    lms_step(st, sample_of([1j], 1.0), mu=0.5)
-    np.testing.assert_allclose(st.w, [0.5j])
-    assert np.vdot(st.w, [1j]) == pytest.approx(0.5)
+    est = step_from("lms", np.zeros(1), sample_of([1j], 1.0), mu=0.5)
+    np.testing.assert_allclose(est.state.w, [0.5j])
+    assert np.vdot(est.state.w, [1j]) == pytest.approx(0.5)
 
 
 def test_za_shrinks_toward_zero():
-    st = EstimatorState(w=np.array([1.0 + 0j, -1.0]))
-    za_step(st, sample_of([1, 1], 0.0), mu=0.5, rho=0.01)
-    np.testing.assert_allclose(st.w, [0.99, -0.99])
+    est = step_from("za", [1.0 + 0j, -1.0], sample_of([1, 1], 0.0), mu=0.5, rho=0.01)
+    np.testing.assert_allclose(est.state.w, [0.99, -0.99])
 
 
 def test_za_zero_weights_reduce_to_lms():
-    a = EstimatorState.zeros(2)
-    b = EstimatorState.zeros(2)
-    za_step(a, sample_of([1, -1], 2.0), mu=0.3, rho=0.05)
-    lms_step(b, sample_of([1, -1], 2.0), mu=0.3)
-    np.testing.assert_array_equal(a.w, b.w)
+    a = step_from("za", np.zeros(2), sample_of([1, -1], 2.0), mu=0.3, rho=0.05)
+    b = step_from("lms", np.zeros(2), sample_of([1, -1], 2.0), mu=0.3)
+    np.testing.assert_array_equal(a.state.w, b.state.w)
 
 
 def test_rza_hand_example():
-    st = EstimatorState(w=np.array([1.0 + 0j]))
-    rza_step(st, sample_of([1], 1.0), mu=0.5, rho=0.005, epsilon=2.25)
-    np.testing.assert_allclose(st.w, [1 - 0.005 / 3.25])
+    est = step_from("rza", [1.0 + 0j], sample_of([1], 1.0), mu=0.5, rho=0.005, epsilon=2.25)
+    np.testing.assert_allclose(est.state.w, [1 - 0.005 / 3.25])
 
 
 def test_rza_large_weights_nearly_unpenalized():
     w0 = 50.0
-    st = EstimatorState(w=np.array([w0 + 0j]))
-    rza_step(st, sample_of([1], w0), mu=0.5, rho=0.01, epsilon=2.0)
-    assert abs(st.w[0] - w0) < 0.01 / (2.0 * w0)
+    est = step_from("rza", [w0 + 0j], sample_of([1], w0), mu=0.5, rho=0.01, epsilon=2.0)
+    assert abs(est.state.w[0] - w0) < 0.01 / (2.0 * w0)
 
 
 def test_l0_hand_example():
-    st = EstimatorState(w=np.array([0.5 + 0j]))
-    l0_step(st, sample_of([1], 0.5), mu=0.5, rho=0.005, beta=0.5)
-    np.testing.assert_allclose(st.w, [0.4961060], atol=5e-8)
+    est = step_from("l0", [0.5 + 0j], sample_of([1], 0.5), mu=0.5, rho=0.005, beta=0.5)
+    np.testing.assert_allclose(est.state.w, [0.4961060], atol=5e-8)
 
 
 def test_l0_huge_beta_reduces_to_lms():
-    a = EstimatorState(w=np.array([1.0 + 0j, -2.0]))
-    b = EstimatorState(w=np.array([1.0 + 0j, -2.0]))
-    l0_step(a, sample_of([1, 1], 0.5), mu=0.4, rho=0.01, beta=1e6)
-    lms_step(b, sample_of([1, 1], 0.5), mu=0.4)
-    np.testing.assert_allclose(a.w, b.w, atol=1e-15)
+    a = step_from("l0", [1.0 + 0j, -2.0], sample_of([1, 1], 0.5), mu=0.4, rho=0.01, beta=1e6)
+    b = step_from("lms", [1.0 + 0j, -2.0], sample_of([1, 1], 0.5), mu=0.4)
+    np.testing.assert_allclose(a.state.w, b.state.w, atol=1e-15)
 
 
 def test_sza_hand_example():
-    st = EstimatorState(w=np.array([2.0 + 0j, -2.0, 1.0, 0.0]))
-    sza_step(st, sample_of([0, 0, 0, 0], 0.0), mu=0.5, rho=0.01, s=2)
-    np.testing.assert_allclose(st.w, [2.0, -2.0, 0.99, 0.0])
+    est = step_from(
+        "sza", [2.0 + 0j, -2.0, 1.0, 0.0], sample_of([0, 0, 0, 0], 0.0), mu=0.5, rho=0.01, s=2
+    )
+    np.testing.assert_allclose(est.state.w, [2.0, -2.0, 0.99, 0.0])
 
 
 def test_hard_step_tie_keeps_everything():
-    st = EstimatorState.zeros(3)
-    hard_step(st, sample_of([1, 1, 1], 3.0), mu=0.4, s=1)
-    np.testing.assert_allclose(st.w, [1.2, 1.2, 1.2])
+    est = step_from("hard", np.zeros(3), sample_of([1, 1, 1], 3.0), mu=0.4, s=1)
+    np.testing.assert_allclose(est.state.w, [1.2, 1.2, 1.2])
 
 
 def test_hard_step_thresholds_unchanged_vector():
-    st = EstimatorState(w=np.array([1.0 + 0j, 0.2, 0.0]))
-    hard_step(st, sample_of([0, 0, 0], 0.0), mu=0.5, s=1)
-    np.testing.assert_array_equal(st.w, [1.0, 0.0, 0.0])
+    est = step_from("hard", [1.0 + 0j, 0.2, 0.0], sample_of([0, 0, 0], 0.0), mu=0.5, s=1)
+    np.testing.assert_array_equal(est.state.w, [1.0, 0.0, 0.0])
 
 
 def test_hard_step_zeros_are_exact():
-    st = EstimatorState.zeros(8)
+    est = Estimator(EstimatorConfig("hard", mu=0.05, s=3, burn_in=0), 8)
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        hard_step(st, MeasurementSample(x, rng.standard_normal(), 0), mu=0.05, s=3)
-        zeroed = st.w == 0
+        est.step(MeasurementSample(x, rng.standard_normal(), 0))
+        zeroed = est.state.w == 0
         assert zeroed.sum() >= 5
 
 
 def test_hard_l0_composes_penalty_and_threshold():
-    st = EstimatorState(w=np.array([0.5 + 0j]))
-    hard_l0_step(st, sample_of([1], 0.5), mu=0.5, rho=0.005, beta=0.5, s=1)
-    np.testing.assert_allclose(st.w, [0.4961060], atol=5e-8)
+    est = step_from(
+        "hard_l0", [0.5 + 0j], sample_of([1], 0.5), mu=0.5, rho=0.005, beta=0.5, s=1
+    )
+    np.testing.assert_allclose(est.state.w, [0.4961060], atol=5e-8)
 
 
 # -- reduction lattice ---------------------------------------------------------
@@ -168,40 +153,20 @@ def test_reduction_lattice_exact(case):
     w, sample = _random_case(rng)
     mu, rho, beta, eps, n = 0.1, 0.01, 0.7, 1.3, w.size
 
-    ref = EstimatorState(w=w.copy())
-    lms_step(ref, sample, mu)
+    def stepped(variant, **params):
+        return step_from(variant, w, sample, mu=mu, **params).state.w
 
-    st = EstimatorState(w=w.copy())
-    za_step(st, sample, mu, rho=0.0)
-    np.testing.assert_array_equal(st.w, ref.w)
-
-    st = EstimatorState(w=w.copy())
-    rza_step(st, sample, mu, rho=0.0, epsilon=eps)
-    np.testing.assert_array_equal(st.w, ref.w)
-
-    st = EstimatorState(w=w.copy())
-    l0_step(st, sample, mu, rho=0.0, beta=beta)
-    np.testing.assert_array_equal(st.w, ref.w)
-
-    st = EstimatorState(w=w.copy())
-    sza_step(st, sample, mu, rho, s=n)  # P_N = 0
-    np.testing.assert_array_equal(st.w, ref.w)
-
-    st = EstimatorState(w=w.copy())
-    hard_step(st, sample, mu, s=n)
-    np.testing.assert_array_equal(st.w, ref.w)
-
-    za = EstimatorState(w=w.copy())
-    za_step(za, sample, mu, rho)
-    l0 = EstimatorState(w=w.copy())
-    l0_step(l0, sample, mu, rho, beta=0.0)  # exp(0) = 1
-    np.testing.assert_array_equal(l0.w, za.w)
-
-    full_l0 = EstimatorState(w=w.copy())
-    l0_step(full_l0, sample, mu, rho, beta)
-    hl0 = EstimatorState(w=w.copy())
-    hard_l0_step(hl0, sample, mu, rho, beta, s=n)
-    np.testing.assert_array_equal(hl0.w, full_l0.w)
+    ref = stepped("lms")
+    np.testing.assert_array_equal(stepped("za", rho=0.0), ref)
+    np.testing.assert_array_equal(stepped("rza", rho=0.0, epsilon=eps), ref)
+    np.testing.assert_array_equal(stepped("l0", rho=0.0, beta=beta), ref)
+    np.testing.assert_array_equal(stepped("sza", rho=rho, s=n), ref)  # P_N = 0
+    np.testing.assert_array_equal(stepped("hard", s=n), ref)
+    # exp(0) = 1
+    np.testing.assert_array_equal(stepped("l0", rho=rho, beta=0.0), stepped("za", rho=rho))
+    np.testing.assert_array_equal(
+        stepped("hard_l0", rho=rho, beta=beta, s=n), stepped("l0", rho=rho, beta=beta)
+    )
 
 
 # -- config validation ----------------------------------------------------------
@@ -287,6 +252,63 @@ def test_occupancy_support_shortcut_empty_set_falls_back():
     est.state.w = np.array([1.0 + 0j, 0.5, 0.1])
     est.step(MeasurementSample(np.zeros(3, dtype=complex), 0.0, 0))
     assert np.count_nonzero(est.state.w) == 1  # clamped budget keeps the largest
+
+
+def test_occupancy_mask_applied_with_fixed_budget():
+    from sparselms.tracker import TrackerParams
+
+    # a fixed s does not switch the mask off: top-1 would keep only 1.0
+    params = TrackerParams(lam=1.0, xi=0.0, q_star=0.3, use_support=True)
+    est = Estimator(EstimatorConfig("hard", mu=0.1, s=1, burn_in=0), 3, params)
+    est.state.w = np.array([1.0 + 0j, 0.5, 0.1])
+    est.step(MeasurementSample(np.zeros(3, dtype=complex), 0.0, 0))
+    np.testing.assert_array_equal(est.state.w, [1.0, 0.5, 0.0])
+    assert est.last_s == 1
+
+
+def test_occupancy_budget_is_clamped_mask_count():
+    from sparselms.tracker import TrackerParams
+
+    zero_x = MeasurementSample(np.zeros(3, dtype=complex), 0.0, 0)
+    for q_star, expected in ((0.3, 2), (10.0, 1)):
+        params = TrackerParams(lam=1.0, xi=0.0, q_star=q_star, use_support=True)
+        est = Estimator(EstimatorConfig("hard", mu=0.1, burn_in=0), 3, params)
+        est.state.w = np.array([1.0 + 0j, 0.5, 0.1])
+        est.step(zero_x)
+        assert est.last_s == expected
+
+
+def test_last_s_none_in_burn_in_then_budget():
+    from sparselms.tracker import TrackerParams, estimate_sparsity
+
+    x = MeasurementSample(np.array([1.0, 1.0j, -1.0]), 0.5, 0)
+    fixed = Estimator(EstimatorConfig("sza", mu=0.1, rho=0.01, s=2, burn_in=2), 3)
+    for _ in range(2):
+        fixed.step(x)
+        assert fixed.last_s is None
+    fixed.step(x)
+    assert fixed.last_s == 2
+
+    params = TrackerParams(lam=0.9, xi=0.5, q_star=0.05)
+    tracked = Estimator(EstimatorConfig("hard", mu=0.1, burn_in=1), 3, params)
+    tracked.step(x)
+    assert tracked.last_s is None
+    for _ in range(3):
+        expected = estimate_sparsity(tracked.tracker, tracked.state.w)
+        tracked.step(x)
+        assert tracked.last_s == expected
+
+
+def test_last_s_none_without_thresholding():
+    from sparselms.tracker import TrackerParams
+
+    x = MeasurementSample(np.array([1.0, 1.0j, -1.0]), 0.5, 0)
+    for variant in ("lms", "za", "rza", "l0"):
+        cfg = EstimatorConfig(variant, mu=0.1, rho=0.01, beta=1.0, burn_in=0)
+        est = Estimator(cfg, 3, TrackerParams())
+        for _ in range(3):
+            est.step(x)
+            assert est.last_s is None
 
 
 # -- noiseless identification -----------------------------------------------------

@@ -1,6 +1,5 @@
 import hashlib
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from sparselms.harness import (
     rmse,
     rmse_db,
     run_experiment,
-    run_tracking_experiment,
     run_trial,
     time_to_reach,
     write_curves_csv,
@@ -198,7 +196,7 @@ def test_tracking_experiment_small():
         seed=5,
         tracking=TrackingSpec(phase_windows=(30, 30), extra_sines=2),
     )
-    res = run_tracking_experiment(spec)
+    res = run_experiment(spec)
     rec = res.records["EST"][0]
     m = spec.sensing.m
     s_phase1 = np.nanmean(rec.s_trajectory[20 * m : 30 * m])
@@ -206,11 +204,6 @@ def test_tracking_experiment_small():
     assert s_phase1 == pytest.approx(4, abs=1.0)
     assert s_phase2 == pytest.approx(8, abs=1.5)
     assert rec.rmse_lin_trajectory.size == 60 * m
-
-
-def test_run_tracking_requires_tracking_section():
-    with pytest.raises(ValueError):
-        run_tracking_experiment(tiny_spec())
 
 
 # -- registry and config files -------------------------------------------------------
@@ -240,15 +233,14 @@ def test_spec_dict_round_trip():
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
 
-def test_preset_files_match_registry():
-    import sparselms
+def test_export_matches_registry(tmp_path):
+    from sparselms.cli import main
 
-    presets = Path(sparselms.__file__).parent / "presets"
-    for name in ("exp1", "exp2", "exp3", "exp4-tracking"):
-        loaded = load_specs(presets / f"{name}.yaml")
-        assert loaded[0] == get_experiment(name)
-    sweep = load_specs(presets / "exp-msweep.yaml")
-    assert sweep == get_experiment("exp-msweep")
+    for name in REGISTRY:
+        path = tmp_path / f"{name}.yaml"
+        assert main(["export", name, "--out", str(path)]) == 0
+        built = get_experiment(name)
+        assert load_specs(path) == (built if isinstance(built, list) else [built])
 
 
 def test_save_and_load_round_trip(tmp_path):

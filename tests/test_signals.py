@@ -10,7 +10,6 @@ from sparselms.signals import (
     multisine,
     noise_std,
     random_bins,
-    reconstruct,
     resolve_bins,
     signal_power,
     true_spectrum,
@@ -63,13 +62,6 @@ def test_minimum_nonzero_magnitude():
     w = true_spectrum(spec)
     mags = np.abs(w[w != 0])
     assert math.isclose(mags.min(), 0.4)  # min(A)/2 exactly
-
-
-def test_round_trip_through_regressors():
-    spec = SignalSpec(n=500, sines=7, bins=(3, 19, 44, 80, 120, 200, 249))
-    z = multisine(spec)
-    rebuilt = reconstruct(spec)
-    np.testing.assert_allclose(rebuilt, z, atol=1e-10)
 
 
 def test_round_trip_explicit_rows():
