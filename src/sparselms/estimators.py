@@ -13,14 +13,22 @@ a-priori error e(n) = y(n) - w(n)^H x(n).  A step runs, in this order:
 
 The variant fixes the penalty (``_PENALTY``) and whether a projection runs
 (``hard`` and ``hard_l0``); the README tabulates both.
+
+Support path: after a top-s cut, w is zero off the kept set K, so on the next
+step every entry off K of the dense update is exactly c x_k (c = mu e*), of
+magnitude |c| for unit-magnitude rows.  When every entry on K provably
+outweighs |c| (``_certified``), the cut would return K again, and updating
+w[K] alone gives the dense result bit for bit.  Otherwise the dense steps run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .sensing import unit_magnitude
 from .sparse_ops import complex_sign, hard_threshold, selective_penalty
 from .tracker import (
     TrackerParams,
@@ -123,6 +131,47 @@ def _occupancy(w, s, mask):
     return hard_threshold(w, s)
 
 
+# -- support path --------------------------------------------------------------
+#
+# Off K the dense update holds fl(c x_k), with c = a + ib and x_k a table root
+# whose computed |x_k|^2 is at most 1 + 4u (u = 2^-53, sensing.UNIT_SQ_MAG_BOUND),
+# so |x_k| <= 1 + 3u.  With c2 = fl(a^2 + b^2) and m2 = fl(re^2 + im^2) as in
+# keep_mask:
+#   |fl(c x_k)| <= |c| |x_k| (1 + sqrt(2) gamma_2)    (complex product, Higham 3.5)
+#              <= |c| (1 + 5.9u),
+#   m2(fl(c x_k)) <= |fl(c x_k)|^2 (1 + u)^2 <= |c|^2 (1 + 13.7u),
+#   |c|^2 <= c2 / (1 - u)^2 <= c2 (1 + 2.1u),
+# so every off-K m2 is at most c2 (1 + 16u), about 1.8e-15 relative.  _DELTA
+# leaves a wide margin over that and over the rounding of the comparison
+# itself.  Below the normal range the squares carry an absolute error of a few
+# 2^-1074, which _TINY covers.  If min m2(v) on K beats the bound, the s = |K|
+# largest entries of the dense update are exactly K and keep_mask returns K.
+_DELTA = 1e-12
+_TINY = np.finfo(float).tiny
+
+
+def _support(cut, w, s, x):
+    """K of the last top-s cut when the support path may be tried, else None.
+
+    ``cut`` is (K, the array that cut returned).  The path needs w to be that
+    array, so that w is zero off K, |K| = s and a unit-magnitude regressor.
+    """
+    if cut is None or cut[1] is not w or cut[0].size != s or not unit_magnitude(x):
+        return None
+    return cut[0]
+
+
+def _certified(v, c) -> bool:
+    """True when every |v_k|^2 exceeds every off-support |fl(c x_k)|^2.
+
+    NaN and inf in v never pass, so the dense cut reports them.
+    """
+    m2 = v.real * v.real + v.imag * v.imag
+    m2.sort()  # one call for both ends, cheaper than min and max; NaN sorts last
+    c2 = c.real * c.real + c.imag * c.imag
+    return bool(m2[0] > c2 * (1.0 + _DELTA) + _TINY and m2[-1] < math.inf)
+
+
 class Estimator:
     """Drives one update rule over a measurement stream.
 
@@ -133,6 +182,10 @@ class Estimator:
     tracker, which consumes the update direction b(n) the step already
     computed.  With ``use_support`` the tracker's occupancy mask replaces the
     top-s cut of the thresholded variants.
+
+    After a top-s cut the next active step takes the support path when
+    ``state.w`` is still the array that cut returned and the budget equals the
+    kept count; reassigning ``state.w`` sends the step back to the dense rule.
     """
 
     def __init__(
@@ -153,6 +206,7 @@ class Estimator:
             raise ValueError(f"{variant} needs a fixed s or a tracker")
         self.last_s: int | None = None
 
+        self._cut = None  # (K, w) of the last top-s cut
         self._penalty = _PENALTY.get(variant)
         self._penalty_in_burn_in = variant == "hard_l0"
         self._budget = self._project = None
@@ -179,17 +233,37 @@ class Estimator:
         cfg = self.config
         st = self.state
         active = st.n >= cfg.burn_in
-        s = mask = pen = None
+        s = mask = pen = kept = None
         if active and self._budget is not None:
             s, mask = self._budget(st.w)
+        if active and self._project is _top_s:
+            kept = _support(self._cut, st.w, s, sample.x)
+        w = st.w if kept is None else st.w[kept]
         if self._penalty is not None and (active or self._penalty_in_burn_in):
-            pen = self._penalty(st.w, cfg, s)
+            # complex_sign(0) = 0, so off K the penalty is exactly zero
+            pen = self._penalty(w, cfg, s)
         e = prediction_error(st, sample)
-        st.w += (cfg.mu * e.conjugate()) * sample.x
-        if pen is not None:
-            st.w -= cfg.rho * pen
-        if active and self._project is not None:
-            st.w = self._project(st.w, s, mask)
+        c = cfg.mu * e.conjugate()
+        if kept is not None:
+            v = w + c * sample.x[kept]
+            if pen is not None:
+                v -= cfg.rho * pen
+            if _certified(v, c):
+                st.w[kept] = v
+            else:
+                if pen is not None:
+                    full = np.zeros_like(st.w)
+                    full[kept] = pen
+                    pen = full
+                kept = None
+        if kept is None:
+            st.w += c * sample.x
+            if pen is not None:
+                st.w -= cfg.rho * pen
+            if active and self._project is not None:
+                st.w = self._project(st.w, s, mask)
+                if self._project is _top_s:
+                    self._cut = (np.flatnonzero(st.w), st.w)
         st.n += 1
 
         if self.tracker is not None:

@@ -272,7 +272,12 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     if "amps" in sig:
         sig["amps"] = tuple(sig["amps"])
     sens = d["sensing"]
-    mode = RepeatedPass(sens["count"]) if sens["mode"] == "repeated" else Windowed(sens["count"])
+    modes = {"repeated": RepeatedPass, "windowed": Windowed}
+    if sens["mode"] not in modes:
+        raise ValueError(
+            f"sensing.mode must be 'repeated' or 'windowed', got {sens['mode']!r}"
+        )
+    mode = modes[sens["mode"]](sens["count"])
     algorithms = []
     for entry in d["algorithms"]:
         tracker = TrackerParams(**entry["tracker"]) if "tracker" in entry else None

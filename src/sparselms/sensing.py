@@ -12,6 +12,7 @@ the sparsity tracker relies on.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -78,18 +79,36 @@ class MeasurementSample:
     n: int
 
 
+# the fourier_rows tables whose roots passed the magnitude check, by id
+_UNIT_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+# bound on the computed |root|^2 a table must meet to be registered
+UNIT_SQ_MAG_BOUND = 1.0 + 2.0 * np.finfo(float).eps
+
+
 @lru_cache(maxsize=8)
 def fourier_rows(n: int) -> np.ndarray:
     """All N regressor rows as an N x N read-only matrix, F[t, k] = x(t)_k.
 
     Entries are looked up from the single table of N-th roots of unity so
-    that equal angles produce bit-identical values.
+    that equal angles produce bit-identical values.  When every computed
+    |root|^2 is at most ``UNIT_SQ_MAG_BOUND`` the table is registered, and
+    ``unit_magnitude`` recognises its rows.
     """
     roots = np.exp(-2j * np.pi * np.arange(n) / n)
     idx = np.outer(np.arange(n), np.arange(n)) % n
     rows = roots[idx]
     rows.flags.writeable = False
+    if (roots.real * roots.real + roots.imag * roots.imag).max() <= UNIT_SQ_MAG_BOUND:
+        _UNIT_TABLES[id(rows)] = rows
     return rows
+
+
+def unit_magnitude(x: np.ndarray) -> bool:
+    """True when x is a view into a registered ``fourier_rows`` table, so every
+    computed |x_k|^2 is at most ``UNIT_SQ_MAG_BOUND``."""
+    base = x.base
+    return base is not None and _UNIT_TABLES.get(id(base)) is base
 
 
 def regressor_row(n: int, t: int) -> np.ndarray:

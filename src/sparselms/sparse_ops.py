@@ -24,14 +24,22 @@ def keep_mask(v, s: int) -> np.ndarray:
     """Boolean mask of the s largest-magnitude coefficients, all ties kept.
 
     Uses introselect partitioning, so expected cost is linear in len(v).
+    Raises ValueError naming the first NaN or infinite coefficient.
     """
     v = np.asarray(v)
     n = v.size
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= s <= {n}, got s={s}")
+    m2 = _sq_mag(v)
+    # one dot product (cheaper than a reduction on short vectors) propagates any
+    # NaN or inf; it also overflows for huge finite values, which pass
+    if not math.isfinite(m2.dot(m2)):
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"non-finite coefficient at position {i}: {v.flat[i]}")
     if s == n:
         return np.ones(v.shape, dtype=bool)
-    m2 = _sq_mag(v)
     cut = np.partition(m2, n - s)[n - s]
     return m2 >= cut
 

@@ -1,11 +1,24 @@
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparselms import estimators
 from sparselms.estimators import Estimator, EstimatorConfig, EstimatorState, prediction_error
-from sparselms.sensing import MeasurementSample, RepeatedPass, SensingConfig, make_stream
+from sparselms.experiments import get_experiment
+from sparselms.harness import run_trial
+from sparselms.sensing import (
+    MeasurementSample,
+    RepeatedPass,
+    SensingConfig,
+    fourier_rows,
+    make_stream,
+)
 from sparselms.signals import SignalSpec, multisine, true_spectrum
+from sparselms.tracker import TrackerParams
 
 
 def sample_of(x, y):
@@ -188,12 +201,12 @@ def test_config_variant_case_insensitive():
 
 
 def test_estimator_requires_budget_source():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="hard needs a fixed s or a tracker"):
         Estimator(EstimatorConfig("hard", mu=0.5), n_dim=8)
 
 
 def test_estimator_rejects_bad_s():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need 1 <= s <= 8, got s=9"):
         Estimator(EstimatorConfig("hard", mu=0.5, s=9), n_dim=8)
 
 
@@ -338,3 +351,184 @@ def test_noiseless_full_sampling_identification(variant, mu_ref):
     err = np.abs(est.state.w - w_true) ** 2
     rmse = err.sum() / (np.abs(w_true) ** 2).sum()
     assert 10 * math.log10(rmse) < -80.0
+
+
+# -- support path against the dense rule --------------------------------------------
+#
+# The oracle is the same Estimator with the support path declined, so every step
+# runs the dense rule: full gradient step, full penalty, top-s cut.
+
+
+@contextmanager
+def dense_rule():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_support", lambda *args: None)
+        yield
+
+
+def dense_step(est, sample):
+    with dense_rule():
+        return est.step(sample)
+
+
+def assert_bitwise_equal(fast, dense, e_fast, e_dense):
+    assert fast.state.w.tobytes() == dense.state.w.tobytes()
+    assert np.complex128(e_fast).tobytes() == np.complex128(e_dense).tobytes()
+    assert fast.last_s == dense.last_s
+
+
+def _sparse_truth(rng, n, k):
+    w = np.zeros(n, dtype=complex)
+    w[rng.choice(n, size=k, replace=False)] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return w
+
+
+def _pair(variant, n, s, burn_in, mu_ref=0.5, tracked=False):
+    cfg = EstimatorConfig(
+        variant, mu=mu_ref / n, rho=0.02 / n, beta=0.5, s=s, burn_in=burn_in
+    )
+    params = TrackerParams(lam=0.9, xi=0.5, q_star=0.05) if tracked else None
+    return Estimator(cfg, n, params), Estimator(cfg, n, params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([8, 16, 32]),
+    k=st.integers(1, 3),
+    extra=st.integers(0, 4),  # s above the true sparsity: spare slots nearly tie
+    variant=st.sampled_from(["hard", "hard_l0"]),
+    tracked=st.booleans(),  # the tracker's budget changes between steps
+    burn_in=st.integers(0, 40),
+    mu_ref=st.floats(0.1, 1.0),
+    noise=st.sampled_from([0.0, 0.01, 0.3]),
+)
+def test_support_path_matches_dense_rule(
+    seed, n, k, extra, variant, tracked, burn_in, mu_ref, noise
+):
+    rng = np.random.default_rng(seed)
+    rows = fourier_rows(n)
+    w_true = _sparse_truth(rng, n, k)
+    s = None if tracked else min(k + extra, n)
+    fast, dense = _pair(variant, n, s, burn_in, mu_ref, tracked)
+    for _ in range(150):
+        x = rows[rng.integers(n)]
+        draw = rng.random()
+        if draw < 0.05:
+            y = np.vdot(fast.state.w, x)  # e exactly 0
+        else:
+            y = np.vdot(w_true, x) + noise * rng.standard_normal()
+        if draw > 0.98:  # a reassigned, dense iterate must go back to the dense rule
+            nudge = 1e-3 * rng.standard_normal(n)
+            fast.state.w = fast.state.w + nudge
+            dense.state.w = dense.state.w + nudge
+        sample = MeasurementSample(x, y, 0)
+        assert_bitwise_equal(fast, dense, fast.step(sample), dense_step(dense, sample))
+
+
+def _stable_run(variant="hard", n=32, k=2, steps=400, seed=3):
+    """A fixed-budget pair after ``steps`` noiseless steps, and its stream."""
+    rng = np.random.default_rng(seed)
+    rows = fourier_rows(n)
+    w_true = _sparse_truth(rng, n, k)
+
+    def sample():
+        x = rows[rng.integers(n)]
+        return MeasurementSample(x, np.vdot(w_true, x), 0)
+
+    fast, dense = _pair(variant, n, k, burn_in=n)
+    for _ in range(steps):
+        smp = sample()
+        assert_bitwise_equal(fast, dense, fast.step(smp), dense_step(dense, smp))
+    return fast, dense, sample
+
+
+def _count_cuts(monkeypatch):
+    calls = []
+    cut = estimators.hard_threshold
+
+    def counted(v, s):
+        calls.append(s)
+        return cut(v, s)
+
+    monkeypatch.setattr(estimators, "hard_threshold", counted)
+    return calls
+
+
+def test_support_path_skips_the_cut_until_w_is_reassigned(monkeypatch):
+    fast, _, sample = _stable_run()
+    calls = _count_cuts(monkeypatch)
+    for _ in range(100):
+        fast.step(sample())
+    assert len(calls) == 0
+    fast.state.w = fast.state.w.copy()
+    fast.step(sample())
+    assert len(calls) == 1  # the reassigned iterate went through the dense cut
+    fast.step(sample())
+    assert len(calls) == 1
+
+
+def test_support_path_needs_unit_magnitude_rows(monkeypatch):
+    fast, _, sample = _stable_run()
+    calls = _count_cuts(monkeypatch)
+    smp = sample()
+    fast.step(MeasurementSample(smp.x.copy(), smp.y, 0))  # not a table row
+    assert len(calls) == 1
+
+
+def test_support_path_never_certifies_non_finite():
+    c = 0.01 + 0.01j
+    assert estimators._certified(np.array([1.0, 2.0j]), c)
+    assert not estimators._certified(np.array([1.0, math.nan]), c)
+    assert not estimators._certified(np.array([1.0, math.inf]), c)
+    assert not estimators._certified(np.array([complex(math.inf, 1.0)]), c)
+    assert not estimators._certified(np.array([1.0, 2.0]), complex(math.nan, 0.0))
+    assert not estimators._certified(np.array([1.0, 2.0]), complex(math.inf, 0.0))
+
+
+def test_support_path_margin_and_exact_zero_error():
+    # an entry tying with |c| is not certified; e = 0 certifies any nonzero kept set
+    c = 0.6 + 0.8j
+    assert not estimators._certified(np.array([2.0, 1.0]), c)
+    assert estimators._certified(np.array([2.0, 1.0 + 1e-9]), c)
+    assert estimators._certified(np.array([2.0, 1e-150]), 0j)
+    assert not estimators._certified(np.array([2.0, 0.0]), 0j)
+
+
+def test_support_path_margin_below_the_normal_range():
+    # squares of subnormal size round coarsely: an off-support fl(c x_k) can
+    # square to twice fl(|c|^2), so an entry tying with it must not pass
+    c = np.complex128(2.3e-162)
+    off = c * fourier_rows(8)[1][1]
+    off_m2 = off.real * off.real + off.imag * off.imag
+    assert off_m2 == 2.0 * (c.real * c.real)
+    assert not estimators._certified(np.array([2.0, off]), c)
+
+
+@pytest.mark.parametrize("variant", ["hard", "hard_l0"])
+def test_support_path_reports_nan_like_the_dense_rule(variant):
+    fast, dense, sample = _stable_run(variant)
+    kept = np.flatnonzero(fast.state.w)
+    for est in (fast, dense):
+        est.state.w[kept[0]] = math.nan  # in place: the iterate stays the cut's array
+    smp = sample()
+    with pytest.raises(ValueError, match="non-finite") as fast_err:
+        fast.step(smp)
+    with pytest.raises(ValueError, match="non-finite") as dense_err:
+        dense_step(dense, smp)
+    assert str(fast_err.value) == str(dense_err.value)
+
+
+@pytest.mark.parametrize("name", ["exp2", "exp3"])
+def test_registry_trajectories_match_dense_rule(name):
+    spec = get_experiment(name, trials=1, n=64)
+    for algo in spec.algorithms:
+        fast = run_trial(spec, algo, 0)
+        with dense_rule():
+            dense = run_trial(spec, algo, 0)
+        assert fast.rmse_lin_trajectory.tobytes() == dense.rmse_lin_trajectory.tobytes()
+        if fast.s_trajectory is None:
+            assert dense.s_trajectory is None
+        else:
+            assert fast.s_trajectory.tobytes() == dense.s_trajectory.tobytes()
+        assert fast.final_support == dense.final_support

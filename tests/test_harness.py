@@ -233,6 +233,13 @@ def test_spec_dict_round_trip():
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
 
+def test_spec_rejects_unknown_sensing_mode():
+    d = spec_to_dict(build_exp2())
+    d["sensing"]["mode"] = "repaeted"  # used to load as Windowed
+    with pytest.raises(ValueError, match=r"sensing\.mode .*'repaeted'"):
+        spec_from_dict(d)
+
+
 def test_export_matches_registry(tmp_path):
     from sparselms.cli import main
 

@@ -63,6 +63,31 @@ def test_hard_threshold_fewer_nonzeros_than_budget():
     assert len(support(out)) == 1  # min(s, ||v||_0)
 
 
+def test_hard_threshold_rejects_nan():
+    # a NaN used to be dropped silently, keeping one coefficient for s = 2
+    with pytest.raises(ValueError, match="non-finite coefficient at position 1"):
+        hard_threshold([1.0, math.nan, 3.0, 0.5], 2)
+
+
+def test_hard_threshold_rejects_inf():
+    with pytest.raises(ValueError, match="non-finite coefficient at position 2"):
+        hard_threshold([1.0, 2.0, complex(0.0, -math.inf), 0.5], 2)
+    with pytest.raises(ValueError, match="non-finite coefficient at position 0"):
+        hard_threshold([math.inf, 2.0], 2)  # checked for s = N too
+
+
+def test_selective_penalty_rejects_nan():
+    with pytest.raises(ValueError, match="position 3"):
+        selective_penalty(np.array([1.0, 2.0, 3.0, math.nan]), 1)
+
+
+def test_hard_threshold_large_finite_values_are_kept():
+    # squares overflow to inf, but every coefficient is finite
+    with np.errstate(over="ignore"):
+        out = hard_threshold([1e200, 1.0, 2.0], 2)
+    np.testing.assert_array_equal(out, [1e200, 0.0, 2.0])
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(finite_complex, min_size=1, max_size=24), st.data())
 def test_hard_threshold_idempotent(values, data):
