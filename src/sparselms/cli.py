@@ -6,6 +6,7 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import experiments, verification
@@ -18,8 +19,9 @@ from .harness import (
 
 
 def _cmd_list(args) -> int:
-    for name in experiments.REGISTRY:
-        print(f"{name:15s} {experiments.DESCRIPTIONS[name]}")
+    for name, build in experiments.REGISTRY.items():
+        summary = (build.__doc__ or "").partition("\n")[0]
+        print(f"{name:15s} {summary}")
     return 0
 
 
@@ -44,18 +46,9 @@ def _resolve_specs(args):
     path = Path(target)
     if not path.exists():
         raise SystemExit(f"no such experiment or config file: {target}")
-    specs = experiments.load_specs(path)
-    if args.trials is not None or args.seed is not None:
-        from dataclasses import replace
-
-        specs = [
-            replace(
-                s,
-                trials=args.trials if args.trials is not None else s.trials,
-                seed=args.seed if args.seed is not None else s.seed,
-            )
-            for s in specs
-        ]
+    given = {"trials": args.trials, "seed": args.seed}
+    overrides = {k: v for k, v in given.items() if v is not None}
+    specs = [replace(s, **overrides) for s in experiments.load_specs(path)]
     if args.scale is not None:
         raise SystemExit("--scale applies to registry experiments only")
     return specs
@@ -90,30 +83,27 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _report(suites) -> int:
+    """Print each suite result; exit status 0 only when all passed."""
+    for suite in suites:
+        print(suite)
+    return 0 if all(suite.passed for suite in suites) else 1
+
+
 def _cmd_verify(args) -> int:
-    suites = [
+    return _report([
         verification.theorem2_suite(args.draws, args.seed),
         verification.theorem3_suite(args.draws, args.seed + 1),
         verification.tightness_suite(seed=args.seed + 2),
-    ]
-    ok = True
-    for suite in suites:
-        print(suite)
-        ok = ok and suite.passed
-    return 0 if ok else 1
+    ])
 
 
 def _cmd_oracle(args) -> int:
-    suites = [
+    return _report([
         verification.hard_threshold_oracle_suite(args.draws, args.seed),
         verification.sensing_identity_suite(),
         verification.roundtrip_suite(args.seed + 1),
-    ]
-    ok = True
-    for suite in suites:
-        print(suite)
-        ok = ok and suite.passed
-    return 0 if ok else 1
+    ])
 
 
 def main(argv=None) -> int:

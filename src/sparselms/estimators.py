@@ -33,6 +33,7 @@ from .sparse_ops import complex_sign, hard_threshold, selective_penalty
 from .tracker import (
     TrackerParams,
     TrackerState,
+    clamp_budget,
     estimate_sparsity,
     make_tracker,
     occupancy_mask,
@@ -59,6 +60,9 @@ class EstimatorConfig:
         object.__setattr__(self, "variant", self.variant.lower())
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        for name in ("mu", "rho", "beta", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.mu < 2.0:
             raise ValueError(f"step size must satisfy 0 < mu < 2, got {self.mu}")
         if self.rho < 0.0:
@@ -75,7 +79,6 @@ class EstimatorConfig:
 class EstimatorState:
     w: np.ndarray
     n: int = 0
-    last_e: complex = 0j
 
     @classmethod
     def zeros(cls, n_dim: int) -> "EstimatorState":
@@ -83,12 +86,10 @@ class EstimatorState:
 
 
 def prediction_error(state: EstimatorState, sample) -> complex:
-    """e(n) = y(n) - w(n)^H x(n); also stored as state.last_e."""
+    """e(n) = y(n) - w(n)^H x(n)."""
     if sample.x.shape != state.w.shape:
         raise ValueError(f"regressor has shape {sample.x.shape}, expected {state.w.shape}")
-    e = sample.y - np.vdot(state.w, sample.x)
-    state.last_e = e
-    return e
+    return sample.y - np.vdot(state.w, sample.x)
 
 
 # -- penalties g(w, config, s) -------------------------------------------------
@@ -204,6 +205,12 @@ class Estimator:
         variant = config.variant
         if variant in THRESHOLDED and config.s is None and self.tracker is None:
             raise ValueError(f"{variant} needs a fixed s or a tracker")
+        # the a-posteriori error is e (1 - mu |x|^2), and |x|^2 = N for unit rows
+        if not 0.0 < config.mu * n_dim < 2.0:
+            raise ValueError(
+                f"step size must satisfy 0 < mu*N < 2, got mu={config.mu}, N={n_dim}, "
+                f"mu*N={config.mu * n_dim}"
+            )
         self.last_s: int | None = None
 
         self._cut = None  # (K, w) of the last top-s cut
@@ -214,7 +221,7 @@ class Estimator:
             self._budget = self._tracker_budget if config.s is None else self._fixed_budget
         if variant in ("hard", "hard_l0"):
             self._project = _top_s
-            if self.tracker is not None and self.tracker.use_support:
+            if tracker_params is not None and tracker_params.use_support:
                 self._budget, self._project = self._mask_budget, _occupancy
 
     def _fixed_budget(self, w):
@@ -227,7 +234,7 @@ class Estimator:
         mask = occupancy_mask(self.tracker, w)
         if self.config.s is not None:
             return self.config.s, mask
-        return min(max(int(np.count_nonzero(mask)), 1), w.size), mask
+        return clamp_budget(int(np.count_nonzero(mask)), w.size), mask
 
     def step(self, sample) -> complex:
         cfg = self.config

@@ -20,7 +20,7 @@ The occupancy thresholds q* are already expressed in this library's units
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import yaml
 
@@ -62,14 +62,25 @@ def _scaled_k(n: int) -> int:
     return max(2, round(10 * n / REFERENCE_N))
 
 
+def _signal(n: int) -> SignalSpec:
+    """The shipped test signal: ``_scaled_k(n)`` unit sines at 20 dB SNR."""
+    return SignalSpec(n=n, sines=_scaled_k(n), snr_db=20.0)
+
+
+def _tracker(n: int) -> TrackerParams:
+    """The online budget of HARD-EST and HARD-L0 in exp2, exp3 and exp-msweep."""
+    return TrackerParams(lam=0.99, xi=map_xi(1.0, n), q_star=0.05)
+
+
 def build_exp1(trials: int = 1, n: int = 1000, seed: int = 101) -> ExperimentSpec:
-    """Support identification under 3.3x undersampling: thresholded vs plain LMS."""
+    """Support recovery, M=300 of N=1000, 10 passes: HARD-LMS vs plain LMS."""
     m = _scaled_m(300, n)
-    k = _scaled_k(n)
+    sig = _signal(n)
+    k = sig.sines
     mu = map_mu(1.0, n)
     return ExperimentSpec(
         name="exp1",
-        signal=SignalSpec(n=n, sines=k, snr_db=20.0),
+        signal=sig,
         sensing=SensingConfig(n=n, m=m, mode=RepeatedPass(10)),
         algorithms=(
             AlgorithmSpec("HARD-LMS", EstimatorConfig("hard", mu=mu, s=2 * k, burn_in=m)),
@@ -81,22 +92,22 @@ def build_exp1(trials: int = 1, n: int = 1000, seed: int = 101) -> ExperimentSpe
 
 
 def build_exp2(trials: int = 20, n: int = 1000, seed: int = 203) -> ExperimentSpec:
-    """Effect of the sparsity budget: fixed budgets 20/40/80 vs online estimate."""
+    """Sparsity budget: fixed 20/40/80 vs online estimate, M=200, 100 passes."""
     m = _scaled_m(200, n)
-    k = _scaled_k(n)
+    sig = _signal(n)
+    k = sig.sines
     mu = map_mu(1.0, n)
     burn = 2 * m
-    track = TrackerParams(lam=0.99, xi=map_xi(1.0, n), q_star=0.05)
     return ExperimentSpec(
         name="exp2",
-        signal=SignalSpec(n=n, sines=k, snr_db=20.0),
+        signal=sig,
         sensing=SensingConfig(n=n, m=m, mode=RepeatedPass(100)),
         algorithms=(
             AlgorithmSpec("HARD-20", EstimatorConfig("hard", mu=mu, s=2 * k, burn_in=burn)),
             AlgorithmSpec("HARD-40", EstimatorConfig("hard", mu=mu, s=4 * k, burn_in=burn)),
             AlgorithmSpec("HARD-80", EstimatorConfig("hard", mu=mu, s=8 * k, burn_in=burn)),
             AlgorithmSpec(
-                "HARD-EST", EstimatorConfig("hard", mu=mu, burn_in=burn), tracker=track
+                "HARD-EST", EstimatorConfig("hard", mu=mu, burn_in=burn), tracker=_tracker(n)
             ),
             AlgorithmSpec("LMS", EstimatorConfig("lms", mu=mu)),
         ),
@@ -105,18 +116,18 @@ def build_exp2(trials: int = 20, n: int = 1000, seed: int = 203) -> ExperimentSp
     )
 
 
-def _literature_lineup(n: int, m: int) -> tuple[AlgorithmSpec, ...]:
-    k = _scaled_k(n)
+def _literature_lineup(sig: SignalSpec, m: int) -> tuple[AlgorithmSpec, ...]:
+    n = sig.n
     mu = map_mu(1.0, n)
     rho = map_rho(0.005, n)
     beta = map_beta(0.5, n)
     eps = map_epsilon(2.25, n)
-    track = TrackerParams(lam=0.99, xi=map_xi(1.0, n), q_star=0.05)
+    track = _tracker(n)
     return (
         AlgorithmSpec("ZA", EstimatorConfig("za", mu=mu, rho=rho)),
         AlgorithmSpec("RZA", EstimatorConfig("rza", mu=mu, rho=rho, epsilon=eps)),
         AlgorithmSpec("L0", EstimatorConfig("l0", mu=mu, rho=rho, beta=beta)),
-        AlgorithmSpec("SZA", EstimatorConfig("sza", mu=mu, rho=rho, s=2 * k)),
+        AlgorithmSpec("SZA", EstimatorConfig("sza", mu=mu, rho=rho, s=2 * sig.sines)),
         AlgorithmSpec(
             "HARD-EST", EstimatorConfig("hard", mu=mu, burn_in=m), tracker=track
         ),
@@ -129,13 +140,14 @@ def _literature_lineup(n: int, m: int) -> tuple[AlgorithmSpec, ...]:
 
 
 def build_exp3(trials: int = 20, n: int = 1000, seed: int = 303) -> ExperimentSpec:
-    """Convergence-speed comparison against shrinkage-based estimators."""
+    """Convergence speed vs shrinkage estimators, M=200, 100 passes."""
     m = _scaled_m(200, n)
+    sig = _signal(n)
     return ExperimentSpec(
         name="exp3",
-        signal=SignalSpec(n=n, sines=10, snr_db=20.0),
+        signal=sig,
         sensing=SensingConfig(n=n, m=m, mode=RepeatedPass(100)),
-        algorithms=_literature_lineup(n, m),
+        algorithms=_literature_lineup(sig, m),
         trials=trials,
         seed=seed,
     )
@@ -144,34 +156,33 @@ def build_exp3(trials: int = 20, n: int = 1000, seed: int = 303) -> ExperimentSp
 def build_exp_msweep(
     trials: int = 50, n: int = 1000, seed: int = 404, m_values: tuple[int, ...] | None = None
 ) -> list[ExperimentSpec]:
-    """Steady-state error versus number of observed samples per window."""
+    """Steady-state error for M=100..1000 samples per window, 50 passes."""
     if m_values is None:
         m_values = tuple(_scaled_m(m_ref, n) for m_ref in range(100, 1001, 100))
-    specs = []
-    for m in m_values:
-        specs.append(
-            ExperimentSpec(
-                name=f"exp-msweep-m{m}",
-                signal=SignalSpec(n=n, sines=_scaled_k(n), snr_db=20.0),
-                sensing=SensingConfig(n=n, m=m, mode=RepeatedPass(50)),
-                algorithms=_literature_lineup(n, m),
-                trials=trials,
-                seed=seed,
-            )
+    sig = _signal(n)
+    return [
+        ExperimentSpec(
+            name=f"exp-msweep-m{m}",
+            signal=sig,
+            sensing=SensingConfig(n=n, m=m, mode=RepeatedPass(50)),
+            algorithms=_literature_lineup(sig, m),
+            trials=trials,
+            seed=seed,
         )
-    return specs
+        for m in m_values
+    ]
 
 
 def build_exp4_tracking(trials: int = 1, n: int = 1000, seed: int = 505) -> ExperimentSpec:
-    """Sparsity-change tracking: the signal gains 10 extra sines mid-stream."""
+    """Sparsity-change tracking: the signal doubles its sines mid-stream, windowed."""
     m = _scaled_m(200, n)
-    k = _scaled_k(n)
+    sig = _signal(n)
     mu = map_mu(1.0, n)
     burn = 2 * m
     base = dict(lam=0.98, q_star=0.005)
     return ExperimentSpec(
         name="exp4-tracking",
-        signal=SignalSpec(n=n, sines=k, snr_db=20.0),
+        signal=sig,
         sensing=SensingConfig(n=n, m=m, mode=Windowed(300)),
         algorithms=(
             AlgorithmSpec(
@@ -187,7 +198,7 @@ def build_exp4_tracking(trials: int = 1, n: int = 1000, seed: int = 505) -> Expe
         ),
         trials=trials,
         seed=seed,
-        tracking=TrackingSpec(phase_windows=(150, 150), extra_sines=k),
+        tracking=TrackingSpec(phase_windows=(150, 150), extra_sines=sig.sines),
     )
 
 
@@ -199,30 +210,19 @@ REGISTRY = {
     "exp4-tracking": build_exp4_tracking,
 }
 
-DESCRIPTIONS = {
-    "exp1": "support recovery, M=300 of N=1000, 10 passes, single trial",
-    "exp2": "fixed budgets 20/40/80 vs online budget estimate, M=200, 100 passes",
-    "exp3": "speed comparison vs shrinkage estimators, M=200, 100 passes",
-    "exp-msweep": "steady-state error for M=100..1000, 50 passes",
-    "exp4-tracking": "two-phase signal, windowed sampling, budget tracking",
-}
-
 
 def get_experiment(name: str, trials=None, n=None, seed=None):
     """Build a registry experiment, optionally overriding trials/scale/seed."""
     if name not in REGISTRY:
         raise KeyError(f"unknown experiment {name!r}; choices: {sorted(REGISTRY)}")
-    kwargs = {}
-    if trials is not None:
-        kwargs["trials"] = trials
-    if n is not None:
-        kwargs["n"] = n
-    if seed is not None:
-        kwargs["seed"] = seed
-    return REGISTRY[name](**kwargs)
+    given = {"trials": trials, "n": n, "seed": seed}
+    return REGISTRY[name](**{k: v for k, v in given.items() if v is not None})
 
 
 # -- config-file round trip ---------------------------------------------------
+
+# signal fields held as tuples in a spec and as lists in a config file
+_TUPLE_KEYS = {"bins", "amps"}
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
@@ -242,10 +242,8 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
     }
     if math.isinf(d["signal"].get("snr_db", 0.0)):
         d["signal"]["snr_db"] = "inf"
-    if "bins" in d["signal"]:
-        d["signal"]["bins"] = list(d["signal"]["bins"])
-    if "amps" in d["signal"]:
-        d["signal"]["amps"] = list(d["signal"]["amps"])
+    for key in _TUPLE_KEYS & d["signal"].keys():
+        d["signal"][key] = list(d["signal"][key])
     for algo in spec.algorithms:
         entry = {"label": algo.label, "estimator": asdict(algo.estimator)}
         if algo.estimator.s is None:
@@ -263,15 +261,30 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
     return d
 
 
+def _names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def _checked(d, allowed: set[str], where: str = "") -> dict:
+    """``d``, once it is known to be a mapping with no key outside ``allowed``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"config section {where or '<top>'} must be a mapping, got {d!r}")
+    for key in d:
+        if key not in allowed:
+            raise ValueError(f"unknown config key {where}{key}")
+    return d
+
+
 def spec_from_dict(d: dict) -> ExperimentSpec:
-    sig = dict(d["signal"])
+    """Build a spec from its config-file form; an unknown key raises ValueError
+    naming its path, such as ``signal.seed``."""
+    _checked(d, _names(ExperimentSpec))
+    sig = dict(_checked(d["signal"], _names(SignalSpec), "signal."))
     if sig.get("snr_db") == "inf":
         sig["snr_db"] = math.inf
-    if "bins" in sig:
-        sig["bins"] = tuple(sig["bins"])
-    if "amps" in sig:
-        sig["amps"] = tuple(sig["amps"])
-    sens = d["sensing"]
+    for key in _TUPLE_KEYS & sig.keys():
+        sig[key] = tuple(sig[key])
+    sens = _checked(d["sensing"], {"n", "m", "mode", "count"}, "sensing.")
     modes = {"repeated": RepeatedPass, "windowed": Windowed}
     if sens["mode"] not in modes:
         raise ValueError(
@@ -279,16 +292,20 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         )
     mode = modes[sens["mode"]](sens["count"])
     algorithms = []
-    for entry in d["algorithms"]:
-        tracker = TrackerParams(**entry["tracker"]) if "tracker" in entry else None
-        algorithms.append(
-            AlgorithmSpec(entry["label"], EstimatorConfig(**entry["estimator"]), tracker)
-        )
+    for i, entry in enumerate(d["algorithms"]):
+        where = f"algorithms[{i}]."
+        _checked(entry, _names(AlgorithmSpec), where)
+        est = _checked(entry["estimator"], _names(EstimatorConfig), where + "estimator.")
+        tracker = None
+        if "tracker" in entry:
+            params = _checked(entry["tracker"], _names(TrackerParams), where + "tracker.")
+            tracker = TrackerParams(**params)
+        algorithms.append(AlgorithmSpec(entry["label"], EstimatorConfig(**est), tracker))
     tracking = None
     if "tracking" in d:
+        track = _checked(d["tracking"], _names(TrackingSpec), "tracking.")
         tracking = TrackingSpec(
-            phase_windows=tuple(d["tracking"]["phase_windows"]),
-            extra_sines=d["tracking"]["extra_sines"],
+            phase_windows=tuple(track["phase_windows"]), extra_sines=track["extra_sines"]
         )
     return ExperimentSpec(
         name=d["name"],
@@ -316,6 +333,8 @@ def load_specs(path) -> list[ExperimentSpec]:
     """Load one experiment (or a list under the ``experiments`` key) from YAML."""
     with open(path) as f:
         doc = yaml.safe_load(f)
+    if doc is None:
+        raise ValueError(f"config file {path} is empty")
     if "experiments" in doc:
         return [spec_from_dict(d) for d in doc["experiments"]]
     return [spec_from_dict(doc)]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .estimators import THRESHOLDED, Estimator, EstimatorConfig
 from .sensing import SensingConfig, Windowed, make_stream
 from .signals import SignalSpec, multisine, noise_std, random_bins, signal_power, true_spectrum
-from .sparse_ops import SupportSet, support
+from .sparse_ops import support
 from .tracker import TrackerParams
 
 DB_FLOOR = -120.0
@@ -84,6 +83,10 @@ class ExperimentSpec:
                 raise ValueError("tracking experiments require windowed sensing")
             if sum(self.tracking.phase_windows) != self.sensing.mode.windows:
                 raise ValueError("phase windows must sum to the sensing window count")
+        if self.signal.n != self.sensing.n:
+            raise ValueError(
+                f"signal.n ({self.signal.n}) must equal sensing.n ({self.sensing.n})"
+            )
 
 
 @dataclass
@@ -92,8 +95,7 @@ class TrialRecord:
     seed: tuple[int, int]  # (experiment seed, trial index)
     rmse_lin_trajectory: np.ndarray
     s_trajectory: np.ndarray | None
-    final_support: SupportSet
-    wallclock: float
+    final_support: frozenset[int]
 
     @property
     def rmse_db_trajectory(self) -> np.ndarray:
@@ -122,7 +124,6 @@ class _Phase:
     z: np.ndarray
     w_true: np.ndarray
     sigma: float
-    windows: int
 
 
 def _derived_seed(*entropy: int) -> int:
@@ -138,9 +139,7 @@ def _build_phases(spec: ExperimentSpec, trial: int) -> list[_Phase]:
     if spec.tracking is None:
         sensing = replace(spec.sensing, seed=_derived_seed(spec.seed, trial, 1))
         sigma = noise_std(signal_power(sig), sig.snr_db)
-        return [
-            _Phase(sensing, multisine(sig), true_spectrum(sig), sigma, spec.sensing.n_windows)
-        ]
+        return [_Phase(sensing, multisine(sig), true_spectrum(sig), sigma)]
 
     # two-phase tracking signal: extra sines appear on fresh, distinct bins
     extra = spec.tracking.extra_sines
@@ -160,9 +159,7 @@ def _build_phases(spec: ExperimentSpec, trial: int) -> list[_Phase]:
             seed=_derived_seed(spec.seed, trial, 1, p),
         )
         sigma = noise_std(signal_power(phase_sig), phase_sig.snr_db)
-        phases.append(
-            _Phase(sensing, multisine(phase_sig), true_spectrum(phase_sig), sigma, wcount)
-        )
+        phases.append(_Phase(sensing, multisine(phase_sig), true_spectrum(phase_sig), sigma))
     return phases
 
 
@@ -176,13 +173,12 @@ def run_trial(spec: ExperimentSpec, algo: AlgorithmSpec, trial: int) -> TrialRec
     rmse_lin = np.empty(total)
     s_traj = np.full(total, np.nan) if adaptive else None
 
-    t0 = time.perf_counter()
     i = 0
     for phase in phases:
         w_true = phase.w_true
         sig2 = float((w_true.real ** 2 + w_true.imag ** 2).sum())
         stream = make_stream(
-            phase.sensing, itertools.repeat(phase.z, phase.windows), phase.sigma
+            phase.sensing, itertools.repeat(phase.z, phase.sensing.n_windows), phase.sigma
         )
         for sample in stream:
             est.step(sample)
@@ -199,7 +195,6 @@ def run_trial(spec: ExperimentSpec, algo: AlgorithmSpec, trial: int) -> TrialRec
         rmse_lin_trajectory=rmse_lin,
         s_trajectory=s_traj,
         final_support=support(est.state.w),
-        wallclock=time.perf_counter() - t0,
     )
 
 
@@ -224,11 +219,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         curves_lin[algo.label] = lin
         curves_db[algo.label] = db
         if recs[0].s_trajectory is not None:
-            stack = np.stack([r.s_trajectory for r in recs])
-            valid = ~np.isnan(stack)
-            counts = valid.sum(axis=0)
-            sums = np.where(valid, stack, 0.0).sum(axis=0)
-            s_mean[algo.label] = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+            # burn-in leaves the same NaN prefix in every trial
+            s_mean[algo.label] = np.mean([r.s_trajectory for r in recs], axis=0)
         else:
             s_mean[algo.label] = None
         records[algo.label] = recs

@@ -24,11 +24,24 @@ class StreamExhausted(RuntimeError):
     """Raised when the signal source ends before the stream is complete."""
 
 
+def _check_count(name: str, count: int) -> None:
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 @dataclass(frozen=True)
 class RepeatedPass:
     """Collect one window of M samples and replay it ``passes`` times."""
 
     passes: int
+
+    def __post_init__(self):
+        _check_count("passes", self.passes)
+
+    @property
+    def plan(self) -> tuple[int, int]:
+        """(windows drawn, replays of each window)."""
+        return 1, self.passes
 
 
 @dataclass(frozen=True)
@@ -36,6 +49,14 @@ class Windowed:
     """Draw M fresh samples (fresh positions, fresh noise) per window."""
 
     windows: int
+
+    def __post_init__(self):
+        _check_count("windows", self.windows)
+
+    @property
+    def plan(self) -> tuple[int, int]:
+        """(windows drawn, replays of each window)."""
+        return self.windows, 1
 
 
 @dataclass(frozen=True)
@@ -50,33 +71,25 @@ class SensingConfig:
             raise ValueError(f"window length must be positive, got {self.n}")
         if not 1 <= self.m <= self.n:
             raise ValueError(f"need 1 <= M <= N, got M={self.m}, N={self.n}")
-        if isinstance(self.mode, RepeatedPass):
-            if self.mode.passes < 1:
-                raise ValueError("passes must be >= 1")
-        elif isinstance(self.mode, Windowed):
-            if self.mode.windows < 1:
-                raise ValueError("windows must be >= 1")
-        else:
+        if not isinstance(self.mode, (RepeatedPass, Windowed)):
             raise ValueError(f"unknown stream mode: {self.mode!r}")
 
     @property
     def total_samples(self) -> int:
-        if isinstance(self.mode, RepeatedPass):
-            return self.mode.passes * self.m
-        return self.mode.windows * self.m
+        windows, replays = self.mode.plan
+        return windows * replays * self.m
 
     @property
     def n_windows(self) -> int:
-        return 1 if isinstance(self.mode, RepeatedPass) else self.mode.windows
+        return self.mode.plan[0]
 
 
 @dataclass
 class MeasurementSample:
-    """One observation: regressor row x, noisy scalar y, emission counter n."""
+    """One observation: regressor row x and noisy scalar y."""
 
     x: np.ndarray
     y: float
-    n: int
 
 
 # the fourier_rows tables whose roots passed the magnitude check, by id
@@ -142,45 +155,28 @@ def make_stream(
     """Turn latent signal windows into an ordered measurement stream.
 
     ``windows`` yields length-N real vectors (the noiseless signal, one per
-    window).  RepeatedPass consumes one window and replays its M noisy
-    samples ``passes`` times in the same (ascending-position) order, noise
-    included: the device measured once, the estimator sees the measurements
-    repeatedly.  Windowed consumes one window per emission round with fresh
-    positions and fresh noise.
+    window).  Each drawn window's M noisy samples are emitted in
+    ascending-position order and replayed as the mode's plan says, noise
+    included.  RepeatedPass draws one window and replays it ``passes`` times:
+    the device measured once, the estimator sees the measurements repeatedly.
+    Windowed draws ``windows`` windows with fresh positions and fresh noise.
     """
     rows = fourier_rows(config.n)
     source = iter(windows)
-
-    def next_window(i: int) -> np.ndarray:
+    n_windows, replays = config.mode.plan
+    for w in range(n_windows):
         try:
             z = np.asarray(next(source), dtype=float)
         except StopIteration:
             raise StreamExhausted(
-                f"signal source ended after {i} windows; "
-                f"{config.n_windows} required"
+                f"signal source ended after {w} windows; {n_windows} required"
             ) from None
         if z.shape != (config.n,):
-            raise ValueError(f"window {i} has shape {z.shape}, expected ({config.n},)")
-        return z
-
-    counter = 0
-    if isinstance(config.mode, RepeatedPass):
-        z = next_window(0)
-        idx = sample_indices(config, 0)
+            raise ValueError(f"window {w} has shape {z.shape}, expected ({config.n},)")
+        idx = sample_indices(config, w)
         y = z[idx]
         if noise_std > 0.0:
-            y = y + _noise_rng(config, 0).normal(0.0, noise_std, size=config.m)
-        for _ in range(config.mode.passes):
+            y = y + _noise_rng(config, w).normal(0.0, noise_std, size=config.m)
+        for _ in range(replays):
             for j in range(config.m):
-                yield MeasurementSample(rows[idx[j]], y[j], counter)
-                counter += 1
-    else:
-        for w in range(config.mode.windows):
-            z = next_window(w)
-            idx = sample_indices(config, w)
-            y = z[idx]
-            if noise_std > 0.0:
-                y = y + _noise_rng(config, w).normal(0.0, noise_std, size=config.m)
-            for j in range(config.m):
-                yield MeasurementSample(rows[idx[j]], y[j], counter)
-                counter += 1
+                yield MeasurementSample(rows[idx[j]], y[j])

@@ -22,7 +22,6 @@ class SignalSpec:
     bins: tuple[int, ...] | None = None
     amps: tuple[float, ...] | None = None
     snr_db: float = math.inf
-    seed: int = 0
 
     def __post_init__(self):
         if self.sines < 1:

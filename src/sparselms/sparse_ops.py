@@ -13,8 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-SupportSet = frozenset  # set of coefficient positions
-
 
 def _sq_mag(v: np.ndarray) -> np.ndarray:
     return v.real * v.real + v.imag * v.imag
@@ -74,7 +72,7 @@ def selective_penalty(v, s: int) -> np.ndarray:
     return pen
 
 
-def support(v, tol: float = 0.0) -> SupportSet:
+def support(v, tol: float = 0.0) -> frozenset[int]:
     """Positions with |v_i| > tol."""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")

@@ -35,29 +35,24 @@ class TrackerParams:
 class TrackerState:
     err: np.ndarray
     kappa: float
-    lam: float
-    xi: float
-    q_star: float
-    use_support: bool = False
+    params: TrackerParams
 
 
 def make_tracker(params: TrackerParams, n_dim: int) -> TrackerState:
     """Fresh state: err(0) = 0, kappa_0 = 0."""
-    return TrackerState(
-        err=np.zeros(n_dim, dtype=complex),
-        kappa=0.0,
-        lam=params.lam,
-        xi=params.xi,
-        q_star=params.q_star,
-        use_support=params.use_support,
-    )
+    return TrackerState(err=np.zeros(n_dim, dtype=complex), kappa=0.0, params=params)
+
+
+def clamp_budget(count: int, n: int) -> int:
+    """A sparsity count clamped to the valid budget range [1, N]."""
+    return min(max(count, 1), n)
 
 
 def tracker_update(state: TrackerState, b: np.ndarray) -> TrackerState:
     """kappa <- lam*kappa + 1;  err <- (1 - 1/kappa)*err - (1/kappa)*b."""
     if b.shape != state.err.shape:
         raise ValueError(f"direction has shape {b.shape}, expected {state.err.shape}")
-    state.kappa = state.lam * state.kappa + 1.0
+    state.kappa = state.params.lam * state.kappa + 1.0
     inv = 1.0 / state.kappa
     state.err *= 1.0 - inv
     state.err -= inv * b
@@ -68,17 +63,14 @@ def corrected_estimate(state: TrackerState, w: np.ndarray) -> np.ndarray:
     """w' = w - xi * err."""
     if w.shape != state.err.shape:
         raise ValueError(f"estimate has shape {w.shape}, expected {state.err.shape}")
-    return w - state.xi * state.err
-
-
-def estimate_sparsity(state: TrackerState, w: np.ndarray) -> int:
-    """Count of corrected coefficients above q*, clamped to [1, N]."""
-    wp = corrected_estimate(state, w)
-    count = int(np.count_nonzero(np.abs(wp) > state.q_star))
-    return min(max(count, 1), wp.size)
+    return w - state.params.xi * state.err
 
 
 def occupancy_mask(state: TrackerState, w: np.ndarray) -> np.ndarray:
-    """Boolean mask of coefficients passing the occupancy test."""
-    wp = corrected_estimate(state, w)
-    return np.abs(wp) > state.q_star
+    """Boolean mask of coefficients passing the occupancy test |w'| > q*."""
+    return np.abs(corrected_estimate(state, w)) > state.params.q_star
+
+
+def estimate_sparsity(state: TrackerState, w: np.ndarray) -> int:
+    """Count of coefficients passing the occupancy test, clamped to [1, N]."""
+    return clamp_budget(int(np.count_nonzero(occupancy_mask(state, w))), w.size)

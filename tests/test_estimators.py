@@ -22,7 +22,7 @@ from sparselms.tracker import TrackerParams
 
 
 def sample_of(x, y):
-    return MeasurementSample(np.asarray(x, dtype=complex), y, 0)
+    return MeasurementSample(np.asarray(x, dtype=complex), y)
 
 
 # -- prediction error ---------------------------------------------------------
@@ -31,7 +31,6 @@ def sample_of(x, y):
 def test_error_with_zero_weights_is_observation():
     st = EstimatorState.zeros(3)
     assert prediction_error(st, sample_of([1, 1, 1], 2.5)) == 2.5
-    assert st.last_e == 2.5
 
 
 def test_error_hand_computed_conjugation():
@@ -118,7 +117,7 @@ def test_l0_huge_beta_reduces_to_lms():
 
 def test_sza_hand_example():
     est = step_from(
-        "sza", [2.0 + 0j, -2.0, 1.0, 0.0], sample_of([0, 0, 0, 0], 0.0), mu=0.5, rho=0.01, s=2
+        "sza", [2.0 + 0j, -2.0, 1.0, 0.0], sample_of([0, 0, 0, 0], 0.0), mu=0.25, rho=0.01, s=2
     )
     np.testing.assert_allclose(est.state.w, [2.0, -2.0, 0.99, 0.0])
 
@@ -138,7 +137,7 @@ def test_hard_step_zeros_are_exact():
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        est.step(MeasurementSample(x, rng.standard_normal(), 0))
+        est.step(MeasurementSample(x, rng.standard_normal()))
         zeroed = est.state.w == 0
         assert zeroed.sum() >= 5
 
@@ -157,7 +156,7 @@ def _random_case(rng, n=6):
     w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x = np.exp(-2j * np.pi * rng.integers(0, n) * np.arange(n) / n)
     y = float(rng.standard_normal())
-    return w, MeasurementSample(x, y, 0)
+    return w, MeasurementSample(x, y)
 
 
 @pytest.mark.parametrize("case", range(20))
@@ -191,6 +190,14 @@ def test_config_rejects_bad_mu():
             EstimatorConfig("lms", mu=mu)
 
 
+@pytest.mark.parametrize("field", ["mu", "rho", "beta", "epsilon"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite(field, value):
+    params = {"mu": 0.1, field: value}
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value}$"):
+        EstimatorConfig("za", **params)
+
+
 def test_config_rejects_unknown_variant():
     with pytest.raises(ValueError):
         EstimatorConfig("nlms", mu=0.5)
@@ -210,19 +217,27 @@ def test_estimator_rejects_bad_s():
         Estimator(EstimatorConfig("hard", mu=0.5, s=9), n_dim=8)
 
 
+def test_estimator_rejects_unstable_step():
+    with pytest.raises(ValueError, match=r"0 < mu\*N < 2, got mu=0.25, N=8, mu\*N=2.0$"):
+        Estimator(EstimatorConfig("lms", mu=0.25), n_dim=8)
+    with pytest.raises(ValueError, match=r"mu=0.05, N=256, mu\*N=12.8$"):
+        Estimator(EstimatorConfig("lms", mu=0.05), n_dim=256)  # diverges to 1e42
+    Estimator(EstimatorConfig("lms", mu=0.2499), n_dim=8)
+
+
 # -- burn-in semantics -----------------------------------------------------------
 
 
 def test_hard_burn_in_skips_threshold():
     cfg = EstimatorConfig("hard", mu=0.1, s=1, burn_in=2)
     est = Estimator(cfg, n_dim=3)
-    s1 = MeasurementSample(np.ones(3, dtype=complex), 1.0, 0)
+    s1 = MeasurementSample(np.ones(3, dtype=complex), 1.0)
     est.step(s1)
     est.step(s1)
     assert np.count_nonzero(est.state.w) == 3  # still dense
     est.step(s1)
     assert np.count_nonzero(est.state.w) == 3  # all tie after symmetric input
-    s2 = MeasurementSample(np.array([1.0, 1.0j, -1.0]), 0.5, 0)
+    s2 = MeasurementSample(np.array([1.0, 1.0j, -1.0]), 0.5)
     est.step(s2)
     assert np.count_nonzero(est.state.w) < 3
 
@@ -231,7 +246,7 @@ def test_hard_l0_burn_in_keeps_penalty_active():
     cfg = EstimatorConfig("hard_l0", mu=0.001, rho=0.01, beta=0.0, s=1, burn_in=5)
     est = Estimator(cfg, n_dim=2)
     est.state.w = np.array([1.0 + 0j, -1.0])
-    zero_x = MeasurementSample(np.zeros(2, dtype=complex), 0.0, 0)
+    zero_x = MeasurementSample(np.zeros(2, dtype=complex), 0.0)
     est.step(zero_x)
     np.testing.assert_allclose(est.state.w, [0.99, -0.99])  # shrunk, not thresholded
 
@@ -242,7 +257,7 @@ def test_penalized_variants_burn_in_plain_lms():
                               s=1, burn_in=1)
         est = Estimator(cfg, n_dim=2)
         est.state.w = np.array([1.0 + 0j, -1.0])
-        est.step(MeasurementSample(np.zeros(2, dtype=complex), 0.0, 0))
+        est.step(MeasurementSample(np.zeros(2, dtype=complex), 0.0))
         np.testing.assert_array_equal(est.state.w, [1.0, -1.0])  # no penalty yet
 
 
@@ -253,7 +268,7 @@ def test_occupancy_support_shortcut():
     params = TrackerParams(lam=1.0, xi=0.0, q_star=0.3, use_support=True)
     est = Estimator(EstimatorConfig("hard", mu=0.1, burn_in=0), 3, params)
     est.state.w = np.array([1.0 + 0j, 0.5, 0.1])
-    est.step(MeasurementSample(np.zeros(3, dtype=complex), 0.0, 0))
+    est.step(MeasurementSample(np.zeros(3, dtype=complex), 0.0))
     np.testing.assert_array_equal(est.state.w, [1.0, 0.5, 0.0])  # 0.1 below q*
 
 
@@ -263,7 +278,7 @@ def test_occupancy_support_shortcut_empty_set_falls_back():
     params = TrackerParams(lam=1.0, xi=0.0, q_star=10.0, use_support=True)
     est = Estimator(EstimatorConfig("hard", mu=0.1, burn_in=0), 3, params)
     est.state.w = np.array([1.0 + 0j, 0.5, 0.1])
-    est.step(MeasurementSample(np.zeros(3, dtype=complex), 0.0, 0))
+    est.step(MeasurementSample(np.zeros(3, dtype=complex), 0.0))
     assert np.count_nonzero(est.state.w) == 1  # clamped budget keeps the largest
 
 
@@ -274,7 +289,7 @@ def test_occupancy_mask_applied_with_fixed_budget():
     params = TrackerParams(lam=1.0, xi=0.0, q_star=0.3, use_support=True)
     est = Estimator(EstimatorConfig("hard", mu=0.1, s=1, burn_in=0), 3, params)
     est.state.w = np.array([1.0 + 0j, 0.5, 0.1])
-    est.step(MeasurementSample(np.zeros(3, dtype=complex), 0.0, 0))
+    est.step(MeasurementSample(np.zeros(3, dtype=complex), 0.0))
     np.testing.assert_array_equal(est.state.w, [1.0, 0.5, 0.0])
     assert est.last_s == 1
 
@@ -282,7 +297,7 @@ def test_occupancy_mask_applied_with_fixed_budget():
 def test_occupancy_budget_is_clamped_mask_count():
     from sparselms.tracker import TrackerParams
 
-    zero_x = MeasurementSample(np.zeros(3, dtype=complex), 0.0, 0)
+    zero_x = MeasurementSample(np.zeros(3, dtype=complex), 0.0)
     for q_star, expected in ((0.3, 2), (10.0, 1)):
         params = TrackerParams(lam=1.0, xi=0.0, q_star=q_star, use_support=True)
         est = Estimator(EstimatorConfig("hard", mu=0.1, burn_in=0), 3, params)
@@ -294,7 +309,7 @@ def test_occupancy_budget_is_clamped_mask_count():
 def test_last_s_none_in_burn_in_then_budget():
     from sparselms.tracker import TrackerParams, estimate_sparsity
 
-    x = MeasurementSample(np.array([1.0, 1.0j, -1.0]), 0.5, 0)
+    x = MeasurementSample(np.array([1.0, 1.0j, -1.0]), 0.5)
     fixed = Estimator(EstimatorConfig("sza", mu=0.1, rho=0.01, s=2, burn_in=2), 3)
     for _ in range(2):
         fixed.step(x)
@@ -315,7 +330,7 @@ def test_last_s_none_in_burn_in_then_budget():
 def test_last_s_none_without_thresholding():
     from sparselms.tracker import TrackerParams
 
-    x = MeasurementSample(np.array([1.0, 1.0j, -1.0]), 0.5, 0)
+    x = MeasurementSample(np.array([1.0, 1.0j, -1.0]), 0.5)
     for variant in ("lms", "za", "rza", "l0"):
         cfg = EstimatorConfig(variant, mu=0.1, rho=0.01, beta=1.0, burn_in=0)
         est = Estimator(cfg, 3, TrackerParams())
@@ -422,7 +437,7 @@ def test_support_path_matches_dense_rule(
             nudge = 1e-3 * rng.standard_normal(n)
             fast.state.w = fast.state.w + nudge
             dense.state.w = dense.state.w + nudge
-        sample = MeasurementSample(x, y, 0)
+        sample = MeasurementSample(x, y)
         assert_bitwise_equal(fast, dense, fast.step(sample), dense_step(dense, sample))
 
 
@@ -434,7 +449,7 @@ def _stable_run(variant="hard", n=32, k=2, steps=400, seed=3):
 
     def sample():
         x = rows[rng.integers(n)]
-        return MeasurementSample(x, np.vdot(w_true, x), 0)
+        return MeasurementSample(x, np.vdot(w_true, x))
 
     fast, dense = _pair(variant, n, k, burn_in=n)
     for _ in range(steps):
@@ -472,7 +487,7 @@ def test_support_path_needs_unit_magnitude_rows(monkeypatch):
     fast, _, sample = _stable_run()
     calls = _count_cuts(monkeypatch)
     smp = sample()
-    fast.step(MeasurementSample(smp.x.copy(), smp.y, 0))  # not a table row
+    fast.step(MeasurementSample(smp.x.copy(), smp.y))  # not a table row
     assert len(calls) == 1
 
 

@@ -1,8 +1,10 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
+import yaml
 
 from sparselms.estimators import EstimatorConfig
 from sparselms.experiments import (
@@ -240,6 +242,59 @@ def test_spec_rejects_unknown_sensing_mode():
         spec_from_dict(d)
 
 
+@pytest.mark.parametrize(
+    "path, name",
+    [
+        (("comment",), "comment"),
+        (("signal", "seed"), "signal.seed"),
+        (("sensing", "seed"), "sensing.seed"),
+        (("algorithms", 1, "weight"), "algorithms[1].weight"),
+        (("algorithms", 0, "estimator", "sigma"), "algorithms[0].estimator.sigma"),
+        (("algorithms", 0, "tracker", "gain"), "algorithms[0].tracker.gain"),
+        (("tracking", "windows"), "tracking.windows"),
+    ],
+)
+def test_spec_rejects_unknown_key(path, name):
+    d = spec_to_dict(build_exp4_tracking())
+    section = d
+    for part in path[:-1]:
+        section = section[part]
+    section[path[-1]] = 0
+    with pytest.raises(ValueError, match=rf"unknown config key {re.escape(name)}$"):
+        spec_from_dict(d)
+
+
+def test_load_specs_names_a_stale_signal_seed(tmp_path):
+    d = spec_to_dict(build_exp2())
+    d["signal"]["seed"] = 0  # written by older exports; nothing read it
+    path = tmp_path / "old.yaml"
+    path.write_text(yaml.safe_dump(d))
+    with pytest.raises(ValueError, match=r"unknown config key signal\.seed"):
+        load_specs(path)
+
+
+def test_load_specs_rejects_empty_file(tmp_path):
+    path = tmp_path / "empty.yaml"
+    path.write_text("")
+    with pytest.raises(ValueError, match=re.escape(f"config file {path} is empty")):
+        load_specs(path)
+
+
+def test_spec_rejects_window_length_mismatch():
+    with pytest.raises(ValueError, match=r"signal\.n \(32\) must equal sensing\.n \(64\)"):
+        tiny_spec(sensing=SensingConfig(n=64, m=16, mode=RepeatedPass(20)))
+
+
+@pytest.mark.parametrize("n", [256, 1000, 4096])
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_registry_budgets_are_multiples_of_the_true_sparsity(name, n):
+    built = get_experiment(name, n=n)
+    for spec in built if isinstance(built, list) else [built]:
+        for algo in spec.algorithms:
+            if algo.estimator.s is not None:
+                assert algo.estimator.s % (2 * spec.signal.sines) == 0, (spec.name, algo.label)
+
+
 def test_export_matches_registry(tmp_path):
     from sparselms.cli import main
 
@@ -281,6 +336,16 @@ def test_cli_list_and_run(tmp_path, capsys):
     assert main(["run", str(tmp_path / "tiny.yaml"), "--out", str(tmp_path / "res")]) == 0
     assert (tmp_path / "res" / "tiny_curves.csv").exists()
     assert (tmp_path / "res" / "tiny_summary.csv").exists()
+
+
+def test_cli_list_prints_each_builder_docstring(capsys):
+    from sparselms.cli import main
+
+    assert main(["list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(REGISTRY)
+    for line, (name, build) in zip(lines, REGISTRY.items()):
+        assert line.split(None, 1) == [name, build.__doc__.splitlines()[0]]
 
 
 def test_cli_multi_spec_writes_sweep_summary(tmp_path):
