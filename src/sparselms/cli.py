@@ -9,6 +9,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import yaml
+
 from . import experiments, verification
 from .harness import (
     run_experiment,
@@ -46,9 +48,13 @@ def _resolve_specs(args):
     path = Path(target)
     if not path.exists():
         raise SystemExit(f"no such experiment or config file: {target}")
+    try:
+        loaded = experiments.load_specs(path)
+    except (ValueError, yaml.YAMLError) as err:
+        raise SystemExit("error: " + " ".join(str(err).split())) from None
     given = {"trials": args.trials, "seed": args.seed}
     overrides = {k: v for k, v in given.items() if v is not None}
-    specs = [replace(s, **overrides) for s in experiments.load_specs(path)]
+    specs = [replace(s, **overrides) for s in loaded]
     if args.scale is not None:
         raise SystemExit("--scale applies to registry experiments only")
     return specs
@@ -83,26 +89,33 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _report(suites) -> int:
-    """Print each suite result; exit status 0 only when all passed."""
-    for suite in suites:
-        print(suite)
-    return 0 if all(suite.passed for suite in suites) else 1
+def _report(runs) -> int:
+    """Run each suite and print its result line with its wall time and
+    draws/s; exit status 0 only when all passed."""
+    passed = True
+    for run in runs:
+        t0 = time.perf_counter()
+        suite = run()
+        elapsed = time.perf_counter() - t0
+        head, sep, notes = str(suite).partition("\n")
+        print(f"{head}  {elapsed:.2f}s, {suite.draws / elapsed:.0f} draws/s{sep}{notes}")
+        passed = passed and suite.passed
+    return 0 if passed else 1
 
 
 def _cmd_verify(args) -> int:
     return _report([
-        verification.theorem2_suite(args.draws, args.seed),
-        verification.theorem3_suite(args.draws, args.seed + 1),
-        verification.tightness_suite(seed=args.seed + 2),
+        lambda: verification.theorem2_suite(args.draws, args.seed),
+        lambda: verification.theorem3_suite(args.draws, args.seed + 1),
+        lambda: verification.tightness_suite(seed=args.seed + 2),
     ])
 
 
 def _cmd_oracle(args) -> int:
     return _report([
-        verification.hard_threshold_oracle_suite(args.draws, args.seed),
-        verification.sensing_identity_suite(),
-        verification.roundtrip_suite(args.seed + 1),
+        lambda: verification.hard_threshold_oracle_suite(args.draws, args.seed),
+        lambda: verification.sensing_identity_suite(),
+        lambda: verification.roundtrip_suite(args.seed + 1),
     ])
 
 

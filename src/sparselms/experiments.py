@@ -20,7 +20,7 @@ The occupancy thresholds q* are already expressed in this library's units
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 
 import yaml
 
@@ -261,49 +261,61 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
     return d
 
 
-def _names(cls) -> set[str]:
-    return {f.name for f in fields(cls)}
-
-
-def _checked(d, allowed: set[str], where: str = "") -> dict:
-    """``d``, once it is known to be a mapping with no key outside ``allowed``."""
+def _checked(d, schema, where: str = "") -> dict:
+    """``d``, once it is known to be a mapping that holds every required key
+    and no other key.  ``schema`` is a dataclass, whose fields without a
+    default are required, or a tuple of keys that are all required."""
+    if isinstance(schema, tuple):
+        allowed = required = schema
+    else:
+        allowed = tuple(f.name for f in fields(schema))
+        required = tuple(
+            f.name for f in fields(schema)
+            if f.default is MISSING and f.default_factory is MISSING
+        )
     if not isinstance(d, dict):
         raise ValueError(f"config section {where or '<top>'} must be a mapping, got {d!r}")
     for key in d:
         if key not in allowed:
             raise ValueError(f"unknown config key {where}{key}")
+    for key in required:
+        if key not in d:
+            raise ValueError(f"missing config key {where}{key}")
     return d
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
-    """Build a spec from its config-file form; an unknown key raises ValueError
-    naming its path, such as ``signal.seed``."""
-    _checked(d, _names(ExperimentSpec))
-    sig = dict(_checked(d["signal"], _names(SignalSpec), "signal."))
+    """Build a spec from its config-file form; an unknown or missing key
+    raises ValueError naming its path, such as ``signal.seed`` or
+    ``algorithms[0].estimator.variant``."""
+    _checked(d, ExperimentSpec)
+    sig = dict(_checked(d["signal"], SignalSpec, "signal."))
     if sig.get("snr_db") == "inf":
         sig["snr_db"] = math.inf
     for key in _TUPLE_KEYS & sig.keys():
         sig[key] = tuple(sig[key])
-    sens = _checked(d["sensing"], {"n", "m", "mode", "count"}, "sensing.")
+    sens = _checked(d["sensing"], ("n", "m", "mode", "count"), "sensing.")
     modes = {"repeated": RepeatedPass, "windowed": Windowed}
     if sens["mode"] not in modes:
         raise ValueError(
             f"sensing.mode must be 'repeated' or 'windowed', got {sens['mode']!r}"
         )
     mode = modes[sens["mode"]](sens["count"])
+    if not isinstance(d["algorithms"], list):
+        raise ValueError(f"config key algorithms must be a list, got {d['algorithms']!r}")
     algorithms = []
     for i, entry in enumerate(d["algorithms"]):
         where = f"algorithms[{i}]."
-        _checked(entry, _names(AlgorithmSpec), where)
-        est = _checked(entry["estimator"], _names(EstimatorConfig), where + "estimator.")
+        _checked(entry, AlgorithmSpec, where)
+        est = _checked(entry["estimator"], EstimatorConfig, where + "estimator.")
         tracker = None
         if "tracker" in entry:
-            params = _checked(entry["tracker"], _names(TrackerParams), where + "tracker.")
+            params = _checked(entry["tracker"], TrackerParams, where + "tracker.")
             tracker = TrackerParams(**params)
         algorithms.append(AlgorithmSpec(entry["label"], EstimatorConfig(**est), tracker))
     tracking = None
     if "tracking" in d:
-        track = _checked(d["tracking"], _names(TrackingSpec), "tracking.")
+        track = _checked(d["tracking"], TrackingSpec, "tracking.")
         tracking = TrackingSpec(
             phase_windows=tuple(track["phase_windows"]), extra_sines=track["extra_sines"]
         )
@@ -329,12 +341,23 @@ def save_specs(specs: list[ExperimentSpec], path) -> None:
         yaml.safe_dump({"experiments": [spec_to_dict(s) for s in specs]}, f, sort_keys=False)
 
 
+def _spec_in(path, d, where: str = "") -> ExperimentSpec:
+    try:
+        return spec_from_dict(d)
+    except (ValueError, TypeError) as err:
+        raise ValueError(f"{path}: {where}{err}") from err
+
+
 def load_specs(path) -> list[ExperimentSpec]:
-    """Load one experiment (or a list under the ``experiments`` key) from YAML."""
+    """Load one experiment (or a list under the ``experiments`` key) from YAML.
+    A config error raises ValueError naming the file and the field."""
     with open(path) as f:
         doc = yaml.safe_load(f)
     if doc is None:
         raise ValueError(f"config file {path} is empty")
-    if "experiments" in doc:
-        return [spec_from_dict(d) for d in doc["experiments"]]
-    return [spec_from_dict(doc)]
+    if not (isinstance(doc, dict) and "experiments" in doc):
+        return [_spec_in(path, doc)]
+    entries = doc["experiments"]
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: config key experiments must be a list, got {entries!r}")
+    return [_spec_in(path, d, f"experiments[{i}]: ") for i, d in enumerate(entries)]

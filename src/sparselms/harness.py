@@ -164,7 +164,11 @@ def _build_phases(spec: ExperimentSpec, trial: int) -> list[_Phase]:
 
 
 def run_trial(spec: ExperimentSpec, algo: AlgorithmSpec, trial: int) -> TrialRecord:
-    """One deterministic trial of one algorithm; records r-MSE per iteration."""
+    """One deterministic trial of one algorithm; records r-MSE per iteration.
+
+    Raises ValueError naming the label, the trial and the step when a step
+    fails or the r-MSE turns NaN or infinite, so a diverged trial never
+    enters a curve."""
     phases = _build_phases(spec, trial)
     est = Estimator(algo.estimator, spec.signal.n, algo.tracker)
     adaptive = algo.tracker is not None and algo.estimator.s is None
@@ -174,20 +178,29 @@ def run_trial(spec: ExperimentSpec, algo: AlgorithmSpec, trial: int) -> TrialRec
     s_traj = np.full(total, np.nan) if adaptive else None
 
     i = 0
-    for phase in phases:
-        w_true = phase.w_true
-        sig2 = float((w_true.real ** 2 + w_true.imag ** 2).sum())
-        stream = make_stream(
-            phase.sensing, itertools.repeat(phase.z, phase.sensing.n_windows), phase.sigma
-        )
-        for sample in stream:
-            est.step(sample)
-            d = est.state.w - w_true
-            rmse_lin[i] = float((d.real ** 2 + d.imag ** 2).sum()) / sig2
-            if adaptive and est.last_s is not None:
-                s_traj[i] = est.last_s
-            i += 1
+    try:
+        for phase in phases:
+            w_true = phase.w_true
+            sig2 = float((w_true.real ** 2 + w_true.imag ** 2).sum())
+            stream = make_stream(
+                phase.sensing, itertools.repeat(phase.z, phase.sensing.n_windows), phase.sigma
+            )
+            for sample in stream:
+                est.step(sample)
+                d = est.state.w - w_true
+                rmse_lin[i] = float((d.real ** 2 + d.imag ** 2).sum()) / sig2
+                if adaptive and est.last_s is not None:
+                    s_traj[i] = est.last_s
+                i += 1
+    except ValueError as err:
+        raise ValueError(f"{algo.label} trial {trial}, step {i + 1}: {err}") from err
     assert i == total
+    finite = np.isfinite(rmse_lin)
+    if not finite.all():
+        step = int(np.argmin(finite)) + 1
+        raise ValueError(
+            f"{algo.label} trial {trial}: r-MSE is {rmse_lin[step - 1]} at step {step}"
+        )
 
     return TrialRecord(
         label=algo.label,

@@ -18,13 +18,27 @@ def _sq_mag(v: np.ndarray) -> np.ndarray:
     return v.real * v.real + v.imag * v.imag
 
 
-def keep_mask(v, s: int) -> np.ndarray:
+def _reject_non_finite(v: np.ndarray) -> None:
+    """Raise ValueError naming the first NaN or infinite coefficient, if any;
+    a stack names it by (row, ..., column)."""
+    bad = np.argwhere(~np.isfinite(v))
+    if bad.size:
+        pos = tuple(int(i) for i in bad[0])
+        where = pos[0] if len(pos) == 1 else pos
+        raise ValueError(f"non-finite coefficient at position {where}: {v[pos]}")
+
+
+def keep_mask(v, s) -> np.ndarray:
     """Boolean mask of the s largest-magnitude coefficients, all ties kept.
 
-    Uses introselect partitioning, so expected cost is linear in len(v).
-    Raises ValueError naming the first NaN or infinite coefficient.
+    Acts along the last axis, so a stack of shape (..., n) gives one mask per
+    row; ``s`` is an int or an integer array with one budget per row.  Uses
+    introselect partitioning, so expected cost is linear in n.  Raises
+    ValueError naming the first NaN or infinite coefficient.
     """
     v = np.asarray(v)
+    if v.ndim != 1 or isinstance(s, np.ndarray):
+        return _keep_mask_rows(v, s)
     n = v.size
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= s <= {n}, got s={s}")
@@ -32,18 +46,40 @@ def keep_mask(v, s: int) -> np.ndarray:
     # one dot product (cheaper than a reduction on short vectors) propagates any
     # NaN or inf; it also overflows for huge finite values, which pass
     if not math.isfinite(m2.dot(m2)):
-        bad = np.flatnonzero(~np.isfinite(v))
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"non-finite coefficient at position {i}: {v.flat[i]}")
+        _reject_non_finite(v)
     if s == n:
         return np.ones(v.shape, dtype=bool)
     cut = np.partition(m2, n - s)[n - s]
     return m2 >= cut
 
 
-def hard_threshold(v, s: int) -> np.ndarray:
-    """Keep the s largest-magnitude coefficients (all ties kept), zero the rest."""
+def _keep_mask_rows(v: np.ndarray, s) -> np.ndarray:
+    """keep_mask along the last axis with one budget per row: a single
+    partition at every distinct cut position n - s, then one cut per row."""
+    if v.ndim == 0:
+        raise ValueError("keep_mask needs a vector or a stack of vectors")
+    n = v.shape[-1]
+    s = np.broadcast_to(s, v.shape[:-1])
+    if s.dtype.kind not in "iu":
+        raise TypeError(f"budgets must be integers, got dtype {s.dtype}")
+    out_of_range = (s < 1) | (s > n)
+    if out_of_range.any():
+        row = tuple(int(i) for i in np.argwhere(out_of_range)[0])
+        raise ValueError(f"need 1 <= s <= {n}, got s={s[row]} in row {row}")
+    m2 = _sq_mag(v)
+    if not math.isfinite(m2.sum()):
+        _reject_non_finite(v)
+    if m2.size == 0:
+        return np.ones(v.shape, dtype=bool)
+    at = (n - s)[..., None]
+    distinct = np.flatnonzero(np.bincount(at.ravel()))  # sorted; cheaper than np.unique
+    cut = np.take_along_axis(np.partition(m2, distinct, axis=-1), at, axis=-1)
+    return m2 >= cut
+
+
+def hard_threshold(v, s) -> np.ndarray:
+    """Keep the s largest-magnitude coefficients (all ties kept), zero the rest;
+    along the last axis, with ``s`` as in keep_mask."""
     v = np.asarray(v)
     return np.where(keep_mask(v, s), v, 0)
 
@@ -80,59 +116,74 @@ def support(v, tol: float = 0.0) -> frozenset[int]:
     return frozenset(int(i) for i in np.flatnonzero(np.abs(v) > tol))
 
 
-def ser(w, w_hat) -> float:
-    """Signal-to-error ratio ||w||^2 / ||w - w_hat||^2 (+inf for exact match)."""
+def ser(w, w_hat):
+    """Signal-to-error ratio ||w||^2 / ||w - w_hat||^2 (+inf for exact match);
+    a float for vectors, one value per row for stacks of shape (..., n)."""
     w = np.asarray(w, dtype=complex)
     w_hat = np.asarray(w_hat, dtype=complex)
-    sig = float(_sq_mag(w).sum())
-    if sig == 0.0:
+    sig = _sq_mag(w).sum(axis=-1)
+    if not np.all(sig):
         raise ValueError("reference vector must be nonzero")
-    err = float(_sq_mag(w - w_hat).sum())
-    if err == 0.0:
-        return math.inf
-    return sig / err
+    err = _sq_mag(w - w_hat).sum(axis=-1)
+    with np.errstate(divide="ignore"):
+        out = sig / err
+    return float(out) if np.ndim(out) == 0 else out
 
 
 class TheoremCheck(NamedTuple):
-    premise: bool
-    conclusion: bool
+    """Premise and conclusion of a theorem: bools for one vector, bool arrays
+    with one entry per row for a stack."""
+
+    premise: bool | np.ndarray
+    conclusion: bool | np.ndarray
 
 
-def _sparse_stats(w: np.ndarray) -> tuple[int, float]:
-    """(number of nonzeros, squared minimum nonzero magnitude)."""
+def _check(premise, conclusion) -> TheoremCheck:
+    if np.ndim(premise) == 0:
+        return TheoremCheck(bool(premise), bool(conclusion))
+    return TheoremCheck(premise, conclusion)
+
+
+def _sparse_stats(w: np.ndarray):
+    """Number of nonzeros and squared minimum nonzero magnitude, per row."""
     m2 = _sq_mag(w)
     nz = m2 > 0
-    s = int(np.count_nonzero(nz))
-    if s == 0:
+    s = np.count_nonzero(nz, axis=-1)
+    if not np.all(s):
         raise ValueError("reference vector must be nonzero")
-    return s, float(m2[nz].min())
+    return s, np.where(nz, m2, np.inf).min(axis=-1)
 
 
 def theorem2_check(w, w_hat) -> TheoremCheck:
     """Exact support recovery: ||w - w_hat||^2 < q^2/2 forces H_s to find
-    support(w), where s = ||w||_0 and q is the smallest nonzero magnitude."""
+    support(w), where s = ||w||_0 and q is the smallest nonzero magnitude.
+    Stacks of shape (..., n) are checked row by row."""
     w = np.asarray(w, dtype=complex)
     w_hat = np.asarray(w_hat, dtype=complex)
     s, q2 = _sparse_stats(w)
-    err2 = float(_sq_mag(w - w_hat).sum())
-    premise = err2 < q2 / 2.0
-    conclusion = support(hard_threshold(w_hat, s)) == support(w)
-    return TheoremCheck(premise, conclusion)
+    premise = _sq_mag(w - w_hat).sum(axis=-1) < q2 / 2.0
+    conclusion = ((hard_threshold(w_hat, s) != 0) == (w != 0)).all(axis=-1)
+    return _check(premise, conclusion)
 
 
-def theorem3_check(w, w_hat, tau: int) -> TheoremCheck:
+def theorem3_check(w, w_hat, tau) -> TheoremCheck:
     """Relaxed recovery with budget d = s + tau: error within
     q^2*(1 - 1/(tau+2)) and ||w_hat||_0 >= d force H_d's support to cover
-    support(w)."""
-    if tau < 1:
+    support(w).  Stacks of shape (..., n) are checked row by row; ``tau`` is
+    an int or one value per row."""
+    tau = np.asarray(tau)
+    if np.any(tau < 1):
         raise ValueError("tau must be a positive integer")
     w = np.asarray(w, dtype=complex)
     w_hat = np.asarray(w_hat, dtype=complex)
     s, q2 = _sparse_stats(w)
     d = s + tau
-    if d >= w.size:
-        raise ValueError(f"need s + tau < N, got {d} >= {w.size}")
-    err2 = float(_sq_mag(w - w_hat).sum())
-    premise = err2 <= q2 * (1.0 - 1.0 / (tau + 2.0)) and np.count_nonzero(w_hat) >= d
-    conclusion = support(hard_threshold(w_hat, d)) >= support(w)
-    return TheoremCheck(premise, bool(conclusion))
+    n = w.shape[-1]
+    if np.any(d >= n):
+        raise ValueError(f"need s + tau < N, got {np.max(d)} >= {n}")
+    err2 = _sq_mag(w - w_hat).sum(axis=-1)
+    premise = (err2 <= q2 * (1.0 - 1.0 / (tau + 2.0))) & (
+        np.count_nonzero(w_hat, axis=-1) >= d
+    )
+    conclusion = ((hard_threshold(w_hat, d) != 0) | (w == 0)).all(axis=-1)
+    return _check(premise, conclusion)

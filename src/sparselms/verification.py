@@ -3,6 +3,11 @@
 The reference routines here deliberately avoid the library's own code paths:
 the top-k reference ranks by pairwise magnitude counting, and the sensing
 identity is accumulated as an explicit sum of outer products.
+
+The randomized suites make every draw's generator calls in the order a
+one-vector loop makes them, hold the draws of each length n in chunks of
+CHUNK, and check a chunk as one stack; the draws and the per-draw decisions
+are those of the one-vector loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -38,74 +43,197 @@ class SuiteResult:
         return msg
 
 
+CHUNK = 32  # draws of one length n checked together; bounds the held draws
+
+
+def _sparse_draw(rng, n: int, s: int):
+    """Positions, magnitudes in [0.3, 2] and phases of an s-sparse vector."""
+    pos = rng.choice(n, size=s, replace=False)
+    return pos, rng.uniform(0.3, 2.0, size=s), rng.uniform(0.0, 2.0 * np.pi, size=s)
+
+
 def _random_sparse(rng, n: int, s: int) -> np.ndarray:
     """s-sparse complex vector with nonzero magnitudes in [0.3, 2]."""
     w = np.zeros(n, dtype=complex)
-    pos = rng.choice(n, size=s, replace=False)
-    mags = rng.uniform(0.3, 2.0, size=s)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=s)
+    pos, mags, phases = _sparse_draw(rng, n, s)
     w[pos] = mags * np.exp(1j * phases)
     return w
 
 
-def _perturb_within(rng, w: np.ndarray, radius_sq: float) -> np.ndarray:
-    """w plus a dense complex perturbation with ||u||^2 = t * radius_sq, t < 1."""
-    u = rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
-    t = rng.uniform(0.01, 0.99)
-    u *= math.sqrt(t * radius_sq) / np.linalg.norm(u)
-    return w + u
+class _Groups(dict):
+    """The _Group of each length n, made on first use."""
+
+    def __missing__(self, n: int) -> "_Group":
+        group = self[n] = _Group(n)
+        return group
+
+
+class _Group:
+    """Up to CHUNK draws of one length n, held in fixed buffers.
+
+    ``mag`` and ``phase`` hold a sparse vector scattered to its positions,
+    ``re`` and ``im`` a draw's two standard-normal vectors (or the parts of
+    an oracle vector), ``t`` its perturbation uniform and ``ints`` its integer
+    parameter (budget or tau).
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.mag = np.zeros((CHUNK, n))
+        self.phase = np.zeros((CHUNK, n))
+        self.re = np.zeros((CHUNK, n))
+        self.im = np.zeros((CHUNK, n))
+        self.index: list[int] = []
+        self.ints: list[int] = []
+        self.t: list[float] = []
+
+    def clear(self) -> None:
+        """Release the held draws; lists handed out before stay intact."""
+        k = len(self.index)
+        self.mag[:k] = 0.0
+        self.phase[:k] = 0.0
+        self.index, self.ints, self.t = [], [], []
+
+    def add(self, i: int, param: int) -> int:
+        """Hold draw ``i`` with its integer parameter; returns its row."""
+        self.index.append(i)
+        self.ints.append(param)
+        return len(self.index) - 1
+
+    def draw_normals(self, rng, row: int) -> None:
+        rng.standard_normal(out=self.re[row])
+        rng.standard_normal(out=self.im[row])
+
+    def draw_perturbed_sparse(self, rng, i: int, param: int, s: int) -> "_Group":
+        """Hold draw ``i``: an s-sparse vector, then the two normal vectors and
+        the uniform of its perturbation, in the order of the rng calls."""
+        row = self.add(i, param)
+        pos, mags, phases = _sparse_draw(rng, self.n, s)
+        self.mag[row, pos] = mags
+        self.phase[row, pos] = phases
+        self.draw_normals(rng, row)
+        self.t.append(rng.uniform(0.01, 0.99))
+        return self
+
+    def sparse_rows(self) -> np.ndarray:
+        """The held sparse vectors, as _random_sparse builds each one."""
+        k = len(self.index)
+        return self.mag[:k] * np.exp(1j * self.phase[:k])
+
+    def complex_rows(self) -> np.ndarray:
+        k = len(self.index)
+        return self.re[:k] + 1j * self.im[:k]
+
+    def perturbed(self, w: np.ndarray, radius_sq) -> np.ndarray:
+        """Rows w + u, u = re + 1j*im rescaled to ||u||^2 = t * radius_sq.
+
+        The norms come from a stacked matmul on the strided real and imaginary
+        parts of u, which runs the BLAS dot that np.linalg.norm runs on one
+        vector, so each row equals the one-vector result bit for bit.
+        """
+        u = self.complex_rows()
+        re, im = u.real, u.imag
+        sq = (re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0]
+        u *= (np.sqrt(np.array(self.t) * radius_sq) / np.sqrt(sq))[:, None]
+        return w + u
+
+
+def _by_n(draws: int, seed: int, draw):
+    """Make ``draws`` draws in order from one generator; ``draw(rng, i,
+    groups)`` holds draw i in the group of its length n and returns that
+    group.  Yields a group once it holds CHUNK draws, and every group still
+    holding draws at the end; a yielded group is cleared on resumption."""
+    rng = np.random.default_rng(seed)
+    groups = _Groups()
+    for i in range(draws):
+        group = draw(rng, i, groups)
+        if len(group.index) == CHUNK:
+            yield group
+            group.clear()
+    for group in groups.values():
+        if group.index:
+            yield group
+
+
+def _min_sq_nonzero(w: np.ndarray) -> np.ndarray:
+    """Smallest squared nonzero magnitude of each row."""
+    return np.where(w != 0, np.abs(w) ** 2, np.inf).min(axis=-1)
+
+
+def _theorem2_draw(rng, i, groups) -> _Group:
+    n = int(rng.integers(2, 33))
+    s = int(rng.integers(1, max(2, n // 2 + 1)))
+    return groups[n].draw_perturbed_sparse(rng, i, s, s)
+
+
+def theorem2_draws(draws: int, seed: int):
+    """The theorem-2 suite's draws, in chunks of equal length n: yields
+    (draw numbers, budgets s, w, w_hat), with w_hat inside the premise ball
+    ||w - w_hat||^2 < q^2/2."""
+    for group in _by_n(draws, seed, _theorem2_draw):
+        w = group.sparse_rows()
+        yield group.index, np.array(group.ints), w, group.perturbed(w, _min_sq_nonzero(w) / 2.0)
+
+
+def _theorem3_draw(rng, i, groups) -> _Group:
+    tau = int(rng.integers(1, 4))
+    n = int(rng.integers(tau + 2, 33))
+    s = int(rng.integers(1, n - tau))
+    return groups[n].draw_perturbed_sparse(rng, i, tau, s)
+
+
+def theorem3_draws(draws: int, seed: int):
+    """The theorem-3 suite's draws, in chunks of equal length n: yields
+    (draw numbers, tau per row, w, w_hat), with w_hat inside the relaxed
+    ball ||w - w_hat||^2 <= q^2 (1 - 1/(tau+2))."""
+    for group in _by_n(draws, seed, _theorem3_draw):
+        tau = np.array(group.ints)
+        w = group.sparse_rows()
+        radius_sq = _min_sq_nonzero(w) * (1.0 - 1.0 / (tau + 2.0))
+        yield group.index, tau, w, group.perturbed(w, radius_sq)
+
+
+def _in_draw_order(notes: list[tuple[int, str]]) -> list[str]:
+    return [note for _, note in sorted(notes)]
 
 
 def theorem2_suite(draws: int = 100_000, seed: int = 7) -> SuiteResult:
     """Inside-ball perturbations must preserve exact support recovery; also
     checks the induced SER bound (> 2s whenever the premise holds)."""
-    rng = np.random.default_rng(seed)
-    failures = 0
     res = SuiteResult("theorem2", draws, 0)
-    for _ in range(draws):
-        n = int(rng.integers(2, 33))
-        s = int(rng.integers(1, max(2, n // 2 + 1)))
-        w = _random_sparse(rng, n, s)
-        q2 = (np.abs(w[w != 0]) ** 2).min()
-        w_hat = _perturb_within(rng, w, q2 / 2.0)
+    notes = []
+    for index, s, w, w_hat in theorem2_draws(draws, seed):
         check = theorem2_check(w, w_hat)
-        if not check.premise:
-            failures += 1
-            res.notes.append("construction left the premise ball")
-            continue
-        if not check.conclusion:
-            failures += 1
-        if not ser(w, w_hat) > 2 * s:
-            failures += 1
-            res.notes.append("SER bound violated under the premise")
-    res.failures = failures
+        ser_ok = ser(w, w_hat) > 2 * s
+        premise = check.premise
+        res.failures += int(np.count_nonzero(~premise))
+        res.failures += int(np.count_nonzero(premise & ~check.conclusion))
+        res.failures += int(np.count_nonzero(premise & ~ser_ok))
+        notes += [(index[j], "construction left the premise ball")
+                  for j in np.flatnonzero(~premise)]
+        notes += [(index[j], "SER bound violated under the premise")
+                  for j in np.flatnonzero(premise & ~ser_ok)]
+    res.notes = _in_draw_order(notes)
     return res
 
 
 def theorem3_suite(draws: int = 100_000, seed: int = 8) -> SuiteResult:
     """Relaxed-ball perturbations with tau in {1,2,3} must preserve the
-    superset conclusion for the widened budget d = s + tau."""
-    rng = np.random.default_rng(seed)
-    failures = 0
+    superset conclusion for the widened budget d = s + tau.
+
+    The perturbation is dense, so ||w_hat||_0 = n >= s + tau: an off-support
+    entry is zero only when both of its normals are exactly 0.0, and an
+    on-support entry cannot cancel because |u_i| < |w_i|.  The premise still
+    checks ||w_hat||_0 >= d on every draw."""
     res = SuiteResult("theorem3", draws, 0)
-    for _ in range(draws):
-        tau = int(rng.integers(1, 4))
-        n = int(rng.integers(tau + 2, 33))
-        s_max = n - tau - 1
-        s = int(rng.integers(1, s_max + 1))
-        w = _random_sparse(rng, n, s)
-        q2 = (np.abs(w[w != 0]) ** 2).min()
-        w_hat = _perturb_within(rng, w, q2 * (1.0 - 1.0 / (tau + 2.0)))
-        while np.count_nonzero(w_hat) < s + tau:  # dense a.s.; guard anyway
-            w_hat = _perturb_within(rng, w, q2 * (1.0 - 1.0 / (tau + 2.0)))
+    notes = []
+    for index, tau, w, w_hat in theorem3_draws(draws, seed):
         check = theorem3_check(w, w_hat, tau)
-        if not check.premise:
-            failures += 1
-            res.notes.append("construction left the premise region")
-            continue
-        if not check.conclusion:
-            failures += 1
-    res.failures = failures
+        res.failures += int(np.count_nonzero(~check.premise))
+        res.failures += int(np.count_nonzero(check.premise & ~check.conclusion))
+        notes += [(index[j], "construction left the premise region")
+                  for j in np.flatnonzero(~check.premise)]
+    res.notes = _in_draw_order(notes)
     return res
 
 
@@ -153,41 +281,50 @@ def tightness_suite(eps: float = 1e-6, seed: int = 9) -> SuiteResult:
     return res
 
 
-def topk_reference(v: np.ndarray, s: int) -> np.ndarray:
+def topk_reference(v, s) -> np.ndarray:
     """Quadratic pairwise-count reference for the hard threshold: keep entry i
-    when fewer than s entries have strictly larger magnitude."""
+    when fewer than s entries of its row have strictly larger magnitude.
+    Acts along the last axis; ``s`` is an int or one budget per row."""
     v = np.asarray(v)
     m2 = v.real**2 + v.imag**2
-    out = np.zeros_like(v)
-    for i in range(v.size):
-        if int(np.count_nonzero(m2 > m2[i])) < s:
-            out[i] = v[i]
-    return out
+    larger = np.count_nonzero(m2[..., None, :] > m2[..., :, None], axis=-1)
+    return np.where(larger < np.asarray(s)[..., None], v, 0)
+
+
+def _oracle_draw(rng, i, groups) -> _Group:
+    n = int(rng.integers(1, 13))
+    s = int(rng.integers(1, n + 1))
+    kind = rng.integers(0, 3)
+    group = groups[n]
+    row = group.add(i, s)
+    if kind == 0:
+        group.draw_normals(rng, row)
+    elif kind == 1:
+        # engineered ties: magnitudes drawn from a tiny exact set
+        base = rng.choice([0.0, 1.0, 2.0], size=n)
+        phase = rng.choice([1.0, -1.0, 1.0j, -1.0j], size=n)
+        v = base * phase
+        group.re[row], group.im[row] = v.real, v.imag
+    else:
+        rng.standard_normal(out=group.re[row])  # real input
+        group.im[row] = 0.0
+    return group
+
+
+def oracle_draws(draws: int, seed: int):
+    """The top-k oracle suite's draws, in chunks of equal length n: yields
+    (draw numbers, budgets s, v) for complex, tied and real vectors."""
+    for group in _by_n(draws, seed, _oracle_draw):
+        yield group.index, np.array(group.ints), group.complex_rows()
 
 
 def hard_threshold_oracle_suite(draws: int = 10_000, seed: int = 11) -> SuiteResult:
     """Agreement of hard_threshold with the pairwise-count reference on random
     complex vectors (N <= 12) plus engineered tie patterns."""
-    rng = np.random.default_rng(seed)
-    res = SuiteResult("hard-threshold-oracle", 0, 0)
-    cases = 0
-    for _ in range(draws):
-        n = int(rng.integers(1, 13))
-        s = int(rng.integers(1, n + 1))
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        elif kind == 1:
-            # engineered ties: magnitudes drawn from a tiny exact set
-            base = rng.choice([0.0, 1.0, 2.0], size=n)
-            phase = rng.choice([1.0, -1.0, 1.0j, -1.0j], size=n)
-            v = base * phase
-        else:
-            v = rng.standard_normal(n)  # real input
-        cases += 1
-        if not np.array_equal(hard_threshold(v, s), topk_reference(v, s)):
-            res.failures += 1
-    res.draws = cases
+    res = SuiteResult("hard-threshold-oracle", draws, 0)
+    for _, s, v in oracle_draws(draws, seed):
+        agree = (hard_threshold(v, s) == topk_reference(v, s)).all(axis=-1)
+        res.failures += int(np.count_nonzero(~agree))
     return res
 
 

@@ -1,11 +1,17 @@
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import sparselms
+from sparselms import harness
 from sparselms.estimators import EstimatorConfig
 from sparselms.experiments import (
     REGISTRY,
@@ -74,6 +80,62 @@ def test_rmse_hand_example():
 def test_rmse_zero_reference_rejected():
     with pytest.raises(ValueError):
         rmse([0.0, 0.0], [1.0, 0.0])
+
+
+# -- divergence guard and LMS floor ----------------------------------------------
+
+
+def _poisoned_at(step: int):
+    """An Estimator whose iterate gets a NaN right after the given step."""
+
+    class Poisoned(harness.Estimator):
+        done = 0
+
+        def step(self, sample):
+            super().step(sample)
+            self.done += 1
+            if self.done == step:
+                self.state.w[3] = math.nan
+
+    return Poisoned
+
+
+def test_run_trial_names_the_first_non_finite_step(monkeypatch):
+    monkeypatch.setattr(harness, "Estimator", _poisoned_at(50))
+    spec = tiny_spec(trials=1)
+    with pytest.raises(ValueError, match=r"^LMS trial 0: r-MSE is nan at step 50$"):
+        run_trial(spec, spec.algorithms[1], 0)
+
+
+def test_run_trial_names_the_step_that_raised(monkeypatch):
+    # the NaN spreads to every coefficient on the next step, and the top-s cut
+    # refuses it; the error keeps the cut's message
+    monkeypatch.setattr(harness, "Estimator", _poisoned_at(50))
+    spec = tiny_spec(trials=1)
+    with pytest.raises(ValueError, match=r"^HARD-4 trial 0, step 51: non-finite coefficient"):
+        run_trial(spec, spec.algorithms[0], 0)
+
+
+def test_run_experiment_never_averages_a_diverged_trial(monkeypatch):
+    monkeypatch.setattr(harness, "Estimator", _poisoned_at(7))
+    with pytest.raises(ValueError, match=r"trial 0"):
+        run_experiment(tiny_spec(trials=2, algorithms=tiny_spec().algorithms[1:]))
+
+
+# About six times the per-trial spread of the LMS steady state around the
+# analytic floor; it excludes 0 dB, the value of an estimator that learns
+# nothing.  The benchmark fixed the same tolerance before measuring.
+LMS_FLOOR_TOL_DB = 0.6
+
+
+def test_lms_steady_state_sits_on_the_analytic_floor():
+    spec = build_exp2(trials=1)
+    lms = next(a for a in spec.algorithms if a.label == "LMS")
+    traj = run_trial(spec, lms, 0).rmse_lin_trajectory
+    steady = 10.0 * math.log10(traj[-max(1, traj.size // 10):].mean())
+    floor = 10.0 * math.log10(1.0 - spec.sensing.m / spec.sensing.n)
+    assert spec.sensing.n == 1000
+    assert abs(steady - floor) <= LMS_FLOOR_TOL_DB, (steady, floor)
 
 
 # -- determinism -----------------------------------------------------------------
@@ -264,6 +326,70 @@ def test_spec_rejects_unknown_key(path, name):
         spec_from_dict(d)
 
 
+@pytest.mark.parametrize(
+    "path, name",
+    [
+        (("signal",), "signal"),
+        (("trials",), "trials"),
+        (("signal", "n"), "signal.n"),
+        (("sensing", "m"), "sensing.m"),
+        (("sensing", "count"), "sensing.count"),
+        (("algorithms", 1, "label"), "algorithms[1].label"),
+        (("algorithms", 0, "estimator", "variant"), "algorithms[0].estimator.variant"),
+        (("tracking", "extra_sines"), "tracking.extra_sines"),
+    ],
+)
+def test_spec_names_a_missing_key(path, name):
+    # used to raise a bare KeyError
+    d = spec_to_dict(build_exp4_tracking())
+    section = d
+    for part in path[:-1]:
+        section = section[part]
+    del section[path[-1]]
+    with pytest.raises(ValueError, match=rf"missing config key {re.escape(name)}$"):
+        spec_from_dict(d)
+
+
+def test_load_specs_names_the_entry_of_a_list(tmp_path):
+    d = spec_to_dict(build_exp2())
+    del d["sensing"]["m"]
+    path = tmp_path / "sweep.yaml"
+    path.write_text(yaml.safe_dump({"experiments": [spec_to_dict(build_exp2()), d]}))
+    with pytest.raises(ValueError, match=r"experiments\[1\]: missing config key sensing\.m$"):
+        load_specs(path)
+
+
+def _without_sensing_count() -> str:
+    d = spec_to_dict(build_exp2(trials=1))
+    del d["sensing"]["count"]
+    return yaml.safe_dump(d)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("name: x\n", "missing config key signal"),
+        ("", "is empty"),
+        (_without_sensing_count(), "missing config key sensing.count"),
+        ("experiments: 5\n", "config key experiments must be a list"),
+        ("a: [\n", "expected the node content"),
+    ],
+    ids=["name-only", "empty", "no-sensing-count", "experiments-not-a-list", "bad-yaml"],
+)
+def test_cli_run_reports_a_config_error_on_one_line(tmp_path, text, message):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(sparselms.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparselms.cli", "run", str(path), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert message in proc.stderr and str(path) in proc.stderr
+
+
 def test_load_specs_names_a_stale_signal_seed(tmp_path):
     d = spec_to_dict(build_exp2())
     d["signal"]["seed"] = 0  # written by older exports; nothing read it
@@ -363,8 +489,14 @@ def test_cli_multi_spec_writes_sweep_summary(tmp_path):
     assert len(summary) == 1 + 2 * len(specs[0].algorithms)
 
 
-def test_cli_verify_and_oracle_small():
+def test_cli_verify_and_oracle_small(capsys):
     from sparselms.cli import main
 
     assert main(["verify", "--draws", "500"]) == 0
     assert main(["oracle", "--draws", "500"]) == 0
+    out = capsys.readouterr().out
+    timed = r"  \d+\.\d\ds, \d+ draws/s$"
+    for head in ("theorem2: 500 draws", "theorem3: 500 draws", "theorem2-tightness: 1 draws",
+                 "hard-threshold-oracle: 500 draws", "sensing-identity: 63 draws",
+                 "spectrum-roundtrip: 3 draws"):
+        assert re.search(rf"^{head}, 0 failures \[ok\]{timed}", out, re.M), out

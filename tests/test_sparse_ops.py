@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sparselms.sparse_ops import (
     complex_sign,
     hard_threshold,
+    keep_mask,
     selective_penalty,
     ser,
     support,
@@ -124,6 +125,114 @@ def test_hard_threshold_engineered_ties_match_reference():
     v = np.array([1.0, -1.0, 1.0j, 0.5, -1.0j, 0.0])
     for s in range(1, 7):
         np.testing.assert_array_equal(hard_threshold(v, s), topk_reference(v, s))
+
+
+# -- stacks -------------------------------------------------------------------
+
+# a small exact set makes ties and zeros common; any float may join them
+stack_part = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.0]),
+    st.floats(min_value=-10, max_value=10, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_keep_mask_stack_matches_rows(data):
+    rows = data.draw(st.integers(0, 6), label="rows")
+    n = data.draw(st.integers(1, 10), label="n")
+    cells = st.lists(stack_part, min_size=rows * n, max_size=rows * n)
+    v = np.array(data.draw(cells), dtype=float).reshape(rows, n)
+    if data.draw(st.booleans(), label="complex"):
+        v = v + 1j * np.array(data.draw(cells), dtype=float).reshape(rows, n)
+    if data.draw(st.booleans(), label="per-row budgets"):
+        budgets = st.lists(st.integers(1, n), min_size=rows, max_size=rows)
+        s = np.array(data.draw(budgets), dtype=int)
+        row_s = [int(b) for b in s]
+    else:
+        s = data.draw(st.integers(1, n), label="s")
+        row_s = [s] * rows
+    mask, out = keep_mask(v, s), hard_threshold(v, s)
+    assert mask.shape == out.shape == v.shape and out.dtype == v.dtype
+    for r in range(rows):
+        np.testing.assert_array_equal(mask[r], keep_mask(v[r], row_s[r]))
+        np.testing.assert_array_equal(out[r], hard_threshold(v[r], row_s[r]))
+        np.testing.assert_array_equal(out[r], topk_reference(v[r], row_s[r]))
+
+
+def test_keep_mask_stack_ties_zeros_and_full_budget():
+    v = np.array([[2.0, -2.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0], [1.0, 1j, -1.0, 0.5]])
+    np.testing.assert_array_equal(
+        keep_mask(v, np.array([1, 2, 4])),
+        [[True, True, False, False], [True, True, True, True], [True, True, True, True]],
+    )
+    np.testing.assert_array_equal(
+        hard_threshold(v, np.array([3, 1, 2])),
+        [[2.0, -2.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0], [1.0, 1j, -1.0, 0.0]],
+    )
+
+
+def test_keep_mask_three_axis_stack():
+    rng = np.random.default_rng(2)
+    v = rng.standard_normal((2, 3, 7)) + 1j * rng.standard_normal((2, 3, 7))
+    s = rng.integers(1, 8, size=(2, 3))
+    out = hard_threshold(v, s)
+    for idx in np.ndindex(2, 3):
+        np.testing.assert_array_equal(out[idx], hard_threshold(v[idx], int(s[idx])))
+
+
+def test_keep_mask_long_rows_with_distant_budgets():
+    # long rows, so a partition at one cut position leaves the others unsorted
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((4, 3000))
+    s = np.array([1, 2999, 1500, 7])
+    mask = keep_mask(v, s)
+    for r in range(4):
+        np.testing.assert_array_equal(mask[r], keep_mask(v[r], int(s[r])))
+
+
+def test_keep_mask_stack_names_the_non_finite_position():
+    v = np.ones((3, 4))
+    v[1, 2] = math.nan
+    with pytest.raises(ValueError, match=r"non-finite coefficient at position \(1, 2\): nan"):
+        keep_mask(v, 2)
+    w = np.ones((2, 3), dtype=complex)
+    w[1, 0] = complex(0.0, -math.inf)
+    with pytest.raises(ValueError, match=r"position \(1, 0\)"):
+        hard_threshold(w, np.array([3, 3]))  # checked for s = n too
+
+
+def test_keep_mask_stack_names_a_budget_out_of_range():
+    with pytest.raises(ValueError, match=r"need 1 <= s <= 3, got s=4 in row \(1,\)"):
+        keep_mask(np.ones((2, 3)), np.array([1, 4]))
+    with pytest.raises(ValueError, match=r"got s=0"):
+        keep_mask(np.ones((2, 3)), np.array([0, 1]))
+
+
+def test_theorem_checks_and_ser_on_stacks_match_rows():
+    rng = np.random.default_rng(12)
+    n, rows = 9, 40
+    w = np.zeros((rows, n), dtype=complex)
+    for r in range(rows):
+        pos = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+        w[r, pos] = rng.uniform(0.3, 2.0, pos.size)
+    # radii straddle both premise balls, so both outcomes occur
+    w_hat = w + rng.uniform(0.0, 0.6, (rows, 1)) * rng.standard_normal((rows, n))
+    tau = rng.integers(1, 4, size=rows)
+    two, three, sers = theorem2_check(w, w_hat), theorem3_check(w, w_hat, tau), ser(w, w_hat)
+    assert two.premise.any() and not two.premise.all()
+    for r in range(rows):
+        assert (two.premise[r], two.conclusion[r]) == theorem2_check(w[r], w_hat[r])
+        one = theorem3_check(w[r], w_hat[r], int(tau[r]))
+        assert (three.premise[r], three.conclusion[r]) == one
+        assert sers[r] == ser(w[r], w_hat[r])
+
+
+def test_vector_inputs_keep_scalar_results():
+    check = theorem2_check([1.0, 0.0], [0.8, 0.3])
+    assert type(check.premise) is bool and type(check.conclusion) is bool
+    assert type(theorem3_check([1.0, 0, 0, 0], [0.6, 0.3, 0.3, 0.3], tau=1).premise) is bool
+    assert type(ser([1.0, 2.0], [0.0, 0.0])) is float
 
 
 # -- complex sign -------------------------------------------------------------
