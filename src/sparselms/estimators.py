@@ -40,10 +40,13 @@ from .tracker import (
     tracker_update,
 )
 
-VARIANTS = ("lms", "za", "rza", "l0", "sza", "hard", "hard_l0")
+# the EstimatorConfig fields each variant reads besides mu and burn_in
+READS = {"lms": (), "za": ("rho",), "rza": ("rho", "epsilon"), "l0": ("rho", "beta"),
+         "sza": ("rho", "s"), "hard": ("s",), "hard_l0": ("rho", "beta", "s")}
+VARIANTS = tuple(READS)
 
 # variants that need a sparsity budget s
-THRESHOLDED = frozenset({"sza", "hard", "hard_l0"})
+THRESHOLDED = frozenset(v for v, names in READS.items() if "s" in names)
 
 
 @dataclass(frozen=True)

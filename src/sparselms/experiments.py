@@ -20,11 +20,13 @@ The occupancy thresholds q* are already expressed in this library's units
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, astuple, dataclass, fields, is_dataclass
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .estimators import EstimatorConfig
+from .estimators import READS, THRESHOLDED, EstimatorConfig
 from .harness import AlgorithmSpec, ExperimentSpec, TrackingSpec
 from .sensing import RepeatedPass, SensingConfig, Windowed
 from .signals import SignalSpec
@@ -219,116 +221,111 @@ def get_experiment(name: str, trials=None, n=None, seed=None):
     return REGISTRY[name](**{k: v for k, v in given.items() if v is not None})
 
 
-# -- config-file round trip ---------------------------------------------------
+# -- config files ----------------------------------------------------------------
 
-# signal fields held as tuples in a spec and as lists in a config file
-_TUPLE_KEYS = {"bins", "amps"}
+_MODES = {"repeated": RepeatedPass, "windowed": Windowed}
 
 
-def spec_to_dict(spec: ExperimentSpec) -> dict:
-    mode = spec.sensing.mode
-    d = {
-        "name": spec.name,
-        "signal": {k: v for k, v in asdict(spec.signal).items() if v is not None},
-        "sensing": {
-            "n": spec.sensing.n,
-            "m": spec.sensing.m,
-            "mode": "repeated" if isinstance(mode, RepeatedPass) else "windowed",
-            "count": mode.passes if isinstance(mode, RepeatedPass) else mode.windows,
-        },
-        "trials": spec.trials,
-        "seed": spec.seed,
-        "algorithms": [],
-    }
-    if math.isinf(d["signal"].get("snr_db", 0.0)):
-        d["signal"]["snr_db"] = "inf"
-    for key in _TUPLE_KEYS & d["signal"].keys():
-        d["signal"][key] = list(d["signal"][key])
-    for algo in spec.algorithms:
-        entry = {"label": algo.label, "estimator": asdict(algo.estimator)}
-        if algo.estimator.s is None:
-            del entry["estimator"]["s"]
-        if algo.tracker is not None:
-            entry["tracker"] = asdict(algo.tracker)
-        d["algorithms"].append(entry)
-    if spec.tracking is not None:
-        d["tracking"] = {
-            "phase_windows": list(spec.tracking.phase_windows),
-            "extra_sines": spec.tracking.extra_sines,
+@dataclass(frozen=True)
+class _SensingFile:
+    """The sensing section of a config file: no seed, since each trial derives
+    its own, and the stream mode by name with its pass or window count."""
+
+    n: int
+    m: int
+    mode: str
+    count: int
+
+
+def spec_to_dict(value):
+    """A spec in config-file form: the fields of each dataclass that differ
+    from their defaults, nested as the dataclasses nest, tuples as lists."""
+    if isinstance(value, SensingConfig):
+        mode = next(name for name, cls in _MODES.items() if isinstance(value.mode, cls))
+        value = _SensingFile(value.n, value.m, mode, *astuple(value.mode))
+    if is_dataclass(value):
+        return {
+            f.name: spec_to_dict(getattr(value, f.name))
+            for f in fields(value)
+            if getattr(value, f.name) != f.default
         }
-    if spec.db_mean:
-        d["db_mean"] = True
-    return d
+    if isinstance(value, tuple):
+        return [spec_to_dict(v) for v in value]
+    return value
 
 
-def _checked(d, schema, where: str = "") -> dict:
-    """``d``, once it is known to be a mapping that holds every required key
-    and no other key.  ``schema`` is a dataclass, whose fields without a
-    default are required, or a tuple of keys that are all required."""
-    if isinstance(schema, tuple):
-        allowed = required = schema
-    else:
-        allowed = tuple(f.name for f in fields(schema))
-        required = tuple(
-            f.name for f in fields(schema)
-            if f.default is MISSING and f.default_factory is MISSING
-        )
+def _build(make, where: str):
+    """``make()``, naming the section when a dataclass's own check fails."""
+    try:
+        return make()
+    except ValueError as err:
+        if not where:
+            raise
+        raise ValueError(f"{where}: {err}") from err
+
+
+def _load(cls, d, where: str = ""):
+    """The dataclass ``cls`` from its config section ``d``."""
     if not isinstance(d, dict):
         raise ValueError(f"config section {where or '<top>'} must be a mapping, got {d!r}")
+    hints = get_type_hints(cls)
+    at = f"{where}." if where else ""
     for key in d:
-        if key not in allowed:
-            raise ValueError(f"unknown config key {where}{key}")
-    for key in required:
-        if key not in d:
-            raise ValueError(f"missing config key {where}{key}")
-    return d
+        if key not in hints:
+            raise ValueError(f"unknown config key {at}{key}")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in d:
+            kwargs[f.name] = _value(hints[f.name], d[f.name], at + f.name)
+        elif f.default is MISSING:
+            raise ValueError(f"missing config key {at}{f.name}")
+    return _build(lambda: cls(**kwargs), where)
+
+
+def _value(tp, value, where: str):
+    """``value`` checked against the annotation ``tp``: int rejects bool and
+    float, and float takes an int or the string 'inf'."""
+    if tp is SensingConfig:
+        form = _load(_SensingFile, value, where)
+        if form.mode not in _MODES:
+            raise ValueError(f"{where}.mode must be one of {tuple(_MODES)}, got {form.mode!r}")
+        return _build(lambda: SensingConfig(form.n, form.m, _MODES[form.mode](form.count)), where)
+    if is_dataclass(tp):
+        return _load(tp, value, where)
+    args = get_args(tp)
+    if isinstance(tp, UnionType):  # X | None
+        (inner,) = set(args) - {type(None)}
+        return None if value is None else _value(inner, value, where)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        if len(value) != len(args):
+            raise ValueError(f"{where} must have {len(args)} items, got {len(value)}")
+        return tuple(_value(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    if tp is float and (type(value) is int or value == "inf"):
+        value = float(value)
+    if type(value) is not tp:
+        raise ValueError(f"{where} must be {tp.__name__}, got {value!r}")
+    return value
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
-    """Build a spec from its config-file form; an unknown or missing key
-    raises ValueError naming its path, such as ``signal.seed`` or
-    ``algorithms[0].estimator.variant``."""
-    _checked(d, ExperimentSpec)
-    sig = dict(_checked(d["signal"], SignalSpec, "signal."))
-    if sig.get("snr_db") == "inf":
-        sig["snr_db"] = math.inf
-    for key in _TUPLE_KEYS & sig.keys():
-        sig[key] = tuple(sig[key])
-    sens = _checked(d["sensing"], ("n", "m", "mode", "count"), "sensing.")
-    modes = {"repeated": RepeatedPass, "windowed": Windowed}
-    if sens["mode"] not in modes:
-        raise ValueError(
-            f"sensing.mode must be 'repeated' or 'windowed', got {sens['mode']!r}"
-        )
-    mode = modes[sens["mode"]](sens["count"])
-    if not isinstance(d["algorithms"], list):
-        raise ValueError(f"config key algorithms must be a list, got {d['algorithms']!r}")
-    algorithms = []
-    for i, entry in enumerate(d["algorithms"]):
-        where = f"algorithms[{i}]."
-        _checked(entry, AlgorithmSpec, where)
-        est = _checked(entry["estimator"], EstimatorConfig, where + "estimator.")
-        tracker = None
-        if "tracker" in entry:
-            params = _checked(entry["tracker"], TrackerParams, where + "tracker.")
-            tracker = TrackerParams(**params)
-        algorithms.append(AlgorithmSpec(entry["label"], EstimatorConfig(**est), tracker))
-    tracking = None
-    if "tracking" in d:
-        track = _checked(d["tracking"], TrackingSpec, "tracking.")
-        tracking = TrackingSpec(
-            phase_windows=tuple(track["phase_windows"]), extra_sines=track["extra_sines"]
-        )
-    return ExperimentSpec(
-        name=d["name"],
-        signal=SignalSpec(**sig),
-        sensing=SensingConfig(n=sens["n"], m=sens["m"], mode=mode),
-        algorithms=tuple(algorithms),
-        trials=d["trials"],
-        seed=d["seed"],
-        tracking=tracking,
-        db_mean=d.get("db_mean", False),
-    )
+    """Build a spec from its config-file form.  An unknown or missing key, a
+    value of the wrong type or one a dataclass rejects, and a non-default
+    parameter or a tracker that the variant does not read raise ValueError
+    naming the path, such as ``signal.seed`` or ``algorithms[0].estimator.s``."""
+    spec = _load(ExperimentSpec, d)
+    for i, algo in enumerate(spec.algorithms):
+        est, where = algo.estimator, f"algorithms[{i}]"
+        for f in fields(est):
+            read = f.name in ("variant", "mu", "burn_in", *READS[est.variant])
+            if not read and getattr(est, f.name) != f.default:
+                raise ValueError(f"{where}.estimator.{f.name} is ignored by variant {est.variant}")
+        if algo.tracker is not None and est.variant not in THRESHOLDED:
+            raise ValueError(f"{where}.tracker is ignored by variant {est.variant}")
+    return spec
 
 
 def save_spec(spec: ExperimentSpec, path) -> None:
@@ -344,7 +341,7 @@ def save_specs(specs: list[ExperimentSpec], path) -> None:
 def _spec_in(path, d, where: str = "") -> ExperimentSpec:
     try:
         return spec_from_dict(d)
-    except (ValueError, TypeError) as err:
+    except ValueError as err:
         raise ValueError(f"{path}: {where}{err}") from err
 
 

@@ -25,15 +25,19 @@ from .tracker import TrackerParams
 DB_FLOOR = -120.0
 
 
+def _sq_norm(v: np.ndarray) -> float:
+    """||v||^2 of a complex vector, summed as re^2 + im^2."""
+    return float((v.real ** 2 + v.imag ** 2).sum())
+
+
 def rmse(w_true: np.ndarray, w_est: np.ndarray) -> float:
     """Relative mean-square error ||w - w_est||^2 / ||w||^2 (linear scale)."""
     w_true = np.asarray(w_true, dtype=complex)
     w_est = np.asarray(w_est, dtype=complex)
-    sig = float((w_true.real ** 2 + w_true.imag ** 2).sum())
+    sig = _sq_norm(w_true)
     if sig == 0.0:
         raise ValueError("reference spectrum must be nonzero")
-    d = w_true - w_est
-    return float((d.real ** 2 + d.imag ** 2).sum()) / sig
+    return _sq_norm(w_true - w_est) / sig
 
 
 def rmse_db(value) -> np.ndarray | float:
@@ -70,7 +74,6 @@ class ExperimentSpec:
     trials: int
     seed: int
     tracking: TrackingSpec | None = None
-    db_mean: bool = False  # average per-trial dB values instead of linear r-MSE
 
     def __post_init__(self):
         labels = [a.label for a in self.algorithms]
@@ -181,14 +184,13 @@ def run_trial(spec: ExperimentSpec, algo: AlgorithmSpec, trial: int) -> TrialRec
     try:
         for phase in phases:
             w_true = phase.w_true
-            sig2 = float((w_true.real ** 2 + w_true.imag ** 2).sum())
+            sig2 = _sq_norm(w_true)
             stream = make_stream(
                 phase.sensing, itertools.repeat(phase.z, phase.sensing.n_windows), phase.sigma
             )
             for sample in stream:
                 est.step(sample)
-                d = est.state.w - w_true
-                rmse_lin[i] = float((d.real ** 2 + d.imag ** 2).sum()) / sig2
+                rmse_lin[i] = _sq_norm(est.state.w - w_true) / sig2
                 if adaptive and est.last_s is not None:
                     s_traj[i] = est.last_s
                 i += 1
@@ -225,12 +227,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     for algo in spec.algorithms:
         recs = [run_trial(spec, algo, t) for t in range(spec.trials)]
         lin = np.mean([r.rmse_lin_trajectory for r in recs], axis=0)
-        if spec.db_mean:
-            db = np.mean([r.rmse_db_trajectory for r in recs], axis=0)
-        else:
-            db = rmse_db(lin)
         curves_lin[algo.label] = lin
-        curves_db[algo.label] = db
+        curves_db[algo.label] = rmse_db(lin)
         if recs[0].s_trajectory is not None:
             # burn-in leaves the same NaN prefix in every trial
             s_mean[algo.label] = np.mean([r.s_trajectory for r in recs], axis=0)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from sparselms.experiments import (
     REGISTRY,
     build_exp1,
     build_exp2,
+    build_exp3,
     build_exp4_tracking,
     get_experiment,
     load_specs,
@@ -185,18 +187,6 @@ def test_summary_and_gnuplot_outputs(tmp_path):
     assert len(dat) == 1 + tiny_spec().sensing.total_samples
 
 
-def test_db_average_flag_changes_convention():
-    lin_spec = tiny_spec()
-    db_spec = tiny_spec(db_mean=True)
-    lin_res = run_experiment(lin_spec)
-    db_res = run_experiment(db_spec)
-    a = lin_res.curves_db["LMS"]
-    b = db_res.curves_db["LMS"]
-    # mean of dB <= dB of mean (Jensen); equality only for degenerate spread
-    assert np.all(b <= a + 1e-9)
-    assert not np.allclose(a, b)
-
-
 def test_monotone_sanity_noiseless_full_sampling():
     spec = tiny_spec(
         trials=2,
@@ -304,6 +294,15 @@ def test_spec_rejects_unknown_sensing_mode():
         spec_from_dict(d)
 
 
+def _set(d: dict, path: tuple, value) -> dict:
+    """``d`` with the entry at ``path`` set to ``value``."""
+    section = d
+    for part in path[:-1]:
+        section = section[part]
+    section[path[-1]] = value
+    return d
+
+
 @pytest.mark.parametrize(
     "path, name",
     [
@@ -317,11 +316,7 @@ def test_spec_rejects_unknown_sensing_mode():
     ],
 )
 def test_spec_rejects_unknown_key(path, name):
-    d = spec_to_dict(build_exp4_tracking())
-    section = d
-    for part in path[:-1]:
-        section = section[part]
-    section[path[-1]] = 0
+    d = _set(spec_to_dict(build_exp4_tracking()), path, 0)
     with pytest.raises(ValueError, match=rf"unknown config key {re.escape(name)}$"):
         spec_from_dict(d)
 
@@ -350,6 +345,142 @@ def test_spec_names_a_missing_key(path, name):
         spec_from_dict(d)
 
 
+@pytest.mark.parametrize(
+    "path, value, name",
+    [
+        (("trials",), "2", "trials"),
+        (("trials",), True, "trials"),
+        (("trials",), 2.5, "trials"),
+        (("algorithms", 0, "estimator", "mu"), "0.001", "algorithms[0].estimator.mu"),
+        (("algorithms", 0, "estimator", "s"), 20.5, "algorithms[0].estimator.s"),
+        (("algorithms", 0, "estimator", "variant"), 3, "algorithms[0].estimator.variant"),
+        (("signal", "n"), "1000", "signal.n"),
+        (("sensing", "count"), "100", "sensing.count"),
+        (("signal", "snr_db"), "high", "signal.snr_db"),
+        (("algorithms", 1, "tracker", "use_support"), "no", "algorithms[1].tracker.use_support"),
+        (("tracking", "phase_windows", 1), "a", "tracking.phase_windows[1]"),
+    ],
+)
+def test_config_rejects_a_mistyped_value(tmp_path, path, value, name):
+    # used to load (trials: true, use_support: "no") or to fail later without the path
+    from sparselms.cli import main
+
+    d = _set(spec_to_dict(build_exp4_tracking()), path, value)
+    message = rf"{re.escape(name)} must be (int|float|str|bool), got {re.escape(repr(value))}"
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        spec_from_dict(d)
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(d))
+    with pytest.raises(SystemExit) as stop:  # printed as one line, exit status 1
+        main(["run", str(config), "--out", str(tmp_path)])
+    assert re.fullmatch(rf"error: {re.escape(str(config))}: {message}", stop.value.code)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("algorithms", 0, "estimator", "mu"), 0,
+         "algorithms[0].estimator: step size must satisfy 0 < mu < 2, got 0.0"),
+        (("algorithms", 1, "tracker", "lam"), 1.5,
+         "algorithms[1].tracker: forgetting factor must be in (0, 1]"),
+        (("sensing", "count"), 0, "sensing: windows must be >= 1"),
+        (("signal", "sines"), 0, "signal: need at least one sine"),
+    ],
+)
+def test_config_names_the_section_a_dataclass_rejects(path, value, message):
+    d = _set(spec_to_dict(build_exp4_tracking()), path, value)
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        spec_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "index, key, value",
+    [
+        (0, "epsilon", 2.0),   # za
+        (0, "s", 20),          # za
+        (1, "beta", 1.0),      # rza
+        (2, "epsilon", 2.0),   # l0
+        (3, "beta", 1.0),      # sza
+        (4, "rho", 0.01),      # hard
+        (4, "beta", 1.0),      # hard
+        (5, "epsilon", 2.0),   # hard_l0
+    ],
+)
+def test_config_rejects_a_parameter_the_variant_ignores(index, key, value):
+    d = _set(spec_to_dict(build_exp3()), ("algorithms", index, "estimator", key), value)
+    variant = d["algorithms"][index]["estimator"]["variant"]
+    name = f"algorithms[{index}].estimator.{key}"
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} is ignored by variant {variant}$"):
+        spec_from_dict(d)
+
+
+def test_config_rejects_a_tracker_without_a_budget():
+    d = _set(spec_to_dict(build_exp2()), ("algorithms", 4, "tracker"), {})
+    assert d["algorithms"][4]["estimator"]["variant"] == "lms"
+    with pytest.raises(ValueError, match=r"^algorithms\[4\]\.tracker is ignored by variant lms$"):
+        spec_from_dict(d)
+
+
+def test_config_in_the_verbose_export_format_loads_to_the_same_spec():
+    # earlier exports wrote every estimator field, use_support and snr_db: "inf"
+    verbose = {
+        "name": "verbose",
+        "signal": {"n": 64, "sines": 2, "snr_db": "inf"},
+        "sensing": {"n": 64, "m": 32, "mode": "windowed", "count": 60},
+        "trials": 1,
+        "seed": 5,
+        "algorithms": [
+            {
+                "label": "EST",
+                "estimator": {"variant": "hard", "mu": 0.015625, "rho": 0.0, "beta": 0.0,
+                              "epsilon": 1.0, "burn_in": 64},
+                "tracker": {"lam": 0.98, "xi": 0.3125, "q_star": 0.05, "use_support": False},
+            },
+            {
+                "label": "L0",
+                "estimator": {"variant": "l0", "mu": 0.015625, "rho": 0.001, "beta": 8.0,
+                              "epsilon": 1.0, "burn_in": 0},
+            },
+        ],
+        "tracking": {"phase_windows": [30, 30], "extra_sines": 2},
+    }
+    assert spec_from_dict(verbose) == ExperimentSpec(
+        name="verbose",
+        signal=SignalSpec(n=64, sines=2),
+        sensing=SensingConfig(n=64, m=32, mode=Windowed(60)),
+        algorithms=(
+            AlgorithmSpec(
+                "EST",
+                EstimatorConfig("hard", mu=1 / 64, burn_in=64),
+                tracker=TrackerParams(lam=0.98, xi=20 / 64, q_star=0.05),
+            ),
+            AlgorithmSpec("L0", EstimatorConfig("l0", mu=1 / 64, rho=0.001, beta=8.0)),
+        ),
+        trials=1,
+        seed=5,
+        tracking=TrackingSpec(phase_windows=(30, 30), extra_sines=2),
+    )
+
+
+def test_export_omits_fields_at_their_default():
+    d = spec_to_dict(build_exp3())
+    sections = [(SignalSpec, d["signal"])]
+    for algo in d["algorithms"]:
+        sections.append((EstimatorConfig, algo["estimator"]))
+        if "tracker" in algo:
+            sections.append((TrackerParams, algo["tracker"]))
+    for cls, section in sections:
+        for f in fields(cls):
+            if f.name in section:
+                assert section[f.name] != f.default, (cls.__name__, f.name)
+    assert "tracking" not in d
+    assert d["algorithms"][4] == {
+        "label": "HARD-EST",
+        "estimator": {"variant": "hard", "mu": 0.001, "burn_in": 200},
+        "tracker": {"xi": 0.001},
+    }
+
+
 def test_load_specs_names_the_entry_of_a_list(tmp_path):
     d = spec_to_dict(build_exp2())
     del d["sensing"]["m"]
@@ -365,6 +496,11 @@ def _without_sensing_count() -> str:
     return yaml.safe_dump(d)
 
 
+def _with_numeric_variant() -> str:
+    d = spec_to_dict(build_exp2(trials=1))
+    return yaml.safe_dump(_set(d, ("algorithms", 0, "estimator", "variant"), 3))
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -373,8 +509,10 @@ def _without_sensing_count() -> str:
         (_without_sensing_count(), "missing config key sensing.count"),
         ("experiments: 5\n", "config key experiments must be a list"),
         ("a: [\n", "expected the node content"),
+        (_with_numeric_variant(), "algorithms[0].estimator.variant must be str, got 3"),
     ],
-    ids=["name-only", "empty", "no-sensing-count", "experiments-not-a-list", "bad-yaml"],
+    ids=["name-only", "empty", "no-sensing-count", "experiments-not-a-list", "bad-yaml",
+         "numeric-variant"],
 )
 def test_cli_run_reports_a_config_error_on_one_line(tmp_path, text, message):
     path = tmp_path / "bad.yaml"
@@ -429,6 +567,19 @@ def test_export_matches_registry(tmp_path):
         assert main(["export", name, "--out", str(path)]) == 0
         built = get_experiment(name)
         assert load_specs(path) == (built if isinstance(built, list) else [built])
+
+
+def test_exported_config_runs_byte_identical_to_the_registry(tmp_path):
+    from sparselms.cli import main
+
+    save_spec(get_experiment("exp2", n=64), tmp_path / "exp2.yaml")
+    out = {"registry": tmp_path / "registry", "config": tmp_path / "config"}
+    assert main(["run", "exp2", "--scale", "64", "--trials", "1",
+                 "--out", str(out["registry"])]) == 0
+    assert main(["run", str(tmp_path / "exp2.yaml"), "--trials", "1",
+                 "--out", str(out["config"])]) == 0
+    for name in ("exp2_curves.csv", "exp2_summary.csv"):
+        assert (out["config"] / name).read_bytes() == (out["registry"] / name).read_bytes()
 
 
 def test_save_and_load_round_trip(tmp_path):
