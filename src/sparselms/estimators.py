@@ -40,13 +40,25 @@ from .tracker import (
     tracker_update,
 )
 
-# the EstimatorConfig fields each variant reads besides mu and burn_in
-READS = {"lms": (), "za": ("rho",), "rza": ("rho", "epsilon"), "l0": ("rho", "beta"),
-         "sza": ("rho", "s"), "hard": ("s",), "hard_l0": ("rho", "beta", "s")}
+# the EstimatorConfig fields each variant reads besides mu; burn_in delays a
+# penalty or a projection, and lms has neither
+READS = {"lms": (), "za": ("rho", "burn_in"), "rza": ("rho", "epsilon", "burn_in"),
+         "l0": ("rho", "beta", "burn_in"), "sza": ("rho", "s", "burn_in"),
+         "hard": ("s", "burn_in"), "hard_l0": ("rho", "beta", "s", "burn_in")}
 VARIANTS = tuple(READS)
 
 # variants that need a sparsity budget s
 THRESHOLDED = frozenset(v for v, names in READS.items() if "s" in names)
+# variants that end a step with a top-s cut or an occupancy mask
+PROJECTED = frozenset(("hard", "hard_l0"))
+
+
+def reads_tracker(config: "EstimatorConfig", params: TrackerParams) -> bool:
+    """True when a budget or a mask of this variant queries the tracker: a
+    thresholded variant without a fixed s, or a projected one with use_support."""
+    if config.variant not in THRESHOLDED:
+        return False
+    return config.s is None or (params.use_support and config.variant in PROJECTED)
 
 
 @dataclass(frozen=True)
@@ -96,6 +108,8 @@ def prediction_error(state: EstimatorState, sample) -> complex:
 
 
 # -- penalties g(w, config, s) -------------------------------------------------
+#
+# Each returns a fresh array, which the step scales by rho in place.
 
 
 def _za(w, cfg, s):
@@ -105,12 +119,22 @@ def _za(w, cfg, s):
 
 def _rza(w, cfg, s):
     """Reweighted attraction: sgn(w) / (1 + epsilon |w|)."""
-    return complex_sign(w) / (1.0 + cfg.epsilon * np.abs(w))
+    g = complex_sign(w)
+    weight = np.abs(w)
+    weight *= cfg.epsilon
+    weight += 1.0
+    g /= weight
+    return g
 
 
 def _l0(w, cfg, s):
     """Smoothed-l0 attraction: sgn(w) * exp(-beta |w|)."""
-    return complex_sign(w) * np.exp(-cfg.beta * np.abs(w))
+    g = complex_sign(w)
+    weight = np.abs(w)
+    weight *= -cfg.beta
+    np.exp(weight, out=weight)
+    g *= weight
+    return g
 
 
 def _selective(w, cfg, s):
@@ -185,7 +209,8 @@ class Estimator:
     on it).  When ``config.s`` is None the budget is supplied each step by the
     tracker, which consumes the update direction b(n) the step already
     computed.  With ``use_support`` the tracker's occupancy mask replaces the
-    top-s cut of the thresholded variants.
+    top-s cut of the thresholded variants.  A tracker that no budget or mask
+    reads, or whose ``xi`` is 0, is not updated.
 
     After a top-s cut the next active step takes the support path when
     ``state.w`` is still the array that cut returned and the budget equals the
@@ -222,10 +247,19 @@ class Estimator:
         self._budget = self._project = None
         if variant in THRESHOLDED:
             self._budget = self._tracker_budget if config.s is None else self._fixed_budget
-        if variant in ("hard", "hard_l0"):
+        if variant in PROJECTED:
             self._project = _top_s
             if tracker_params is not None and tracker_params.use_support:
                 self._budget, self._project = self._mask_budget, _occupancy
+        # a budget reads err only through |w - xi err|, which is |w| when xi = 0
+        # and err is finite.  err turns non-finite only when b = e* x overflows
+        # in a diverged run; the NaN that 0 err then puts in w - 0 err is not
+        # reproduced.
+        self._track = (
+            tracker_params is not None
+            and tracker_params.xi != 0.0
+            and reads_tracker(config, tracker_params)
+        )
 
     def _fixed_budget(self, w):
         return self.config.s, None
@@ -243,7 +277,7 @@ class Estimator:
         cfg = self.config
         st = self.state
         active = st.n >= cfg.burn_in
-        s = mask = pen = kept = None
+        s = mask = shrink = kept = None
         if active and self._budget is not None:
             s, mask = self._budget(st.w)
         if active and self._project is _top_s:
@@ -251,32 +285,34 @@ class Estimator:
         w = st.w if kept is None else st.w[kept]
         if self._penalty is not None and (active or self._penalty_in_burn_in):
             # complex_sign(0) = 0, so off K the penalty is exactly zero
-            pen = self._penalty(w, cfg, s)
+            shrink = self._penalty(w, cfg, s)
+            shrink *= cfg.rho
         e = prediction_error(st, sample)
-        c = cfg.mu * e.conjugate()
+        e_conj = e.conjugate()
+        c = cfg.mu * e_conj
         if kept is not None:
             v = w + c * sample.x[kept]
-            if pen is not None:
-                v -= cfg.rho * pen
+            if shrink is not None:
+                v -= shrink
             if _certified(v, c):
                 st.w[kept] = v
             else:
-                if pen is not None:
+                if shrink is not None:
                     full = np.zeros_like(st.w)
-                    full[kept] = pen
-                    pen = full
+                    full[kept] = shrink
+                    shrink = full
                 kept = None
         if kept is None:
             st.w += c * sample.x
-            if pen is not None:
-                st.w -= cfg.rho * pen
+            if shrink is not None:
+                st.w -= shrink
             if active and self._project is not None:
                 st.w = self._project(st.w, s, mask)
                 if self._project is _top_s:
                     self._cut = (np.flatnonzero(st.w), st.w)
         st.n += 1
 
-        if self.tracker is not None:
-            tracker_update(self.tracker, e.conjugate() * sample.x)
+        if self._track:
+            tracker_update(self.tracker, e_conj * sample.x)
         self.last_s = s
         return e

@@ -26,7 +26,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .estimators import READS, THRESHOLDED, EstimatorConfig
+from .estimators import READS, THRESHOLDED, EstimatorConfig, reads_tracker
 from .harness import AlgorithmSpec, ExperimentSpec, TrackingSpec
 from .sensing import RepeatedPass, SensingConfig, Windowed
 from .signals import SignalSpec
@@ -320,11 +320,12 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     for i, algo in enumerate(spec.algorithms):
         est, where = algo.estimator, f"algorithms[{i}]"
         for f in fields(est):
-            read = f.name in ("variant", "mu", "burn_in", *READS[est.variant])
+            read = f.name in ("variant", "mu", *READS[est.variant])
             if not read and getattr(est, f.name) != f.default:
                 raise ValueError(f"{where}.estimator.{f.name} is ignored by variant {est.variant}")
-        if algo.tracker is not None and est.variant not in THRESHOLDED:
-            raise ValueError(f"{where}.tracker is ignored by variant {est.variant}")
+        if algo.tracker is not None and not reads_tracker(est, algo.tracker):
+            fixed = " with a fixed s" if est.variant in THRESHOLDED else ""
+            raise ValueError(f"{where}.tracker is ignored by variant {est.variant}{fixed}")
     return spec
 
 

@@ -24,10 +24,31 @@ from .tracker import TrackerParams
 
 DB_FLOOR = -120.0
 
+# iterates per r-MSE pass in run_trial: one (RMSE_BLOCK, N) reduction replaces
+# RMSE_BLOCK per-step ones
+RMSE_BLOCK = 32
+
 
 def _sq_norm(v: np.ndarray) -> float:
     """||v||^2 of a complex vector, summed as re^2 + im^2."""
     return float((v.real ** 2 + v.imag ** 2).sum())
+
+
+def _rmse_rows(block: np.ndarray, w_true: np.ndarray, sig2: float, sq: np.ndarray, out) -> None:
+    """out[r] = _sq_norm(block[r] - w_true) / sig2 for the first out.size rows.
+
+    Each row sum reduces a contiguous row of re^2 + im^2, as the 1-D sum in
+    _sq_norm does, so every value is the per-step one bit for bit.  ``block``
+    and ``sq`` are preallocated work arrays; both are overwritten.
+    """
+    rows = out.size
+    d = block[:rows]
+    d -= w_true
+    f = d.view(float)  # re, im interleaved
+    np.multiply(f, f, out=f)
+    np.add(f[:, 0::2], f[:, 1::2], out=sq[:rows])
+    sq[:rows].sum(axis=1, out=out)
+    out /= sig2
 
 
 def rmse(w_true: np.ndarray, w_est: np.ndarray) -> float:
@@ -179,6 +200,8 @@ def run_trial(spec: ExperimentSpec, algo: AlgorithmSpec, trial: int) -> TrialRec
     total = sum(p.sensing.total_samples for p in phases)
     rmse_lin = np.empty(total)
     s_traj = np.full(total, np.nan) if adaptive else None
+    block = np.empty((RMSE_BLOCK, spec.signal.n), dtype=complex)
+    sq = np.empty(block.shape)
 
     i = 0
     try:
@@ -188,12 +211,17 @@ def run_trial(spec: ExperimentSpec, algo: AlgorithmSpec, trial: int) -> TrialRec
             stream = make_stream(
                 phase.sensing, itertools.repeat(phase.z, phase.sensing.n_windows), phase.sigma
             )
+            start = i  # first step whose iterate is in block[0]
             for sample in stream:
                 est.step(sample)
-                rmse_lin[i] = _sq_norm(est.state.w - w_true) / sig2
+                block[i - start] = est.state.w
                 if adaptive and est.last_s is not None:
                     s_traj[i] = est.last_s
                 i += 1
+                if i - start == RMSE_BLOCK:
+                    _rmse_rows(block, w_true, sig2, sq, rmse_lin[start:i])
+                    start = i
+            _rmse_rows(block, w_true, sig2, sq, rmse_lin[start:i])
     except ValueError as err:
         raise ValueError(f"{algo.label} trial {trial}, step {i + 1}: {err}") from err
     assert i == total

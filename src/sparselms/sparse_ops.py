@@ -91,10 +91,9 @@ def complex_sign(v):
         return v / m if m > 0 else v * 0
     v = np.asarray(v)
     mag = np.abs(v)
-    out = np.zeros(v.shape, dtype=np.result_type(v.dtype, float))
-    nz = mag > 0
-    out[nz] = v[nz] / mag[nz]
-    return out
+    # NaN fails mag > 0, so a NaN entry keeps its 0 like a zero entry
+    out = np.zeros(v.shape, dtype=np.promote_types(v.dtype, float))
+    return np.divide(v, mag, out=out, where=mag > 0)
 
 
 def selective_penalty(v, s: int) -> np.ndarray:

@@ -10,7 +10,7 @@ number of coefficients passing is the sparsity estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,11 @@ class TrackerState:
     err: np.ndarray
     kappa: float
     params: TrackerParams
+    # work array for (1/kappa) b, so an update allocates nothing
+    _scaled: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._scaled = np.empty_like(self.err)
 
 
 def make_tracker(params: TrackerParams, n_dim: int) -> TrackerState:
@@ -55,7 +60,7 @@ def tracker_update(state: TrackerState, b: np.ndarray) -> TrackerState:
     state.kappa = state.params.lam * state.kappa + 1.0
     inv = 1.0 / state.kappa
     state.err *= 1.0 - inv
-    state.err -= inv * b
+    state.err -= np.multiply(b, inv, out=state._scaled)
     return state
 
 

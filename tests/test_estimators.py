@@ -18,6 +18,7 @@ from sparselms.sensing import (
     make_stream,
 )
 from sparselms.signals import SignalSpec, multisine, true_spectrum
+from sparselms.sparse_ops import keep_mask
 from sparselms.tracker import TrackerParams
 
 
@@ -147,6 +148,66 @@ def test_hard_l0_composes_penalty_and_threshold():
         "hard_l0", [0.5 + 0j], sample_of([1], 0.5), mu=0.5, rho=0.005, beta=0.5, s=1
     )
     np.testing.assert_allclose(est.state.w, [0.4961060], atol=5e-8)
+
+
+# -- penalties against the reference formulas ------------------------------------
+#
+# The formulas below are the penalties as first written, out of place; the
+# in-place forms must give the same bits, NaN handling included.
+
+
+def _ref_complex_sign(v):
+    v = np.asarray(v)
+    mag = np.abs(v)
+    out = np.zeros(v.shape, dtype=np.result_type(v.dtype, float))
+    nz = mag > 0
+    out[nz] = v[nz] / mag[nz]
+    return out
+
+
+def _ref_selective(v, s):
+    pen = _ref_complex_sign(v)
+    pen[keep_mask(v, s)] = 0
+    return pen
+
+
+_edge_floats = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-310, 1.0, -1.0, 1e300, -1.7976931348623157e308,
+     1.7976931348623157e308, math.nan, math.inf, -math.inf]
+)
+_any_float = st.one_of(_edge_floats, st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    re=st.lists(_any_float, min_size=1, max_size=16),
+    im=st.lists(_any_float, min_size=16, max_size=16),
+    real=st.booleans(),
+    weight=st.floats(min_value=1e-300, max_value=1e300),
+    s=st.integers(min_value=1, max_value=16),
+)
+def test_penalties_match_the_reference_formulas_bit_for_bit(re, im, real, weight, s):
+    w = np.array(re) if real else np.array(re) + 1j * np.array(im[: len(re)])
+    cfg = EstimatorConfig("hard_l0", mu=0.01, rho=0.1, beta=weight, epsilon=weight)
+    with np.errstate(all="ignore"):
+        assert _bits(estimators.complex_sign(w)) == _bits(_ref_complex_sign(w))
+        assert _bits(estimators._za(w, cfg, None)) == _bits(_ref_complex_sign(w))
+        rza = _ref_complex_sign(w) / (1.0 + weight * np.abs(w))
+        assert _bits(estimators._rza(w, cfg, None)) == _bits(rza)
+        l0 = _ref_complex_sign(w) * np.exp(-weight * np.abs(w))
+        assert _bits(estimators._l0(w, cfg, None)) == _bits(l0)
+    assert not estimators.complex_sign(np.array([math.nan, complex(math.nan, 1.0)])).any()
+    s = min(s, w.size)
+    if np.isfinite(w).all():
+        with np.errstate(all="ignore"):
+            assert _bits(estimators._selective(w, cfg, s)) == _bits(_ref_selective(w, s))
+    else:
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite coefficient"):
+            estimators._selective(w, cfg, s)
 
 
 # -- reduction lattice ---------------------------------------------------------
@@ -337,6 +398,25 @@ def test_last_s_none_without_thresholding():
         for _ in range(3):
             est.step(x)
             assert est.last_s is None
+
+
+@pytest.mark.parametrize(
+    "config, params, updated",
+    [
+        (EstimatorConfig("hard", mu=0.1), TrackerParams(xi=0.5), True),
+        (EstimatorConfig("hard", mu=0.1), TrackerParams(xi=0.0), False),  # w - 0 err = w
+        (EstimatorConfig("hard", mu=0.1, s=1), TrackerParams(xi=0.5), False),
+        (EstimatorConfig("hard", mu=0.1, s=1), TrackerParams(xi=0.5, use_support=True), True),
+        (EstimatorConfig("sza", mu=0.1, rho=0.01, s=1),
+         TrackerParams(xi=0.5, use_support=True), False),
+        (EstimatorConfig("lms", mu=0.1), TrackerParams(xi=0.5), False),
+    ],
+)
+def test_tracker_is_updated_only_when_a_budget_reads_its_error(config, params, updated):
+    est = Estimator(config, 3, params)
+    est.step(MeasurementSample(np.array([1.0, 1.0j, -1.0]), 0.5))
+    assert (est.tracker.kappa == 1.0) is updated
+    assert bool(est.tracker.err.any()) is updated
 
 
 # -- noiseless identification -----------------------------------------------------

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import json
 import math
 import os
 import re
@@ -87,8 +89,8 @@ def test_rmse_zero_reference_rejected():
 # -- divergence guard and LMS floor ----------------------------------------------
 
 
-def _poisoned_at(step: int):
-    """An Estimator whose iterate gets a NaN right after the given step."""
+def _poisoned_at(step: int, value: float = math.nan):
+    """An Estimator whose iterate gets ``value`` right after the given step."""
 
     class Poisoned(harness.Estimator):
         done = 0
@@ -97,7 +99,7 @@ def _poisoned_at(step: int):
             super().step(sample)
             self.done += 1
             if self.done == step:
-                self.state.w[3] = math.nan
+                self.state.w[3] = value
 
     return Poisoned
 
@@ -122,6 +124,70 @@ def test_run_experiment_never_averages_a_diverged_trial(monkeypatch):
     monkeypatch.setattr(harness, "Estimator", _poisoned_at(7))
     with pytest.raises(ValueError, match=r"trial 0"):
         run_experiment(tiny_spec(trials=2, algorithms=tiny_spec().algorithms[1:]))
+
+
+def _per_step_rmse(spec, algo, trial):
+    """run_trial's r-MSE trajectory recomputed with _sq_norm after every step."""
+    est = harness.Estimator(algo.estimator, spec.signal.n, algo.tracker)
+    out = []
+    for phase in harness._build_phases(spec, trial):
+        sig2 = harness._sq_norm(phase.w_true)
+        windows = itertools.repeat(phase.z, phase.sensing.n_windows)
+        for sample in harness.make_stream(phase.sensing, windows, phase.sigma):
+            est.step(sample)
+            out.append(harness._sq_norm(est.state.w - phase.w_true) / sig2)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("build", [build_exp2, build_exp3, build_exp4_tracking])
+def test_blocked_rmse_matches_a_per_step_reference(build):
+    spec = build(trials=1, n=64)
+    # a partial last block, and for exp4 a phase change inside a block
+    lengths = [p.sensing.total_samples for p in harness._build_phases(spec, 0)]
+    assert any(n % harness.RMSE_BLOCK for n in lengths)
+    for algo in spec.algorithms:
+        got = run_trial(spec, algo, 0).rmse_lin_trajectory
+        want = _per_step_rmse(spec, algo, 0)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), algo.label
+
+
+@pytest.mark.parametrize(
+    "step, value, message",
+    [
+        # poisoned during burn-in (26 steps): the first top-s cut refuses it
+        pytest.param(5, math.nan, "trial 0, step 27: non-finite coefficient at position 0: "
+                     "(nan+nanj)", id="nan-in-burn-in"),
+        pytest.param(15, math.inf, "trial 0, step 27: non-finite coefficient at position 0: "
+                     "(nan+nanj)", id="inf-in-burn-in"),
+        pytest.param(400, math.nan, "trial 0, step 401: non-finite coefficient at position 0: "
+                     "(nan+nanj)", id="nan-after-burn-in"),
+        # a finite iterate whose r-MSE overflows, and whose error update b can
+        pytest.param(40, 1.7e308, "trial 0: r-MSE is inf at step 40", id="huge-early"),
+        pytest.param(1000, 1e307, "trial 0: r-MSE is inf at step 1000", id="huge-late"),
+    ],
+)
+def test_diverging_xi0_tracker_is_reported_where_it_was(monkeypatch, step, value, message):
+    # HARD-EST-SIMPLE (xi = 0) skips its tracker updates; each failure keeps the
+    # step and the message of a run that makes them
+    spec = build_exp4_tracking(trials=1, n=64)
+    algo = spec.algorithms[1]
+    assert algo.tracker.xi == 0.0 and algo.estimator.burn_in == 26
+    monkeypatch.setattr(harness, "Estimator", _poisoned_at(step, value))
+    with pytest.raises(ValueError, match=rf"^{re.escape(f'{algo.label} {message}')}$"):
+        run_trial(spec, algo, 0)
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_registry_csvs_match_recorded_digests(tmp_path, name):
+    # SHA-256 of every CSV that `sparselms run NAME --scale 64 --trials 2` writes:
+    # a change of the arithmetic, the BLAS or a numpy kernel that moves a bit of
+    # a curve fails here instead of drifting silently
+    from sparselms.cli import main
+
+    digests = json.loads((Path(__file__).parent / "data" / "registry_digests.json").read_text())
+    assert main(["run", name, "--scale", "64", "--trials", "2", "--out", str(tmp_path)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
+    assert got == digests[name]
 
 
 # About six times the per-trial spread of the LMS steady state around the
@@ -418,6 +484,34 @@ def test_config_rejects_a_tracker_without_a_budget():
     d = _set(spec_to_dict(build_exp2()), ("algorithms", 4, "tracker"), {})
     assert d["algorithms"][4]["estimator"]["variant"] == "lms"
     with pytest.raises(ValueError, match=r"^algorithms\[4\]\.tracker is ignored by variant lms$"):
+        spec_from_dict(d)
+
+
+@pytest.mark.parametrize("index, use_support", [(0, False), (3, True)])
+def test_config_rejects_a_tracker_the_budget_never_reads(index, use_support):
+    # a fixed s is read in place of the tracker's count; sza has no mask
+    build = build_exp2 if index == 0 else build_exp3
+    d = spec_to_dict(build(n=64))
+    d = _set(d, ("algorithms", index, "tracker"), {"use_support": use_support})
+    variant = d["algorithms"][index]["estimator"]["variant"]
+    assert d["algorithms"][index]["estimator"]["s"] > 0
+    name = re.escape(f"algorithms[{index}].tracker")
+    with pytest.raises(ValueError, match=rf"^{name} is ignored by variant {variant} with a fixed s$"):
+        spec_from_dict(d)
+
+
+def test_config_accepts_a_mask_tracker_with_a_fixed_s():
+    d = _set(spec_to_dict(build_exp2(n=64)), ("algorithms", 0, "tracker"), {"use_support": True})
+    assert spec_from_dict(d).algorithms[0].tracker == TrackerParams(use_support=True)
+
+
+def test_config_rejects_burn_in_under_lms():
+    # lms has no penalty or projection for burn-in to delay
+    d = _set(spec_to_dict(build_exp2(n=64)), ("algorithms", 4, "estimator", "burn_in"), 500)
+    assert d["algorithms"][4]["estimator"]["variant"] == "lms"
+    with pytest.raises(
+        ValueError, match=r"^algorithms\[4\]\.estimator\.burn_in is ignored by variant lms$"
+    ):
         spec_from_dict(d)
 
 

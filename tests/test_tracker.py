@@ -43,6 +43,22 @@ def test_unit_forgetting_gives_running_mean():
     np.testing.assert_allclose(st.err, -bs.mean(axis=0), atol=1e-12)
 
 
+def test_update_matches_its_formula_and_leaves_the_direction_alone():
+    st = make_tracker(TrackerParams(lam=0.9), 4)
+    rng = np.random.default_rng(5)
+    err = np.zeros(4, dtype=complex)
+    kappa = 0.0
+    for _ in range(5):
+        b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        b_before = b.copy()
+        kappa = 0.9 * kappa + 1.0
+        inv = 1.0 / kappa
+        err = (1.0 - inv) * err - inv * b
+        tracker_update(st, b)
+        assert st.err.view(np.uint64).tolist() == err.view(np.uint64).tolist()
+        np.testing.assert_array_equal(b, b_before)
+
+
 def test_kappa_fixed_point():
     st = make_tracker(TrackerParams(lam=0.99), 1)
     prev = 0.0
