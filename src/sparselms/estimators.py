@@ -19,6 +19,15 @@ step every entry off K of the dense update is exactly c x_k (c = mu e*), of
 magnitude |c| for unit-magnitude rows.  When every entry on K provably
 outweighs |c| (``_certified``), the cut would return K again, and updating
 w[K] alone gives the dense result bit for bit.  Otherwise the dense steps run.
+
+Budget path: on the same array, the tracker's count is read from K, and after
+certified steps it is reused while a bound on how far any |w_k - xi err_k| on
+K has moved stays below the slack of the last count (``_budget_support``).
+Otherwise the budget is the full O(N) query, ``estimate_sparsity``.
+
+The scalars of a step (e, e*, c = mu e* and the bounds) are Python numbers:
+``prediction_error`` converts numpy's e, and c is formed as complex x complex,
+which is numpy's complex128 product bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +46,9 @@ from .tracker import (
     estimate_sparsity,
     make_tracker,
     occupancy_mask,
+    reset_bound,
+    support_count,
+    support_quiet,
     tracker_update,
 )
 
@@ -101,10 +113,10 @@ class EstimatorState:
 
 
 def prediction_error(state: EstimatorState, sample) -> complex:
-    """e(n) = y(n) - w(n)^H x(n)."""
+    """e(n) = y(n) - w(n)^H x(n), numpy's complex128 value as a Python complex."""
     if sample.x.shape != state.w.shape:
         raise ValueError(f"regressor has shape {sample.x.shape}, expected {state.w.shape}")
-    return sample.y - np.vdot(state.w, sample.x)
+    return complex(sample.y - np.vdot(state.w, sample.x))
 
 
 # -- penalties g(w, config, s) -------------------------------------------------
@@ -119,8 +131,8 @@ def _za(w, cfg, s):
 
 def _rza(w, cfg, s):
     """Reweighted attraction: sgn(w) / (1 + epsilon |w|)."""
-    g = complex_sign(w)
     weight = np.abs(w)
+    g = complex_sign(w, weight)
     weight *= cfg.epsilon
     weight += 1.0
     g /= weight
@@ -129,8 +141,8 @@ def _rza(w, cfg, s):
 
 def _l0(w, cfg, s):
     """Smoothed-l0 attraction: sgn(w) * exp(-beta |w|)."""
-    g = complex_sign(w)
     weight = np.abs(w)
+    g = complex_sign(w, weight)
     weight *= -cfg.beta
     np.exp(weight, out=weight)
     g *= weight
@@ -175,7 +187,7 @@ def _occupancy(w, s, mask):
 # 2^-1074, which _TINY covers.  If min m2(v) on K beats the bound, the s = |K|
 # largest entries of the dense update are exactly K and keep_mask returns K.
 _DELTA = 1e-12
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 
 
 def _support(cut, w, s, x):
@@ -200,6 +212,42 @@ def _certified(v, c) -> bool:
     return bool(m2[0] > c2 * (1.0 + _DELTA) + _TINY and m2[-1] < math.inf)
 
 
+# -- budget path ---------------------------------------------------------------
+#
+# The tracker's count is #{k : a_k > q*}, a_k the computed |w_k - xi err_k|.  On
+# the array of the last top-s cut, w is exactly zero off K; while support_quiet
+# holds no entry off K passes, and support_count over K is the full count.  It
+# also returns the slack sigma, the smallest computed |a_k - q*| on K.
+#
+# Reusing the count.  Let t_k = |w_k - xi err_k| in exact arithmetic on the
+# stored floats and d_k = |a_k - q*| >= sigma / (1 + u).  A certified step moves
+# t_k by at most |dw_k| + xi |derr_k|, with c = mu e*, |x_k| <= 1 + 3u, l0's
+# |g_k| <= 1 + 3u, inv = 1/kappa, B the bound before the update and
+# beta = |e| (1 + _DELTA) the bound on |b_k| = |fl(e* x_k)|:
+#   |dw_k|   <= (|c| + rho)(1 + 8u) + 3u |w_k|,      |w_k| <= t_k + xi B,
+#   |derr_k| <= inv (B + beta)(1 + 3u) + 2u B          (fl(1 - inv) within u).
+# Computing a_k adds at most 4u (t_k + xi B) + tiny, at the count and at the
+# reuse.  The drift D starts at _DELTA (q* + sigma + xi B) + _TINY and each
+# certified step adds
+#   ((|c| + rho) + xi (inv (B + beta) + _DELTA B))(1 + _DELTA)
+#       + _DELTA (q* + sigma + xi B') + _TINY            (B' after the update).
+# While D < sigma after n steps, the terms absolute or relative to q* and xi B
+# sum to less than sigma (1 - (n + 1) _DELTA), and t_k <= q* + d_k + sigma
+# leaves terms relative to d_k below (9 + 3n) u d_k, less than the (n + 1)
+# _DELTA d_k to spare: every a_k stays on its side of q*, and so does the count.
+# A dense step, a reassigned w, a non-unit row (beta = +inf), NaN or inf (a NaN
+# sigma, B or D fails every comparison) or a failed support_quiet runs the full
+# query, which resets B to max |err_k|.
+
+
+def _budget_support(cut, w, tracker):
+    """K of the last top-s cut when the tracker's count may be read from K, else
+    None: w is that cut's array, so zero off K, and support_quiet holds."""
+    if cut is None or cut[1] is not w or not support_quiet(tracker):
+        return None
+    return cut[0]
+
+
 class Estimator:
     """Drives one update rule over a measurement stream.
 
@@ -214,7 +262,9 @@ class Estimator:
 
     After a top-s cut the next active step takes the support path when
     ``state.w`` is still the array that cut returned and the budget equals the
-    kept count; reassigning ``state.w`` sends the step back to the dense rule.
+    kept count; reassigning ``state.w`` sends the step back to the dense rule
+    and the budget back to the full query.  Both paths assume that only
+    ``step`` writes into that array: change ``state.w`` by assigning a new one.
     """
 
     def __init__(
@@ -242,6 +292,12 @@ class Estimator:
         self.last_s: int | None = None
 
         self._cut = None  # (K, w) of the last top-s cut
+        self._mu = complex(config.mu)
+        # the budget path: last count on K, its slack and the drift since
+        self._count = None
+        self._slack = 0.0  # nothing to spend: the next query counts afresh
+        self._drift = 0.0
+        self._rho = config.rho if variant in _PENALTY else 0.0
         self._penalty = _PENALTY.get(variant)
         self._penalty_in_burn_in = variant == "hard_l0"
         self._budget = self._project = None
@@ -265,7 +321,19 @@ class Estimator:
         return self.config.s, None
 
     def _tracker_budget(self, w):
-        return estimate_sparsity(self.tracker, w), None
+        tr = self.tracker
+        kept = _budget_support(self._cut, w, tr)
+        if kept is None:
+            self._slack = 0.0
+            s = estimate_sparsity(tr, w)
+            reset_bound(tr)
+            return s, None
+        if not self._drift < self._slack:
+            count, self._slack = support_count(tr, w, kept)
+            self._count = clamp_budget(count, w.size)
+            p = tr.params
+            self._drift = _DELTA * (p.q_star + self._slack + p.xi * tr.bound) + _TINY
+        return self._count, None
 
     def _mask_budget(self, w):
         mask = occupancy_mask(self.tracker, w)
@@ -289,7 +357,7 @@ class Estimator:
             shrink *= cfg.rho
         e = prediction_error(st, sample)
         e_conj = e.conjugate()
-        c = cfg.mu * e_conj
+        c = self._mu * e_conj
         if kept is not None:
             v = w + c * sample.x[kept]
             if shrink is not None:
@@ -303,6 +371,7 @@ class Estimator:
                     shrink = full
                 kept = None
         if kept is None:
+            self._slack = 0.0
             st.w += c * sample.x
             if shrink is not None:
                 st.w -= shrink
@@ -312,7 +381,25 @@ class Estimator:
                     self._cut = (np.flatnonzero(st.w), st.w)
         st.n += 1
 
+        tr = self.tracker
+        bound = beta = 0.0
         if self._track:
-            tracker_update(self.tracker, e_conj * sample.x)
+            bound = tr.bound
+            unit = kept is not None or unit_magnitude(sample.x)
+            # math.hypot, unlike abs(complex), overflows to inf without raising
+            beta = math.hypot(e.real, e.imag) * (1.0 + _DELTA) if unit else math.inf
+            tracker_update(tr, e_conj * sample.x, beta)
+        if kept is not None and self._slack:
+            # a certified step after a count on K: bound the move of every
+            # |w_k - xi err_k| on K
+            xi = tr.params.xi
+            move = math.hypot(c.real, c.imag) + self._rho
+            if self._track:
+                move += xi * ((bound + beta) / tr.kappa + _DELTA * bound)
+            self._drift += (
+                move * (1.0 + _DELTA)
+                + _DELTA * (tr.params.q_star + self._slack + xi * tr.bound)
+                + _TINY
+            )
         self.last_s = s
         return e

@@ -28,6 +28,10 @@ DB_FLOOR = -120.0
 # RMSE_BLOCK per-step ones
 RMSE_BLOCK = 32
 
+# a linear r-MSE above this marks a diverged trial even while it stays finite:
+# 60 dB above the r-MSE of 1 that the zero estimate, w = 0, reaches
+RMSE_CEILING = 1e6
+
 
 def _sq_norm(v: np.ndarray) -> float:
     """||v||^2 of a complex vector, summed as re^2 + im^2."""
@@ -191,8 +195,8 @@ def run_trial(spec: ExperimentSpec, algo: AlgorithmSpec, trial: int) -> TrialRec
     """One deterministic trial of one algorithm; records r-MSE per iteration.
 
     Raises ValueError naming the label, the trial and the step when a step
-    fails or the r-MSE turns NaN or infinite, so a diverged trial never
-    enters a curve."""
+    fails or the r-MSE turns NaN, infinite or above ``RMSE_CEILING``, so a
+    diverged trial never enters a curve."""
     phases = _build_phases(spec, trial)
     est = Estimator(algo.estimator, spec.signal.n, algo.tracker)
     adaptive = algo.tracker is not None and algo.estimator.s is None
@@ -225,12 +229,12 @@ def run_trial(spec: ExperimentSpec, algo: AlgorithmSpec, trial: int) -> TrialRec
     except ValueError as err:
         raise ValueError(f"{algo.label} trial {trial}, step {i + 1}: {err}") from err
     assert i == total
-    finite = np.isfinite(rmse_lin)
-    if not finite.all():
-        step = int(np.argmin(finite)) + 1
-        raise ValueError(
-            f"{algo.label} trial {trial}: r-MSE is {rmse_lin[step - 1]} at step {step}"
-        )
+    bounded = rmse_lin <= RMSE_CEILING  # NaN fails it too
+    if not bounded.all():
+        step = int(np.argmin(bounded)) + 1
+        value = rmse_lin[step - 1]
+        above = f", above the ceiling {RMSE_CEILING:g}" if math.isfinite(value) else ""
+        raise ValueError(f"{algo.label} trial {trial}: r-MSE is {value} at step {step}{above}")
 
     return TrialRecord(
         label=algo.label,

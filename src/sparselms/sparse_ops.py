@@ -84,13 +84,14 @@ def hard_threshold(v, s) -> np.ndarray:
     return np.where(keep_mask(v, s), v, 0)
 
 
-def complex_sign(v):
-    """Entry-wise x/|x|, with 0 at 0."""
+def complex_sign(v, mag=None):
+    """Entry-wise x/|x|, with 0 at 0; ``mag``, when given, is np.abs(v)."""
     if np.ndim(v) == 0:
         m = abs(v)
         return v / m if m > 0 else v * 0
     v = np.asarray(v)
-    mag = np.abs(v)
+    if mag is None:
+        mag = np.abs(v)
     # NaN fails mag > 0, so a NaN entry keeps its 0 like a zero entry
     out = np.zeros(v.shape, dtype=np.promote_types(v.dtype, float))
     return np.divide(v, mag, out=out, where=mag > 0)

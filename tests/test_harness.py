@@ -177,6 +177,20 @@ def test_diverging_xi0_tracker_is_reported_where_it_was(monkeypatch, step, value
         run_trial(spec, algo, 0)
 
 
+def test_run_trial_stops_a_finite_divergence(monkeypatch):
+    # w[3] = 1e150 keeps every iterate finite, and its r-MSE of about 1e300 would
+    # otherwise enter the curve
+    spec = build_exp4_tracking(trials=1, n=64)
+    algo = spec.algorithms[1]
+    monkeypatch.setattr(harness, "Estimator", _poisoned_at(5, 1e150))
+    with pytest.raises(
+        ValueError,
+        match=r"^HARD-EST-SIMPLE trial 0: r-MSE is 9\.999999999999999e\+299 at step 5, "
+        r"above the ceiling 1e\+06$",
+    ):
+        run_trial(spec, algo, 0)
+
+
 @pytest.mark.parametrize("name", list(REGISTRY))
 def test_registry_csvs_match_recorded_digests(tmp_path, name):
     # SHA-256 of every CSV that `sparselms run NAME --scale 64 --trials 2` writes:
