@@ -39,22 +39,24 @@ def _cmd_export(args) -> int:
 
 
 def _resolve_specs(args):
+    """The specs to run, with the overrides applied; a config error, a bad
+    override or a signal that cannot be drawn exits with a one-line message."""
     target = args.experiment
-    if target in experiments.REGISTRY:
-        built = experiments.get_experiment(
-            target, trials=args.trials, n=args.scale, seed=args.seed
-        )
-        return built if isinstance(built, list) else [built]
     path = Path(target)
-    if not path.exists():
+    if target not in experiments.REGISTRY and not path.exists():
         raise SystemExit(f"no such experiment or config file: {target}")
     try:
+        if target in experiments.REGISTRY:
+            built = experiments.get_experiment(
+                target, trials=args.trials, n=args.scale, seed=args.seed
+            )
+            return built if isinstance(built, list) else [built]
         loaded = experiments.load_specs(path)
+        given = {"trials": args.trials, "seed": args.seed}
+        overrides = {k: v for k, v in given.items() if v is not None}
+        specs = [replace(s, **overrides) for s in loaded]
     except (ValueError, yaml.YAMLError) as err:
         raise SystemExit("error: " + " ".join(str(err).split())) from None
-    given = {"trials": args.trials, "seed": args.seed}
-    overrides = {k: v for k, v in given.items() if v is not None}
-    specs = [replace(s, **overrides) for s in loaded]
     if args.scale is not None:
         raise SystemExit("--scale applies to registry experiments only")
     return specs

@@ -23,7 +23,14 @@ w[K] alone gives the dense result bit for bit.  Otherwise the dense steps run.
 Budget path: on the same array, the tracker's count is read from K, and after
 certified steps it is reused while a bound on how far any |w_k - xi err_k| on
 K has moved stays below the slack of the last count (``_budget_support``).
-Otherwise the budget is the full O(N) query, ``estimate_sparsity``.
+Otherwise the budget is the full O(N) query, ``estimate_sparsity``.  A
+certified step of such a budget logs its tracker update (``log_update``)
+instead of running it: only the count on K and full reads of ``err`` replay it.
+
+Selective path (sza): its iterate stays dense, but its top-s set K stops
+changing.  After an exact cut with a strict gap around K, the set is reused
+while a bound on how far any |w_k| has moved since stays below half the gap
+(``_kept_top``); the penalty is then complex_sign(w) with zeros on K.
 
 The scalars of a step (e, e*, c = mu e* and the bounds) are Python numbers:
 ``prediction_error`` converts numpy's e, and c is formed as complex x complex,
@@ -32,6 +39,7 @@ which is numpy's complex128 product bit for bit.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -44,6 +52,7 @@ from .tracker import (
     TrackerState,
     clamp_budget,
     estimate_sparsity,
+    log_update,
     make_tracker,
     occupancy_mask,
     reset_bound,
@@ -212,6 +221,68 @@ def _certified(v, c) -> bool:
     return bool(m2[0] > c2 * (1.0 + _DELTA) + _TINY and m2[-1] < math.inf)
 
 
+# -- selective path ------------------------------------------------------------
+#
+# At an exact cut on w0, with m2 = fl(re^2 + im^2) as in keep_mask, K holds the
+# s entries with m2 >= hi and every other entry has m2 <= lo < hi: a strict
+# gap, so |K| = s and no entry ties at the cut.  m2 is |w|^2 within a relative
+# 3u in the normal range and an absolute _TINY below it, so with r =
+# sqrt(_TINY) every |w0_k| on K is at least sqrt(hi)(1 - 2u) - r, every other
+# |w0_j| at most sqrt(lo)(1 + 2u) + r, and every |w0_k| at most top =
+# sqrt(max m2) + r, up to a relative 2u.
+#
+# A step stores fl(fl(w + fl(c x_k)) - fl(rho g_k)).  With |x_k| <= 1 + 3u
+# (registered rows only, sensing.UNIT_SQ_MAG_BOUND), |fl(c x_k)| <= |c|(1 + 6.1u)
+# (Higham 3.5) and |g_k| <= 1 + 4u (v / fl(|v|), or 0), and each complex sum
+# rounds by at most u of its result, so
+#   |w'_k - w_k| <= (|c| + rho)(1 + 8u) + 2u |w_k| + (products below the
+#                   normal range, a few 2^-1075),
+# and |w_k| <= top (1 + 2u) + D with D the drift since the cut.  D therefore
+# starts at 0 and each step adds
+#   (|c| + rho)(1 + _DELTA) + _DELTA (top + D) + _TINY,
+# which also covers the rounding of the sum itself.  Then every |w_k| on K is
+# at least sqrt(hi) - D and every other at most sqrt(lo) + D, up to the same
+# relative and absolute terms, and the computed m2 keep that order, up to a
+# relative 3u and an absolute _TINY, when
+#   2D + _DELTA D < gap = sqrt(hi) - sqrt(lo) - _DELTA top - 8 r
+# (terms relative to top cover the roundings of the square roots and of gap).
+# keep_mask(w, s) then returns K: the s largest m2 are K's, with no tie.
+#
+# The step falls back to the exact cut on the first active step, a reassigned
+# w, a changed s, a non-unit row at any step since the cut (D = inf), a
+# non-finite D and a non-finite e(n).  e(n) reads the same w as the penalty,
+# and a NaN or inf in w makes it NaN or inf, so a NaN written into w in place
+# still reaches keep_mask and its error.
+_ROOT_TINY = math.sqrt(_TINY)
+
+
+def _top_cut(w, s):
+    """(K, w, gap, top) of the exact top-s set of a finite w when K is
+    separated by a strict gap, else None."""
+    n = w.size
+    if s == n:
+        return None
+    m2 = w.real * w.real + w.imag * w.imag
+    part = np.partition(m2, sorted({n - s - 1, n - s, n - 1}))
+    lo, hi, peak = part[n - s - 1], part[n - s], part[n - 1]
+    if not (lo < hi and peak < math.inf):
+        return None
+    top = math.sqrt(peak) + _ROOT_TINY
+    gap = math.sqrt(hi) - math.sqrt(lo) - _DELTA * top - 8.0 * _ROOT_TINY
+    return np.flatnonzero(m2 >= hi), w, gap, top
+
+
+def _kept_top(top, w, s, drift, e):
+    """K of the last exact top-s cut when keep_mask(w, s) provably returns it
+    again, else None.  ``top`` is that cut's ``_top_cut`` and ``drift`` the
+    bound on how far any |w_k| has moved since."""
+    if top is None or top[1] is not w or top[0].size != s or not cmath.isfinite(e):
+        return None
+    if not 2.0 * drift + _DELTA * drift < top[2]:  # NaN fails too
+        return None
+    return top[0]
+
+
 # -- budget path ---------------------------------------------------------------
 #
 # The tracker's count is #{k : a_k > q*}, a_k the computed |w_k - xi err_k|.  On
@@ -240,6 +311,15 @@ def _certified(v, c) -> bool:
 # query, which resets B to max |err_k|.
 
 
+# A certified step logs its tracker update only while xi B < q* / _QUIET_HEADROOM.
+# A full query replays the log at about the cost of the updates it holds, and it
+# runs once xi B reaches q*; B, a running bound on |e|, would have to grow
+# _QUIET_HEADROOM-fold first.  At N = 1000, xi B / q* stays below 0.02 on the
+# logged steps of exp2 and exp3, and between 0.6 and 1 in exp4, where a full
+# query runs every 20 steps on average and would replay every log.
+_QUIET_HEADROOM = 4.0
+
+
 def _budget_support(cut, w, tracker):
     """K of the last top-s cut when the tracker's count may be read from K, else
     None: w is that cut's array, so zero off K, and support_quiet holds."""
@@ -258,13 +338,16 @@ class Estimator:
     tracker, which consumes the update direction b(n) the step already
     computed.  With ``use_support`` the tracker's occupancy mask replaces the
     top-s cut of the thresholded variants.  A tracker that no budget or mask
-    reads, or whose ``xi`` is 0, is not updated.
+    reads, or whose ``xi`` is 0, is not updated; a certified step of a tracker
+    budget logs its update, which a read of ``tracker.err`` applies.
 
     After a top-s cut the next active step takes the support path when
     ``state.w`` is still the array that cut returned and the budget equals the
     kept count; reassigning ``state.w`` sends the step back to the dense rule
-    and the budget back to the full query.  Both paths assume that only
-    ``step`` writes into that array: change ``state.w`` by assigning a new one.
+    and the budget back to the full query.  sza reuses its last exact top-s
+    set only while ``state.w`` is the array that set was cut from.  These
+    paths assume that only ``step`` writes into that array: change
+    ``state.w`` by assigning a new one.
     """
 
     def __init__(
@@ -299,14 +382,24 @@ class Estimator:
         self._drift = 0.0
         self._rho = config.rho if variant in _PENALTY else 0.0
         self._penalty = _PENALTY.get(variant)
+        # the selective path: _top_cut of the last exact cut and the drift since
+        self._selective = variant == "sza"
+        self._top = None
+        self._moved = 0.0
         self._penalty_in_burn_in = variant == "hard_l0"
+        # the budget is held as a function, not a bound method: a bound method
+        # stored on its own instance is a reference cycle, which would keep the
+        # estimator's arrays (the tracker's log among them) until the cycle
+        # collector runs
         self._budget = self._project = None
         if variant in THRESHOLDED:
-            self._budget = self._tracker_budget if config.s is None else self._fixed_budget
+            self._budget = (
+                Estimator._tracker_budget if config.s is None else Estimator._fixed_budget
+            )
         if variant in PROJECTED:
             self._project = _top_s
             if tracker_params is not None and tracker_params.use_support:
-                self._budget, self._project = self._mask_budget, _occupancy
+                self._budget, self._project = Estimator._mask_budget, _occupancy
         # a budget reads err only through |w - xi err|, which is |w| when xi = 0
         # and err is finite.  err turns non-finite only when b = e* x overflows
         # in a diverged run; the NaN that 0 err then puts in w - 0 err is not
@@ -316,6 +409,11 @@ class Estimator:
             and tracker_params.xi != 0.0
             and reads_tracker(config, tracker_params)
         )
+        # certified steps log their tracker update while B < _log_below; a mask
+        # reads all of err
+        self._log = self._track and self._budget is Estimator._tracker_budget
+        if self._log:
+            self._log_below = tracker_params.q_star / (_QUIET_HEADROOM * tracker_params.xi)
 
     def _fixed_budget(self, w):
         return self.config.s, None
@@ -335,6 +433,17 @@ class Estimator:
             self._drift = _DELTA * (p.q_star + self._slack + p.xi * tr.bound) + _TINY
         return self._count, None
 
+    def _selective_penalty(self, w, s, e):
+        kept = _kept_top(self._top, w, s, self._moved, e)
+        if kept is None:
+            pen = selective_penalty(w, s)
+            self._top = _top_cut(w, s)
+            self._moved = 0.0
+            return pen
+        pen = complex_sign(w)
+        pen[kept] = 0
+        return pen
+
     def _mask_budget(self, w):
         mask = occupancy_mask(self.tracker, w)
         if self.config.s is not None:
@@ -347,15 +456,19 @@ class Estimator:
         active = st.n >= cfg.burn_in
         s = mask = shrink = kept = None
         if active and self._budget is not None:
-            s, mask = self._budget(st.w)
+            s, mask = self._budget(self, st.w)
         if active and self._project is _top_s:
             kept = _support(self._cut, st.w, s, sample.x)
         w = st.w if kept is None else st.w[kept]
-        if self._penalty is not None and (active or self._penalty_in_burn_in):
-            # complex_sign(0) = 0, so off K the penalty is exactly zero
-            shrink = self._penalty(w, cfg, s)
-            shrink *= cfg.rho
+        # before the penalty, which reads the same w; sza's certificate reads e
         e = prediction_error(st, sample)
+        if self._penalty is not None and (active or self._penalty_in_burn_in):
+            if self._selective:
+                shrink = self._selective_penalty(w, s, e)
+            else:
+                # complex_sign(0) = 0, so off K the penalty is exactly zero
+                shrink = self._penalty(w, cfg, s)
+            shrink *= cfg.rho
         e_conj = e.conjugate()
         c = self._mu * e_conj
         if kept is not None:
@@ -388,7 +501,21 @@ class Estimator:
             unit = kept is not None or unit_magnitude(sample.x)
             # math.hypot, unlike abs(complex), overflows to inf without raising
             beta = math.hypot(e.real, e.imag) * (1.0 + _DELTA) if unit else math.inf
-            tracker_update(tr, e_conj * sample.x, beta)
+            # the row's position, when the stream gives it
+            t = getattr(sample, "t", None) if kept is not None and self._log else None
+            if t is not None and bound < self._log_below:
+                log_update(tr, sample.x.base, t, e_conj, beta)
+            else:
+                tracker_update(tr, e_conj * sample.x, beta)
+        if self._top is not None:
+            if unit_magnitude(sample.x):
+                self._moved += (
+                    (math.hypot(c.real, c.imag) + self._rho) * (1.0 + _DELTA)
+                    + _DELTA * (self._top[3] + self._moved)
+                    + _TINY
+                )
+            else:
+                self._moved = math.inf
         if kept is not None and self._slack:
             # a certified step after a count on K: bound the move of every
             # |w_k - xi err_k| on K

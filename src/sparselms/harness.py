@@ -10,6 +10,7 @@ r-MSE values; conversion to dB (with a -120 dB floor) is a reporting step.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -31,6 +32,9 @@ RMSE_BLOCK = 32
 # a linear r-MSE above this marks a diverged trial even while it stays finite:
 # 60 dB above the r-MSE of 1 that the zero estimate, w = 0, reaches
 RMSE_CEILING = 1e6
+
+# rows per write in write_curves_csv
+CSV_CHUNK = 1024
 
 
 def _sq_norm(v: np.ndarray) -> float:
@@ -111,6 +115,12 @@ class ExperimentSpec:
                 raise ValueError("tracking experiments require windowed sensing")
             if sum(self.tracking.phase_windows) != self.sensing.mode.windows:
                 raise ValueError("phase windows must sum to the sensing window count")
+            total = self.signal.sines + self.tracking.extra_sines
+            if total > self.signal.n // 2 - 1:
+                raise ValueError(
+                    f"cannot place {self.signal.sines} + {self.tracking.extra_sines} sines"
+                    f" on distinct bins in [1, {self.signal.n // 2 - 1}] at n={self.signal.n}"
+                )
         if self.signal.n != self.sensing.n:
             raise ValueError(
                 f"signal.n ({self.signal.n}) must equal sensing.n ({self.sensing.n})"
@@ -300,26 +310,38 @@ def bootstrap_diff_ci(
 
 
 def write_curves_csv(result: ExperimentResult, path) -> None:
-    """One row per (algorithm, iteration): experiment,label,iteration,rmse_db,s_est_mean."""
+    """One row per (algorithm, iteration): experiment,label,iteration,rmse_db,s_est_mean.
+
+    The bytes are a csv.writer's: the name and label are quoted by one once
+    per label, the numbers need no quoting, and lines end in CRLF.  Rows are
+    formatted and written CSV_CHUNK at a time.
+    """
+    fixed = {
+        a.label: a.estimator.s
+        for a in result.spec.algorithms
+        if a.estimator.variant in THRESHOLDED
+    }
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["experiment", "label", "iteration", "rmse_db", "s_est_mean"])
-        fixed = {
-            a.label: a.estimator.s
-            for a in result.spec.algorithms
-            if a.estimator.variant in THRESHOLDED
-        }
+        writer = csv.writer(f)
+        writer.writerow(["experiment", "label", "iteration", "rmse_db", "s_est_mean"])
         for label, db in result.curves_db.items():
-            s_curve = result.s_mean[label]
+            lead = io.StringIO()
+            csv.writer(lead).writerow([result.spec.name, label, ""])
+            head = lead.getvalue()[:-2]  # "name,label," without the line end
             fixed_s = fixed.get(label)
-            for i in range(db.size):
-                if s_curve is not None and not math.isnan(s_curve[i]):
-                    s_val = f"{s_curve[i]:.4f}"
-                elif fixed_s is not None:
-                    s_val = str(fixed_s)
+            other = "" if fixed_s is None else str(fixed_s)
+            s_curve = result.s_mean[label]
+            for start in range(0, db.size, CSV_CHUNK):
+                stop = min(start + CSV_CHUNK, db.size)
+                if s_curve is None:
+                    s_vals = [other] * (stop - start)
                 else:
-                    s_val = ""
-                w.writerow([result.spec.name, label, i + 1, f"{db[i]:.6f}", s_val])
+                    s_vals = [other if math.isnan(v) else f"{v:.4f}"
+                              for v in s_curve[start:stop].tolist()]
+                f.write("".join(
+                    f"{head}{i},{d:.6f},{sv}\r\n"
+                    for i, d, sv in zip(range(start + 1, stop + 1), db[start:stop].tolist(), s_vals)
+                ))
 
 
 def write_summary_csv(result: ExperimentResult, path, tail: int | None = None) -> None:

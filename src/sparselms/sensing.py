@@ -86,10 +86,15 @@ class SensingConfig:
 
 @dataclass
 class MeasurementSample:
-    """One observation: regressor row x and noisy scalar y."""
+    """One observation: regressor row x and noisy scalar y.
+
+    ``t``, when set, is the position of x in the ``fourier_rows`` table that
+    x is a row of, so that the table's row t is x.  ``make_stream`` sets it.
+    """
 
     x: np.ndarray
     y: float
+    t: int | None = None
 
 
 # the fourier_rows tables whose roots passed the magnitude check, by id
@@ -179,4 +184,5 @@ def make_stream(
             y = y + _noise_rng(config, w).normal(0.0, noise_std, size=config.m)
         for _ in range(replays):
             for j in range(config.m):
-                yield MeasurementSample(rows[idx[j]], y[j])
+                t = idx[j]
+                yield MeasurementSample(rows[t], y[j], t)

@@ -26,6 +26,11 @@ class SignalSpec:
     def __post_init__(self):
         if self.sines < 1:
             raise ValueError("need at least one sine")
+        if self.sines > self.n // 2 - 1:
+            raise ValueError(
+                f"cannot place {self.sines} sines on distinct bins in [1, {self.n // 2 - 1}]"
+                f" at n={self.n}"
+            )
         if self.bins is not None:
             _check_bins(self.n, self.sines, self.bins)
         if self.amps is not None:

@@ -85,16 +85,19 @@ def hard_threshold(v, s) -> np.ndarray:
 
 
 def complex_sign(v, mag=None):
-    """Entry-wise x/|x|, with 0 at 0; ``mag``, when given, is np.abs(v)."""
-    if np.ndim(v) == 0:
-        m = abs(v)
-        return v / m if m > 0 else v * 0
+    """Entry-wise x/|x|, with 0 at 0; ``mag``, when given, is np.abs(v).
+
+    A NaN entry gets sign 0, and so does a finite entry whose magnitude
+    overflows (x / inf); ``harness.run_trial``'s r-MSE ceiling reports an
+    iterate that large.  A scalar gives a numpy scalar, computed as an array.
+    """
     v = np.asarray(v)
     if mag is None:
         mag = np.abs(v)
     # NaN fails mag > 0, so a NaN entry keeps its 0 like a zero entry
     out = np.zeros(v.shape, dtype=np.promote_types(v.dtype, float))
-    return np.divide(v, mag, out=out, where=mag > 0)
+    np.divide(v, mag, out=out, where=mag > 0)
+    return out if out.ndim else out[()]
 
 
 def selective_penalty(v, s: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import copy
 import math
 from contextlib import contextmanager
 from fractions import Fraction
@@ -819,3 +820,186 @@ def test_budget_queries_mostly_skip_the_full_pass(monkeypatch, name, label):
     assert queries == spec.sensing.total_samples - algo.estimator.burn_in
     assert calls["full"] < 0.05 * queries
     assert calls["on_K"] < 0.5 * queries
+
+
+# -- selective path against the exact cut ----------------------------------------------
+#
+# The oracle is the same Estimator with the selective certificate declined, so
+# every sza step runs keep_mask on its iterate.
+
+
+@contextmanager
+def exact_top_cut():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_kept_top", lambda *args: None)
+        yield
+
+
+def _step_with(context, est, sample):
+    with context():
+        return est.step(sample)
+
+
+def _ends_alike(fast_step, oracle_step):
+    """Run both steps: (True, None, None) when both raised the same
+    ValueError, (False, e_fast, e_oracle) when neither raised; a step that
+    raises alone fails the test."""
+    try:
+        e_fast = fast_step()
+    except ValueError as err:
+        with pytest.raises(ValueError) as oracle_err:
+            oracle_step()
+        assert str(oracle_err.value) == str(err)
+        return True, None, None
+    return False, e_fast, oracle_step()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([8, 16, 32]),
+    k=st.integers(1, 4),
+    s_shift=st.integers(-2, 3),  # s below, at and above the true sparsity
+    burn_in=st.integers(0, 30),
+    mu_ref=st.floats(0.1, 1.0),
+    rho_ref=st.sampled_from([0.0, 0.02, 0.5, 3.0]),
+    noise=st.sampled_from([0.0, 0.01, 0.3]),
+    equal=st.booleans(),  # equal true magnitudes: near-ties at the s-th entry
+)
+def test_selective_path_matches_the_exact_cut(
+    seed, n, k, s_shift, burn_in, mu_ref, rho_ref, noise, equal
+):
+    rng = np.random.default_rng(seed)
+    rows = fourier_rows(n)
+    w_true = _sparse_truth(rng, n, k)
+    if equal:
+        w_true[w_true != 0] = 0.5 + 0.5j
+    s = min(max(k + s_shift, 1), n)
+    cfg = EstimatorConfig("sza", mu=mu_ref / n, rho=rho_ref / n, s=s, burn_in=burn_in)
+    fast, oracle = Estimator(cfg, n), Estimator(cfg, n)
+    for _ in range(200):
+        t = int(rng.integers(n))
+        x = rows[t]
+        draw = rng.random()
+        if draw < 0.05:
+            y = np.vdot(fast.state.w, x)  # e exactly 0: only rho moves w
+        else:
+            y = np.vdot(w_true, x) + noise * rng.standard_normal()
+        sample = MeasurementSample(x, y, t)
+        if 0.95 < draw <= 0.97:  # a non-unit row, up to 20 times a unit one
+            sample = MeasurementSample(x * rng.uniform(1.0, 20.0), y)
+        if 0.97 < draw <= 0.985:  # reassigned, with an exact tie at the s-th magnitude
+            w = fast.state.w.copy()
+            order = np.argsort(np.abs(w))
+            w[order[-1]] = w[order[0]] = abs(w[order[-s]])
+            fast.state.w, oracle.state.w = w, w.copy()
+        if 0.985 < draw <= 0.99:  # a NaN written in place: same error, same step
+            j = rng.integers(n)
+            fast.state.w[j] = oracle.state.w[j] = math.nan
+        with np.errstate(all="ignore"):
+            ended, e_fast, e_oracle = _ends_alike(
+                lambda: fast.step(sample), lambda: _step_with(exact_top_cut, oracle, sample)
+            )
+        if ended:
+            return
+        assert_bitwise_equal(fast, oracle, e_fast, e_oracle)
+
+
+
+# -- logged tracker updates against eager ones ------------------------------------------
+#
+# The oracle is the same Estimator whose tracker updates all run eagerly; the
+# tracker's err is compared after every step on a copy, so that reading it does
+# not replay the log of the estimator under test.
+
+
+@contextmanager
+def eager_tracker():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            estimators, "log_update",
+            lambda tr, table, t, e_conj, beta: tracker_update(tr, e_conj * table[t], beta),
+        )
+        yield
+
+
+def _peek_err(tracker):
+    view = copy.copy(tracker)
+    view._err = tracker._err.copy()
+    return view.err  # replays the log on the copy alone
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([8, 16, 32]),
+    k=st.integers(1, 3),
+    variant=st.sampled_from(["hard", "hard_l0"]),
+    xi_ref=st.sampled_from([0.05, 0.5, 2.0]),
+    lam=st.sampled_from([0.2, 0.7, 0.95]),
+    near=st.floats(0.8, 1.2),  # q* near a coefficient magnitude: full queries
+    windowed=st.booleans(),  # fresh positions per window, and a support change
+    noise=st.sampled_from([0.0, 0.01, 0.3]),
+)
+def test_logged_tracker_updates_match_the_eager_rule(
+    seed, n, k, variant, xi_ref, lam, near, windowed, noise
+):
+    rng = np.random.default_rng(seed)
+    rows = fourier_rows(n)
+    w_true = _sparse_truth(rng, n, k)
+    q_star = near * float(np.abs(w_true[np.flatnonzero(w_true)]).min())
+    rho = 0.02 / n if variant == "hard_l0" else 0.0
+    cfg = EstimatorConfig(variant, mu=0.5 / n, rho=rho, beta=0.5, burn_in=n)
+    params = TrackerParams(lam=lam, xi=xi_ref / n, q_star=q_star)
+    fast, oracle = Estimator(cfg, n, params), Estimator(cfg, n, params)
+    window = rng.choice(n, size=max(1, n // 2), replace=False)
+    for step in range(240):
+        if windowed and step % len(window) == 0:
+            window = rng.choice(n, size=len(window), replace=False)
+        if windowed and step == 120:
+            w_true = w_true + _sparse_truth(rng, n, k)  # new bins: dense steps
+        t = int(window[step % len(window)])
+        x = rows[t]
+        draw = rng.random()
+        y = np.vdot(w_true, x) + noise * rng.standard_normal()
+        sample = MeasurementSample(x, y, t)
+        if draw > 0.98:
+            sample = MeasurementSample(x.copy(), y)  # a non-unit row: eager
+        with np.errstate(all="ignore"):
+            e_fast = fast.step(sample)
+            e_oracle = _step_with(eager_tracker, oracle, sample)
+        assert_bitwise_equal(fast, oracle, e_fast, e_oracle)
+        assert _bits(_peek_err(fast.tracker)) == _bits(oracle.tracker.err)
+        if draw < 0.05:  # an outside read replays the log itself
+            assert _bits(fast.tracker.err) == _bits(oracle.tracker.err)
+    assert _bits(fast.tracker.err) == _bits(oracle.tracker.err)
+
+
+def test_exp3_certifies_sza_and_logs_tracker_updates(monkeypatch):
+    # Measured at N = 64, seed 303, trial 0 (1300 steps per label): SZA ran 87
+    # exact cuts, HARD-EST logged 1283 updates and ran 17 eagerly (13 in
+    # burn-in), HARD-L0 logged 1263 and ran 37 (26 in burn-in).
+    spec = get_experiment("exp3", trials=1, n=64)
+    steps = spec.sensing.total_samples
+    calls = {}
+
+    def tally(attr):
+        fn = getattr(estimators, attr)
+
+        def counted(*args):
+            calls[attr] = calls.get(attr, 0) + 1
+            return fn(*args)
+
+        monkeypatch.setattr(estimators, attr, counted)
+
+    for attr in ("selective_penalty", "tracker_update", "log_update"):
+        tally(attr)
+    for algo in spec.algorithms:
+        calls.clear()
+        run_trial(spec, algo, 0)
+        if algo.label == "SZA":
+            assert calls["selective_penalty"] < 0.15 * steps
+        if algo.label in ("HARD-EST", "HARD-L0"):
+            active = steps - algo.estimator.burn_in
+            assert calls["log_update"] > 0.9 * active
+            assert calls["tracker_update"] < algo.estimator.burn_in + 0.1 * active

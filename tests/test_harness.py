@@ -255,6 +255,46 @@ def test_experiment_csv_byte_identical(tmp_path):
     assert digests[0] == digests[1]
 
 
+def _curves_csv_row_by_row(result, path):
+    """write_curves_csv as first written: one csv.writer row per iteration."""
+    import csv
+
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["experiment", "label", "iteration", "rmse_db", "s_est_mean"])
+        fixed = {a.label: a.estimator.s for a in result.spec.algorithms
+                 if a.estimator.variant in ("sza", "hard", "hard_l0")}
+        for label, db in result.curves_db.items():
+            s_curve = result.s_mean[label]
+            for i in range(db.size):
+                if s_curve is not None and not math.isnan(s_curve[i]):
+                    s_val = f"{s_curve[i]:.4f}"
+                elif fixed.get(label) is not None:
+                    s_val = str(fixed[label])
+                else:
+                    s_val = ""
+                w.writerow([result.spec.name, label, i + 1, f"{db[i]:.6f}", s_val])
+
+
+def test_curves_csv_matches_a_row_by_row_writer(tmp_path, monkeypatch):
+    # labels that need quoting, a tracker budget with a burn-in gap, a fixed
+    # budget and no budget, over several chunks
+    monkeypatch.setattr(harness, "CSV_CHUNK", 7)
+    spec = tiny_spec(
+        name='tiny, "quoted"',
+        algorithms=(
+            AlgorithmSpec('HARD "4", fixed', EstimatorConfig("hard", mu=1 / 32, s=4, burn_in=16)),
+            AlgorithmSpec("EST\nnext", EstimatorConfig("hard", mu=1 / 32, burn_in=16),
+                          tracker=TrackerParams(xi=1 / 32)),
+            AlgorithmSpec("LMS", EstimatorConfig("lms", mu=1 / 32)),
+        ),
+    )
+    res = run_experiment(spec)
+    write_curves_csv(res, tmp_path / "chunked.csv")
+    _curves_csv_row_by_row(res, tmp_path / "rows.csv")
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def test_summary_and_gnuplot_outputs(tmp_path):
     res = run_experiment(tiny_spec())
     write_summary_csv(res, tmp_path / "summary.csv")
@@ -312,6 +352,22 @@ def test_tracking_spec_validation():
             sensing=SensingConfig(n=32, m=16, mode=Windowed(8)),
             tracking=TrackingSpec((5, 5), 2),
         )  # windows mismatch
+
+
+def test_tracking_spec_needs_bins_for_its_extra_sines():
+    spec = dict(
+        name="tiny-track",
+        sensing=SensingConfig(n=16, m=8, mode=Windowed(4)),
+        algorithms=(AlgorithmSpec("LMS", EstimatorConfig("lms", mu=1 / 16)),),
+        trials=1,
+        seed=5,
+    )
+    # bins 1..7: 3 + 4 sines fit, 3 + 5 do not
+    ExperimentSpec(signal=SignalSpec(n=16, sines=3), tracking=TrackingSpec((2, 2), 4), **spec)
+    with pytest.raises(ValueError, match=r"cannot place 3 \+ 5 sines"):
+        ExperimentSpec(
+            signal=SignalSpec(n=16, sines=3), tracking=TrackingSpec((2, 2), 5), **spec
+        )
 
 
 def test_tracking_experiment_small():
@@ -634,6 +690,34 @@ def test_cli_run_reports_a_config_error_on_one_line(tmp_path, text, message):
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert message in proc.stderr and str(path) in proc.stderr
+
+
+def _cli(args, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(sparselms.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "sparselms.cli", "run", *args, "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["exp1", "--trials", "0"], "trials must be >= 1"),
+        (["CONFIG", "--trials", "0"], "trials must be >= 1"),
+        (["exp1", "--scale", "3"], "cannot place 2 sines on distinct bins in [1, 0] at n=3"),
+        (["exp4-tracking", "--scale", "8"], "cannot place 2 + 2 sines"),
+    ],
+    ids=["registry-trials", "config-trials", "registry-scale", "tracking-scale"],
+)
+def test_cli_run_reports_a_bad_override_on_one_line(tmp_path, args, message):
+    config = tmp_path / "exp1.yaml"
+    save_spec(build_exp1(n=64), config)
+    proc = _cli([str(config) if a == "CONFIG" else a for a in args], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert message in proc.stderr
 
 
 def test_load_specs_names_a_stale_signal_seed(tmp_path):

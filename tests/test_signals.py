@@ -125,3 +125,10 @@ def test_unresolved_bins_raise():
         multisine(spec)
     with pytest.raises(ValueError):
         true_spectrum(spec)
+
+
+@pytest.mark.parametrize("n, sines", [(3, 1), (8, 4), (64, 32)])
+def test_spec_rejects_more_sines_than_bins_without_bins(n, sines):
+    with pytest.raises(ValueError, match=f"cannot place {sines} sines"):
+        SignalSpec(n=n, sines=sines)
+    SignalSpec(n=n + 2, sines=sines)  # one more bin below N/2 fits them

@@ -384,3 +384,16 @@ def test_theorem2_implication_property(data):
     u *= math.sqrt(rng.uniform(0.01, 0.99) * q2 / 2) / np.linalg.norm(u)
     check = theorem2_check(w, w + u)
     assert check.premise and check.conclusion
+
+
+def test_sign_of_a_scalar_is_the_array_answer():
+    # NaN gets sign 0 and so does a finite value whose magnitude overflows,
+    # whether it comes as a scalar, a 0-d array or an array entry
+    big = complex(1.7e308, 1.7e308)
+    with np.errstate(all="ignore"):
+        for v in (complex(math.nan, math.nan), math.nan, big, 2.0 - 1.0j, -0.0, 0j):
+            want = complex_sign(np.array([v]))[0]
+            for got in (complex_sign(v), complex_sign(np.array(v))):
+                assert np.ndim(got) == 0
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert complex_sign(big) == 0
