@@ -312,7 +312,7 @@ def bootstrap_diff_ci(
 def write_curves_csv(result: ExperimentResult, path) -> None:
     """One row per (algorithm, iteration): experiment,label,iteration,rmse_db,s_est_mean.
 
-    The bytes are a csv.writer's: the name and label are quoted by one once
+    The bytes are a csv.writer's: a csv.writer quotes the name and label once
     per label, the numbers need no quoting, and lines end in CRLF.  Rows are
     formatted and written CSV_CHUNK at a time.
     """

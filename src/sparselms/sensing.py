@@ -88,8 +88,8 @@ class SensingConfig:
 class MeasurementSample:
     """One observation: regressor row x and noisy scalar y.
 
-    ``t``, when set, is the position of x in the ``fourier_rows`` table that
-    x is a row of, so that the table's row t is x.  ``make_stream`` sets it.
+    ``t``, when set, is the index of row x in its ``fourier_rows`` table;
+    ``make_stream`` sets it.
     """
 
     x: np.ndarray
