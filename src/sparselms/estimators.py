@@ -19,6 +19,9 @@ step every entry off K of the dense update is exactly c x_k (c = mu e*), of
 magnitude |c| for unit-magnitude rows.  When every entry on K provably
 outweighs |c| (``_certified``), the cut would return K again, and updating
 w[K] alone gives the dense result bit for bit.  Otherwise the dense steps run.
+A passed certificate is recorded (the smallest and largest |w_k| on K), and
+later steps re-prove it in O(1) from a bound on how far any |w_k| has moved
+since (``_recertified``); the O(|K|) check runs only when that margin is spent.
 
 Budget path: on the same array, the tracker's count is read from K, and after
 certified steps it is reused while a bound on how far any |w_k - xi err_k| on
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sensing import unit_magnitude
-from .sparse_ops import complex_sign, hard_threshold, selective_penalty
+from .sparse_ops import complex_sign, hard_threshold, keep_mask, selective_penalty
 from .tracker import (
     TrackerParams,
     TrackerState,
@@ -197,6 +200,7 @@ def _occupancy(w, s, mask):
 # largest entries of the dense update are exactly K and keep_mask returns K.
 _DELTA = 1e-12
 _TINY = float(np.finfo(float).tiny)
+_ROOT_TINY = math.sqrt(_TINY)
 
 
 def _support(cut, w, s, x):
@@ -210,15 +214,59 @@ def _support(cut, w, s, x):
     return cut[0]
 
 
-def _certified(v, c) -> bool:
-    """True when every |v_k|^2 exceeds every off-support |fl(c x_k)|^2.
+def _certified(v, c):
+    """(lo, top) = (sqrt(min m2), sqrt(max m2) + sqrt(tiny)) over v when every
+    |v_k|^2 exceeds every off-support |fl(c x_k)|^2, else None.
 
     NaN and inf in v never pass, so the dense cut reports them.
     """
     m2 = v.real * v.real + v.imag * v.imag
     m2.sort()  # one call for both ends, cheaper than min and max; NaN sorts last
     c2 = c.real * c.real + c.imag * c.imag
-    return bool(m2[0] > c2 * (1.0 + _DELTA) + _TINY and m2[-1] < math.inf)
+    if m2[0] > c2 * (1.0 + _DELTA) + _TINY and m2[-1] < math.inf:
+        return math.sqrt(m2[0]), math.sqrt(m2[-1]) + _ROOT_TINY
+    return None
+
+
+# Carrying the certificate.  When _certified(v, c) passes on the array of the
+# last cut, the step records (cut, lo, top) from it, with r = sqrt(_TINY), and
+# sets the drift D to 0.  m2 is |v|^2 within a relative 3u, or an absolute
+# _TINY below the normal range, so every |v_k| on K is at least lo (1 - 3u) - r
+# and at most top (1 + 4u).  A certified step stores the same sums as one of
+# sza's steps, with rho = 0 for hard and hard_l0's l0 shrink otherwise, so by
+# the bound derived below for sza it moves every |v_k| by at most
+#   inc = (|c| + rho)(1 + _DELTA) + _DELTA (top + D) + _TINY.
+# With D' = D + inc, the step's v has every |v_k| >= lo (1 - 3u) - r - D' and
+# |v_k| <= top (1 + 4u) + D'.  _recertified then asks
+#   (a) lo - D' - _DELTA (top + D') - 8 r > |c| (1 + _DELTA) + r,
+#   (b) top + D' < _ROOT_MAX = sqrt(largest float) (1 - _DELTA).
+# From (a) every |v_k| >= a = |c| (1 + _DELTA) + 8 r: the _DELTA term covers
+# 3u lo and the roundings of (a) itself, all relative to lo <= top, D' or
+# |c| <= inc.  Each square rounds by u relative, or by 2^-1075 absolute below
+# the normal range, and their sum by u, so the computed m2 of every v_k is at
+# least
+#   a^2 (1 - 2u) - 2^-1073 >= |c|^2 (1 + _DELTA)^2 (1 - 2u) + 63 _TINY,
+# while _certified's right side, with c2 <= |c|^2 (1 + 3u) + _TINY, is at most
+# |c|^2 (1 + _DELTA)(1 + 6u) + 3 _TINY: min m2 passes, subnormal squares
+# included.  From (b) every |v_k| is below _ROOT_MAX (1 + 5u), whose computed
+# square is finite: max m2 < inf passes.  So a step that passes (a) and (b)
+# takes the path _certified gives it, and D becomes D'.  A NaN |c| fails both,
+# and an infinite one makes D' infinite, so a non-finite e(n) runs _certified,
+# and through it the dense rule.  Otherwise _certified runs: a pass records
+# afresh, a failure drops the record.  v is the compact array the step wrote
+# to w[K], and the next step reads it in place of w[K].
+_ROOT_MAX = math.sqrt(float(np.finfo(float).max)) * (1.0 - _DELTA)
+
+
+def _recertified(rec, abs_c, drift) -> bool:
+    """True when ``rec`` = (cut, lo, top) of the last certificate proves that
+    ``_certified`` passes on this step's v; ``drift`` bounds how far any |v_k|
+    on K has moved since the record, this step included."""
+    _, lo, top = rec
+    reach = top + drift
+    return reach < _ROOT_MAX and (
+        lo - drift - _DELTA * reach - 8.0 * _ROOT_TINY > abs_c * (1.0 + _DELTA) + _ROOT_TINY
+    )
 
 
 # -- selective path ------------------------------------------------------------
@@ -253,23 +301,25 @@ def _certified(v, c) -> bool:
 # non-finite D and a non-finite e(n).  e(n) reads the same w as the penalty,
 # and a NaN or inf in w makes it NaN or inf, so a NaN written into w in place
 # still reaches keep_mask and its error.
-_ROOT_TINY = math.sqrt(_TINY)
 
 
 def _top_cut(w, s):
-    """(K, w, gap, top) of the exact top-s set of a finite w when K is
-    separated by a strict gap, else None."""
+    """keep_mask(w, s) from one partition, and the record of that cut: (K, w,
+    gap, top) when K is separated by a strict gap, else None."""
     n = w.size
-    if s == n:
-        return None
     m2 = w.real * w.real + w.imag * w.imag
+    # keep_mask's own check: it names a NaN or inf, and a huge finite w, whose
+    # squares may overflow, keeps no record
+    if s == n or not math.isfinite(m2.dot(m2)):
+        return keep_mask(w, s), None
     part = np.partition(m2, sorted({n - s - 1, n - s, n - 1}))
-    lo, hi, peak = part[n - s - 1], part[n - s], part[n - 1]
-    if not (lo < hi and peak < math.inf):
-        return None
-    top = math.sqrt(peak) + _ROOT_TINY
+    lo, hi = part[n - s - 1], part[n - s]
+    keep = m2 >= hi  # keep_mask's cut: hi is its (n - s)-th order statistic
+    if not lo < hi:
+        return keep, None
+    top = math.sqrt(part[n - 1]) + _ROOT_TINY
     gap = math.sqrt(hi) - math.sqrt(lo) - _DELTA * top - 8.0 * _ROOT_TINY
-    return np.flatnonzero(m2 >= hi), w, gap, top
+    return keep, (np.flatnonzero(keep), w, gap, top)
 
 
 def _kept_top(top, w, s, drift, e):
@@ -347,7 +397,10 @@ class Estimator:
     and the budget back to the full query.  sza reuses its last exact top-s
     set only while ``state.w`` is the array that set was cut from.  These
     paths assume that only ``step`` writes into that array: change
-    ``state.w`` by assigning a new one.
+    ``state.w`` by assigning a new one.  That holds for entries on K too: a
+    certified step updates the kept values it wrote at the last certified
+    step, not ``state.w[K]``.  A NaN, inf or huge value written in place still
+    reaches e(n) and c, and through them the dense rule.
     """
 
     def __init__(
@@ -382,10 +435,13 @@ class Estimator:
         self._drift = 0.0
         self._rho = config.rho if variant in _PENALTY else 0.0
         self._penalty = _PENALTY.get(variant)
-        # the selective path: _top_cut of the last exact cut and the drift since
+        # the record of the last exact check, sza's _top_cut or hard's
+        # (cut, lo, top) from _certified, and the drift since; sza and the
+        # support path never share an estimator
         self._selective = variant == "sza"
         self._top = None
         self._moved = 0.0
+        self._kept_v = None  # the support path's last certified w[K]
         self._penalty_in_burn_in = variant == "hard_l0"
         # the budget is held as a function, not a bound method: a bound method
         # stored on its own instance is a reference cycle, which would keep the
@@ -436,10 +492,9 @@ class Estimator:
     def _selective_penalty(self, w, s, e):
         kept = _kept_top(self._top, w, s, self._moved, e)
         if kept is None:
-            pen = selective_penalty(w, s)
-            self._top = _top_cut(w, s)
+            keep, self._top = _top_cut(w, s)
             self._moved = 0.0
-            return pen
+            return selective_penalty(w, s, keep)
         pen = complex_sign(w)
         pen[kept] = 0
         return pen
@@ -459,7 +514,13 @@ class Estimator:
             s, mask = self._budget(self, st.w)
         if active and self._project is _top_s:
             kept = _support(self._cut, st.w, s, sample.x)
-        w = st.w if kept is None else st.w[kept]
+        # a record of this cut was made or renewed by the last step, which left
+        # w[K] in _kept_v
+        recorded = kept is not None and self._top is not None and self._top[0] is self._cut
+        if kept is None:
+            w = st.w
+        else:
+            w = self._kept_v if recorded else st.w[kept]
         # before the penalty, which reads the same w; sza's certificate reads e
         e = prediction_error(st, sample)
         if self._penalty is not None and (active or self._penalty_in_burn_in):
@@ -471,12 +532,24 @@ class Estimator:
             shrink *= cfg.rho
         e_conj = e.conjugate()
         c = self._mu * e_conj
+        abs_c = math.hypot(c.real, c.imag)
+        rec = self._top
+        if rec is not None:
+            # the bound on this step's move of any |w_k|, derived for sza
+            inc = (abs_c + self._rho) * (1.0 + _DELTA) + _DELTA * (rec[-1] + self._moved) + _TINY
         if kept is not None:
             v = w + c * sample.x[kept]
             if shrink is not None:
                 v -= shrink
-            if _certified(v, c):
+            if recorded and _recertified(rec, abs_c, self._moved + inc):
+                self._moved += inc
+            else:
+                proof = _certified(v, c)
+                self._top = None if proof is None else (self._cut, *proof)
+                self._moved = 0.0
+            if self._top is not None:
                 st.w[kept] = v
+                self._kept_v = v
             else:
                 if shrink is not None:
                     full = np.zeros_like(st.w)
@@ -507,20 +580,13 @@ class Estimator:
                 log_update(tr, sample.x.base, t, e_conj, beta)
             else:
                 tracker_update(tr, e_conj * sample.x, beta)
-        if self._top is not None:
-            if unit_magnitude(sample.x):
-                self._moved += (
-                    (math.hypot(c.real, c.imag) + self._rho) * (1.0 + _DELTA)
-                    + _DELTA * (self._top[3] + self._moved)
-                    + _TINY
-                )
-            else:
-                self._moved = math.inf
+        if self._selective and rec is not None:
+            self._moved = self._moved + inc if unit_magnitude(sample.x) else math.inf
         if kept is not None and self._slack:
             # a certified step after a count on K: bound the move of every
             # |w_k - xi err_k| on K
             xi = tr.params.xi
-            move = math.hypot(c.real, c.imag) + self._rho
+            move = abs_c + self._rho
             if self._track:
                 move += xi * ((bound + beta) / tr.kappa + _DELTA * bound)
             self._drift += (

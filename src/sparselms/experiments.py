@@ -24,8 +24,6 @@ from dataclasses import MISSING, astuple, dataclass, fields, is_dataclass
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-import yaml
-
 from .estimators import READS, THRESHOLDED, EstimatorConfig, reads_tracker
 from .harness import AlgorithmSpec, ExperimentSpec, TrackingSpec
 from .sensing import RepeatedPass, SensingConfig, Windowed
@@ -329,12 +327,17 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     return spec
 
 
+# yaml is imported where a config is read or written: building a spec needs none
 def save_spec(spec: ExperimentSpec, path) -> None:
+    import yaml
+
     with open(path, "w") as f:
         yaml.safe_dump(spec_to_dict(spec), f, sort_keys=False)
 
 
 def save_specs(specs: list[ExperimentSpec], path) -> None:
+    import yaml
+
     with open(path, "w") as f:
         yaml.safe_dump({"experiments": [spec_to_dict(s) for s in specs]}, f, sort_keys=False)
 
@@ -349,6 +352,8 @@ def _spec_in(path, d, where: str = "") -> ExperimentSpec:
 def load_specs(path) -> list[ExperimentSpec]:
     """Load one experiment (or a list under the ``experiments`` key) from YAML.
     A config error raises ValueError naming the file and the field."""
+    import yaml
+
     with open(path) as f:
         doc = yaml.safe_load(f)
     if doc is None:

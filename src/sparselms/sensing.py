@@ -165,6 +165,7 @@ def make_stream(
     included.  RepeatedPass draws one window and replays it ``passes`` times:
     the device measured once, the estimator sees the measurements repeatedly.
     Windowed draws ``windows`` windows with fresh positions and fresh noise.
+    A replay yields the same ``MeasurementSample`` objects again.
     """
     rows = fourier_rows(config.n)
     source = iter(windows)
@@ -182,7 +183,6 @@ def make_stream(
         y = z[idx]
         if noise_std > 0.0:
             y = y + _noise_rng(config, w).normal(0.0, noise_std, size=config.m)
+        samples = [MeasurementSample(rows[t], y[j], t) for j, t in enumerate(idx)]
         for _ in range(replays):
-            for j in range(config.m):
-                t = idx[j]
-                yield MeasurementSample(rows[t], y[j], t)
+            yield from samples

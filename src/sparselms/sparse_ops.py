@@ -100,14 +100,14 @@ def complex_sign(v, mag=None):
     return out if out.ndim else out[()]
 
 
-def selective_penalty(v, s: int) -> np.ndarray:
+def selective_penalty(v, s: int, keep=None) -> np.ndarray:
     """Sign penalty on everything outside the hard-threshold support.
 
     Zero on support(H_s(v)), complex_sign(v_i) elsewhere; tie handling is
-    inherited from hard_threshold.
+    inherited from hard_threshold.  ``keep``, when given, is keep_mask(v, s).
     """
     pen = complex_sign(v)
-    pen[keep_mask(v, s)] = 0
+    pen[keep_mask(v, s) if keep is None else keep] = 0
     return pen
 
 

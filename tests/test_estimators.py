@@ -906,6 +906,165 @@ def test_selective_path_matches_the_exact_cut(
 
 
 
+# -- the support record against the certificate of every step ---------------------------
+#
+# The oracle is the same Estimator with the record declined, so _certified runs
+# on every support-path step.  Both must take the same path: the same w, e and
+# budget, and the same top-s cuts (the s of every hard_threshold call).
+
+
+@contextmanager
+def no_record():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_recertified", lambda *args: False)
+        yield
+
+
+@contextmanager
+def cuts_logged():
+    """A list that receives the s of every top-s cut the estimators make."""
+    calls = []
+    cut = estimators.hard_threshold
+
+    def logged(v, s):
+        calls.append(s)
+        return cut(v, s)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "hard_threshold", logged)
+        yield calls
+
+
+def _cuts_of(calls, step):
+    """The cuts ``step`` makes, and its result or raised ValueError."""
+    start = len(calls)
+    try:
+        out = step()
+    except ValueError as err:
+        out = err
+    return calls[start:], out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([8, 16, 32]),
+    k=st.integers(1, 3),
+    extra=st.integers(0, 4),  # spare slots: entries on K within a few |c| of the bound
+    variant=st.sampled_from(["hard", "hard_l0"]),
+    tracked=st.booleans(),  # the tracker's budget changes between steps
+    burn_in=st.integers(0, 40),
+    mu_ref=st.floats(0.1, 1.0),
+    rho_ref=st.sampled_from([0.02, 0.5]),
+    noise=st.sampled_from([0.0, 0.01, 0.3]),
+    # share of steps with e = 0 after step 100, where only hard_l0's rho moves w
+    exact=st.sampled_from([0.05, 0.5, 0.9]),
+    # squares near and below the normal range: the margin's absolute terms
+    scale=st.sampled_from([1.0, 1e-150, 1e-153, 1e-155, 1e-160]),
+)
+# entries near sqrt(tiny): a margin without its absolute terms certifies wrongly
+@example(seed=0, n=8, k=1, extra=0, variant="hard", tracked=False, burn_in=0, mu_ref=1.0,
+         rho_ref=0.02, noise=0.3, exact=0.05, scale=1e-153)
+# the l0 shrink moves K between records: the drift needs rho
+@example(seed=0, n=8, k=1, extra=1, variant="hard_l0", tracked=False, burn_in=0, mu_ref=1.0,
+         rho_ref=0.02, noise=0.0, exact=0.05, scale=1e-150)
+def test_support_record_takes_the_certificate_path(
+    seed, n, k, extra, variant, tracked, burn_in, mu_ref, rho_ref, noise, exact, scale
+):
+    rng = np.random.default_rng(seed)
+    rows = fourier_rows(n)
+    w_true = scale * _sparse_truth(rng, n, k)
+    rho = rho_ref * scale / n if variant == "hard_l0" else 0.0
+    cfg = EstimatorConfig(
+        variant, mu=mu_ref / n, rho=rho, beta=0.5 / scale,
+        s=None if tracked else min(k + extra, n), burn_in=burn_in,
+    )
+    params = TrackerParams(lam=0.9, xi=0.5, q_star=0.05 * scale) if tracked else None
+    fast, oracle = Estimator(cfg, n, params), Estimator(cfg, n, params)
+    for step in range(200):
+        t = int(rng.integers(n))
+        x = rows[t]
+        draw = rng.random()
+        if rng.random() < (exact if step >= 100 else 0.05):
+            y = np.vdot(fast.state.w, x)  # e exactly 0
+        else:
+            y = np.vdot(w_true, x) + noise * scale * rng.standard_normal()
+        sample = MeasurementSample(x, y, t)
+        if 0.95 < draw <= 0.96:  # a non-unit row: the dense rule
+            sample = MeasurementSample(x.copy(), y)
+        if 0.96 < draw <= 0.98:  # a reassigned iterate: a new cut
+            nudge = 1e-3 * scale * rng.standard_normal(n)
+            fast.state.w = fast.state.w + nudge
+            oracle.state.w = oracle.state.w + nudge
+        if 0.995 < draw:  # a NaN written in place: same error, same step
+            j = rng.integers(n)
+            fast.state.w[j] = oracle.state.w[j] = math.nan
+        with np.errstate(all="ignore"), cuts_logged() as calls:
+            cuts_fast, e_fast = _cuts_of(calls, lambda: fast.step(sample))
+            cuts_oracle, e_oracle = _cuts_of(calls, lambda: _step_with(no_record, oracle, sample))
+        assert cuts_fast == cuts_oracle
+        if isinstance(e_fast, ValueError):
+            assert str(e_fast) == str(e_oracle)
+            return
+        assert_bitwise_equal(fast, oracle, e_fast, e_oracle)
+
+
+def test_support_record_never_certifies_a_square_that_overflows():
+    # K's entries sit just below sqrt(largest float): a step that moves one past
+    # it leaves a finite v whose square overflows, which _certified refuses
+    n = 4
+    cfg = EstimatorConfig("hard", mu=0.25, s=2)
+    fast, oracle = Estimator(cfg, n), Estimator(cfg, n)
+    w = np.array([1.30e154, 1.20e154, 0.0, 0.0], dtype=complex)
+    x = fourier_rows(n)[1]
+    for est in (fast, oracle):
+        est.state.w = w.copy()
+    for y_off in (0.0, 0.0, 4.0e153):  # a dense cut, a record, then the overflow
+        with np.errstate(over="ignore"), cuts_logged() as calls:
+            cuts_fast, e_fast = _cuts_of(
+                calls, lambda: fast.step(MeasurementSample(x, np.vdot(fast.state.w, x) + y_off, 1))
+            )
+            cuts_oracle, e_oracle = _cuts_of(
+                calls,
+                lambda: _step_with(
+                    no_record, oracle,
+                    MeasurementSample(x, np.vdot(oracle.state.w, x) + y_off, 1),
+                ),
+            )
+        assert cuts_fast == cuts_oracle
+        assert_bitwise_equal(fast, oracle, e_fast, e_oracle)
+    assert len(cuts_fast) == 1  # the last step went through the dense cut
+    assert float(np.max(np.abs(fast.state.w))) > math.sqrt(np.finfo(float).max)
+
+
+def test_exp2_support_path_mostly_skips_the_certificate(monkeypatch):
+    # Measured at N = 64, trial 0: of 1273 support-path steps each, _certified
+    # ran on 50 (HARD-20), 56 (HARD-40), 22 (HARD-80) and 2 (HARD-EST); the
+    # record answered the rest in O(1).  Declining the record runs it on all.
+    spec = get_experiment("exp2", trials=1, n=64)
+    calls = {"support": 0, "certified": 0}
+    support, certified = estimators._support, estimators._certified
+
+    def counted_support(*args):
+        kept = support(*args)
+        calls["support"] += kept is not None
+        return kept
+
+    def counted_certified(*args):
+        calls["certified"] += 1
+        return certified(*args)
+
+    monkeypatch.setattr(estimators, "_support", counted_support)
+    monkeypatch.setattr(estimators, "_certified", counted_certified)
+    for algo in spec.algorithms:
+        if algo.estimator.variant != "hard":
+            continue
+        calls.update(support=0, certified=0)
+        run_trial(spec, algo, 0)
+        assert calls["support"] > 0.9 * (spec.sensing.total_samples - algo.estimator.burn_in)
+        assert calls["certified"] < 0.15 * calls["support"], algo.label
+
+
 # -- logged tracker updates against eager ones ------------------------------------------
 #
 # The oracle is the same Estimator whose tracker updates all run eagerly; the
