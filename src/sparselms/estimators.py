@@ -14,26 +14,15 @@ a-priori error e(n) = y(n) - w(n)^H x(n).  A step runs, in this order:
 The variant fixes the penalty (``_PENALTY``) and whether a projection runs
 (``hard`` and ``hard_l0``); the README tabulates both.
 
-Support path: after a top-s cut, w is zero off the kept set K, so on the next
-step every entry off K of the dense update is exactly c x_k (c = mu e*), of
-magnitude |c| for unit-magnitude rows.  When every entry on K provably
-outweighs |c| (``_certified``), the cut would return K again, and updating
-w[K] alone gives the dense result bit for bit.  Otherwise the dense steps run.
-A passed certificate is recorded (the smallest and largest |w_k| on K), and
-later steps re-prove it in O(1) from a bound on how far any |w_k| has moved
-since (``_recertified``); the O(|K|) check runs only when that margin is spent.
-
-Budget path: on the same array, the tracker's count is read from K, and after
-certified steps it is reused while a bound on how far any |w_k - xi err_k| on
-K has moved stays below the slack of the last count (``_budget_support``).
-Otherwise the budget is the full O(N) query, ``estimate_sparsity``.  A
-certified step of such a budget logs its tracker update (``log_update``)
-instead of running it: only the count on K and full reads of ``err`` replay it.
-
-Selective path (sza): its iterate stays dense, but its top-s set K stops
-changing.  After an exact cut with a strict gap around K, the set is reused
-while a bound on how far any |w_k| has moved since stays below half the gap
-(``_kept_top``); the penalty is then complex_sign(w) with zeros on K.
+Records.  A ``Record`` keeps what one exact check proved about one array, and
+a drift D that bounds how far any magnitude on its kept set K has moved since;
+each step advances D in O(1), and the record answers for the check while its
+predicate holds.  A top-s cut leaves w zero off K, and its record lets the
+next steps update w[K] alone once ``_certified`` proves the cut would return K
+again (``support_kept``); the tracker's count is then read from K and reused
+(``count_reusable``).  sza's iterate stays dense, but its top-s set is reused
+after an exact cut with a strict gap (``set_kept``).  Every path gives the
+dense rule's results bit for bit; the derivation is above ``Record``.
 
 The scalars of a step (e, e*, c = mu e* and the bounds) are Python numbers:
 ``prediction_error`` converts numpy's e, and c is formed as complex x complex,
@@ -55,7 +44,6 @@ from .tracker import (
     TrackerState,
     clamp_budget,
     estimate_sparsity,
-    log_update,
     make_tracker,
     occupancy_mask,
     reset_bound,
@@ -183,35 +171,129 @@ def _occupancy(w, s, mask):
     return hard_threshold(w, s)
 
 
-# -- support path --------------------------------------------------------------
+# -- records -------------------------------------------------------------------
 #
-# Off K the dense update holds fl(c x_k), with c = a + ib and x_k a table root
-# whose computed |x_k|^2 is at most 1 + 4u (u = 2^-53, sensing.UNIT_SQ_MAG_BOUND),
-# so |x_k| <= 1 + 3u.  With c2 = fl(a^2 + b^2) and m2 = fl(re^2 + im^2) as in
-# keep_mask:
-#   |fl(c x_k)| <= |c| |x_k| (1 + sqrt(2) gamma_2)    (complex product, Higham 3.5)
-#              <= |c| (1 + 5.9u),
+# u = 2^-53, r = sqrt(_TINY), and m2 = fl(re^2 + im^2) as in keep_mask, which
+# is |v|^2 within a relative 3u, or an absolute _TINY below the normal range.
+# Registered rows (sensing.UNIT_SQ_MAG_BOUND) have computed |x_k|^2 <= 1 + 4u,
+# so |x_k| <= 1 + 3u.
+#
+# Off K.  After a top-s cut w is zero off K, so off K the next dense update
+# holds fl(c x_k), c = a + ib.  With c2 = fl(a^2 + b^2):
+#   |fl(c x_k)| <= |c| |x_k| (1 + sqrt(2) gamma_2) <= |c| (1 + 5.9u)  (Higham 3.5),
 #   m2(fl(c x_k)) <= |fl(c x_k)|^2 (1 + u)^2 <= |c|^2 (1 + 13.7u),
 #   |c|^2 <= c2 / (1 - u)^2 <= c2 (1 + 2.1u),
 # so every off-K m2 is at most c2 (1 + 16u), about 1.8e-15 relative.  _DELTA
-# leaves a wide margin over that and over the rounding of the comparison
-# itself.  Below the normal range the squares carry an absolute error of a few
-# 2^-1074, which _TINY covers.  If min m2(v) on K beats the bound, the s = |K|
-# largest entries of the dense update are exactly K and keep_mask returns K.
+# leaves a wide margin over that and over the comparison's own rounding, and
+# _TINY covers squares below the normal range.  If min m2(v) on K beats the
+# bound (_certified), the |K| largest entries of the dense update are exactly
+# K, and keep_mask returns K.
+#
+# The move lemma.  A step stores fl(fl(w_k + fl(c x_k)) - fl(rho g_k)), with
+# |fl(c x_k)| <= |c| (1 + 6.1u) and |g_k| <= 1 + 4u (v / fl(|v|), or 0); each
+# complex sum rounds by at most u of its result, so
+#   |w'_k - w_k| <= (|c| + rho)(1 + 8u) + 2u |w_k| + (products below the
+#                   normal range, a few 2^-1075).
+# With |w_k| <= top (1 + 2u) + D, D the drift since the record was taken, a
+# step on a registered row moves any |w_k| on K by at most
+#   inc = (|c| + rho)(1 + _DELTA) + _DELTA (top + D) + _TINY   (_step_bound),
+# which also covers the rounding of the sum, and D advances by inc; any other
+# row sets D = inf.  Three corollaries follow.
+#
+# (a) Support kept.  A passed _certified(v, c) records lo = sqrt(min m2) and
+# top = sqrt(max m2) + r on K, with D = 0: every |v_k| on K is at least
+# lo (1 - 3u) - r - D and at most top (1 + 4u) + D.  support_kept asks
+#   lo - D - _DELTA (top + D) - 8 r > |c| (1 + _DELTA) + r,  top + D < _ROOT_MAX.
+# The first gives every |v_k| >= a = |c| (1 + _DELTA) + 8 r: the _DELTA term
+# covers 3u lo and the test's own roundings, relative to lo <= top, D or
+# |c| <= inc.  Each square rounds by u relative, or 2^-1075 absolute below the
+# normal range, and their sum by u, so every computed m2 on K is at least
+#   a^2 (1 - 2u) - 2^-1073 >= |c|^2 (1 + _DELTA)^2 (1 - 2u) + 63 _TINY,
+# while _certified's right side, with c2 <= |c|^2 (1 + 3u) + _TINY, is at most
+# |c|^2 (1 + _DELTA)(1 + 6u) + 3 _TINY: min m2 passes, subnormal squares
+# included.  The second keeps every |v_k| below _ROOT_MAX (1 + 5u), whose
+# computed square is finite: max m2 < inf passes.  A NaN |c| fails both, and an
+# infinite one makes D infinite, so a non-finite e(n) runs _certified and the
+# dense rule.
+#
+# (b) Set kept (sza).  An exact cut (_top_cut) with K = {m2 >= hi} and every
+# other m2 <= lo < hi (|K| = s, no tie) records top = sqrt(max m2) + r.  Every
+# |w_k| on K is at least sqrt(hi)(1 - 2u) - r, every other at most
+# sqrt(lo)(1 + 2u) + r, all at most top, up to a relative 2u.  After a drift D
+# the computed m2 keep that order, and keep_mask(w, s) returns K, when
+#   2D + _DELTA D < gap = sqrt(hi) - sqrt(lo) - _DELTA top - 8 r
+# (terms relative to top cover the roundings of the square roots and of gap).
+#
+# (c) Count reusable.  A tracker budget counts #{k : a_k > q*}, a_k the computed
+# |w_k - xi err_k|.  On the cut's array, while support_quiet holds, no entry off
+# K passes, so support_count over K is the full count; it also gives the slack
+# sigma, the smallest |a_k - q*| on K.  Let t_k = |w_k - xi err_k| exactly, on
+# the stored floats, and d_k = |a_k - q*| >= sigma / (1 + u).  With l0's
+# |g_k| <= 1 + 3u, inv = 1/kappa, B the tracker bound before the update and
+# beta = |e| (1 + _DELTA) >= |fl(e* x_k)|, a certified step moves t_k by at most
+#   |dw_k| + xi |derr_k|,  |dw_k| <= (|c| + rho)(1 + 8u) + 3u |w_k|,
+#   |w_k| <= t_k + xi B,   |derr_k| <= inv (B + beta)(1 + 3u) + 2u B,
+# and computing a_k adds at most 4u (t_k + xi B) + tiny, at the count and at
+# the reuse.  So the lemma holds with move (|c| + rho) + xi (inv (B + beta) +
+# _DELTA B) and with q* + sigma + xi B' (B' after the update) for top + D; D
+# starts at a null move's bound, _DELTA (q* + sigma + xi B) + _TINY.  While
+# D < sigma after n steps, the terms absolute or relative to q* and xi B sum
+# to less than sigma (1 - (n + 1) _DELTA), and t_k <= q* + d_k + sigma leaves
+# terms relative to d_k below (9 + 3n) u d_k, under the (n + 1) _DELTA d_k to
+# spare: every a_k stays on its side of q*, and so does the count.  A NaN
+# sigma, B or D fails every comparison.
+#
+# A reassigned w, a changed budget and a dense step leave a record unread or
+# drop it; a cut starts a record with nothing proved (lo = -inf).
 _DELTA = 1e-12
 _TINY = float(np.finfo(float).tiny)
 _ROOT_TINY = math.sqrt(_TINY)
+_ROOT_MAX = math.sqrt(float(np.finfo(float).max)) * (1.0 - _DELTA)
 
 
-def _support(cut, w, s, x):
-    """K of the last top-s cut when the support path may be tried, else None.
+def _step_bound(move, scale):
+    """The lemma's bound on one step's change of a magnitude on K: ``move``
+    in exact arithmetic, on entries of size at most ``scale``."""
+    return move * (1.0 + _DELTA) + _DELTA * scale + _TINY
 
-    ``cut`` is (K, the array that cut returned).  The path needs w to be that
-    array, so that w is zero off K, |K| = s and a unit-magnitude regressor.
+
+@dataclass(slots=True, eq=False)
+class Record:
+    """What one exact check proved about the array ``w``, carried across steps.
+
+    ``kept`` is K, ``top`` bounds the magnitudes on K, ``margin`` is what the
+    check left to spend (lo, the gap or the slack) and ``drift`` D bounds how
+    far any magnitude on K has moved since.  ``value`` is what the step reuses:
+    the support's w[K], or the count.
     """
-    if cut is None or cut[1] is not w or cut[0].size != s or not unit_magnitude(x):
-        return None
-    return cut[0]
+
+    w: np.ndarray
+    kept: np.ndarray
+    top: float
+    margin: float
+    drift: float = 0.0
+    value: object = None
+
+    def advance(self, inc):
+        self.drift += inc
+
+    def support_kept(self, abs_c) -> bool:
+        """(a): _certified passes on this step's v, with the drift advanced."""
+        d = self.drift
+        reach = self.top + d
+        return reach < _ROOT_MAX and (
+            self.margin - d - _DELTA * reach - 8.0 * _ROOT_TINY
+            > abs_c * (1.0 + _DELTA) + _ROOT_TINY
+        )
+
+    def set_kept(self) -> bool:
+        """(b): keep_mask(w, s) returns K again."""
+        d = self.drift
+        return 2.0 * d + _DELTA * d < self.margin  # NaN fails too
+
+    def count_reusable(self) -> bool:
+        """(c): the count over K is unchanged."""
+        return self.drift < self.margin
 
 
 def _certified(v, c):
@@ -228,84 +310,9 @@ def _certified(v, c):
     return None
 
 
-# Carrying the certificate.  When _certified(v, c) passes on the array of the
-# last cut, the step records (cut, lo, top) from it, with r = sqrt(_TINY), and
-# sets the drift D to 0.  m2 is |v|^2 within a relative 3u, or an absolute
-# _TINY below the normal range, so every |v_k| on K is at least lo (1 - 3u) - r
-# and at most top (1 + 4u).  A certified step stores the same sums as one of
-# sza's steps, with rho = 0 for hard and hard_l0's l0 shrink otherwise, so by
-# the bound derived below for sza it moves every |v_k| by at most
-#   inc = (|c| + rho)(1 + _DELTA) + _DELTA (top + D) + _TINY.
-# With D' = D + inc, the step's v has every |v_k| >= lo (1 - 3u) - r - D' and
-# |v_k| <= top (1 + 4u) + D'.  _recertified then asks
-#   (a) lo - D' - _DELTA (top + D') - 8 r > |c| (1 + _DELTA) + r,
-#   (b) top + D' < _ROOT_MAX = sqrt(largest float) (1 - _DELTA).
-# From (a) every |v_k| >= a = |c| (1 + _DELTA) + 8 r: the _DELTA term covers
-# 3u lo and the roundings of (a) itself, all relative to lo <= top, D' or
-# |c| <= inc.  Each square rounds by u relative, or by 2^-1075 absolute below
-# the normal range, and their sum by u, so the computed m2 of every v_k is at
-# least
-#   a^2 (1 - 2u) - 2^-1073 >= |c|^2 (1 + _DELTA)^2 (1 - 2u) + 63 _TINY,
-# while _certified's right side, with c2 <= |c|^2 (1 + 3u) + _TINY, is at most
-# |c|^2 (1 + _DELTA)(1 + 6u) + 3 _TINY: min m2 passes, subnormal squares
-# included.  From (b) every |v_k| is below _ROOT_MAX (1 + 5u), whose computed
-# square is finite: max m2 < inf passes.  So a step that passes (a) and (b)
-# takes the path _certified gives it, and D becomes D'.  A NaN |c| fails both,
-# and an infinite one makes D' infinite, so a non-finite e(n) runs _certified,
-# and through it the dense rule.  Otherwise _certified runs: a pass records
-# afresh, a failure drops the record.  v is the compact array the step wrote
-# to w[K], and the next step reads it in place of w[K].
-_ROOT_MAX = math.sqrt(float(np.finfo(float).max)) * (1.0 - _DELTA)
-
-
-def _recertified(rec, abs_c, drift) -> bool:
-    """True when ``rec`` = (cut, lo, top) of the last certificate proves that
-    ``_certified`` passes on this step's v; ``drift`` bounds how far any |v_k|
-    on K has moved since the record, this step included."""
-    _, lo, top = rec
-    reach = top + drift
-    return reach < _ROOT_MAX and (
-        lo - drift - _DELTA * reach - 8.0 * _ROOT_TINY > abs_c * (1.0 + _DELTA) + _ROOT_TINY
-    )
-
-
-# -- selective path ------------------------------------------------------------
-#
-# At an exact cut on w0, with m2 = fl(re^2 + im^2) as in keep_mask, K holds the
-# s entries with m2 >= hi and every other entry has m2 <= lo < hi: a strict
-# gap, so |K| = s and no entry ties at the cut.  m2 is |w|^2 within a relative
-# 3u in the normal range and an absolute _TINY below it, so with r =
-# sqrt(_TINY) every |w0_k| on K is at least sqrt(hi)(1 - 2u) - r, every other
-# |w0_j| at most sqrt(lo)(1 + 2u) + r, and every |w0_k| at most top =
-# sqrt(max m2) + r, up to a relative 2u.
-#
-# A step stores fl(fl(w + fl(c x_k)) - fl(rho g_k)).  With |x_k| <= 1 + 3u
-# (registered rows only, sensing.UNIT_SQ_MAG_BOUND), |fl(c x_k)| <= |c|(1 + 6.1u)
-# (Higham 3.5) and |g_k| <= 1 + 4u (v / fl(|v|), or 0), and each complex sum
-# rounds by at most u of its result, so
-#   |w'_k - w_k| <= (|c| + rho)(1 + 8u) + 2u |w_k| + (products below the
-#                   normal range, a few 2^-1075),
-# and |w_k| <= top (1 + 2u) + D with D the drift since the cut.  D therefore
-# starts at 0 and each step adds
-#   (|c| + rho)(1 + _DELTA) + _DELTA (top + D) + _TINY,
-# which also covers the rounding of the sum itself.  Then every |w_k| on K is
-# at least sqrt(hi) - D and every other at most sqrt(lo) + D, up to the same
-# relative and absolute terms, and the computed m2 keep that order, up to a
-# relative 3u and an absolute _TINY, when
-#   2D + _DELTA D < gap = sqrt(hi) - sqrt(lo) - _DELTA top - 8 r
-# (terms relative to top cover the roundings of the square roots and of gap).
-# keep_mask(w, s) then returns K: the s largest m2 are K's, with no tie.
-#
-# The step falls back to the exact cut on the first active step, a reassigned
-# w, a changed s, a non-unit row at any step since the cut (D = inf), a
-# non-finite D and a non-finite e(n).  e(n) reads the same w as the penalty,
-# and a NaN or inf in w makes it NaN or inf, so a NaN written into w in place
-# still reaches keep_mask and its error.
-
-
 def _top_cut(w, s):
-    """keep_mask(w, s) from one partition, and the record of that cut: (K, w,
-    gap, top) when K is separated by a strict gap, else None."""
+    """keep_mask(w, s) from one partition, and the record of that cut when K
+    is separated by a strict gap, else None."""
     n = w.size
     m2 = w.real * w.real + w.imag * w.imag
     # keep_mask's own check: it names a NaN or inf, and a huge finite w, whose
@@ -319,63 +326,23 @@ def _top_cut(w, s):
         return keep, None
     top = math.sqrt(part[n - 1]) + _ROOT_TINY
     gap = math.sqrt(hi) - math.sqrt(lo) - _DELTA * top - 8.0 * _ROOT_TINY
-    return keep, (np.flatnonzero(keep), w, gap, top)
+    return keep, Record(w, np.flatnonzero(keep), top, gap)
 
 
-def _kept_top(top, w, s, drift, e):
-    """K of the last exact top-s cut when keep_mask(w, s) provably returns it
-    again, else None.  ``top`` is that cut's ``_top_cut`` and ``drift`` the
-    bound on how far any |w_k| has moved since."""
-    if top is None or top[1] is not w or top[0].size != s or not cmath.isfinite(e):
+def _support(rec, w, s, x):
+    """K of the last top-s cut when the support path may be tried, else None:
+    w is that cut's array, so zero off K, |K| = s and the row is registered."""
+    if rec is None or rec.w is not w or rec.kept.size != s or not unit_magnitude(x):
         return None
-    if not 2.0 * drift + _DELTA * drift < top[2]:  # NaN fails too
-        return None
-    return top[0]
+    return rec.kept
 
 
-# -- budget path ---------------------------------------------------------------
-#
-# The tracker's count is #{k : a_k > q*}, a_k the computed |w_k - xi err_k|.  On
-# the array of the last top-s cut, w is exactly zero off K; while support_quiet
-# holds no entry off K passes, and support_count over K is the full count.  It
-# also returns the slack sigma, the smallest computed |a_k - q*| on K.
-#
-# Reusing the count.  Let t_k = |w_k - xi err_k| in exact arithmetic on the
-# stored floats and d_k = |a_k - q*| >= sigma / (1 + u).  A certified step moves
-# t_k by at most |dw_k| + xi |derr_k|, with c = mu e*, |x_k| <= 1 + 3u, l0's
-# |g_k| <= 1 + 3u, inv = 1/kappa, B the bound before the update and
-# beta = |e| (1 + _DELTA) the bound on |b_k| = |fl(e* x_k)|:
-#   |dw_k|   <= (|c| + rho)(1 + 8u) + 3u |w_k|,      |w_k| <= t_k + xi B,
-#   |derr_k| <= inv (B + beta)(1 + 3u) + 2u B          (fl(1 - inv) within u).
-# Computing a_k adds at most 4u (t_k + xi B) + tiny, at the count and at the
-# reuse.  The drift D starts at _DELTA (q* + sigma + xi B) + _TINY and each
-# certified step adds
-#   ((|c| + rho) + xi (inv (B + beta) + _DELTA B))(1 + _DELTA)
-#       + _DELTA (q* + sigma + xi B') + _TINY            (B' after the update).
-# While D < sigma after n steps, the terms absolute or relative to q* and xi B
-# sum to less than sigma (1 - (n + 1) _DELTA), and t_k <= q* + d_k + sigma
-# leaves terms relative to d_k below (9 + 3n) u d_k, less than the (n + 1)
-# _DELTA d_k to spare: every a_k stays on its side of q*, and so does the count.
-# A dense step, a reassigned w, a non-unit row (beta = +inf), NaN or inf (a NaN
-# sigma, B or D fails every comparison) or a failed support_quiet runs the full
-# query, which resets B to max |err_k|.
-
-
-# A certified step logs its tracker update only while xi B < q* / _QUIET_HEADROOM.
-# A full query replays the log at about the cost of the updates it holds, and it
-# runs once xi B reaches q*; B, a running bound on |e|, would have to grow
-# _QUIET_HEADROOM-fold first.  At N = 1000, xi B / q* stays below 0.02 on the
-# logged steps of exp2 and exp3, and between 0.6 and 1 in exp4, where a full
-# query runs every 20 steps on average and would replay every log.
-_QUIET_HEADROOM = 4.0
-
-
-def _budget_support(cut, w, tracker):
+def _budget_support(rec, w, tracker):
     """K of the last top-s cut when the tracker's count may be read from K, else
     None: w is that cut's array, so zero off K, and support_quiet holds."""
-    if cut is None or cut[1] is not w or not support_quiet(tracker):
+    if rec is None or rec.w is not w or not support_quiet(tracker):
         return None
-    return cut[0]
+    return rec.kept
 
 
 class Estimator:
@@ -388,19 +355,15 @@ class Estimator:
     tracker, which consumes the update direction b(n) the step already
     computed.  With ``use_support`` the tracker's occupancy mask replaces the
     top-s cut of the thresholded variants.  A tracker that no budget or mask
-    reads, or whose ``xi`` is 0, is not updated; a certified step of a tracker
-    budget logs its update, which a read of ``tracker.err`` applies.
+    reads, or whose ``xi`` is 0, is not updated.
 
-    After a top-s cut the next active step takes the support path when
-    ``state.w`` is still the array that cut returned and the budget equals the
-    kept count; reassigning ``state.w`` sends the step back to the dense rule
-    and the budget back to the full query.  sza reuses its last exact top-s
-    set only while ``state.w`` is the array that set was cut from.  These
-    paths assume that only ``step`` writes into that array: change
-    ``state.w`` by assigning a new one.  That holds for entries on K too: a
-    certified step updates the kept values it wrote at the last certified
-    step, not ``state.w[K]``.  A NaN, inf or huge value written in place still
-    reaches e(n) and c, and through them the dense rule.
+    An array a record is taken on (each top-s cut of hard and hard_l0, sza's
+    iterate at its first recorded cut) is read-only to callers from then on:
+    the step writes it through a private writable view, and an in-place write
+    from outside raises.  Assigning a new array to ``state.w`` is the only way
+    in; it sends the step back to the dense rule and the budget back to the
+    full query.  A NaN, inf or huge value so assigned reaches e(n) and c, and
+    through them the dense rule.
     """
 
     def __init__(
@@ -427,26 +390,19 @@ class Estimator:
             )
         self.last_s: int | None = None
 
-        self._cut = None  # (K, w) of the last top-s cut
         self._mu = complex(config.mu)
-        # the budget path: last count on K, its slack and the drift since
-        self._count = None
-        self._slack = 0.0  # nothing to spend: the next query counts afresh
-        self._drift = 0.0
         self._rho = config.rho if variant in _PENALTY else 0.0
         self._penalty = _PENALTY.get(variant)
-        # the record of the last exact check, sza's _top_cut or hard's
-        # (cut, lo, top) from _certified, and the drift since; sza and the
-        # support path never share an estimator
         self._selective = variant == "sza"
-        self._top = None
-        self._moved = 0.0
-        self._kept_v = None  # the support path's last certified w[K]
         self._penalty_in_burn_in = variant == "hard_l0"
+        # the record of the last top-s cut (hard, hard_l0) or of sza's top-s
+        # set, and of the last count on K; the read-only array records are
+        # taken on, and its writable view
+        self._rec = self._count = None
+        self._ro = self._w = None
         # the budget is held as a function, not a bound method: a bound method
         # stored on its own instance is a reference cycle, which would keep the
-        # estimator's arrays (the tracker's log among them) until the cycle
-        # collector runs
+        # estimator's arrays until the cycle collector runs
         self._budget = self._project = None
         if variant in THRESHOLDED:
             self._budget = (
@@ -465,45 +421,52 @@ class Estimator:
             and tracker_params.xi != 0.0
             and reads_tracker(config, tracker_params)
         )
-        # certified steps log their tracker update while B < _log_below; a mask
-        # reads all of err
-        self._log = self._track and self._budget is Estimator._tracker_budget
-        if self._log:
-            self._log_below = tracker_params.q_star / (_QUIET_HEADROOM * tracker_params.xi)
+
+    def _own(self, w):
+        """Make w, which a record is taken on, read-only to callers."""
+        if w is not self._ro:
+            self._w = w.view()
+            w.flags.writeable = False
+            self._ro = w
 
     def _fixed_budget(self, w):
         return self.config.s, None
 
     def _tracker_budget(self, w):
         tr = self.tracker
-        kept = _budget_support(self._cut, w, tr)
+        # sza's record is taken on a dense iterate: it counts in full
+        kept = None if self._selective else _budget_support(self._rec, w, tr)
         if kept is None:
-            self._slack = 0.0
+            self._count = None
             s = estimate_sparsity(tr, w)
             reset_bound(tr)
             return s, None
-        if not self._drift < self._slack:
-            count, self._slack = support_count(tr, w, kept)
-            self._count = clamp_budget(count, w.size)
+        rec = self._count
+        if rec is None or not rec.count_reusable():
+            count, slack = support_count(tr, w, kept)
             p = tr.params
-            self._drift = _DELTA * (p.q_star + self._slack + p.xi * tr.bound) + _TINY
-        return self._count, None
-
-    def _selective_penalty(self, w, s, e):
-        kept = _kept_top(self._top, w, s, self._moved, e)
-        if kept is None:
-            keep, self._top = _top_cut(w, s)
-            self._moved = 0.0
-            return selective_penalty(w, s, keep)
-        pen = complex_sign(w)
-        pen[kept] = 0
-        return pen
+            top = p.q_star + slack
+            drift = _step_bound(0.0, top + p.xi * tr.bound)
+            rec = self._count = Record(w, kept, top, slack, drift, clamp_budget(count, w.size))
+        return rec.value, None
 
     def _mask_budget(self, w):
         mask = occupancy_mask(self.tracker, w)
         if self.config.s is not None:
             return self.config.s, mask
         return clamp_budget(int(np.count_nonzero(mask)), w.size), mask
+
+    def _selective_penalty(self, w, s, e):
+        rec = self._rec
+        if (rec is None or rec.w is not w or rec.kept.size != s or not cmath.isfinite(e)
+                or not rec.set_kept()):
+            keep, self._rec = _top_cut(w, s)
+            if self._rec is not None:
+                self._own(w)
+            return selective_penalty(w, s, keep)
+        pen = complex_sign(w)
+        pen[rec.kept] = 0
+        return pen
 
     def step(self, sample) -> complex:
         cfg = self.config
@@ -513,15 +476,9 @@ class Estimator:
         if active and self._budget is not None:
             s, mask = self._budget(self, st.w)
         if active and self._project is _top_s:
-            kept = _support(self._cut, st.w, s, sample.x)
-        # a record of this cut was made or renewed by the last step, which left
-        # w[K] in _kept_v
-        recorded = kept is not None and self._top is not None and self._top[0] is self._cut
-        if kept is None:
-            w = st.w
-        else:
-            w = self._kept_v if recorded else st.w[kept]
-        # before the penalty, which reads the same w; sza's certificate reads e
+            kept = _support(self._rec, st.w, s, sample.x)
+        w = st.w if kept is None else self._rec.value
+        # before the penalty, which reads the same w; sza's record reads e
         e = prediction_error(st, sample)
         if self._penalty is not None and (active or self._penalty_in_burn_in):
             if self._selective:
@@ -533,38 +490,40 @@ class Estimator:
         e_conj = e.conjugate()
         c = self._mu * e_conj
         abs_c = math.hypot(c.real, c.imag)
-        rec = self._top
+        rec = self._rec
         if rec is not None:
-            # the bound on this step's move of any |w_k|, derived for sza
-            inc = (abs_c + self._rho) * (1.0 + _DELTA) + _DELTA * (rec[-1] + self._moved) + _TINY
+            inc = _step_bound(abs_c + self._rho, rec.top + rec.drift)
         if kept is not None:
             v = w + c * sample.x[kept]
             if shrink is not None:
                 v -= shrink
-            if recorded and _recertified(rec, abs_c, self._moved + inc):
-                self._moved += inc
-            else:
+            rec.advance(inc)
+            if not rec.support_kept(abs_c):
                 proof = _certified(v, c)
-                self._top = None if proof is None else (self._cut, *proof)
-                self._moved = 0.0
-            if self._top is not None:
-                st.w[kept] = v
-                self._kept_v = v
-            else:
-                if shrink is not None:
-                    full = np.zeros_like(st.w)
-                    full[kept] = shrink
-                    shrink = full
-                kept = None
+                if proof is None:
+                    if shrink is not None:
+                        full = np.zeros_like(st.w)
+                        full[kept] = shrink
+                        shrink = full
+                    kept = None
+                else:
+                    rec.margin, rec.top = proof
+                    rec.drift = 0.0
+            if kept is not None:
+                self._w[kept] = v
+                rec.value = v
         if kept is None:
-            self._slack = 0.0
-            st.w += c * sample.x
+            self._count = None
+            w = self._w if st.w is self._ro else st.w
+            w += c * sample.x
             if shrink is not None:
-                st.w -= shrink
+                w -= shrink
             if active and self._project is not None:
-                st.w = self._project(st.w, s, mask)
+                st.w = self._project(w, s, mask)
                 if self._project is _top_s:
-                    self._cut = (np.flatnonzero(st.w), st.w)
+                    self._own(st.w)
+                    cut = np.flatnonzero(st.w)
+                    self._rec = Record(st.w, cut, 0.0, -math.inf, value=st.w[cut])
         st.n += 1
 
         tr = self.tracker
@@ -574,25 +533,16 @@ class Estimator:
             unit = kept is not None or unit_magnitude(sample.x)
             # math.hypot, unlike abs(complex), overflows to inf without raising
             beta = math.hypot(e.real, e.imag) * (1.0 + _DELTA) if unit else math.inf
-            # the row's position, when the stream gives it
-            t = getattr(sample, "t", None) if kept is not None and self._log else None
-            if t is not None and bound < self._log_below:
-                log_update(tr, sample.x.base, t, e_conj, beta)
-            else:
-                tracker_update(tr, e_conj * sample.x, beta)
+            tracker_update(tr, e_conj * sample.x, beta)
         if self._selective and rec is not None:
-            self._moved = self._moved + inc if unit_magnitude(sample.x) else math.inf
-        if kept is not None and self._slack:
-            # a certified step after a count on K: bound the move of every
-            # |w_k - xi err_k| on K
+            rec.advance(inc if unit_magnitude(sample.x) else math.inf)
+        cnt = self._count
+        if cnt is not None:
+            # a certified step after a count on K: (c)
             xi = tr.params.xi
             move = abs_c + self._rho
             if self._track:
                 move += xi * ((bound + beta) / tr.kappa + _DELTA * bound)
-            self._drift += (
-                move * (1.0 + _DELTA)
-                + _DELTA * (tr.params.q_star + self._slack + xi * tr.bound)
-                + _TINY
-            )
+            cnt.advance(_step_bound(move, cnt.top + xi * tr.bound))
         self.last_s = s
         return e

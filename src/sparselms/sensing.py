@@ -89,7 +89,8 @@ class MeasurementSample:
     """One observation: regressor row x and noisy scalar y.
 
     ``t``, when set, is the index of row x in its ``fourier_rows`` table;
-    ``make_stream`` sets it.
+    ``make_stream`` sets it.  Nothing in the package reads it yet: it is kept
+    for a stream that yields positions instead of rows.
     """
 
     x: np.ndarray

@@ -1,4 +1,3 @@
-import copy
 import math
 from contextlib import contextmanager
 from fractions import Fraction
@@ -480,6 +479,12 @@ def _sparse_truth(rng, n, k):
     return w
 
 
+def _poisoned_copy(w, j, value):
+    w = w.copy()
+    w[j] = value
+    return w
+
+
 def _pair(variant, n, s, burn_in, mu_ref=0.5, tracked=False):
     cfg = EstimatorConfig(
         variant, mu=mu_ref / n, rho=0.02 / n, beta=0.5, s=s, burn_in=burn_in
@@ -607,7 +612,7 @@ def test_support_path_reports_nan_like_the_dense_rule(variant):
     fast, dense, sample = _stable_run(variant)
     kept = np.flatnonzero(fast.state.w)
     for est in (fast, dense):
-        est.state.w[kept[0]] = math.nan  # in place: the iterate stays the cut's array
+        est.state.w = _poisoned_copy(est.state.w, kept[0], math.nan)
     smp = sample()
     with pytest.raises(ValueError, match="non-finite") as fast_err:
         fast.step(smp)
@@ -631,6 +636,55 @@ def test_registry_trajectories_match_dense_rule(name):
         assert fast.final_support == dense.final_support
 
 
+def test_an_array_a_record_is_taken_on_is_read_only():
+    # a hard cut's array, HARD-EST's after a certified step and sza's iterate
+    n, k = 32, 2
+    rng = np.random.default_rng(5)
+    rows = fourier_rows(n)
+    w_true = _sparse_truth(rng, n, k)
+    hard = Estimator(EstimatorConfig("hard", mu=0.5 / n, s=k), n)
+    tracked = Estimator(
+        EstimatorConfig("hard", mu=0.5 / n, burn_in=n), n,
+        TrackerParams(lam=0.9, xi=0.5 / n, q_star=0.05),
+    )
+    sza = Estimator(EstimatorConfig("sza", mu=0.5 / n, rho=0.02 / n, s=k), n)
+
+    def sample():
+        x = rows[rng.integers(n)]
+        return MeasurementSample(x, np.vdot(w_true, x))
+
+    hard.step(sample())  # the first active step cuts
+    certified = False
+    for _ in range(400):
+        smp, before = sample(), tracked.state.w
+        tracked.step(smp)
+        sza.step(smp)
+        certified = tracked.state.n > n and tracked.state.w is before
+    assert certified  # the last step of HARD-EST updated its cut's array
+    for est in (hard, tracked, sza):
+        with pytest.raises(ValueError, match="read-only"):
+            est.state.w[0] = 1.0
+        est.state.w = est.state.w.copy()  # a new array is the way in
+        est.state.w[0] = 1.0
+        est.step(sample())
+
+
+def test_record_predicates_are_strict_at_their_margins():
+    # a drift that has spent the whole margin proves nothing: at D = sigma a
+    # corrected magnitude may sit on q* itself, and at 2D + delta D = gap two
+    # magnitudes may tie at the s-th place
+    rec = estimators.Record(np.ones(1, dtype=complex), np.arange(1), top=1.0, margin=0.5)
+    for drift, reusable in ((0.5, False), (math.nextafter(0.5, 0.0), True),
+                            (math.nan, False), (math.inf, False)):
+        rec.drift = drift
+        assert rec.count_reusable() is reusable
+    rec.drift = 0.25
+    rec.margin = 2.0 * 0.25 + estimators._DELTA * 0.25
+    assert not rec.set_kept()
+    rec.margin = math.nextafter(rec.margin, math.inf)
+    assert rec.set_kept()
+
+
 # -- budget path against the full query -----------------------------------------------
 #
 # The oracle is the same Estimator with the budget path declined, so every tracker
@@ -649,18 +703,13 @@ def full_query_step(est, sample):
         return est.step(sample)
 
 
-def _poisoned_copy(w, j, value):
-    w = w.copy()
-    w[j] = value
-    return w
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.sampled_from([8, 16, 32]),
     k=st.integers(1, 3),
-    variant=st.sampled_from(["hard", "hard_l0"]),
+    # sza's record is on its dense iterate, where a count over K is not the full one
+    variant=st.sampled_from(["hard", "hard_l0", "sza"]),
     xi_ref=st.sampled_from([0.0, 0.05, 0.5, 2.0]),
     lam=st.sampled_from([0.2, 0.7, 0.95]),  # a small lambda moves err fast
     near=st.floats(0.8, 1.2),  # q* near a coefficient magnitude: the slack runs out
@@ -679,7 +728,7 @@ def test_budget_path_matches_the_full_query(
     rows = fourier_rows(n)
     w_true = _sparse_truth(rng, n, k)
     q_star = near * float(np.abs(w_true[np.flatnonzero(w_true)]).min())
-    rho = rho_ref / n if variant == "hard_l0" else 0.0
+    rho = rho_ref / n if variant != "hard" else 0.0
     cfg = EstimatorConfig(variant, mu=0.5 / n, rho=rho, beta=0.5, burn_in=n)
     params = TrackerParams(lam=lam, xi=xi_ref / n, q_star=q_star)
     fast, oracle = Estimator(cfg, n, params), Estimator(cfg, n, params)
@@ -796,13 +845,16 @@ def test_step_scalars_match_numpy_complex128_bit_for_bit(y_re, y_im, w_re, w_im,
 
 
 @pytest.mark.parametrize(
-    "name, label", [("exp2", "HARD-EST"), ("exp4-tracking", "HARD-EST-SIMPLE")]
+    "name, label",
+    [("exp2", "HARD-EST"), ("exp4-tracking", "HARD-EST-SIMPLE"), ("exp3", "HARD-EST")],
 )
 def test_budget_queries_mostly_skip_the_full_pass(monkeypatch, name, label):
     # At N = 64 the tracker budgets of these labels settle on a stable support,
     # so most queries reuse a count or read it from K.  (exp4's HARD-EST is not
     # here: at N = 64 its xi = 20/64 lets entries off K pass q* = 0.005, and most
-    # of its queries need the full pass.)
+    # of its queries need the full pass.)  Measured at trial 0: exp3's HARD-EST
+    # ran 1 full pass and 28 counts on K for 1287 queries, hence its own bound.
+    on_k_share = 0.1 if name == "exp3" else 0.5
     spec = get_experiment(name, trials=1, n=64)
     algo = next(a for a in spec.algorithms if a.label == label)
     calls = {"full": 0, "on_K": 0}
@@ -819,7 +871,7 @@ def test_budget_queries_mostly_skip_the_full_pass(monkeypatch, name, label):
     queries = int(np.count_nonzero(~np.isnan(run_trial(spec, algo, 0).s_trajectory)))
     assert queries == spec.sensing.total_samples - algo.estimator.burn_in
     assert calls["full"] < 0.05 * queries
-    assert calls["on_K"] < 0.5 * queries
+    assert calls["on_K"] < on_k_share * queries
 
 
 # -- selective path against the exact cut ----------------------------------------------
@@ -831,7 +883,7 @@ def test_budget_queries_mostly_skip_the_full_pass(monkeypatch, name, label):
 @contextmanager
 def exact_top_cut():
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimators, "_kept_top", lambda *args: None)
+        mp.setattr(estimators.Record, "set_kept", lambda *args: False)
         yield
 
 
@@ -893,9 +945,10 @@ def test_selective_path_matches_the_exact_cut(
             order = np.argsort(np.abs(w))
             w[order[-1]] = w[order[0]] = abs(w[order[-s]])
             fast.state.w, oracle.state.w = w, w.copy()
-        if 0.985 < draw <= 0.99:  # a NaN written in place: same error, same step
+        if 0.985 < draw <= 0.99:  # a NaN assigned: same error, same step
             j = rng.integers(n)
-            fast.state.w[j] = oracle.state.w[j] = math.nan
+            fast.state.w = _poisoned_copy(fast.state.w, j, math.nan)
+            oracle.state.w = _poisoned_copy(oracle.state.w, j, math.nan)
         with np.errstate(all="ignore"):
             ended, e_fast, e_oracle = _ends_alike(
                 lambda: fast.step(sample), lambda: _step_with(exact_top_cut, oracle, sample)
@@ -916,7 +969,7 @@ def test_selective_path_matches_the_exact_cut(
 @contextmanager
 def no_record():
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimators, "_recertified", lambda *args: False)
+        mp.setattr(estimators.Record, "support_kept", lambda *args: False)
         yield
 
 
@@ -996,9 +1049,10 @@ def test_support_record_takes_the_certificate_path(
             nudge = 1e-3 * scale * rng.standard_normal(n)
             fast.state.w = fast.state.w + nudge
             oracle.state.w = oracle.state.w + nudge
-        if 0.995 < draw:  # a NaN written in place: same error, same step
+        if 0.995 < draw:  # a NaN assigned: same error, same step
             j = rng.integers(n)
-            fast.state.w[j] = oracle.state.w[j] = math.nan
+            fast.state.w = _poisoned_copy(fast.state.w, j, math.nan)
+            oracle.state.w = _poisoned_copy(oracle.state.w, j, math.nan)
         with np.errstate(all="ignore"), cuts_logged() as calls:
             cuts_fast, e_fast = _cuts_of(calls, lambda: fast.step(sample))
             cuts_oracle, e_oracle = _cuts_of(calls, lambda: _step_with(no_record, oracle, sample))
@@ -1065,100 +1119,17 @@ def test_exp2_support_path_mostly_skips_the_certificate(monkeypatch):
         assert calls["certified"] < 0.15 * calls["support"], algo.label
 
 
-# -- logged tracker updates against eager ones ------------------------------------------
-#
-# The oracle is the same Estimator whose tracker updates all run eagerly; the
-# tracker's err is compared after every step on a copy, so that reading it does
-# not replay the log of the estimator under test.
-
-
-@contextmanager
-def eager_tracker():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(
-            estimators, "log_update",
-            lambda tr, table, t, e_conj, beta: tracker_update(tr, e_conj * table[t], beta),
-        )
-        yield
-
-
-def _peek_err(tracker):
-    view = copy.copy(tracker)
-    view._err = tracker._err.copy()
-    return view.err  # replays the log on the copy alone
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.sampled_from([8, 16, 32]),
-    k=st.integers(1, 3),
-    variant=st.sampled_from(["hard", "hard_l0"]),
-    xi_ref=st.sampled_from([0.05, 0.5, 2.0]),
-    lam=st.sampled_from([0.2, 0.7, 0.95]),
-    near=st.floats(0.8, 1.2),  # q* near a coefficient magnitude: full queries
-    windowed=st.booleans(),  # fresh positions per window, and a support change
-    noise=st.sampled_from([0.0, 0.01, 0.3]),
-)
-def test_logged_tracker_updates_match_the_eager_rule(
-    seed, n, k, variant, xi_ref, lam, near, windowed, noise
-):
-    rng = np.random.default_rng(seed)
-    rows = fourier_rows(n)
-    w_true = _sparse_truth(rng, n, k)
-    q_star = near * float(np.abs(w_true[np.flatnonzero(w_true)]).min())
-    rho = 0.02 / n if variant == "hard_l0" else 0.0
-    cfg = EstimatorConfig(variant, mu=0.5 / n, rho=rho, beta=0.5, burn_in=n)
-    params = TrackerParams(lam=lam, xi=xi_ref / n, q_star=q_star)
-    fast, oracle = Estimator(cfg, n, params), Estimator(cfg, n, params)
-    window = rng.choice(n, size=max(1, n // 2), replace=False)
-    for step in range(240):
-        if windowed and step % len(window) == 0:
-            window = rng.choice(n, size=len(window), replace=False)
-        if windowed and step == 120:
-            w_true = w_true + _sparse_truth(rng, n, k)  # new bins: dense steps
-        t = int(window[step % len(window)])
-        x = rows[t]
-        draw = rng.random()
-        y = np.vdot(w_true, x) + noise * rng.standard_normal()
-        sample = MeasurementSample(x, y, t)
-        if draw > 0.98:
-            sample = MeasurementSample(x.copy(), y)  # a non-unit row: eager
-        with np.errstate(all="ignore"):
-            e_fast = fast.step(sample)
-            e_oracle = _step_with(eager_tracker, oracle, sample)
-        assert_bitwise_equal(fast, oracle, e_fast, e_oracle)
-        assert _bits(_peek_err(fast.tracker)) == _bits(oracle.tracker.err)
-        if draw < 0.05:  # an outside read replays the log itself
-            assert _bits(fast.tracker.err) == _bits(oracle.tracker.err)
-    assert _bits(fast.tracker.err) == _bits(oracle.tracker.err)
-
-
 def test_exp3_certifies_sza_and_logs_tracker_updates(monkeypatch):
-    # Measured at N = 64, seed 303, trial 0 (1300 steps per label): SZA ran 87
-    # exact cuts, HARD-EST logged 1283 updates and ran 17 eagerly (13 in
-    # burn-in), HARD-L0 logged 1263 and ran 37 (26 in burn-in).
+    # Measured at N = 64, seed 303, trial 0 (1300 steps): SZA ran 87 exact cuts
     spec = get_experiment("exp3", trials=1, n=64)
-    steps = spec.sensing.total_samples
-    calls = {}
+    algo = next(a for a in spec.algorithms if a.label == "SZA")
+    calls = []
+    penalty = estimators.selective_penalty
 
-    def tally(attr):
-        fn = getattr(estimators, attr)
+    def counted(*args):
+        calls.append(args)
+        return penalty(*args)
 
-        def counted(*args):
-            calls[attr] = calls.get(attr, 0) + 1
-            return fn(*args)
-
-        monkeypatch.setattr(estimators, attr, counted)
-
-    for attr in ("selective_penalty", "tracker_update", "log_update"):
-        tally(attr)
-    for algo in spec.algorithms:
-        calls.clear()
-        run_trial(spec, algo, 0)
-        if algo.label == "SZA":
-            assert calls["selective_penalty"] < 0.15 * steps
-        if algo.label in ("HARD-EST", "HARD-L0"):
-            active = steps - algo.estimator.burn_in
-            assert calls["log_update"] > 0.9 * active
-            assert calls["tracker_update"] < algo.estimator.burn_in + 0.1 * active
+    monkeypatch.setattr(estimators, "selective_penalty", counted)
+    run_trial(spec, algo, 0)
+    assert len(calls) < 0.15 * spec.sensing.total_samples

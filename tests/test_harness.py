@@ -99,7 +99,9 @@ def _poisoned_at(step: int, value: float = math.nan):
             super().step(sample)
             self.done += 1
             if self.done == step:
-                self.state.w[3] = value
+                w = self.state.w.copy()  # an iterate is changed by assignment only
+                w[3] = value
+                self.state.w = w
 
     return Poisoned
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from sparselms import tracker
 from sparselms.estimators import EstimatorState, prediction_error
 from sparselms.sensing import RepeatedPass, SensingConfig, fourier_rows, make_stream
 from sparselms.signals import SignalSpec, multisine, true_spectrum
@@ -9,10 +8,8 @@ from sparselms.tracker import (
     TrackerParams,
     corrected_estimate,
     estimate_sparsity,
-    log_update,
     make_tracker,
     occupancy_mask,
-    support_count,
     tracker_update,
 )
 
@@ -153,90 +150,3 @@ def test_tracker_converges_to_error_under_unit_forgetting():
     corrected = corrected_estimate(tracker, w_hat)
     np.testing.assert_allclose(corrected, w_true, atol=1e-10)
     assert estimate_sparsity(tracker, w_hat) == 4
-
-
-# -- logged updates against eager ones -------------------------------------------
-
-
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint64).tolist()
-
-
-@pytest.mark.parametrize("n", [8, 64, 1000])
-def test_logged_updates_replay_to_the_eager_bits(n):
-    # a log longer than its first capacity, read over two position sets in
-    # turn with no full replay between, then in full
-    rows = fourier_rows(n)
-    rng = np.random.default_rng(n)
-    params = TrackerParams(lam=0.9, xi=0.5, q_star=0.05)
-    eager, logged = make_tracker(params, n), make_tracker(params, n)
-    sets = [np.sort(rng.choice(n, size=min(5, n), replace=False)) for _ in range(2)]
-    w = np.zeros(n, dtype=complex)
-    for step in range(600):
-        t = int(rng.integers(n))
-        e_conj = complex(rng.standard_normal(), rng.standard_normal()) * 10.0 ** rng.uniform(-6, 3)
-        tracker_update(eager, e_conj * rows[t], 2.0)
-        log_update(logged, rows, t, e_conj, 2.0)
-        assert (logged.kappa, logged.bound) == (eager.kappa, eager.bound)
-        if step % 7 == 0:
-            kept = sets[(step // 70) % 2]
-            assert support_count(logged, w, kept) == support_count(eager, w, kept)
-    assert logged._logged == 600  # nothing above replayed it in full
-    assert _bits(logged.err) == _bits(eager.err)
-    assert logged._logged == 0
-
-
-def test_a_logged_product_keeps_its_operand_order():
-    # the replay forms e* x as the step does; x e* differs in the last bit on
-    # some entries, so the order is part of the bit-for-bit claim
-    n = 64
-    rows = fourier_rows(n)
-    rng = np.random.default_rng(7)
-    e_conj = [complex(rng.standard_normal(), rng.standard_normal()) for _ in range(64)]
-    ts = rng.integers(n, size=64)
-    eager = np.stack([e * rows[t] for e, t in zip(e_conj, ts)])
-    batched = np.multiply(np.array(e_conj)[:, None], rows[ts])
-    assert _bits(batched) == _bits(eager)
-
-
-def test_a_log_at_its_cap_is_replayed(monkeypatch):
-    monkeypatch.setattr(tracker, "_LOG_CAP", 8)
-    monkeypatch.setattr(tracker, "_LOG_START", 4)
-    rows = fourier_rows(16)
-    params = TrackerParams(lam=0.9)
-    eager, logged = make_tracker(params, 16), make_tracker(params, 16)
-    for step in range(20):
-        tracker_update(eager, (0.25 + 0.5j) * rows[step % 16], 1.0)
-        log_update(logged, rows, step % 16, 0.25 + 0.5j, 1.0)
-        assert logged._logged <= 8 and logged._pos.size <= 8
-    assert logged._logged == 4  # 8 + 8 replayed at the cap, 4 pending
-    assert _bits(logged.err) == _bits(eager.err)
-
-
-def test_reading_or_assigning_err_ends_the_log():
-    n = 16
-    rows = fourier_rows(n)
-    params = TrackerParams(lam=0.8)
-    eager, logged = make_tracker(params, n), make_tracker(params, n)
-    for t in (3, 5, 7):
-        tracker_update(eager, (0.5 - 0.25j) * rows[t], 1.0)
-        log_update(logged, rows, t, 0.5 - 0.25j, 1.0)
-    # an eager update after logged ones applies them first
-    tracker_update(eager, np.ones(n, dtype=complex))
-    tracker_update(logged, np.ones(n, dtype=complex))
-    assert _bits(logged.err) == _bits(eager.err)
-    log_update(logged, rows, 1, 1.0 + 0j, 1.0)
-    logged.err = np.zeros(n, dtype=complex)  # an assigned err drops the pending log
-    assert not logged.err.any()
-
-
-def test_a_log_over_another_table_is_replayed_first():
-    rows = fourier_rows(8)
-    other = rows.copy()  # the same values in another array
-    params = TrackerParams(lam=0.8)
-    eager, logged = make_tracker(params, 8), make_tracker(params, 8)
-    for table, t in ((rows, 1), (other, 2), (rows, 3)):
-        tracker_update(eager, (0.3 + 0.1j) * table[t], 1.0)
-        log_update(logged, table, t, 0.3 + 0.1j, 1.0)
-    assert logged._table is rows and logged._logged == 1
-    assert _bits(logged.err) == _bits(eager.err)
