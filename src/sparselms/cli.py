@@ -75,7 +75,8 @@ def _cmd_run(args) -> int:
         write_summary_csv(result, out / f"{spec.name}_summary.csv")
         if args.gnuplot:
             write_gnuplot_dat(result, out / f"{spec.name}_curves.dat")
-        print(f"{spec.name}: {spec.trials} trial(s), {elapsed:.1f}s")
+        steps = sum(r.rmse_lin_trajectory.size for recs in result.records.values() for r in recs)
+        print(f"{spec.name}: {spec.trials} trial(s), {elapsed:.1f}s, {steps / elapsed:.0f} steps/s")
         for label in result.curves_db:
             ss = result.steady_state_db(label)
             print(f"  {label:18s} final {result.curves_db[label][-1]:8.2f} dB"

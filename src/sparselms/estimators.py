@@ -20,9 +20,10 @@ each step advances D in O(1), and the record answers for the check while its
 predicate holds.  A top-s cut leaves w zero off K, and its record lets the
 next steps update w[K] alone once ``_certified`` proves the cut would return K
 again (``support_kept``); the tracker's count is then read from K and reused
-(``count_reusable``).  sza's iterate stays dense, but its top-s set is reused
-after an exact cut with a strict gap (``set_kept``).  Every path gives the
-dense rule's results bit for bit; the derivation is above ``Record``.
+(``count_reusable``), and ``sparse_iterate`` hands (K, w[K]) to the r-MSE.
+sza's iterate stays dense, but its top-s set is reused after an exact cut with
+a strict gap (``set_kept``).  Every path gives the dense rule's results bit
+for bit; the derivation is above ``Record``.
 
 The scalars of a step (e, e*, c = mu e* and the bounds) are Python numbers:
 ``prediction_error`` converts numpy's e, and c is formed as complex x complex,
@@ -363,7 +364,9 @@ class Estimator:
     from outside raises.  Assigning a new array to ``state.w`` is the only way
     in; it sends the step back to the dense rule and the budget back to the
     full query.  A NaN, inf or huge value so assigned reaches e(n) and c, and
-    through them the dense rule.
+    through them the dense rule.  The tracker's ``err`` is read-only to callers
+    in the same way (``TrackerState``); an assigned one also sends the next
+    budget to the full query.
     """
 
     def __init__(
@@ -428,6 +431,20 @@ class Estimator:
             self._w = w.view()
             w.flags.writeable = False
             self._ro = w
+
+    def sparse_iterate(self):
+        """(K, w[K]) when ``state.w`` is known to be zero off K, else None.
+
+        That holds while the record of the last top-s cut is on ``state.w``:
+        after each cut of hard or hard_l0 and each certified step.  Dense
+        variants, sza (its record is on a dense iterate), the occupancy mask
+        and an assigned ``state.w`` give None.  Neither array is written
+        afterwards: a certified step stores a new w[K].
+        """
+        rec = self._rec
+        if self._project is not _top_s or rec is None or rec.w is not self.state.w:
+            return None
+        return rec.kept, rec.value
 
     def _fixed_budget(self, w):
         return self.config.s, None

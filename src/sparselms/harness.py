@@ -25,9 +25,16 @@ from .tracker import TrackerParams
 
 DB_FLOOR = -120.0
 
-# iterates per r-MSE pass in run_trial: one (RMSE_BLOCK, N) reduction replaces
+# iterates per r-MSE pass in run_trial: one (RMSE_BLOCK, N) row sum replaces
 # RMSE_BLOCK per-step ones
 RMSE_BLOCK = 32
+
+# an iterate zero off K is reduced as a support row while |K| <= this share of
+# N: its K columns cost a gather and a scatter, several times more per entry
+# than the contiguous passes of a dense row.  Measured at N = 1000, dense rows
+# win from |K| between N/3 and N/2 on (short blocks first), and by about 1.5x
+# at |K| = 2N/3; exp4's HARD-EST reaches |K| = N after its signal change.
+SUPPORT_ROW_SHARE = 0.5
 
 # a linear r-MSE above this marks a diverged trial even while it stays finite:
 # 60 dB above the r-MSE of 1 that the zero estimate, w = 0, reaches
@@ -57,6 +64,80 @@ def _rmse_rows(block: np.ndarray, w_true: np.ndarray, sig2: float, sq: np.ndarra
     np.add(f[:, 0::2], f[:, 1::2], out=sq[:rows])
     sq[:rows].sum(axis=1, out=out)
     out /= sig2
+
+
+class _RmseRows:
+    """The r-MSE of each iterate of a trial, into ``out``, RMSE_BLOCK rows per
+    reduction.
+
+    A block holds rows of one kind and one phase.  A dense iterate is copied
+    into ``block`` and reduced by _rmse_rows.  An iterate that is zero off its
+    support K (``Estimator.sparse_iterate``) is held as its w[K]; a block of
+    them shares one K object.  Off K its row of squared errors is
+    base = re(w*)^2 + im(w*)^2, so the float rows of ``sq`` hold base there
+    and only the K columns are computed, as _rmse_rows computes them; the same
+    row sum then gives every value bit for bit.
+    """
+
+    def __init__(self, out: np.ndarray, n: int):
+        self.out = out
+        self.block = np.empty((RMSE_BLOCK, n), dtype=complex)
+        self.sq = np.empty(self.block.shape)
+        self.row_at = np.arange(0, RMSE_BLOCK * n, n)[:, None]  # flat index of each row
+        self.max_kept = int(n * SUPPORT_ROW_SHARE)
+        self.start = self.rows = 0  # the block's first step and its row count
+        self.kept = None  # K of the block's rows, None for dense rows
+        self.values = []  # their w[K]
+        # sq holds base but for the columns ``stale`` of its first ``written``
+        # rows; stale is None when sq does not hold base
+        self.stale, self.written = None, 0
+
+    def phase(self, w_true: np.ndarray) -> None:
+        self.flush()
+        self.w_true = w_true
+        self.sig2 = _sq_norm(w_true)
+        self.base = w_true.real * w_true.real + w_true.imag * w_true.imag
+        self.stale = None
+
+    def add(self, est: Estimator) -> None:
+        sparse = est.sparse_iterate()
+        kept = None if sparse is None or sparse[0].size > self.max_kept else sparse[0]
+        if kept is not self.kept or self.rows == RMSE_BLOCK:
+            self.flush()
+            self.kept = kept
+        if kept is None:
+            self.block[self.rows] = est.state.w
+        else:
+            self.values.append(sparse[1])
+        self.rows += 1
+
+    def flush(self) -> None:
+        rows, start = self.rows, self.start
+        if not rows:
+            return
+        out = self.out[start:start + rows]
+        kept, sq = self.kept, self.sq
+        if kept is None:
+            _rmse_rows(self.block, self.w_true, self.sig2, sq, out)
+            self.stale = None
+        else:
+            if self.stale is not kept:
+                if self.stale is None:
+                    sq[:] = self.base
+                else:
+                    sq[:self.written, self.stale] = self.base[self.stale]
+                self.stale, self.written = kept, 0
+            d = np.concatenate(self.values).reshape(rows, kept.size)
+            d -= self.w_true[kept]
+            f = d.view(float)
+            np.multiply(f, f, out=f)
+            at = (self.row_at[:rows] + kept).ravel()
+            sq.reshape(-1)[at] = (f[:, 0::2] + f[:, 1::2]).reshape(-1)
+            self.written = max(self.written, rows)
+            sq[:rows].sum(axis=1, out=out)
+            out /= self.sig2
+            self.values = []
+        self.start, self.rows = start + rows, 0
 
 
 def rmse(w_true: np.ndarray, w_est: np.ndarray) -> float:
@@ -204,6 +285,10 @@ def _build_phases(spec: ExperimentSpec, trial: int) -> list[_Phase]:
 def run_trial(spec: ExperimentSpec, algo: AlgorithmSpec, trial: int) -> TrialRecord:
     """One deterministic trial of one algorithm; records r-MSE per iteration.
 
+    The r-MSE of each iterate is _sq_norm(w - w*) / ||w*||^2 bit for bit, reduced
+    RMSE_BLOCK rows at a time (_RmseRows): a dense iterate costs a copy and an
+    O(N) row, one that is zero off its support K costs O(|K|) and a row sum.
+
     Raises ValueError naming the label, the trial and the step when a step
     fails or the r-MSE turns NaN, infinite or above ``RMSE_CEILING``, so a
     diverged trial never enters a curve."""
@@ -214,28 +299,22 @@ def run_trial(spec: ExperimentSpec, algo: AlgorithmSpec, trial: int) -> TrialRec
     total = sum(p.sensing.total_samples for p in phases)
     rmse_lin = np.empty(total)
     s_traj = np.full(total, np.nan) if adaptive else None
-    block = np.empty((RMSE_BLOCK, spec.signal.n), dtype=complex)
-    sq = np.empty(block.shape)
+    rows = _RmseRows(rmse_lin, spec.signal.n)
 
     i = 0
     try:
         for phase in phases:
-            w_true = phase.w_true
-            sig2 = _sq_norm(w_true)
+            rows.phase(phase.w_true)
             stream = make_stream(
                 phase.sensing, itertools.repeat(phase.z, phase.sensing.n_windows), phase.sigma
             )
-            start = i  # first step whose iterate is in block[0]
             for sample in stream:
                 est.step(sample)
-                block[i - start] = est.state.w
+                rows.add(est)
                 if adaptive and est.last_s is not None:
                     s_traj[i] = est.last_s
                 i += 1
-                if i - start == RMSE_BLOCK:
-                    _rmse_rows(block, w_true, sig2, sq, rmse_lin[start:i])
-                    start = i
-            _rmse_rows(block, w_true, sig2, sq, rmse_lin[start:i])
+        rows.flush()
     except ValueError as err:
         raise ValueError(f"{algo.label} trial {trial}, step {i + 1}: {err}") from err
     assert i == total

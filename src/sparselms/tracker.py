@@ -46,6 +46,10 @@ class TrackerParams:
 
 @dataclass
 class TrackerState:
+    """err is read-only to callers: an update writes it through a private view,
+    and an in-place write from outside raises.  Assigning a new array is the
+    way in; the bound B, taken on the old one, then becomes unknown."""
+
     err: np.ndarray
     kappa: float
     params: TrackerParams
@@ -53,9 +57,26 @@ class TrackerState:
     bound: float = math.inf
     # work array for (1/kappa) b, so an update allocates nothing
     _scaled: np.ndarray = field(init=False, repr=False, compare=False)
+    # the array err was taken over as, and its writable view
+    _ro: np.ndarray = field(init=False, repr=False, compare=False)
+    _rw: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._scaled = np.empty_like(self.err)
+        self._take()
+
+    def _take(self):
+        self._ro, self._rw = self.err, self.err.view()
+        self.err.flags.writeable = False
+
+
+def _own_err(state: TrackerState) -> np.ndarray:
+    """err's writable view; a newly assigned err is taken over first, and B
+    becomes unknown."""
+    if state.err is not state._ro:
+        state._take()
+        state.bound = math.inf
+    return state._rw
 
 
 def make_tracker(params: TrackerParams, n_dim: int) -> TrackerState:
@@ -76,11 +97,12 @@ def tracker_update(state: TrackerState, b: np.ndarray, beta: float = math.inf) -
     """
     if b.shape != state.err.shape:
         raise ValueError(f"direction has shape {b.shape}, expected {state.err.shape}")
+    err = _own_err(state)
     state.kappa = state.params.lam * state.kappa + 1.0
     inv = 1.0 / state.kappa
     keep = 1.0 - inv
-    state.err *= keep
-    state.err -= np.multiply(b, inv, out=state._scaled)
+    err *= keep
+    err -= np.multiply(b, inv, out=state._scaled)
     # each component of the new err_k is fl(fl(keep err) - fl(inv b)), so
     # |err_k| <= (keep B + inv beta)(1 + u)^2, and the float products and sum
     # below lose at most three more roundings
@@ -90,6 +112,7 @@ def tracker_update(state: TrackerState, b: np.ndarray, beta: float = math.inf) -
 
 def reset_bound(state: TrackerState) -> None:
     """Set B to max_k |err_k|, rounded up; NaN when err holds a NaN."""
+    _own_err(state)
     state.bound = float(np.abs(state.err).max()) * (1.0 + BOUND_MARGIN)
 
 
@@ -115,8 +138,10 @@ def support_quiet(state: TrackerState) -> bool:
 
     There |w'_k| is the computed |fl(xi err_k)|, at most xi |err_k| (1 + 4u)
     (one rounding per component, and numpy's complex abs within 2.3u) plus an
-    absolute error below _TINY.  False when B is NaN or inf.
+    absolute error below _TINY.  False when B is NaN or inf, and so when err
+    was assigned since B was last set.
     """
+    _own_err(state)
     q_star = state.params.q_star
     return state.params.xi * state.bound * (1.0 + BOUND_MARGIN) + _TINY < q_star
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from contextlib import contextmanager
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparselms import estimators
+from sparselms import estimators, harness
 from sparselms.estimators import Estimator, EstimatorConfig, EstimatorState, prediction_error
 from sparselms.experiments import get_experiment
 from sparselms.harness import run_trial
@@ -872,6 +873,37 @@ def test_budget_queries_mostly_skip_the_full_pass(monkeypatch, name, label):
     assert queries == spec.sensing.total_samples - algo.estimator.burn_in
     assert calls["full"] < 0.05 * queries
     assert calls["on_K"] < on_k_share * queries
+
+
+@pytest.mark.parametrize("in_place", [False, True], ids=["assigned", "in-place"])
+def test_a_changed_tracker_err_gives_the_full_query_budgets(in_place):
+    # exp2 at N = 64, HARD-EST, trial 0, with err[K] + 3 after step 600, where a
+    # count on K is being reused.  Measured: the full query then gives budgets
+    # 23, 20, 18, 16, 15, 14 at steps 601-606, where an ignored change keeps 28.
+    # An assigned err drops the count and B; an in-place write raises.
+    spec = get_experiment("exp2", trials=1, n=64)
+    algo = next(a for a in spec.algorithms if a.label == "HARD-EST")
+    fast, oracle = (Estimator(algo.estimator, 64, algo.tracker) for _ in range(2))
+    phase = harness._build_phases(spec, 0)[0]
+    windows = itertools.repeat(phase.z, phase.sensing.n_windows)
+    budgets = []
+    for sample in make_stream(phase.sensing, windows, phase.sigma):
+        e_fast, e_oracle = fast.step(sample), full_query_step(oracle, sample)
+        assert_bitwise_equal(fast, oracle, e_fast, e_oracle)
+        budgets.append(fast.last_s)
+        if fast.state.n != 600:
+            continue
+        kept = fast.sparse_iterate()[0]
+        for est in (fast, oracle):
+            err = est.tracker.err
+            if in_place:
+                with pytest.raises(ValueError, match="read-only"):
+                    err[kept] += 3
+            else:
+                err = err.copy()
+                err[kept] += 3
+                est.tracker.err = err
+    assert budgets[600:606] == ([28] * 6 if in_place else [23, 20, 18, 16, 15, 14])
 
 
 # -- selective path against the exact cut ----------------------------------------------

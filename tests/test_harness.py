@@ -128,8 +128,10 @@ def test_run_experiment_never_averages_a_diverged_trial(monkeypatch):
         run_experiment(tiny_spec(trials=2, algorithms=tiny_spec().algorithms[1:]))
 
 
-def _per_step_rmse(spec, algo, trial):
-    """run_trial's r-MSE trajectory recomputed with _sq_norm after every step."""
+def _per_step_rmse(spec, algo, trial, kept=None):
+    """run_trial's r-MSE trajectory recomputed with _sq_norm after every step;
+    ``kept``, when given, gets the K of each iterate that run_trial reduces as a
+    support row, or None for a dense row."""
     est = harness.Estimator(algo.estimator, spec.signal.n, algo.tracker)
     out = []
     for phase in harness._build_phases(spec, trial):
@@ -138,7 +140,16 @@ def _per_step_rmse(spec, algo, trial):
         for sample in harness.make_stream(phase.sensing, windows, phase.sigma):
             est.step(sample)
             out.append(harness._sq_norm(est.state.w - phase.w_true) / sig2)
+            if kept is not None:
+                sparse = est.sparse_iterate()
+                small = sparse is not None and (
+                    sparse[0].size <= spec.signal.n * harness.SUPPORT_ROW_SHARE)
+                kept.append(sparse[0] if small else None)
     return np.array(out)
+
+
+def _assert_bitwise_equal(got, want, label):
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), label
 
 
 @pytest.mark.parametrize("build", [build_exp2, build_exp3, build_exp4_tracking])
@@ -149,8 +160,72 @@ def test_blocked_rmse_matches_a_per_step_reference(build):
     assert any(n % harness.RMSE_BLOCK for n in lengths)
     for algo in spec.algorithms:
         got = run_trial(spec, algo, 0).rmse_lin_trajectory
-        want = _per_step_rmse(spec, algo, 0)
-        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), algo.label
+        _assert_bitwise_equal(got, _per_step_rmse(spec, algo, 0), algo.label)
+
+
+def _mid_block(i):
+    return i % harness.RMSE_BLOCK != 0
+
+
+def _k_change(kept):
+    """A step inside a block whose K differs from the last step's, and drops
+    one of its columns."""
+    return any(
+        a is not None and b is not None and a is not b and _mid_block(i)
+        and np.setdiff1d(a, b).size
+        for i, (a, b) in enumerate(zip(kept, kept[1:]), 1)
+    )
+
+
+def _phase_change(spec, kept):
+    """The same K on both sides of a phase change inside a block."""
+    i = harness._build_phases(spec, 0)[0].sensing.total_samples
+    return _mid_block(i) and kept[i - 1] is not None and kept[i - 1] is kept[i]
+
+
+@pytest.mark.parametrize(
+    "name, label, poison, event",
+    [
+        # burn-in's dense rows, then support rows, in the first block
+        ("exp2", "HARD-20", None, lambda spec, kept: kept[25] is None and kept[26] is not None),
+        # a dense cut onto a new K
+        ("exp3", "HARD-L0", None, lambda spec, kept: _k_change(kept)),
+        ("exp4-tracking", "HARD-EST", None, lambda spec, kept: _k_change(kept)),
+        ("exp4-tracking", "HARD-EST-SIMPLE", None, _phase_change),
+        # state.w reassigned after step 300: a dense row, then a new K
+        ("exp2", "HARD-EST", 300,
+         lambda spec, kept: kept[298] is not None and kept[299] is None and kept[300] is not None),
+    ],
+    ids=["burn-in", "K-change", "K-change-exp4", "phase-change", "reassigned"],
+)
+def test_support_rows_match_a_per_step_reference(monkeypatch, name, label, poison, event):
+    spec = get_experiment(name, trials=1, n=64)
+    algo = next(a for a in spec.algorithms if a.label == label)
+    if poison is not None:
+        monkeypatch.setattr(harness, "Estimator", _poisoned_at(poison, 0.25))
+    kept = []
+    want = _per_step_rmse(spec, algo, 0, kept)
+    assert event(spec, kept)
+    _assert_bitwise_equal(run_trial(spec, algo, 0).rmse_lin_trajectory, want, label)
+
+
+@pytest.mark.parametrize("label", ["HARD-20", "HARD-EST"])
+def test_exp2_takes_the_support_rows_after_burn_in(monkeypatch, label):
+    # after burn-in every step of hard ends on a top-s cut or a certified step,
+    # so its iterate is zero off the record's K: measured at N = 64, trial 0,
+    # 1274 of 1274 steps for both labels
+    spec = get_experiment("exp2", trials=1, n=64)
+    algo = next(a for a in spec.algorithms if a.label == label)
+    dense = []
+    rows = harness._rmse_rows
+
+    def counted(block, w_true, sig2, sq, out):
+        dense.append(out.size)
+        return rows(block, w_true, sig2, sq, out)
+
+    monkeypatch.setattr(harness, "_rmse_rows", counted)
+    run_trial(spec, algo, 0)
+    assert sum(dense) == algo.estimator.burn_in
 
 
 @pytest.mark.parametrize(
@@ -805,6 +880,9 @@ def test_cli_list_and_run(tmp_path, capsys):
     spec = tiny_spec(trials=1)
     save_spec(spec, tmp_path / "tiny.yaml")
     assert main(["run", str(tmp_path / "tiny.yaml"), "--out", str(tmp_path / "res")]) == 0
+    # the wall time and the steps per second of all labels' trials
+    head = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(r"tiny: 1 trial\(s\), \d+\.\ds, \d+ steps/s", head), head
     assert (tmp_path / "res" / "tiny_curves.csv").exists()
     assert (tmp_path / "res" / "tiny_summary.csv").exists()
 
