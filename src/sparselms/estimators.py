@@ -14,16 +14,17 @@ a-priori error e(n) = y(n) - w(n)^H x(n).  A step runs, in this order:
 The variant fixes the penalty (``_PENALTY``) and whether a projection runs
 (``hard`` and ``hard_l0``); the README tabulates both.
 
-Records.  A ``Record`` keeps what one exact check proved about one array, and
-a drift D that bounds how far any magnitude on its kept set K has moved since;
-each step advances D in O(1), and the record answers for the check while its
-predicate holds.  A top-s cut leaves w zero off K, and its record lets the
-next steps update w[K] alone once ``_certified`` proves the cut would return K
-again (``support_kept``); the tracker's count is then read from K and reused
-(``count_reusable``), and ``sparse_iterate`` hands (K, w[K]) to the r-MSE.
-sza's iterate stays dense, but its top-s set is reused after an exact cut with
-a strict gap (``set_kept``).  Every path gives the dense rule's results bit
-for bit; the derivation is above ``Record``.
+Records.  A ``Record`` keeps what one exact check proved about the iterate,
+and a drift D that bounds how far any magnitude on its kept set K has moved
+since; each step advances D in O(1), and the record answers for the check
+while its predicate holds.  A top-s cut leaves w zero off K, and its record
+lets the next steps update w[K] alone once ``_certified`` proves the cut would
+return K again (``support_kept``), and ``sparse_iterate`` hands (K, w[K]) to
+the r-MSE.  While a bound B on the tracker's largest error entry shows that no
+entry off K can pass q*, the tracker's count is read from K and reused
+(``count_reusable``).  sza's iterate stays dense, but its top-s set is reused
+after an exact cut with a strict gap (``set_kept``).  Every path gives the
+dense rule's results bit for bit; the derivation is above ``Record``.
 
 The scalars of a step (e, e*, c = mu e* and the bounds) are Python numbers:
 ``prediction_error`` converts numpy's e, and c is formed as complex x complex,
@@ -47,9 +48,7 @@ from .tracker import (
     estimate_sparsity,
     make_tracker,
     occupancy_mask,
-    reset_bound,
     support_count,
-    support_quiet,
     tracker_update,
 )
 
@@ -199,7 +198,7 @@ def _occupancy(w, s, mask):
 # step on a registered row moves any |w_k| on K by at most
 #   inc = (|c| + rho)(1 + _DELTA) + _DELTA (top + D) + _TINY   (_step_bound),
 # which also covers the rounding of the sum, and D advances by inc; any other
-# row sets D = inf.  Three corollaries follow.
+# row sets D = inf.  Three corollaries follow, and (d) bounds the tracker.
 #
 # (a) Support kept.  A passed _certified(v, c) records lo = sqrt(min m2) and
 # top = sqrt(max m2) + r on K, with D = 0: every |v_k| on K is at least
@@ -226,11 +225,11 @@ def _occupancy(w, s, mask):
 # (terms relative to top cover the roundings of the square roots and of gap).
 #
 # (c) Count reusable.  A tracker budget counts #{k : a_k > q*}, a_k the computed
-# |w_k - xi err_k|.  On the cut's array, while support_quiet holds, no entry off
-# K passes, so support_count over K is the full count; it also gives the slack
+# |w_k - xi err_k|.  On the cut's array, while (d) shows that no entry off K
+# passes, support_count over K is the full count; it also gives the slack
 # sigma, the smallest |a_k - q*| on K.  Let t_k = |w_k - xi err_k| exactly, on
 # the stored floats, and d_k = |a_k - q*| >= sigma / (1 + u).  With l0's
-# |g_k| <= 1 + 3u, inv = 1/kappa, B the tracker bound before the update and
+# |g_k| <= 1 + 3u, inv = 1/kappa, B the bound (d) before the update and
 # beta = |e| (1 + _DELTA) >= |fl(e* x_k)|, a certified step moves t_k by at most
 #   |dw_k| + xi |derr_k|,  |dw_k| <= (|c| + rho)(1 + 8u) + 3u |w_k|,
 #   |w_k| <= t_k + xi B,   |derr_k| <= inv (B + beta)(1 + 3u) + 2u B,
@@ -244,8 +243,20 @@ def _occupancy(w, s, mask):
 # spare: every a_k stays on its side of q*, and so does the count.  A NaN
 # sigma, B or D fails every comparison.
 #
-# A reassigned w, a changed budget and a dense step leave a record unread or
-# drop it; a cut starts a record with nothing proved (lo = -inf).
+# (d) Error bound.  B bounds max_k |err_k|, and is 0 on a fresh tracker.  An
+# update stores fl(fl(keep err_k) - fl(inv b_k)), keep = 1 - inv, and on a
+# registered row |fl(e* x_k)| <= beta, so the new |err_k| is at most
+# (keep B + inv beta)(1 + u)^2, and the float products and sum lose at most
+# three more roundings: B advances to _step_bound(keep B + inv beta, 0), and
+# any other row has beta = inf.  A full query resets B to the computed
+# max |err_k| (1 + _DELTA), which covers numpy's complex abs (within 2.3u).
+# Off K the count's a_k is the computed |fl(xi err_k)|, at most
+# xi |err_k| (1 + 4u) plus an absolute error below _TINY, so no entry off K
+# passes while _step_bound(xi B, 0) < q*.  An assigned err sets B = inf.
+#
+# A step that finds state.w reassigned drops the records; a changed budget and
+# a dense step leave a record unread or drop it; a cut starts a record with
+# nothing proved (lo = -inf).
 _DELTA = 1e-12
 _TINY = float(np.finfo(float).tiny)
 _ROOT_TINY = math.sqrt(_TINY)
@@ -260,7 +271,7 @@ def _step_bound(move, scale):
 
 @dataclass(slots=True, eq=False)
 class Record:
-    """What one exact check proved about the array ``w``, carried across steps.
+    """What one exact check proved about the iterate, carried across steps.
 
     ``kept`` is K, ``top`` bounds the magnitudes on K, ``margin`` is what the
     check left to spend (lo, the gap or the slack) and ``drift`` D bounds how
@@ -268,15 +279,11 @@ class Record:
     the support's w[K], or the count.
     """
 
-    w: np.ndarray
     kept: np.ndarray
     top: float
     margin: float
     drift: float = 0.0
     value: object = None
-
-    def advance(self, inc):
-        self.drift += inc
 
     def support_kept(self, abs_c) -> bool:
         """(a): _certified passes on this step's v, with the drift advanced."""
@@ -327,21 +334,21 @@ def _top_cut(w, s):
         return keep, None
     top = math.sqrt(part[n - 1]) + _ROOT_TINY
     gap = math.sqrt(hi) - math.sqrt(lo) - _DELTA * top - 8.0 * _ROOT_TINY
-    return keep, Record(w, np.flatnonzero(keep), top, gap)
+    return keep, Record(np.flatnonzero(keep), top, gap)
 
 
-def _support(rec, w, s, x):
+def _support(rec, s, unit):
     """K of the last top-s cut when the support path may be tried, else None:
-    w is that cut's array, so zero off K, |K| = s and the row is registered."""
-    if rec is None or rec.w is not w or rec.kept.size != s or not unit_magnitude(x):
+    |K| = s and the row is registered."""
+    if rec is None or rec.kept.size != s or not unit:
         return None
     return rec.kept
 
 
-def _budget_support(rec, w, tracker):
+def _budget_support(rec, params, bound):
     """K of the last top-s cut when the tracker's count may be read from K, else
-    None: w is that cut's array, so zero off K, and support_quiet holds."""
-    if rec is None or rec.w is not w or not support_quiet(tracker):
+    None: no entry off K passes, by (d) with B = ``bound``."""
+    if rec is None or not _step_bound(params.xi * bound, 0.0) < params.q_star:
         return None
     return rec.kept
 
@@ -358,15 +365,19 @@ class Estimator:
     top-s cut of the thresholded variants.  A tracker that no budget or mask
     reads, or whose ``xi`` is 0, is not updated.
 
+    Next to its records the estimator holds B, the bound (d) on the tracker's
+    largest error entry, as a Python float: each tracker update advances it,
+    and each full query resets it.
+
     An array a record is taken on (each top-s cut of hard and hard_l0, sza's
     iterate at its first recorded cut) is read-only to callers from then on:
     the step writes it through a private writable view, and an in-place write
     from outside raises.  Assigning a new array to ``state.w`` is the only way
-    in; it sends the step back to the dense rule and the budget back to the
+    in; the next step drops the records, so it runs the dense rule and the
     full query.  A NaN, inf or huge value so assigned reaches e(n) and c, and
     through them the dense rule.  The tracker's ``err`` is read-only to callers
-    in the same way (``TrackerState``); an assigned one also sends the next
-    budget to the full query.
+    in the same way (``TrackerState``); an assigned one makes B unknown, which
+    also sends the next budget to the full query.
     """
 
     def __init__(
@@ -403,6 +414,9 @@ class Estimator:
         # taken on, and its writable view
         self._rec = self._count = None
         self._ro = self._w = None
+        # B, and the tracker's err it was taken on
+        self._bound = 0.0
+        self._err = None if self.tracker is None else self.tracker.err
         # the budget is held as a function, not a bound method: a bound method
         # stored on its own instance is a reference cycle, which would keep the
         # estimator's arrays until the cycle collector runs
@@ -442,7 +456,7 @@ class Estimator:
         afterwards: a certified step stores a new w[K].
         """
         rec = self._rec
-        if self._project is not _top_s or rec is None or rec.w is not self.state.w:
+        if self._project is not _top_s or rec is None or self.state.w is not self._ro:
             return None
         return rec.kept, rec.value
 
@@ -452,19 +466,19 @@ class Estimator:
     def _tracker_budget(self, w):
         tr = self.tracker
         # sza's record is taken on a dense iterate: it counts in full
-        kept = None if self._selective else _budget_support(self._rec, w, tr)
+        kept = None if self._selective else _budget_support(self._rec, tr.params, self._bound)
         if kept is None:
             self._count = None
             s = estimate_sparsity(tr, w)
-            reset_bound(tr)
+            self._bound = float(np.abs(tr.err).max()) * (1.0 + _DELTA)  # (d)
             return s, None
         rec = self._count
         if rec is None or not rec.count_reusable():
             count, slack = support_count(tr, w, kept)
             p = tr.params
             top = p.q_star + slack
-            drift = _step_bound(0.0, top + p.xi * tr.bound)
-            rec = self._count = Record(w, kept, top, slack, drift, clamp_budget(count, w.size))
+            drift = _step_bound(0.0, top + p.xi * self._bound)
+            rec = self._count = Record(kept, top, slack, drift, clamp_budget(count, w.size))
         return rec.value, None
 
     def _mask_budget(self, w):
@@ -475,8 +489,7 @@ class Estimator:
 
     def _selective_penalty(self, w, s, e):
         rec = self._rec
-        if (rec is None or rec.w is not w or rec.kept.size != s or not cmath.isfinite(e)
-                or not rec.set_kept()):
+        if rec is None or rec.kept.size != s or not cmath.isfinite(e) or not rec.set_kept():
             keep, self._rec = _top_cut(w, s)
             if self._rec is not None:
                 self._own(w)
@@ -488,12 +501,20 @@ class Estimator:
     def step(self, sample) -> complex:
         cfg = self.config
         st = self.state
+        tr = self.tracker
+        # the one point where proofs are dropped: the records hold while
+        # state.w is the array they were taken on, and B while err is
+        if st.w is not self._ro:
+            self._rec = self._count = None
+        if tr is not None and tr.err is not self._err:
+            self._err, self._bound = tr.err, math.inf
+        unit = unit_magnitude(sample.x)
         active = st.n >= cfg.burn_in
         s = mask = shrink = kept = None
         if active and self._budget is not None:
             s, mask = self._budget(self, st.w)
         if active and self._project is _top_s:
-            kept = _support(self._rec, st.w, s, sample.x)
+            kept = _support(self._rec, s, unit)
         w = st.w if kept is None else self._rec.value
         # before the penalty, which reads the same w; sza's record reads e
         e = prediction_error(st, sample)
@@ -514,7 +535,7 @@ class Estimator:
             v = w + c * sample.x[kept]
             if shrink is not None:
                 v -= shrink
-            rec.advance(inc)
+            rec.drift += inc
             if not rec.support_kept(abs_c):
                 proof = _certified(v, c)
                 if proof is None:
@@ -540,19 +561,18 @@ class Estimator:
                 if self._project is _top_s:
                     self._own(st.w)
                     cut = np.flatnonzero(st.w)
-                    self._rec = Record(st.w, cut, 0.0, -math.inf, value=st.w[cut])
+                    self._rec = Record(cut, 0.0, -math.inf, value=st.w[cut])
         st.n += 1
 
-        tr = self.tracker
-        bound = beta = 0.0
         if self._track:
-            bound = tr.bound
-            unit = kept is not None or unit_magnitude(sample.x)
+            bound = self._bound
             # math.hypot, unlike abs(complex), overflows to inf without raising
             beta = math.hypot(e.real, e.imag) * (1.0 + _DELTA) if unit else math.inf
-            tracker_update(tr, e_conj * sample.x, beta)
+            tracker_update(tr, e_conj * sample.x)
+            inv = 1.0 / tr.kappa
+            self._bound = _step_bound((1.0 - inv) * bound + inv * beta, 0.0)  # (d)
         if self._selective and rec is not None:
-            rec.advance(inc if unit_magnitude(sample.x) else math.inf)
+            rec.drift += inc if unit else math.inf
         cnt = self._count
         if cnt is not None:
             # a certified step after a count on K: (c)
@@ -560,6 +580,6 @@ class Estimator:
             move = abs_c + self._rho
             if self._track:
                 move += xi * ((bound + beta) / tr.kappa + _DELTA * bound)
-            cnt.advance(_step_bound(move, cnt.top + xi * tr.bound))
+            cnt.drift += _step_bound(move, cnt.top + xi * self._bound)
         self.last_s = s
         return e

@@ -363,4 +363,6 @@ def load_specs(path) -> list[ExperimentSpec]:
     entries = doc["experiments"]
     if not isinstance(entries, list):
         raise ValueError(f"{path}: config key experiments must be a list, got {entries!r}")
+    if not entries:
+        raise ValueError(f"{path}: config key experiments must list at least one experiment")
     return [_spec_in(path, d, f"experiments[{i}]: ") for i, d in enumerate(entries)]

@@ -167,6 +167,13 @@ class TrackingSpec:
     phase_windows: tuple[int, int]
     extra_sines: int
 
+    def __post_init__(self):
+        if self.extra_sines < 0:
+            raise ValueError(f"extra_sines must be >= 0, got {self.extra_sines}")
+        for i, windows in enumerate(self.phase_windows):
+            if windows < 1:
+                raise ValueError(f"phase_windows[{i}] must be >= 1, got {windows}")
+
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
@@ -186,6 +193,8 @@ class ExperimentSpec:
     tracking: TrackingSpec | None = None
 
     def __post_init__(self):
+        if not self.algorithms:
+            raise ValueError("algorithms must list at least one algorithm")
         labels = [a.label for a in self.algorithms]
         if len(set(labels)) != len(labels):
             raise ValueError("algorithm labels must be unique")

@@ -26,6 +26,9 @@ class SignalSpec:
     def __post_init__(self):
         if self.sines < 1:
             raise ValueError("need at least one sine")
+        # +inf means no noise; NaN fails the comparison
+        if not -math.inf < self.snr_db <= math.inf:
+            raise ValueError(f"snr_db must be a number or inf, got {self.snr_db}")
         if self.sines > self.n // 2 - 1:
             raise ValueError(
                 f"cannot place {self.sines} sines on distinct bins in [1, {self.n // 2 - 1}]"

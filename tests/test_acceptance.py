@@ -9,6 +9,7 @@ fixed budget 20 and the online-estimated budget (pilot: 18.9 dB).
 import time
 
 import numpy as np
+import pytest
 
 from sparselms.experiments import get_experiment
 from sparselms.harness import (
@@ -29,8 +30,10 @@ from sparselms.verification import (
     tightness_suite,
 )
 
-
 from conftest import acceptance_lines
+
+# the slow part of the suite: `pytest -m "not acceptance"` runs the rest
+pytestmark = pytest.mark.acceptance
 
 
 def _report(criterion: str, ok: bool, elapsed: float, detail: str = "") -> None:

@@ -674,7 +674,7 @@ def test_record_predicates_are_strict_at_their_margins():
     # a drift that has spent the whole margin proves nothing: at D = sigma a
     # corrected magnitude may sit on q* itself, and at 2D + delta D = gap two
     # magnitudes may tie at the s-th place
-    rec = estimators.Record(np.ones(1, dtype=complex), np.arange(1), top=1.0, margin=0.5)
+    rec = estimators.Record(np.arange(1), top=1.0, margin=0.5)
     for drift, reusable in ((0.5, False), (math.nextafter(0.5, 0.0), True),
                             (math.nan, False), (math.inf, False)):
         rec.drift = drift
@@ -684,6 +684,19 @@ def test_record_predicates_are_strict_at_their_margins():
     assert not rec.set_kept()
     rec.margin = math.nextafter(rec.margin, math.inf)
     assert rec.set_kept()
+
+
+def test_the_count_is_read_from_k_only_while_xi_b_is_below_q_star():
+    # at _step_bound(xi B, 0) = q* an entry off K may sit on q* itself
+    rec = estimators.Record(np.arange(1), top=1.0, margin=0.5)
+    bound = 0.25
+    params = TrackerParams(xi=0.5, q_star=estimators._step_bound(0.5 * bound, 0.0))
+    assert estimators._budget_support(rec, params, bound) is None
+    below = bound * (1.0 - 1e-15)
+    assert estimators._step_bound(0.5 * below, 0.0) < params.q_star
+    assert estimators._budget_support(rec, params, below) is rec.kept
+    for unknown in (math.inf, math.nan):
+        assert estimators._budget_support(rec, params, unknown) is None
 
 
 # -- budget path against the full query -----------------------------------------------
@@ -770,6 +783,8 @@ def _exact_sq(z) -> Fraction:
     lam=st.sampled_from([0.2, 0.9, 1.0]),
     scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e150]),
 )
+# errors below the normal range: the advance needs its absolute term
+@example(seed=0, n=8, lam=0.9, scale=1e-315)
 def test_error_bound_covers_the_tracker_error_and_a_full_query_resets_it(seed, n, lam, scale):
     rng = np.random.default_rng(seed)
     rows = fourier_rows(n)
@@ -783,12 +798,12 @@ def test_error_bound_covers_the_tracker_error_and_a_full_query_resets_it(seed, n
         queried.append(True)
         return query(*args)
 
-    def checked(state, b, beta):
-        if queried:  # the bound a full query left: max |err_k|, rounded up
+    def checked(state, b):
+        if queried:  # the bound B a full query left: max |err_k|, rounded up
             peak = float(np.abs(state.err).max())
-            resets.append(peak <= state.bound <= peak * (1.0 + 1e-9) + 1e-300)
+            resets.append(est._bound == peak * (1.0 + 1e-12))
             queried.clear()
-        return update(state, b, beta)
+        return update(state, b)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimators, "estimate_sparsity", counted)
@@ -799,8 +814,8 @@ def test_error_bound_covers_the_tracker_error_and_a_full_query_resets_it(seed, n
                 x = x.copy()  # a non-unit row: the bound becomes unknown
             y = scale * complex(rng.standard_normal(), rng.standard_normal())
             est.step(MeasurementSample(x, y))
-            if math.isfinite(tr.bound):
-                assert max(_exact_sq(z) for z in tr.err) <= Fraction(tr.bound) ** 2
+            if math.isfinite(est._bound):
+                assert max(_exact_sq(z) for z in tr.err) <= Fraction(est._bound) ** 2
     assert resets and all(resets)
 
 
@@ -904,6 +919,26 @@ def test_a_changed_tracker_err_gives_the_full_query_budgets(in_place):
                 err[kept] += 3
                 est.tracker.err = err
     assert budgets[600:606] == ([28] * 6 if in_place else [23, 20, 18, 16, 15, 14])
+
+
+def test_the_tracker_err_stays_read_only_when_xi_is_zero():
+    # exp4's HARD-EST-SIMPLE never updates its tracker (xi = 0); its budget
+    # queries take an assigned err over all the same
+    spec = get_experiment("exp4-tracking", trials=1, n=64)
+    algo = next(a for a in spec.algorithms if a.label == "HARD-EST-SIMPLE")
+    assert algo.tracker.xi == 0.0
+    est = Estimator(algo.estimator, 64, algo.tracker)
+    phase = harness._build_phases(spec, 0)[0]
+    windows = itertools.repeat(phase.z, phase.sensing.n_windows)
+    stream = make_stream(phase.sensing, windows, phase.sigma)
+    for sample in itertools.islice(stream, 200):
+        est.step(sample)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="read-only"):
+            est.tracker.err[0] = 1.0
+        est.tracker.err = est.tracker.err.copy()
+        est.step(next(stream))
+    assert est.last_s is not None
 
 
 # -- selective path against the exact cut ----------------------------------------------

@@ -598,12 +598,46 @@ def test_config_rejects_a_mistyped_value(tmp_path, path, value, name):
          "algorithms[1].tracker: forgetting factor must be in (0, 1]"),
         (("sensing", "count"), 0, "sensing: windows must be >= 1"),
         (("signal", "sines"), 0, "signal: need at least one sine"),
+        # each of these used to load and run, with a silent wrong curve or a
+        # traceback inside run_trial
+        (("algorithms", 1, "tracker", "q_star"), math.nan,
+         "algorithms[1].tracker: q_star must be finite and positive, got nan"),
+        (("algorithms", 1, "tracker", "xi"), math.nan,
+         "algorithms[1].tracker: xi must be finite and nonnegative, got nan"),
+        (("algorithms", 1, "tracker", "xi"), math.inf,
+         "algorithms[1].tracker: xi must be finite and nonnegative, got inf"),
+        (("signal", "snr_db"), math.nan, "signal: snr_db must be a number or inf, got nan"),
+        (("signal", "snr_db"), -math.inf, "signal: snr_db must be a number or inf, got -inf"),
+        (("algorithms",), [], "algorithms must list at least one algorithm"),
+        (("tracking", "extra_sines"), -1, "tracking: extra_sines must be >= 0, got -1"),
+        (("tracking", "phase_windows", 0), 0, "tracking: phase_windows[0] must be >= 1, got 0"),
     ],
 )
-def test_config_names_the_section_a_dataclass_rejects(path, value, message):
+def test_config_names_the_section_a_dataclass_rejects(tmp_path, path, value, message):
+    from sparselms.cli import main
+
     d = _set(spec_to_dict(build_exp4_tracking()), path, value)
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         spec_from_dict(d)
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(d))
+    with pytest.raises(SystemExit) as stop:  # printed as one line, exit status 1
+        main(["run", str(config), "--out", str(tmp_path)])
+    assert stop.value.code == f"error: {config}: {message}"
+
+
+def test_config_rejects_an_empty_experiments_list(tmp_path):
+    from sparselms.cli import main
+
+    config = tmp_path / "empty.yaml"
+    config.write_text("experiments: []\n")
+    message = f"{config}: config key experiments must list at least one experiment"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        load_specs(config)
+    with pytest.raises(SystemExit) as stop:
+        main(["run", str(config), "--out", str(tmp_path)])
+    assert stop.value.code == f"error: {message}"
+    assert list(tmp_path.iterdir()) == [config]  # nothing written
 
 
 @pytest.mark.parametrize(
