@@ -27,8 +27,11 @@ after an exact cut with a strict gap (``set_kept``).  Every path gives the
 dense rule's results bit for bit; the derivation is above ``Record``.
 
 The scalars of a step (e, e*, c = mu e* and the bounds) are Python numbers:
-``prediction_error`` converts numpy's e, and c is formed as complex x complex,
-which is numpy's complex128 product bit for bit.
+``prediction_error`` forms e as complex minus complex, and c as complex x
+complex, which are numpy's complex128 difference and product bit for bit.
+What depends on the sample alone, y as a Python float and the rows'
+unit-magnitude proof (``MeasurementSample.unit``), ``make_stream`` does once
+per window.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sensing import unit_magnitude
 from .sparse_ops import complex_sign, hard_threshold, keep_mask, selective_penalty
 from .tracker import (
     TrackerParams,
@@ -113,10 +115,16 @@ class EstimatorState:
 
 
 def prediction_error(state: EstimatorState, sample) -> complex:
-    """e(n) = y(n) - w(n)^H x(n), numpy's complex128 value as a Python complex."""
+    """e(n) = y(n) - w(n)^H x(n), numpy's complex128 value as a Python complex.
+
+    e is formed as complex minus complex in Python, part by part: numpy also
+    converts a real y to complex128 exactly before it subtracts, so this is
+    numpy's bits for a float, int, complex or numpy scalar y, signed zeros
+    and NaN included (a test pins it).
+    """
     if sample.x.shape != state.w.shape:
         raise ValueError(f"regressor has shape {sample.x.shape}, expected {state.w.shape}")
-    return complex(sample.y - np.vdot(state.w, sample.x))
+    return complex(sample.y) - complex(np.vdot(state.w, sample.x))
 
 
 # -- penalties g(w, config, s) -------------------------------------------------
@@ -508,7 +516,7 @@ class Estimator:
             self._rec = self._count = None
         if tr is not None and tr.err is not self._err:
             self._err, self._bound = tr.err, math.inf
-        unit = unit_magnitude(sample.x)
+        unit = sample.unit
         active = st.n >= cfg.burn_in
         s = mask = shrink = kept = None
         if active and self._budget is not None:
@@ -568,7 +576,8 @@ class Estimator:
             bound = self._bound
             # math.hypot, unlike abs(complex), overflows to inf without raising
             beta = math.hypot(e.real, e.imag) * (1.0 + _DELTA) if unit else math.inf
-            tracker_update(tr, e_conj * sample.x)
+            # b = e* x, formed in the tracker's work array
+            tracker_update(tr, np.multiply(e_conj, sample.x, out=tr.work))
             inv = 1.0 / tr.kappa
             self._bound = _step_bound((1.0 - inv) * bound + inv * beta, 0.0)  # (d)
         if self._selective and rec is not None:

@@ -49,17 +49,16 @@ def _sq_norm(v: np.ndarray) -> float:
     return float((v.real ** 2 + v.imag ** 2).sum())
 
 
-def _rmse_rows(block: np.ndarray, w_true: np.ndarray, sig2: float, sq: np.ndarray, out) -> None:
-    """out[r] = _sq_norm(block[r] - w_true) / sig2 for the first out.size rows.
+def _rmse_rows(block: np.ndarray, sig2: float, sq: np.ndarray, out) -> None:
+    """out[r] = _sq_norm(block[r]) / sig2 for the first out.size rows, each
+    row holding an iterate's w - w*.
 
     Each row sum reduces a contiguous row of re^2 + im^2, as the 1-D sum in
     _sq_norm does, so every value is the per-step one bit for bit.  ``block``
     and ``sq`` are preallocated work arrays; both are overwritten.
     """
     rows = out.size
-    d = block[:rows]
-    d -= w_true
-    f = d.view(float)  # re, im interleaved
+    f = block[:rows].view(float)  # re, im interleaved
     np.multiply(f, f, out=f)
     np.add(f[:, 0::2], f[:, 1::2], out=sq[:rows])
     sq[:rows].sum(axis=1, out=out)
@@ -70,10 +69,10 @@ class _RmseRows:
     """The r-MSE of each iterate of a trial, into ``out``, RMSE_BLOCK rows per
     reduction.
 
-    A block holds rows of one kind and one phase.  A dense iterate is copied
-    into ``block`` and reduced by _rmse_rows.  An iterate that is zero off its
-    support K (``Estimator.sparse_iterate``) is held as its w[K]; a block of
-    them shares one K object.  Off K its row of squared errors is
+    A block holds rows of one kind and one phase.  A dense iterate's w - w* is
+    written into ``block`` and reduced by _rmse_rows.  An iterate that is zero
+    off its support K (``Estimator.sparse_iterate``) is held as its w[K]; a
+    block of them shares one K object.  Off K its row of squared errors is
     base = re(w*)^2 + im(w*)^2, so the float rows of ``sq`` hold base there
     and only the K columns are computed, as _rmse_rows computes them; the same
     row sum then gives every value bit for bit.
@@ -106,7 +105,7 @@ class _RmseRows:
             self.flush()
             self.kept = kept
         if kept is None:
-            self.block[self.rows] = est.state.w
+            np.subtract(est.state.w, self.w_true, out=self.block[self.rows])
         else:
             self.values.append(sparse[1])
         self.rows += 1
@@ -118,7 +117,7 @@ class _RmseRows:
         out = self.out[start:start + rows]
         kept, sq = self.kept, self.sq
         if kept is None:
-            _rmse_rows(self.block, self.w_true, self.sig2, sq, out)
+            _rmse_rows(self.block, self.sig2, sq, out)
             self.stale = None
         else:
             if self.stale is not kept:
@@ -200,6 +199,8 @@ class ExperimentSpec:
             raise ValueError("algorithm labels must be unique")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.tracking is not None:
             if not isinstance(self.sensing.mode, Windowed):
                 raise ValueError("tracking experiments require windowed sensing")
@@ -295,8 +296,9 @@ def run_trial(spec: ExperimentSpec, algo: AlgorithmSpec, trial: int) -> TrialRec
     """One deterministic trial of one algorithm; records r-MSE per iteration.
 
     The r-MSE of each iterate is _sq_norm(w - w*) / ||w*||^2 bit for bit, reduced
-    RMSE_BLOCK rows at a time (_RmseRows): a dense iterate costs a copy and an
-    O(N) row, one that is zero off its support K costs O(|K|) and a row sum.
+    RMSE_BLOCK rows at a time (_RmseRows): a dense iterate costs a subtraction
+    into the block and an O(N) row, one that is zero off its support K costs
+    O(|K|) and a row sum.
 
     Raises ValueError naming the label, the trial and the step when a step
     fails or the r-MSE turns NaN, infinite or above ``RMSE_CEILING``, so a

@@ -73,6 +73,8 @@ class SensingConfig:
             raise ValueError(f"need 1 <= M <= N, got M={self.m}, N={self.n}")
         if not isinstance(self.mode, (RepeatedPass, Windowed)):
             raise ValueError(f"unknown stream mode: {self.mode!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def total_samples(self) -> int:
@@ -84,18 +86,42 @@ class SensingConfig:
         return self.mode.plan[0]
 
 
-@dataclass
+@dataclass(slots=True)
 class MeasurementSample:
     """One observation: regressor row x and noisy scalar y.
 
-    ``t``, when set, is the index of row x in its ``fourier_rows`` table;
-    ``make_stream`` sets it.  Nothing in the package reads it yet: it is kept
-    for a stream that yields positions instead of rows.
+    ``t``, when set, is the index of row x in its ``fourier_rows`` table.
+    ``make_stream`` sets it, and gives y and t as Python numbers.  Nothing in
+    the package reads t yet: it is kept for a stream that yields positions
+    instead of rows.
+
+    ``unit`` is the proof that every computed |x_k|^2 is at most
+    ``UNIT_SQ_MAG_BOUND``.  It is computed, never passed: a sample built here
+    asks ``unit_magnitude(x)`` each time it is read, and ``make_stream``'s
+    samples, whose rows it took from a registered table, carry it as True.
+    A stream's samples are shared by its replays and are read-only, so their
+    x stays the row the proof was made for.
     """
 
     x: np.ndarray
     y: float
     t: int | None = None
+
+    @property
+    def unit(self) -> bool:
+        return unit_magnitude(self.x)
+
+
+class _TableRowSample(MeasurementSample):
+    """A ``make_stream`` sample: x is a row view of a registered table.  It
+    refuses assignment, so ``make_stream`` builds a plain sample and then
+    sets its class."""
+
+    __slots__ = ()
+    unit = True
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a stream sample is read-only; cannot set {name}")
 
 
 # the fourier_rows tables whose roots passed the magnitude check, by id
@@ -123,11 +149,15 @@ def fourier_rows(n: int) -> np.ndarray:
     return rows
 
 
+def _registered(table: np.ndarray) -> bool:
+    return _UNIT_TABLES.get(id(table)) is table
+
+
 def unit_magnitude(x: np.ndarray) -> bool:
     """True when x is a view into a registered ``fourier_rows`` table, so every
     computed |x_k|^2 is at most ``UNIT_SQ_MAG_BOUND``."""
     base = x.base
-    return base is not None and _UNIT_TABLES.get(id(base)) is base
+    return base is not None and _registered(base)
 
 
 def regressor_row(n: int, t: int) -> np.ndarray:
@@ -167,8 +197,16 @@ def make_stream(
     the device measured once, the estimator sees the measurements repeatedly.
     Windowed draws ``windows`` windows with fresh positions and fresh noise.
     A replay yields the same ``MeasurementSample`` objects again.
+
+    Whatever depends on the sample alone is done here, once per window: y and
+    t become Python numbers, and the rows' unit-magnitude proof is read once
+    for the whole table.
     """
     rows = fourier_rows(config.n)
+    unit = _registered(rows)
+    # one view per row, made once per stream: a list lookup costs less than
+    # indexing the table for each sample of each window
+    views = list(rows)
     source = iter(windows)
     n_windows, replays = config.mode.plan
     for w in range(n_windows):
@@ -184,6 +222,9 @@ def make_stream(
         y = z[idx]
         if noise_std > 0.0:
             y = y + _noise_rng(config, w).normal(0.0, noise_std, size=config.m)
-        samples = [MeasurementSample(rows[t], y[j], t) for j, t in enumerate(idx)]
+        samples = [MeasurementSample(views[t], v, t) for t, v in zip(idx.tolist(), y.tolist())]
+        if unit:
+            for smp in samples:
+                smp.__class__ = _TableRowSample
         for _ in range(replays):
             yield from samples

@@ -26,9 +26,7 @@ class SignalSpec:
     def __post_init__(self):
         if self.sines < 1:
             raise ValueError("need at least one sine")
-        # +inf means no noise; NaN fails the comparison
-        if not -math.inf < self.snr_db <= math.inf:
-            raise ValueError(f"snr_db must be a number or inf, got {self.snr_db}")
+        _check_snr_db(self.snr_db)
         if self.sines > self.n // 2 - 1:
             raise ValueError(
                 f"cannot place {self.sines} sines on distinct bins in [1, {self.n // 2 - 1}]"
@@ -45,6 +43,12 @@ class SignalSpec:
     @property
     def amplitudes(self) -> tuple[float, ...]:
         return self.amps if self.amps is not None else (1.0,) * self.sines
+
+
+def _check_snr_db(snr_db: float) -> None:
+    # +inf means no noise, -inf infinite noise; NaN fails the comparison
+    if not -math.inf < snr_db <= math.inf:
+        raise ValueError(f"snr_db must be a number or inf, got {snr_db}")
 
 
 def _check_bins(n: int, k: int, bins: tuple[int, ...]) -> None:
@@ -103,10 +107,12 @@ def signal_power(spec: SignalSpec) -> float:
 
 
 def noise_std(power: float, snr_db: float) -> float:
-    """Noise standard deviation giving the requested SNR for a given power."""
-    if power <= 0:
+    """Noise standard deviation giving the requested SNR for a given power;
+    +inf dB gives 0, and -inf or NaN raise ValueError."""
+    if not power > 0:
         raise ValueError("signal power must be positive")
-    if math.isinf(snr_db):
+    _check_snr_db(snr_db)
+    if snr_db == math.inf:
         return 0.0
     return math.sqrt(power / 10.0 ** (snr_db / 10.0))
 

@@ -13,6 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+_TINY = float(np.finfo(float).tiny)
+_SMALLEST = float(np.finfo(float).smallest_subnormal)
+
 
 def _sq_mag(v: np.ndarray) -> np.ndarray:
     return v.real * v.real + v.imag * v.imag
@@ -89,14 +92,22 @@ def complex_sign(v, mag=None):
 
     A NaN entry gets sign 0, and so does a finite entry whose magnitude
     overflows (x / inf); ``harness.run_trial``'s r-MSE ceiling reports an
-    iterate that large.  A scalar gives a numpy scalar, computed as an array.
+    iterate that large.  A complex entry whose magnitude is below the normal
+    range (under 2.2e-308) gets sign 0 too.  Every other sign has modulus at
+    most 1 + 4u, u = 2^-53.  A scalar gives a numpy scalar, computed as an
+    array.
     """
     v = np.asarray(v)
     if mag is None:
         mag = np.abs(v)
-    # NaN fails mag > 0, so a NaN entry keeps its 0 like a zero entry
+    # numpy divides a complex entry by its magnitude m as (re, im) * (1/m),
+    # and 1/m overflows for m below about 5.6e-309; below the normal range the
+    # computed m is also too coarse for the 1 + 4u bound.  A real entry
+    # divides exactly.  NaN fails the comparison, so it keeps its 0 like a
+    # zero entry.
+    floor = _TINY if v.dtype.kind == "c" else _SMALLEST
     out = np.zeros(v.shape, dtype=np.promote_types(v.dtype, float))
-    np.divide(v, mag, out=out, where=mag > 0)
+    np.divide(v, mag, out=out, where=mag >= floor)
     return out if out.ndim else out[()]
 
 

@@ -42,14 +42,15 @@ class TrackerState:
     err: np.ndarray
     kappa: float
     params: TrackerParams
-    # work array for (1/kappa) b, so an update allocates nothing
-    _scaled: np.ndarray = field(init=False, repr=False, compare=False)
+    # work array for (1/kappa) b, so an update allocates nothing; a caller
+    # may form b in it (see ``tracker_update``)
+    work: np.ndarray = field(init=False, repr=False, compare=False)
     # the array err was taken over as, and its writable view
     _ro: np.ndarray = field(init=False, repr=False, compare=False)
     _rw: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._scaled = np.empty_like(self.err)
+        self.work = np.empty_like(self.err)
         self._take()
 
     def _take(self):
@@ -75,14 +76,16 @@ def clamp_budget(count: int, n: int) -> int:
 
 
 def tracker_update(state: TrackerState, b: np.ndarray) -> TrackerState:
-    """kappa <- lam*kappa + 1;  err <- (1 - 1/kappa)*err - (1/kappa)*b."""
+    """kappa <- lam*kappa + 1;  err <- (1 - 1/kappa)*err - (1/kappa)*b.
+
+    b may be ``state.work``, which is then scaled in place."""
     if b.shape != state.err.shape:
         raise ValueError(f"direction has shape {b.shape}, expected {state.err.shape}")
     err = _own_err(state)
     state.kappa = state.params.lam * state.kappa + 1.0
     inv = 1.0 / state.kappa
     err *= 1.0 - inv
-    err -= np.multiply(b, inv, out=state._scaled)
+    err -= np.multiply(b, inv, out=state.work)
     return state
 
 

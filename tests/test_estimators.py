@@ -1,14 +1,16 @@
 import itertools
 import math
+import weakref
 from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparselms import estimators, harness
+from sparselms import estimators, harness, sensing
 from sparselms.estimators import Estimator, EstimatorConfig, EstimatorState, prediction_error
 from sparselms.experiments import get_experiment
 from sparselms.harness import run_trial
@@ -55,6 +57,30 @@ def test_error_dimension_mismatch():
     st = EstimatorState.zeros(3)
     with pytest.raises(ValueError):
         prediction_error(st, sample_of([1, 1], 1.0))
+
+
+_EDGE_GRID = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 1e300, math.inf, -math.inf, math.nan]
+
+
+def test_error_of_a_python_float_y_is_numpys_float64_minus_complex128(monkeypatch):
+    # make_stream's y is a Python float and is subtracted in Python; y and both
+    # parts of the dot run over the edge grid, signed zeros and NaN included.
+    # A hand-built y of another kind (numpy float, int, complex) gives numpy's
+    # difference of that y too.
+    st = EstimatorState.zeros(1)
+    dot = np.complex128(0)
+    monkeypatch.setattr(estimators, "np", SimpleNamespace(vdot=lambda w, x: dot))
+    for y, re, im in itertools.product(_EDGE_GRID, repeat=3):
+        dot = np.complex128(complex(re, im))
+        kinds = [y, np.float64(y), complex(y, re), np.complex128(complex(re, y))]
+        if y in (0.0, 1.0, -1.0):
+            kinds.append(int(y))
+        for yk in kinds:
+            e = prediction_error(st, MeasurementSample(np.ones(1, dtype=complex), yk))
+            assert type(e) is complex
+            with np.errstate(all="ignore"):
+                ref = (np.float64(yk) if type(yk) is float else yk) - dot
+            assert _bits(np.complex128(e)) == _bits(ref), (yk, re, im)
 
 
 # -- single update rules, hand-computed ---------------------------------------
@@ -162,7 +188,8 @@ def _ref_complex_sign(v):
     v = np.asarray(v)
     mag = np.abs(v)
     out = np.zeros(v.shape, dtype=np.result_type(v.dtype, float))
-    nz = mag > 0
+    # a complex entry whose magnitude is below the normal range has sign 0
+    nz = mag >= np.finfo(float).tiny if v.dtype.kind == "c" else mag > 0
     out[nz] = v[nz] / mag[nz]
     return out
 
@@ -579,6 +606,24 @@ def test_support_path_needs_unit_magnitude_rows(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("source", ["copied-row", "unregistered-table", "unregistered-stream"])
+def test_support_path_takes_the_dense_rule_off_a_registered_table(monkeypatch, source):
+    fast, _, _ = _stable_run()
+    n = fast.state.w.size
+    if source == "copied-row":
+        smp = MeasurementSample(fourier_rows(n)[3].copy(), 0.25)
+    elif source == "unregistered-table":
+        smp = MeasurementSample(fourier_rows(n).copy()[3], 0.25)
+    else:
+        monkeypatch.setattr(sensing, "_UNIT_TABLES", weakref.WeakValueDictionary())
+        cfg = SensingConfig(n=n, m=1, mode=RepeatedPass(1), seed=0)
+        (smp,) = make_stream(cfg, [np.full(n, 0.25)])
+    assert not smp.unit
+    calls = _count_cuts(monkeypatch)
+    fast.step(smp)
+    assert len(calls) == 1
+
+
 def test_support_path_never_certifies_non_finite():
     c = 0.01 + 0.01j
     assert estimators._certified(np.array([1.0, 2.0j]), c)
@@ -817,6 +862,35 @@ def test_error_bound_covers_the_tracker_error_and_a_full_query_resets_it(seed, n
             if math.isfinite(est._bound):
                 assert max(_exact_sq(z) for z in tr.err) <= Fraction(est._bound) ** 2
     assert resets and all(resets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([4, 8, 16]),
+    lam=st.sampled_from([0.5, 0.99, 1.0]),
+    ys=st.lists(
+        st.tuples(st.one_of(_edge_floats, st.floats(-10.0, 10.0)), st.floats(-10.0, 10.0)),
+        min_size=1, max_size=12,
+    ),
+)
+def test_tracked_step_forms_b_in_the_work_array_as_tracker_update_of_e_conj_x(seed, n, lam, ys):
+    # the step writes e* x into the tracker's work array and the update scales
+    # it there; a tracker fed tracker_update(e* x) gives the same bits.  The
+    # tracker runs during burn-in, which keeps a non-finite e from the cut.
+    rng = np.random.default_rng(seed)
+    rows = fourier_rows(n)
+    cfg = EstimatorConfig("hard", mu=0.5 / n, burn_in=100)
+    est = Estimator(cfg, n, TrackerParams(lam=lam, xi=0.5 / n))
+    ref = make_tracker(est.tracker.params, n)
+    with np.errstate(all="ignore"):
+        for re, im in ys:
+            x = rows[rng.integers(n)]
+            y = re if im == 0.0 else complex(re, im)  # a Python float, or numpy's path
+            e = est.step(MeasurementSample(x, y))
+            tracker_update(ref, e.conjugate() * x)
+            assert _bits(est.tracker.err) == _bits(ref.err)
+            assert est.tracker.kappa == ref.kappa
 
 
 # -- scalar arithmetic against numpy's complex128 ------------------------------------

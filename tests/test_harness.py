@@ -219,9 +219,9 @@ def test_exp2_takes_the_support_rows_after_burn_in(monkeypatch, label):
     dense = []
     rows = harness._rmse_rows
 
-    def counted(block, w_true, sig2, sq, out):
-        dense.append(out.size)
-        return rows(block, w_true, sig2, sq, out)
+    def counted(*args):
+        dense.append(args[-1].size)  # out
+        return rows(*args)
 
     monkeypatch.setattr(harness, "_rmse_rows", counted)
     run_trial(spec, algo, 0)
@@ -611,6 +611,8 @@ def test_config_rejects_a_mistyped_value(tmp_path, path, value, name):
         (("algorithms",), [], "algorithms must list at least one algorithm"),
         (("tracking", "extra_sines"), -1, "tracking: extra_sines must be >= 0, got -1"),
         (("tracking", "phase_windows", 0), 0, "tracking: phase_windows[0] must be >= 1, got 0"),
+        # loaded, then failed mid-run inside numpy's SeedSequence
+        (("seed",), -1, "seed must be >= 0, got -1"),
     ],
 )
 def test_config_names_the_section_a_dataclass_rejects(tmp_path, path, value, message):
@@ -818,8 +820,11 @@ def _cli(args, tmp_path):
         (["CONFIG", "--trials", "0"], "trials must be >= 1"),
         (["exp1", "--scale", "3"], "cannot place 2 sines on distinct bins in [1, 0] at n=3"),
         (["exp4-tracking", "--scale", "8"], "cannot place 2 + 2 sines"),
+        (["exp1", "--seed", "-1", "--trials", "1", "--scale", "64"], "seed must be >= 0, got -1"),
+        (["CONFIG", "--seed", "-1"], "seed must be >= 0, got -1"),
     ],
-    ids=["registry-trials", "config-trials", "registry-scale", "tracking-scale"],
+    ids=["registry-trials", "config-trials", "registry-scale", "tracking-scale", "registry-seed",
+         "config-seed"],
 )
 def test_cli_run_reports_a_bad_override_on_one_line(tmp_path, args, message):
     config = tmp_path / "exp1.yaml"

@@ -1,14 +1,17 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
+from sparselms import sensing
 from sparselms.sensing import (
     MeasurementSample,
     RepeatedPass,
     SensingConfig,
     StreamExhausted,
     Windowed,
+    fourier_rows,
     make_stream,
     regressor_row,
     sample_indices,
@@ -89,6 +92,8 @@ def test_config_validation():
         SensingConfig(n=10, m=5, mode=RepeatedPass(0))
     with pytest.raises(ValueError):
         SensingConfig(n=10, m=5, mode=Windowed(0))
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -5$"):
+        SensingConfig(n=64, m=8, mode=RepeatedPass(1), seed=-5)
 
 
 def test_repeated_pass_replays_measurements():
@@ -119,6 +124,31 @@ def test_stream_deterministic():
     for sa, sb in zip(a, b):
         assert sa.y == sb.y
         np.testing.assert_array_equal(sa.x, sb.x)
+
+
+def test_stream_samples_hold_python_numbers_and_carry_the_unit_proof():
+    cfg = SensingConfig(n=16, m=4, mode=RepeatedPass(2), seed=3)
+    samples = list(make_stream(cfg, [np.arange(16.0)], noise_std=0.1))
+    rows = fourier_rows(16)
+    for smp in samples:
+        assert type(smp.y) is float and type(smp.t) is int
+        assert smp.x.base is rows and smp.unit
+    # a stream sample is read-only, so its x stays the proven row
+    smp = samples[0]
+    for name, value in [("x", smp.x.copy()), ("y", 0.0), ("__class__", MeasurementSample)]:
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(smp, name, value)
+    assert smp.x.base is rows and smp.unit
+    # built by hand, the proof is computed from x
+    assert MeasurementSample(smp.x, smp.y).unit
+    assert not MeasurementSample(smp.x.copy(), smp.y).unit
+    assert not MeasurementSample(rows.copy()[smp.t], smp.y).unit
+
+
+def test_stream_off_an_unregistered_table_has_no_unit_proof(monkeypatch):
+    monkeypatch.setattr(sensing, "_UNIT_TABLES", weakref.WeakValueDictionary())
+    cfg = SensingConfig(n=16, m=4, mode=RepeatedPass(1), seed=3)
+    assert not any(smp.unit for smp in make_stream(cfg, [np.zeros(16)]))
 
 
 def test_stream_exhaustion():

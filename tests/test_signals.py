@@ -84,6 +84,20 @@ def test_noise_std_examples():
     assert noise_std(0.5, math.inf) == 0.0
 
 
+@pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+def test_noise_std_rejects_infinite_noise_and_nan(snr_db):
+    # -inf dB is infinite noise, not none; add_noise inherits the check
+    with pytest.raises(ValueError, match=rf"^snr_db must be a number or inf, got {snr_db}$"):
+        noise_std(1.0, snr_db)
+    with pytest.raises(ValueError, match="snr_db"):
+        add_noise(np.zeros(3), snr_db, 1.0, np.random.default_rng(0))
+
+
+def test_noise_std_rejects_a_nan_power():
+    with pytest.raises(ValueError, match="^signal power must be positive$"):
+        noise_std(math.nan, 20.0)
+
+
 def test_add_noise_infinite_snr_identity():
     rng = np.random.default_rng(0)
     values = np.arange(10.0)

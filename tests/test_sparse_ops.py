@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -253,6 +254,34 @@ def test_sign_complex():
 def test_sign_vector():
     out = complex_sign(np.array([0.0, -2.0, 3 + 4j]))
     np.testing.assert_allclose(out, [0, -1, 0.6 + 0.8j])
+
+
+def test_sign_of_a_complex_entry_below_the_normal_range_is_zero():
+    # numpy divides by m as (re, im) * (1/m), and 1/m overflowed to inf + nan j
+    with np.errstate(all="raise"):
+        out = complex_sign(np.array([1e-310 + 0j, 1 + 0j, 5e-324j, 2.2250738585072014e-308]))
+        assert out.tolist() == [0j, 1 + 0j, 0j, 1 + 0j]
+        assert complex_sign(1e-310 + 1e-310j) == 0
+        # a real entry divides exactly
+        assert complex_sign(np.array([5e-324, -1e-310, 0.0])).tolist() == [1.0, -1.0, 0.0]
+
+
+_U = 2.0 ** -53
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    re=st.floats(-1e300, 1e300),
+    im=st.floats(-1e300, 1e300),
+    scale=st.sampled_from([1.0, 1e-300, 2.2250738585072014e-308, 1e-310, 5e-324]),
+)
+def test_complex_sign_has_modulus_at_most_one_plus_4u(re, im, scale):
+    # the bound the estimators' move lemma takes for |g_k|
+    v = np.array([complex(re * scale, im * scale)])
+    with np.errstate(under="ignore"):
+        g = complex(complex_sign(v)[0])
+    assert Fraction(g.real) ** 2 + Fraction(g.imag) ** 2 <= Fraction(1 + 4 * _U) ** 2
+    assert g == 0 or abs(v[0]) >= 2.2250738585072014e-308
 
 
 # -- selective penalty --------------------------------------------------------
