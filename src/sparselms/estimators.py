@@ -26,6 +26,14 @@ entry off K can pass q*, the tracker's count is read from K and reused
 after an exact cut with a strict gap (``set_kept``).  Every path gives the
 dense rule's results bit for bit; the derivation is above ``Record``.
 
+Two bodies.  ``Estimator.step`` runs the support step when the last top-s
+cut's record is on ``state.w``, the row is registered and the budget is |K|
+(a fixed s, or the tracker's count read from K): every step of hard and
+hard_l0 once their support has settled.  It updates w[K] alone, in straight
+line, and skips the O(N) update, the cut and every branch of the other
+variants.  Any other step, and a support step whose certificate fails, runs
+the general body: the dense rule above.
+
 The scalars of a step (e, e*, c = mu e* and the bounds) are Python numbers:
 ``prediction_error`` forms e as complex minus complex, and c as complex x
 complex, which are numpy's complex128 difference and product bit for bit.
@@ -377,6 +385,11 @@ class Estimator:
     largest error entry, as a Python float: each tracker update advances it,
     and each full query resets it.
 
+    ``step`` takes one sample.  A certified step of hard or hard_l0 finishes
+    on ``_support_step``; every other step runs ``_general``, which a support
+    step also enters, with the e, c and penalty it formed, when its
+    certificate fails.
+
     An array a record is taken on (each top-s cut of hard and hard_l0, sza's
     iterate at its first recorded cut) is read-only to callers from then on:
     the step writes it through a private writable view, and an in-place write
@@ -414,6 +427,7 @@ class Estimator:
 
         self._mu = complex(config.mu)
         self._rho = config.rho if variant in _PENALTY else 0.0
+        self._burn_in = config.burn_in
         self._penalty = _PENALTY.get(variant)
         self._selective = variant == "sza"
         self._penalty_in_burn_in = variant == "hard_l0"
@@ -425,14 +439,16 @@ class Estimator:
         # B, and the tracker's err it was taken on
         self._bound = 0.0
         self._err = None if self.tracker is None else self.tracker.err
-        # the budget is held as a function, not a bound method: a bound method
+        # the budget: the fixed s, or a tracker query (a count or the occupancy
+        # mask) when _budget is set.  The query is held as a function, not a
+        # bound method: a bound method
         # stored on its own instance is a reference cycle, which would keep the
         # estimator's arrays until the cycle collector runs
-        self._budget = self._project = None
+        self._s = self._budget = self._project = None
         if variant in THRESHOLDED:
-            self._budget = (
-                Estimator._tracker_budget if config.s is None else Estimator._fixed_budget
-            )
+            self._s = config.s
+            if config.s is None:
+                self._budget = Estimator._tracker_budget
         if variant in PROJECTED:
             self._project = _top_s
             if tracker_params is not None and tracker_params.use_support:
@@ -446,6 +462,7 @@ class Estimator:
             and tracker_params.xi != 0.0
             and reads_tracker(config, tracker_params)
         )
+        self._xi = 0.0 if tracker_params is None else tracker_params.xi
 
     def _own(self, w):
         """Make w, which a record is taken on, read-only to callers."""
@@ -467,9 +484,6 @@ class Estimator:
         if self._project is not _top_s or rec is None or self.state.w is not self._ro:
             return None
         return rec.kept, rec.value
-
-    def _fixed_budget(self, w):
-        return self.config.s, None
 
     def _tracker_budget(self, w):
         tr = self.tracker
@@ -507,88 +521,134 @@ class Estimator:
         return pen
 
     def step(self, sample) -> complex:
-        cfg = self.config
+        """Take one sample and return its a-priori error e(n).
+
+        Past burn-in the budget comes first, from the pre-update iterate.
+        Then the step runs the support step when the last top-s cut's record is on
+        ``state.w``, the row is registered and the budget is |K|, and the
+        general body otherwise.
+        """
         st = self.state
-        tr = self.tracker
         # the one point where proofs are dropped: the records hold while
         # state.w is the array they were taken on, and B while err is
         if st.w is not self._ro:
             self._rec = self._count = None
+        tr = self.tracker
         if tr is not None and tr.err is not self._err:
             self._err, self._bound = tr.err, math.inf
-        unit = sample.unit
-        active = st.n >= cfg.burn_in
-        s = mask = shrink = kept = None
-        if active and self._budget is not None:
+        if st.n < self._burn_in:
+            return self._general(sample, False, None, None)
+        s, mask = self._s, None
+        if self._budget is not None:
             s, mask = self._budget(self, st.w)
-        if active and self._project is _top_s:
-            kept = _support(self._rec, s, unit)
-        w = st.w if kept is None else self._rec.value
-        # before the penalty, which reads the same w; sza's record reads e
-        e = prediction_error(st, sample)
-        if self._penalty is not None and (active or self._penalty_in_burn_in):
-            if self._selective:
-                shrink = self._selective_penalty(w, s, e)
-            else:
-                # complex_sign(0) = 0, so off K the penalty is exactly zero
-                shrink = self._penalty(w, cfg, s)
-            shrink *= cfg.rho
+        if self._project is _top_s:
+            kept = _support(self._rec, s, sample.unit)
+            if kept is not None:
+                return self._support_step(sample, kept, s)
+        return self._general(sample, True, s, mask)
+
+    def _support_step(self, sample, kept, s) -> complex:
+        """A step of hard or hard_l0 on K alone: v = w[K] + c x[K] - rho g(w[K]),
+        stored when (a) or ``_certified`` proves that the top-s cut returns K.
+
+        It makes the general body's numpy calls on K, in its order, then the
+        tracker update and the count's drift (c).  A failed proof hands e, c
+        and the penalty, spread to N, to the general body."""
+        st = self.state
+        rec = self._rec
+        w = rec.value
+        x = sample.x
+        # prediction_error, inlined: a registered row is complex128, so the
+        # dot is too, and its __complex__ is what complex() would call
+        if x.shape != st.w.shape:
+            raise ValueError(f"regressor has shape {x.shape}, expected {st.w.shape}")
+        e = complex(sample.y) - np.vdot(st.w, x).__complex__()
+        shrink = None
+        if self._penalty is not None:
+            # complex_sign(0) = 0, so off K the penalty is exactly zero
+            shrink = self._penalty(w, self.config, s)
+            shrink *= self._rho
         e_conj = e.conjugate()
         c = self._mu * e_conj
         abs_c = math.hypot(c.real, c.imag)
-        rec = self._rec
-        if rec is not None:
-            inc = _step_bound(abs_c + self._rho, rec.top + rec.drift)
-        if kept is not None:
-            v = w + c * sample.x[kept]
-            if shrink is not None:
-                v -= shrink
-            rec.drift += inc
-            if not rec.support_kept(abs_c):
-                proof = _certified(v, c)
-                if proof is None:
-                    if shrink is not None:
-                        full = np.zeros_like(st.w)
-                        full[kept] = shrink
-                        shrink = full
-                    kept = None
-                else:
-                    rec.margin, rec.top = proof
-                    rec.drift = 0.0
-            if kept is not None:
-                self._w[kept] = v
-                rec.value = v
-        if kept is None:
-            self._count = None
-            w = self._w if st.w is self._ro else st.w
-            w += c * sample.x
-            if shrink is not None:
-                w -= shrink
-            if active and self._project is not None:
-                st.w = self._project(w, s, mask)
-                if self._project is _top_s:
-                    self._own(st.w)
-                    cut = np.flatnonzero(st.w)
-                    self._rec = Record(cut, 0.0, -math.inf, value=st.w[cut])
+        rec.drift += _step_bound(abs_c + self._rho, rec.top + rec.drift)
+        v = w + c * x[kept]
+        if shrink is not None:
+            v -= shrink
+        if not rec.support_kept(abs_c):
+            proof = _certified(v, c)
+            if proof is None:
+                if shrink is not None:
+                    full = np.zeros_like(st.w)
+                    full[kept] = shrink
+                    shrink = full
+                return self._general(sample, True, s, None, e, c, shrink)
+            rec.margin, rec.top = proof
+            rec.drift = 0.0
+        self._w[kept] = v
+        rec.value = v
         st.n += 1
-
+        cnt = self._count
         if self._track:
+            # the general body's tracker update, on a registered row (unit)
+            tr = self.tracker
             bound = self._bound
-            # math.hypot, unlike abs(complex), overflows to inf without raising
-            beta = math.hypot(e.real, e.imag) * (1.0 + _DELTA) if unit else math.inf
-            # b = e* x, formed in the tracker's work array
-            tracker_update(tr, np.multiply(e_conj, sample.x, out=tr.work))
+            beta = math.hypot(e.real, e.imag) * (1.0 + _DELTA)
+            tracker_update(tr, np.multiply(e_conj, x, out=tr.work))
             inv = 1.0 / tr.kappa
             self._bound = _step_bound((1.0 - inv) * bound + inv * beta, 0.0)  # (d)
-        if self._selective and rec is not None:
-            rec.drift += inc if unit else math.inf
-        cnt = self._count
         if cnt is not None:
             # a certified step after a count on K: (c)
-            xi = tr.params.xi
+            xi = self._xi
             move = abs_c + self._rho
             if self._track:
                 move += xi * ((bound + beta) / tr.kappa + _DELTA * bound)
             cnt.drift += _step_bound(move, cnt.top + xi * self._bound)
+        self.last_s = s
+        return e
+
+    def _general(self, sample, active, s, mask, e=None, c=None, shrink=None) -> complex:
+        """The dense rule, steps 2-5 of the module docstring, for budget s and
+        mask; ``active`` is False in burn-in.  A support step whose proof
+        failed passes the e, c and penalty it formed."""
+        st = self.state
+        if e is None:
+            # before the penalty, which reads the same w; sza's record reads e
+            e = prediction_error(st, sample)
+            if self._penalty is not None and (active or self._penalty_in_burn_in):
+                if self._selective:
+                    shrink = self._selective_penalty(st.w, s, e)
+                else:
+                    shrink = self._penalty(st.w, self.config, s)
+                shrink *= self._rho
+            c = self._mu * e.conjugate()
+        rec = self._rec
+        if self._selective and rec is not None:
+            inc = _step_bound(math.hypot(c.real, c.imag) + self._rho, rec.top + rec.drift)
+        self._count = None
+        w = self._w if st.w is self._ro else st.w
+        w += c * sample.x
+        if shrink is not None:
+            w -= shrink
+        if active and self._project is not None:
+            st.w = self._project(w, s, mask)
+            if self._project is _top_s:
+                self._own(st.w)
+                cut = np.flatnonzero(st.w)
+                self._rec = Record(cut, 0.0, -math.inf, value=st.w[cut])
+        st.n += 1
+        if self._track or self._selective:
+            unit = sample.unit
+            if self._track:
+                tr = self.tracker
+                bound = self._bound
+                # math.hypot, unlike abs(complex), overflows to inf without raising
+                beta = math.hypot(e.real, e.imag) * (1.0 + _DELTA) if unit else math.inf
+                # b = e* x, formed in the tracker's work array
+                tracker_update(tr, np.multiply(e.conjugate(), sample.x, out=tr.work))
+                inv = 1.0 / tr.kappa
+                self._bound = _step_bound((1.0 - inv) * bound + inv * beta, 0.0)  # (d)
+            if self._selective and rec is not None:
+                rec.drift += inc if unit else math.inf
         self.last_s = s
         return e

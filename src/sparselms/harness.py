@@ -88,8 +88,10 @@ class _RmseRows:
         self.kept = None  # K of the block's rows, None for dense rows
         self.values = []  # their w[K]
         # sq holds base but for the columns ``stale`` of its first ``written``
-        # rows; stale is None when sq does not hold base
+        # rows; stale is None when sq does not hold base.  For K = stale:
+        # w*[K], and the flat index of K in each row of sq
         self.stale, self.written = None, 0
+        self.true_kept = self.at = None
 
     def phase(self, w_true: np.ndarray) -> None:
         self.flush()
@@ -100,6 +102,11 @@ class _RmseRows:
 
     def add(self, est: Estimator) -> None:
         sparse = est.sparse_iterate()
+        if sparse is not None and sparse[0] is self.kept and self.rows < RMSE_BLOCK:
+            # the block's K again: most steps of a settled support
+            self.values.append(sparse[1])
+            self.rows += 1
+            return
         kept = None if sparse is None or sparse[0].size > self.max_kept else sparse[0]
         if kept is not self.kept or self.rows == RMSE_BLOCK:
             self.flush()
@@ -126,12 +133,13 @@ class _RmseRows:
                 else:
                     sq[:self.written, self.stale] = self.base[self.stale]
                 self.stale, self.written = kept, 0
+                self.true_kept = self.w_true[kept]
+                self.at = (self.row_at + kept).ravel()
             d = np.concatenate(self.values).reshape(rows, kept.size)
-            d -= self.w_true[kept]
+            d -= self.true_kept
             f = d.view(float)
             np.multiply(f, f, out=f)
-            at = (self.row_at[:rows] + kept).ravel()
-            sq.reshape(-1)[at] = (f[:, 0::2] + f[:, 1::2]).reshape(-1)
+            sq.reshape(-1)[self.at[:d.size]] = (f[:, 0::2] + f[:, 1::2]).reshape(-1)
             self.written = max(self.written, rows)
             sq[:rows].sum(axis=1, out=out)
             out /= self.sig2
@@ -313,6 +321,7 @@ def run_trial(spec: ExperimentSpec, algo: AlgorithmSpec, trial: int) -> TrialRec
     rows = _RmseRows(rmse_lin, spec.signal.n)
 
     i = 0
+    step, add = est.step, rows.add
     try:
         for phase in phases:
             rows.phase(phase.w_true)
@@ -320,8 +329,8 @@ def run_trial(spec: ExperimentSpec, algo: AlgorithmSpec, trial: int) -> TrialRec
                 phase.sensing, itertools.repeat(phase.z, phase.sensing.n_windows), phase.sigma
             )
             for sample in stream:
-                est.step(sample)
-                rows.add(est)
+                step(sample)
+                add(est)
                 if adaptive and est.last_s is not None:
                     s_traj[i] = est.last_s
                 i += 1

@@ -130,6 +130,9 @@ _UNIT_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 # bound on the computed |root|^2 a table must meet to be registered
 UNIT_SQ_MAG_BOUND = 1.0 + 2.0 * np.finfo(float).eps
 
+# rows of the fourier_rows table filled per index block
+_ROW_BLOCK = 16
+
 
 @lru_cache(maxsize=8)
 def fourier_rows(n: int) -> np.ndarray:
@@ -141,8 +144,14 @@ def fourier_rows(n: int) -> np.ndarray:
     ``unit_magnitude`` recognises its rows.
     """
     roots = np.exp(-2j * np.pi * np.arange(n) / n)
-    idx = np.outer(np.arange(n), np.arange(n)) % n
-    rows = roots[idx]
+    rows = np.empty((n, n), dtype=complex)
+    # row blocks of (t k) mod n, never the two N x N int64 temporaries of a
+    # one-shot outer product; int32 while (n - 1)^2 fits
+    k = np.arange(n, dtype=np.int32 if (n - 1) ** 2 <= np.iinfo(np.int32).max else np.int64)
+    for start in range(0, n, _ROW_BLOCK):
+        idx = np.multiply.outer(k[start:start + _ROW_BLOCK], k)
+        idx %= n
+        np.take(roots, idx, out=rows[start:start + _ROW_BLOCK])
     rows.flags.writeable = False
     if (roots.real * roots.real + roots.imag * roots.imag).max() <= UNIT_SQ_MAG_BOUND:
         _UNIT_TABLES[id(rows)] = rows

@@ -39,6 +39,8 @@ class SignalSpec:
                 raise ValueError("one amplitude per sine required")
             if any(a <= 0 for a in self.amps):
                 raise ValueError("amplitudes must be positive")
+        if self.snr_db < math.inf:
+            noise_std(signal_power(self), self.snr_db)
 
     @property
     def amplitudes(self) -> tuple[float, ...]:
@@ -108,13 +110,22 @@ def signal_power(spec: SignalSpec) -> float:
 
 def noise_std(power: float, snr_db: float) -> float:
     """Noise standard deviation giving the requested SNR for a given power;
-    +inf dB gives 0, and -inf or NaN raise ValueError."""
+    +inf dB gives 0.  -inf, NaN and a finite SNR whose std is not finite and
+    positive (beyond about +-3080 dB at unit power) raise ValueError."""
     if not power > 0:
         raise ValueError("signal power must be positive")
     _check_snr_db(snr_db)
     if snr_db == math.inf:
         return 0.0
-    return math.sqrt(power / 10.0 ** (snr_db / 10.0))
+    try:
+        std = math.sqrt(power / 10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):  # 10^(snr/10) overflows or underflows to 0
+        std = math.nan
+    if not 0.0 < std < math.inf:
+        raise ValueError(
+            f"snr_db must give a finite, positive noise std at signal power {power}, got {snr_db}"
+        )
+    return std
 
 
 def add_noise(values, snr_db: float, power: float, rng: np.random.Generator):

@@ -495,6 +495,22 @@ def dense_step(est, sample):
         return est.step(sample)
 
 
+@contextmanager
+def general_steps_counted():
+    """A list that receives one entry per step that ran the general body; every
+    other step finished on the support step."""
+    calls = []
+    general = estimators.Estimator._general
+
+    def counted(self, *args):
+        calls.append(self.state.n)
+        return general(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators.Estimator, "_general", counted)
+        yield calls
+
+
 def assert_bitwise_equal(fast, dense, e_fast, e_dense):
     assert fast.state.w.tobytes() == dense.state.w.tobytes()
     assert np.complex128(e_fast).tobytes() == np.complex128(e_dense).tobytes()
@@ -671,9 +687,16 @@ def test_support_path_reports_nan_like_the_dense_rule(variant):
 def test_registry_trajectories_match_dense_rule(name):
     spec = get_experiment(name, trials=1, n=64)
     for algo in spec.algorithms:
-        fast = run_trial(spec, algo, 0)
-        with dense_rule():
+        with general_steps_counted() as general:
+            fast = run_trial(spec, algo, 0)
+        with dense_rule(), general_steps_counted() as dense_general:
             dense = run_trial(spec, algo, 0)
+        # the oracle takes no support step, so it is not the fast path again;
+        # the fast path takes it on every hard and hard_l0 label
+        steps = dense.rmse_lin_trajectory.size
+        assert len(dense_general) == steps
+        if algo.estimator.variant in estimators.PROJECTED:
+            assert len(general) < steps, algo.label
         assert fast.rmse_lin_trajectory.tobytes() == dense.rmse_lin_trajectory.tobytes()
         if fast.s_trajectory is None:
             assert dense.s_trajectory is None
@@ -1258,6 +1281,34 @@ def test_exp2_support_path_mostly_skips_the_certificate(monkeypatch):
         run_trial(spec, algo, 0)
         assert calls["support"] > 0.9 * (spec.sensing.total_samples - algo.estimator.burn_in)
         assert calls["certified"] < 0.15 * calls["support"], algo.label
+
+
+@pytest.mark.parametrize(
+    "name, label, share",
+    [
+        ("exp2", "HARD-20", 0.99),
+        ("exp2", "HARD-EST", 0.99),
+        # at N = 64 exp4's HARD-EST has xi = 20/64, so entries off K pass q*
+        # and most budgets differ from |K| (see the budget test above)
+        ("exp4-tracking", "HARD-EST", 0.2),
+        ("exp4-tracking", "HARD-EST-SIMPLE", 0.97),
+    ],
+)
+def test_every_active_step_but_the_dense_cuts_finishes_on_the_support_step(
+    monkeypatch, name, label, share
+):
+    # Measured at N = 64, trial 0, of 1274 active steps (3874 for exp4): 1273
+    # support steps for each exp2 label, and 871 (HARD-EST) and 3795
+    # (HARD-EST-SIMPLE) for exp4; every other active step was a dense cut
+    spec = get_experiment(name, trials=1, n=64)
+    algo = next(a for a in spec.algorithms if a.label == label)
+    cuts = _count_cuts(monkeypatch)
+    with general_steps_counted() as general:
+        steps = run_trial(spec, algo, 0).rmse_lin_trajectory.size
+    active = steps - algo.estimator.burn_in
+    support = steps - len(general)
+    assert support == active - len(cuts)
+    assert support > share * active
 
 
 def test_exp3_certifies_sza_and_logs_tracker_updates(monkeypatch):

@@ -40,6 +40,22 @@ def test_regressor_row_bad_index():
         regressor_row(8, -1)
 
 
+@pytest.mark.parametrize("n", [1, 7, 3 * sensing._ROW_BLOCK + 5])
+def test_fourier_rows_built_in_blocks_equal_the_one_shot_table(n):
+    # the table is filled a block of rows at a time; the one-shot gather of
+    # roots[(t k) mod n] gives the same bytes, and the table is read-only and
+    # registered
+    fourier_rows.cache_clear()
+    rows = fourier_rows(n)
+    roots = np.exp(-2j * np.pi * np.arange(n) / n)
+    want = roots[np.outer(np.arange(n), np.arange(n)) % n]
+    assert n == 1 or n % sensing._ROW_BLOCK
+    assert rows.dtype == want.dtype and rows.shape == want.shape
+    assert rows.tobytes() == want.tobytes()
+    assert not rows.flags.writeable
+    assert sensing.unit_magnitude(rows[n - 1])
+
+
 def test_second_moment_identity_direct_sum():
     # direct summation oracle at N=8
     n = 8

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,22 @@ def test_noise_std_rejects_infinite_noise_and_nan(snr_db):
         noise_std(1.0, snr_db)
     with pytest.raises(ValueError, match="snr_db"):
         add_noise(np.zeros(3), snr_db, 1.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("snr_db", [3100.0, -3100.0, -4000.0])
+def test_noise_std_rejects_a_finite_snr_whose_std_is_not_finite_and_positive(snr_db):
+    # 10^(snr/10) overflows at +3100 dB; at -3100 dB the std overflows to inf,
+    # and at -4000 dB 10^(snr/10) underflows to 0
+    message = f"snr_db must give a finite, positive noise std at signal power 1.0, got {snr_db}"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        noise_std(1.0, snr_db)
+    with pytest.raises(ValueError, match="snr_db"):
+        SignalSpec(n=64, sines=2, snr_db=snr_db)
+
+
+def test_noise_std_keeps_a_finite_snr_near_the_limit():
+    assert noise_std(1.0, 3000.0) == math.sqrt(1.0 / 10.0 ** 300.0)
+    assert SignalSpec(n=64, sines=2, snr_db=3000.0).snr_db == 3000.0
 
 
 def test_noise_std_rejects_a_nan_power():
