@@ -608,16 +608,16 @@ def test_config_rejects_a_mistyped_value(tmp_path, path, value, name):
          "algorithms[1].tracker: xi must be finite and nonnegative, got inf"),
         (("signal", "snr_db"), math.nan, "signal: snr_db must be a number or inf, got nan"),
         (("signal", "snr_db"), -math.inf, "signal: snr_db must be a number or inf, got -inf"),
-        # loaded, then died in _build_phases with OverflowError
-        (("signal", "snr_db"), 4000.0,
-         "signal: snr_db must give a finite, positive noise std at signal power 5.0, got 4000.0"),
-        (("signal", "snr_db"), -4000.0,
-         "signal: snr_db must give a finite, positive noise std at signal power 5.0, got -4000.0"),
         (("algorithms",), [], "algorithms must list at least one algorithm"),
         (("tracking", "extra_sines"), -1, "tracking: extra_sines must be >= 0, got -1"),
         (("tracking", "phase_windows", 0), 0, "tracking: phase_windows[0] must be >= 1, got 0"),
         # loaded, then failed mid-run inside numpy's SeedSequence
         (("seed",), -1, "seed must be >= 0, got -1"),
+        # loaded, then died in _build_phases with OverflowError
+        (("signal", "snr_db"), 4000.0,
+         "signal: snr_db must give a finite, positive noise std at signal power 5.0, got 4000.0"),
+        (("signal", "snr_db"), -4000.0,
+         "signal: snr_db must give a finite, positive noise std at signal power 5.0, got -4000.0"),
     ],
 )
 def test_config_names_the_section_a_dataclass_rejects(tmp_path, path, value, message):
