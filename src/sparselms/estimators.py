@@ -128,11 +128,18 @@ def prediction_error(state: EstimatorState, sample) -> complex:
     e is formed as complex minus complex in Python, part by part: numpy also
     converts a real y to complex128 exactly before it subtracts, so this is
     numpy's bits for a float, int, complex or numpy scalar y, signed zeros
-    and NaN included (a test pins it).
+    and NaN included (a test pins it).  A complex dot converts with its own
+    ``__complex__``, which complex() would call; a real one, a float64 that
+    has none, with complex().
     """
     if sample.x.shape != state.w.shape:
         raise ValueError(f"regressor has shape {sample.x.shape}, expected {state.w.shape}")
-    return complex(sample.y) - complex(np.vdot(state.w, sample.x))
+    dot = np.vdot(state.w, sample.x)
+    try:
+        dot = dot.__complex__()
+    except AttributeError:
+        dot = complex(dot)
+    return complex(sample.y) - dot
 
 
 # -- penalties g(w, config, s) -------------------------------------------------

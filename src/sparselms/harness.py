@@ -69,18 +69,26 @@ class _RmseRows:
     """The r-MSE of each iterate of a trial, into ``out``, RMSE_BLOCK rows per
     reduction.
 
-    A block holds rows of one kind and one phase.  A dense iterate's w - w* is
-    written into ``block`` and reduced by _rmse_rows.  An iterate that is zero
-    off its support K (``Estimator.sparse_iterate``) is held as its w[K]; a
-    block of them shares one K object.  Off K its row of squared errors is
+    A block holds rows of one kind and one phase.  A dense iterate w is copied
+    into ``block``; the flush subtracts w* on its support T alone and reduces
+    the block by _rmse_rows.  Off T w* is an exact zero, so w_k - w*_k is w_k
+    but for the sign of a zero, which its square drops, and every value is
+    the per-row subtraction's bit for bit.  An iterate that is zero off its
+    support K (``Estimator.sparse_iterate``) is held as its w[K]; a block of
+    them shares one K object.  Off K its row of squared errors is
     base = re(w*)^2 + im(w*)^2, so the float rows of ``sq`` hold base there
     and only the K columns are computed, as _rmse_rows computes them; the same
     row sum then gives every value bit for bit.
+
+    A new K starts a block and costs a flush of the last one and the K
+    columns' indices, several dense rows' worth.  So while K changes on
+    consecutive steps, the rows are taken dense until a K repeats.
     """
 
     def __init__(self, out: np.ndarray, n: int):
         self.out = out
         self.block = np.empty((RMSE_BLOCK, n), dtype=complex)
+        self.flat = self.block.reshape(-1)
         self.sq = np.empty(self.block.shape)
         self.row_at = np.arange(0, RMSE_BLOCK * n, n)[:, None]  # flat index of each row
         self.max_kept = int(n * SUPPORT_ROW_SHARE)
@@ -92,12 +100,18 @@ class _RmseRows:
         # w*[K], and the flat index of K in each row of sq
         self.stale, self.written = None, 0
         self.true_kept = self.at = None
+        # the last step's K and the step at which it first came
+        self.last, self.new_at = None, -2
 
     def phase(self, w_true: np.ndarray) -> None:
         self.flush()
         self.w_true = w_true
         self.sig2 = _sq_norm(w_true)
         self.base = w_true.real * w_true.real + w_true.imag * w_true.imag
+        true_at = np.flatnonzero(w_true)  # T
+        # T's flat index in each row of block, and w*[T] once per row
+        self.true_at = (self.row_at + true_at).ravel()
+        self.true_on = np.tile(w_true[true_at], RMSE_BLOCK)
         self.stale = None
 
     def add(self, est: Estimator) -> None:
@@ -108,11 +122,16 @@ class _RmseRows:
             self.rows += 1
             return
         kept = None if sparse is None or sparse[0].size > self.max_kept else sparse[0]
+        if kept is not None and kept is not self.last:
+            step = self.start + self.rows
+            if self.new_at == step - 1:  # K changed on the last step too
+                kept = None
+            self.last, self.new_at = sparse[0], step
         if kept is not self.kept or self.rows == RMSE_BLOCK:
             self.flush()
             self.kept = kept
         if kept is None:
-            np.subtract(est.state.w, self.w_true, out=self.block[self.rows])
+            self.block[self.rows] = est.state.w
         else:
             self.values.append(sparse[1])
         self.rows += 1
@@ -124,6 +143,8 @@ class _RmseRows:
         out = self.out[start:start + rows]
         kept, sq = self.kept, self.sq
         if kept is None:
+            k = rows * self.true_on.size // RMSE_BLOCK
+            self.flat[self.true_at[:k]] -= self.true_on[:k]
             _rmse_rows(self.block, self.sig2, sq, out)
             self.stale = None
         else:
@@ -220,6 +241,17 @@ class ExperimentSpec:
                     f"cannot place {self.signal.sines} + {self.tracking.extra_sines} sines"
                     f" on distinct bins in [1, {self.signal.n // 2 - 1}] at n={self.signal.n}"
                 )
+            if self.signal.snr_db < math.inf:
+                # the second phase adds unit sines, so its noise std differs
+                amps = self.signal.amplitudes + (1.0,) * self.tracking.extra_sines
+                power = sum(a * a for a in amps) / 2.0  # signal_power of that phase
+                try:
+                    noise_std(power, self.signal.snr_db)
+                except ValueError:
+                    raise ValueError(
+                        "signal.snr_db must give a finite, positive noise std at the"
+                        f" second phase's signal power {power}, got {self.signal.snr_db}"
+                    ) from None
         if self.signal.n != self.sensing.n:
             raise ValueError(
                 f"signal.n ({self.signal.n}) must equal sensing.n ({self.sensing.n})"
@@ -304,8 +336,8 @@ def run_trial(spec: ExperimentSpec, algo: AlgorithmSpec, trial: int) -> TrialRec
     """One deterministic trial of one algorithm; records r-MSE per iteration.
 
     The r-MSE of each iterate is _sq_norm(w - w*) / ||w*||^2 bit for bit, reduced
-    RMSE_BLOCK rows at a time (_RmseRows): a dense iterate costs a subtraction
-    into the block and an O(N) row, one that is zero off its support K costs
+    RMSE_BLOCK rows at a time (_RmseRows): a dense iterate costs a copy into
+    the block and an O(N) row, one that is zero off its support K costs
     O(|K|) and a row sum.
 
     Raises ValueError naming the label, the trial and the step when a step

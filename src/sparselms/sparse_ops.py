@@ -13,8 +13,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-_TINY = float(np.finfo(float).tiny)
-_SMALLEST = float(np.finfo(float).smallest_subnormal)
+# complex_sign's least magnitude that divides, as numpy scalars: a Python
+# float would be compared in a float32 magnitude's precision, where 5e-324
+# rounds to 0.  A complex entry needs a magnitude in the normal range of its
+# own precision; a real nonzero entry divides exactly.
+_COMPLEX_FLOOR = {c: np.finfo(c).tiny for c in "FDG"}
+_REAL_FLOOR = np.finfo(float).smallest_subnormal
 
 
 def _sq_mag(v: np.ndarray) -> np.ndarray:
@@ -93,9 +97,13 @@ def complex_sign(v, mag=None):
     A NaN entry gets sign 0, and so does a finite entry whose magnitude
     overflows (x / inf); ``harness.run_trial``'s r-MSE ceiling reports an
     iterate that large.  A complex entry whose magnitude is below the normal
-    range (under 2.2e-308) gets sign 0 too.  Every other sign has modulus at
-    most 1 + 4u, u = 2^-53.  A scalar gives a numpy scalar, computed as an
-    array.
+    range of its precision (under 2.2e-308 for complex128) gets sign 0 too.
+    Every other complex128 sign has modulus at most 1 + 4u, u = 2^-53.  A
+    scalar gives a numpy scalar, computed as an array.
+
+    When every magnitude is at least the floor below, as for a dense iterate
+    after its first step, the divide runs unmasked into a fresh array; the
+    loop is the one the masked divide picks, so the bits are the same.
     """
     v = np.asarray(v)
     if mag is None:
@@ -105,9 +113,15 @@ def complex_sign(v, mag=None):
     # computed m is also too coarse for the 1 + 4u bound.  A real entry
     # divides exactly.  NaN fails the comparison, so it keeps its 0 like a
     # zero entry.
-    floor = _TINY if v.dtype.kind == "c" else _SMALLEST
-    out = np.zeros(v.shape, dtype=np.promote_types(v.dtype, float))
-    np.divide(v, mag, out=out, where=mag >= floor)
+    floor = _COMPLEX_FLOOR[v.dtype.char] if v.dtype.kind == "c" else _REAL_FLOOR
+    dtype = np.promote_types(v.dtype, float)
+    if mag.size and mag.min() >= floor:  # a NaN fails it too
+        out = np.divide(v, mag)
+        if out.dtype != dtype:  # float32 or complex64: the masked path's cast
+            out = out.astype(dtype)
+    else:
+        out = np.zeros(v.shape, dtype=dtype)
+        np.divide(v, mag, out=out, where=mag >= floor)
     return out if out.ndim else out[()]
 
 

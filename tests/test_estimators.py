@@ -83,6 +83,19 @@ def test_error_of_a_python_float_y_is_numpys_float64_minus_complex128(monkeypatc
             assert _bits(np.complex128(e)) == _bits(ref), (yk, re, im)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+def test_error_of_a_real_dot_is_numpys_complex_difference(dtype):
+    # a real w and x give a real numpy dot, which has no __complex__
+    w = np.array([3, -2, 1] if dtype == np.int64 else [0.75, -0.5, 0.25], dtype=dtype)
+    x = np.array([1, 5, -7], dtype=dtype)
+    dot = np.vdot(w, x)
+    assert type(dot) is dtype and not hasattr(dot, "__complex__")
+    for y in (0.75, -0.0, 2):
+        e = prediction_error(EstimatorState(w=w), MeasurementSample(x, y))
+        assert type(e) is complex
+        assert _bits(np.complex128(e)) == _bits(np.complex128(y) - np.complex128(dot)), y
+
+
 # -- single update rules, hand-computed ---------------------------------------
 
 

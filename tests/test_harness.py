@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -130,8 +131,8 @@ def test_run_experiment_never_averages_a_diverged_trial(monkeypatch):
 
 def _per_step_rmse(spec, algo, trial, kept=None):
     """run_trial's r-MSE trajectory recomputed with _sq_norm after every step;
-    ``kept``, when given, gets the K of each iterate that run_trial reduces as a
-    support row, or None for a dense row."""
+    ``kept``, when given, gets the K of each iterate that is zero off a support
+    small enough for a support row, or None."""
     est = harness.Estimator(algo.estimator, spec.signal.n, algo.tracker)
     out = []
     for phase in harness._build_phases(spec, trial):
@@ -226,6 +227,85 @@ def test_exp2_takes_the_support_rows_after_burn_in(monkeypatch, label):
     monkeypatch.setattr(harness, "_rmse_rows", counted)
     run_trial(spec, algo, 0)
     assert sum(dense) == algo.estimator.burn_in
+
+
+class _DenseIterate:
+    """What _RmseRows.add reads of an estimator whose iterate is dense."""
+
+    def __init__(self, w):
+        self.state = SimpleNamespace(w=w)
+
+    def sparse_iterate(self):
+        return None
+
+
+# signed zeros, subnormals and the smallest normal, as parts of an iterate
+_SMALL_PARTS = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 0.5, -3.0]
+
+
+def test_dense_rows_match_the_per_row_subtraction():
+    # two phases of more than a block each (the second ends mid-block), and a
+    # w* whose zeros include -0.0 entries that np.flatnonzero leaves off T
+    rng = np.random.default_rng(5)
+    n = 12
+    w_a = np.zeros(n, dtype=complex)
+    w_a[[2, 9]] = [-0.5j, 0.5j]
+    w_b = w_a.copy()
+    w_b[[4, 7]] = [0.25 - 1j, 3.0]
+    w_b[[0, 5]] = [complex(-0.0, -0.0), complex(-0.0, 0.0)]
+    w_b[11] = complex(0.0, -0.0)
+    phases = [(w_a, 40), (w_b, 45)]
+    parts = np.array(_SMALL_PARTS)
+    specials = [complex(-0.0, -0.0), 1e300, complex(1.0, -1e300), math.inf,
+                complex(0.0, -math.inf), complex(math.nan, 1.0), -math.nan]
+    iterates = []
+    for _, count in phases:
+        ws = []
+        for i in range(count):
+            w = np.empty(n, dtype=complex)
+            w.real = parts[rng.integers(parts.size, size=n)]
+            w.imag = parts[rng.integers(parts.size, size=n)]
+            if i < len(specials):
+                # on T, off T, and on the -0.0 entries of w_b
+                w[[i % 3, 4, 5, 9, 11]] = specials[i]
+            ws.append(w)
+        iterates.append(ws)
+
+    out = np.empty(sum(count for _, count in phases))
+    rows = harness._RmseRows(out, n)
+    want = []
+    with np.errstate(all="ignore"):
+        for (w_true, _), ws in zip(phases, iterates):
+            rows.phase(w_true)
+            sig2 = harness._sq_norm(w_true)
+            for w in ws:
+                rows.add(_DenseIterate(w))
+                want.append(harness._sq_norm(w - w_true) / sig2)
+        rows.flush()
+    want = np.array(want)
+    assert np.isnan(want).any() and np.isinf(want).any() and np.isfinite(want).any()
+    _assert_bitwise_equal(out, want, "dense rows")
+
+
+def test_a_k_that_changes_every_step_takes_dense_rows(monkeypatch):
+    # exp4's HARD-EST moves K on runs of consecutive steps after its signal
+    # change; a support row per new K cost a one-row flush each (181 of them
+    # in this trial, 3 for HARD-EST-SIMPLE) where a dense row is several
+    # times cheaper.  Only the first K of a run is taken as support rows.
+    spec = build_exp4_tracking(trials=1, n=64)
+    flushes = []
+    flush = harness._RmseRows.flush
+
+    def counted(self):
+        if self.rows:
+            flushes.append((self.kept is not None, self.rows))
+        flush(self)
+
+    monkeypatch.setattr(harness._RmseRows, "flush", counted)
+    for algo, one_row in zip(spec.algorithms, (113, 2)):
+        flushes.clear()
+        run_trial(spec, algo, 0)
+        assert flushes.count((True, 1)) == one_row, algo.label
 
 
 @pytest.mark.parametrize(
@@ -618,6 +698,10 @@ def test_config_rejects_a_mistyped_value(tmp_path, path, value, name):
          "signal: snr_db must give a finite, positive noise std at signal power 5.0, got 4000.0"),
         (("signal", "snr_db"), -4000.0,
          "signal: snr_db must give a finite, positive noise std at signal power 5.0, got -4000.0"),
+        # loaded, then died in _build_phases at the second phase's noise std
+        (("signal", "snr_db"), -3074.0,
+         "signal.snr_db must give a finite, positive noise std at the second phase's signal"
+         " power 10.0, got -3074.0"),
     ],
 )
 def test_config_names_the_section_a_dataclass_rejects(tmp_path, path, value, message):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparselms.sparse_ops import (
@@ -282,6 +282,59 @@ def test_complex_sign_has_modulus_at_most_one_plus_4u(re, im, scale):
         g = complex(complex_sign(v)[0])
     assert Fraction(g.real) ** 2 + Fraction(g.imag) ** 2 <= Fraction(1 + 4 * _U) ** 2
     assert g == 0 or abs(v[0]) >= 2.2250738585072014e-308
+
+
+def _masked_sign(v):
+    """complex_sign's masked divide, taken on every input: 0 below the floor,
+    the least normal magnitude of a complex entry's precision or the least
+    positive float64 for a real one, compared in float64 or better."""
+    floor = np.finfo(v.dtype).tiny if v.dtype.kind == "c" else np.finfo(float).smallest_subnormal
+    mag = np.abs(v)
+    out = np.zeros(v.shape, dtype=np.promote_types(v.dtype, float))
+    np.divide(v, mag, out=out, where=mag >= floor)
+    return out
+
+
+def test_sign_of_a_single_precision_zero_is_zero():
+    # a Python-float floor was compared in float32, where 5e-324 is 0, so a
+    # float32 zero divided to NaN; a complex64 magnitude below float32's
+    # normal range overflowed its 1/m
+    with np.errstate(all="raise"):
+        assert complex_sign(np.array([1.5, 0.0, -1e-40], np.float32)).tolist() == [1, 0, -1]
+        out = complex_sign(np.array([2j, 0, 1e-39], np.complex64))
+        assert out.dtype == complex and out.tolist() == [1j, 0, 0]
+
+
+_PARTS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e-30, 1e38, 1e300])
+
+
+@settings(max_examples=200, deadline=None)
+# every magnitude normal, one inf among them: the unmasked divide
+@example(re=[3.0, -1e-300, 1e300, math.inf], im=[4.0, 2.0, -1e300, 1.0], dtype="complex128")
+# one subnormal magnitude, and one NaN: the masked divide
+@example(re=[1.0, 1e-310, 0.0], im=[1.0, 0.0, 2.0], dtype="complex128")
+@example(re=[1.0, math.nan, 0.0], im=[1.0, 0.0, 2.0], dtype="complex128")
+# float32 and complex64 divide in their own loop and cast, on both sides
+@example(re=[1.5, -3e-30, 7.0], im=[0.0, 0.0, 0.0], dtype="float32")
+@example(re=[1.5, 0.0, 7.0], im=[0.0, 0.0, 0.0], dtype="float32")
+@example(re=[1.5, 3e-30, -7.0], im=[-2.0, 1e-30, 0.5], dtype="complex64")
+@example(re=[1.5, 0.0, -7.0], im=[-2.0, 0.0, 0.5], dtype="complex64")
+@given(
+    re=st.lists(_PARTS, min_size=0, max_size=6),
+    im=st.lists(_PARTS, min_size=6, max_size=6),
+    dtype=st.sampled_from(["complex128", "complex64", "float64", "float32"]),
+)
+def test_complex_sign_gate_keeps_the_masked_bits(re, im, dtype):
+    # when every magnitude clears the floor the divide runs unmasked; its
+    # dtype and bits are the masked divide's on every input
+    with np.errstate(all="ignore"):
+        v = np.array(re, dtype=float) + 0j
+        v.imag = im[:len(re)]
+        v = (v if dtype.startswith("complex") else v.real).astype(dtype)
+        got, want = complex_sign(v), _masked_sign(v)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 # -- selective penalty --------------------------------------------------------
