@@ -27,19 +27,23 @@ after an exact cut with a strict gap (``set_kept``).  Every path gives the
 dense rule's results bit for bit; the derivation is above ``Record``.
 
 Two bodies.  ``Estimator.step`` runs the support step when the last top-s
-cut's record is on ``state.w``, the row is registered and the budget is |K|
+cut's record is on ``state.w``, the row is a unit row and the budget is |K|
 (a fixed s, or the tracker's count read from K): every step of hard and
 hard_l0 once their support has settled.  It updates w[K] alone, in straight
 line, and skips the O(N) update, the cut and every branch of the other
 variants.  Any other step, and a support step whose certificate fails, runs
 the general body: the dense rule above.
 
+Unit rows.  The bounds below need every computed |x_k|^2 <= 1 + 4u.  An
+estimator takes the table of rows that meet it once, from
+``sensing.unit_rows``, and a step's row is a unit row when it is a view of
+that table (``x.base is self._rows``); any other row takes the dense rule,
+and makes the bounds it would advance infinite.
+
 The scalars of a step (e, e*, c = mu e* and the bounds) are Python numbers:
 ``prediction_error`` forms e as complex minus complex, and c as complex x
 complex, which are numpy's complex128 difference and product bit for bit.
-What depends on the sample alone, y as a Python float and the rows'
-unit-magnitude proof (``MeasurementSample.unit``), ``make_stream`` does once
-per window.
+``make_stream`` gives y as a Python float, once per window.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sensing import unit_rows
 from .sparse_ops import complex_sign, hard_threshold, keep_mask, selective_penalty
 from .tracker import (
     TrackerParams,
@@ -198,8 +203,8 @@ def _occupancy(w, s, mask):
 #
 # u = 2^-53, r = sqrt(_TINY), and m2 = fl(re^2 + im^2) as in keep_mask, which
 # is |v|^2 within a relative 3u, or an absolute _TINY below the normal range.
-# Registered rows (sensing.UNIT_SQ_MAG_BOUND) have computed |x_k|^2 <= 1 + 4u,
-# so |x_k| <= 1 + 3u.
+# Unit rows (sensing.unit_rows) have computed |x_k|^2 <= 1 + 4u, so
+# |x_k| <= 1 + 3u.
 #
 # Off K.  After a top-s cut w is zero off K, so off K the next dense update
 # holds fl(c x_k), c = a + ib.  With c2 = fl(a^2 + b^2):
@@ -218,7 +223,7 @@ def _occupancy(w, s, mask):
 #   |w'_k - w_k| <= (|c| + rho)(1 + 8u) + 2u |w_k| + (products below the
 #                   normal range, a few 2^-1075).
 # With |w_k| <= top (1 + 2u) + D, D the drift since the record was taken, a
-# step on a registered row moves any |w_k| on K by at most
+# step on a unit row moves any |w_k| on K by at most
 #   inc = (|c| + rho)(1 + _DELTA) + _DELTA (top + D) + _TINY   (_step_bound),
 # which also covers the rounding of the sum, and D advances by inc; any other
 # row sets D = inf.  Three corollaries follow, and (d) bounds the tracker.
@@ -268,7 +273,7 @@ def _occupancy(w, s, mask):
 #
 # (d) Error bound.  B bounds max_k |err_k|, and is 0 on a fresh tracker.  An
 # update stores fl(fl(keep err_k) - fl(inv b_k)), keep = 1 - inv, and on a
-# registered row |fl(e* x_k)| <= beta, so the new |err_k| is at most
+# unit row |fl(e* x_k)| <= beta, so the new |err_k| is at most
 # (keep B + inv beta)(1 + u)^2, and the float products and sum lose at most
 # three more roundings: B advances to _step_bound(keep B + inv beta, 0), and
 # any other row has beta = inf.  A full query resets B to the computed
@@ -362,7 +367,7 @@ def _top_cut(w, s):
 
 def _support(rec, s, unit):
     """K of the last top-s cut when the support path may be tried, else None:
-    |K| = s and the row is registered."""
+    |K| = s and the row is a unit row."""
     if rec is None or rec.kept.size != s or not unit:
         return None
     return rec.kept
@@ -388,9 +393,11 @@ class Estimator:
     top-s cut of the thresholded variants.  A tracker that no budget or mask
     reads, or whose ``xi`` is 0, is not updated.
 
-    Next to its records the estimator holds B, the bound (d) on the tracker's
-    largest error entry, as a Python float: each tracker update advances it,
-    and each full query resets it.
+    A row is a unit row, which the certificates need, when it is a view of
+    the table ``unit_rows`` gave at construction; any other row takes the
+    dense rule.  Next to its records the estimator holds B, the bound (d) on
+    the tracker's largest error entry, as a Python float: each tracker update
+    advances it, and each full query resets it.
 
     ``step`` takes one sample.  A certified step of hard or hard_l0 finishes
     on ``_support_step``; every other step runs ``_general``, which a support
@@ -431,6 +438,10 @@ class Estimator:
                 f"mu*N={config.mu * n_dim}"
             )
         self.last_s: int | None = None
+        # the unit rows' table; when the roots fail the bound, an object that
+        # no row's base is
+        rows = unit_rows(n_dim)
+        self._rows = object() if rows is None else rows
 
         self._mu = complex(config.mu)
         self._rho = config.rho if variant in _PENALTY else 0.0
@@ -532,7 +543,7 @@ class Estimator:
 
         Past burn-in the budget comes first, from the pre-update iterate.
         Then the step runs the support step when the last top-s cut's record is on
-        ``state.w``, the row is registered and the budget is |K|, and the
+        ``state.w``, the row is a unit row and the budget is |K|, and the
         general body otherwise.
         """
         st = self.state
@@ -549,7 +560,7 @@ class Estimator:
         if self._budget is not None:
             s, mask = self._budget(self, st.w)
         if self._project is _top_s:
-            kept = _support(self._rec, s, sample.unit)
+            kept = _support(self._rec, s, sample.x.base is self._rows)
             if kept is not None:
                 return self._support_step(sample, kept, s)
         return self._general(sample, True, s, mask)
@@ -565,7 +576,7 @@ class Estimator:
         rec = self._rec
         w = rec.value
         x = sample.x
-        # prediction_error, inlined: a registered row is complex128, so the
+        # prediction_error, inlined: a unit row is complex128, so the
         # dot is too, and its __complex__ is what complex() would call
         if x.shape != st.w.shape:
             raise ValueError(f"regressor has shape {x.shape}, expected {st.w.shape}")
@@ -597,7 +608,7 @@ class Estimator:
         st.n += 1
         cnt = self._count
         if self._track:
-            # the general body's tracker update, on a registered row (unit)
+            # the general body's tracker update, on a unit row
             tr = self.tracker
             bound = self._bound
             beta = math.hypot(e.real, e.imag) * (1.0 + _DELTA)
@@ -645,7 +656,7 @@ class Estimator:
                 self._rec = Record(cut, 0.0, -math.inf, value=st.w[cut])
         st.n += 1
         if self._track or self._selective:
-            unit = sample.unit
+            unit = sample.x.base is self._rows
             if self._track:
                 tr = self.tracker
                 bound = self._bound

@@ -12,7 +12,7 @@ the sparsity tracker relies on.
 
 from __future__ import annotations
 
-import weakref
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -90,44 +90,16 @@ class SensingConfig:
 class MeasurementSample:
     """One observation: regressor row x and noisy scalar y.
 
-    ``t``, when set, is the index of row x in its ``fourier_rows`` table.
-    ``make_stream`` sets it, and gives y and t as Python numbers.  Nothing in
-    the package reads t yet: it is kept for a stream that yields positions
-    instead of rows.
-
-    ``unit`` is the proof that every computed |x_k|^2 is at most
-    ``UNIT_SQ_MAG_BOUND``.  It is computed, never passed: a sample built here
-    asks ``unit_magnitude(x)`` each time it is read, and ``make_stream``'s
-    samples, whose rows it took from a registered table, carry it as True.
-    A stream's samples are shared by its replays and are read-only, so their
-    x stays the row the proof was made for.
+    ``make_stream`` gives x as a row view of the ``fourier_rows`` table and y
+    as a Python float.  An estimator takes x as unit-magnitude only while it
+    is a view of the table ``unit_rows`` gave that estimator.
     """
 
     x: np.ndarray
     y: float
-    t: int | None = None
-
-    @property
-    def unit(self) -> bool:
-        return unit_magnitude(self.x)
 
 
-class _TableRowSample(MeasurementSample):
-    """A ``make_stream`` sample: x is a row view of a registered table.  It
-    refuses assignment, so ``make_stream`` builds a plain sample and then
-    sets its class."""
-
-    __slots__ = ()
-    unit = True
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"a stream sample is read-only; cannot set {name}")
-
-
-# the fourier_rows tables whose roots passed the magnitude check, by id
-_UNIT_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-# bound on the computed |root|^2 a table must meet to be registered
+# bound on the computed |root|^2 the roots of a table must meet for unit_rows
 UNIT_SQ_MAG_BOUND = 1.0 + 2.0 * np.finfo(float).eps
 
 # rows of the fourier_rows table filled per index block
@@ -139,9 +111,7 @@ def fourier_rows(n: int) -> np.ndarray:
     """All N regressor rows as an N x N read-only matrix, F[t, k] = x(t)_k.
 
     Entries are looked up from the single table of N-th roots of unity so
-    that equal angles produce bit-identical values.  When every computed
-    |root|^2 is at most ``UNIT_SQ_MAG_BOUND`` the table is registered, and
-    ``unit_magnitude`` recognises its rows.
+    that equal angles produce bit-identical values.
     """
     roots = np.exp(-2j * np.pi * np.arange(n) / n)
     rows = np.empty((n, n), dtype=complex)
@@ -153,20 +123,19 @@ def fourier_rows(n: int) -> np.ndarray:
         idx %= n
         np.take(roots, idx, out=rows[start:start + _ROW_BLOCK])
     rows.flags.writeable = False
-    if (roots.real * roots.real + roots.imag * roots.imag).max() <= UNIT_SQ_MAG_BOUND:
-        _UNIT_TABLES[id(rows)] = rows
     return rows
 
 
-def _registered(table: np.ndarray) -> bool:
-    return _UNIT_TABLES.get(id(table)) is table
+def unit_rows(n: int) -> np.ndarray | None:
+    """``fourier_rows(n)`` when every computed |x_k|^2 of its rows is at most
+    ``UNIT_SQ_MAG_BOUND``, else None.
 
-
-def unit_magnitude(x: np.ndarray) -> bool:
-    """True when x is a view into a registered ``fourier_rows`` table, so every
-    computed |x_k|^2 is at most ``UNIT_SQ_MAG_BOUND``."""
-    base = x.base
-    return base is not None and _registered(base)
+    Every entry is one of the N roots, and row 1 % n holds them all, so the
+    check reads that row alone.
+    """
+    rows = fourier_rows(n)
+    x = rows[1 % n]
+    return rows if (x.real * x.real + x.imag * x.imag).max() <= UNIT_SQ_MAG_BOUND else None
 
 
 def regressor_row(n: int, t: int) -> np.ndarray:
@@ -207,15 +176,15 @@ def make_stream(
     Windowed draws ``windows`` windows with fresh positions and fresh noise.
     A replay yields the same ``MeasurementSample`` objects again.
 
-    Whatever depends on the sample alone is done here, once per window: y and
-    t become Python numbers, and the rows' unit-magnitude proof is read once
-    for the whole table.
+    Whatever depends on the sample alone is done here, once per window: y
+    becomes a Python float.  A ``noise_std`` that is negative, NaN or infinite
+    raises ValueError at the first sample.
     """
-    rows = fourier_rows(config.n)
-    unit = _registered(rows)
+    if not 0.0 <= noise_std < math.inf:
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     # one view per row, made once per stream: a list lookup costs less than
     # indexing the table for each sample of each window
-    views = list(rows)
+    views = list(fourier_rows(config.n))
     source = iter(windows)
     n_windows, replays = config.mode.plan
     for w in range(n_windows):
@@ -231,9 +200,6 @@ def make_stream(
         y = z[idx]
         if noise_std > 0.0:
             y = y + _noise_rng(config, w).normal(0.0, noise_std, size=config.m)
-        samples = [MeasurementSample(views[t], v, t) for t, v in zip(idx.tolist(), y.tolist())]
-        if unit:
-            for smp in samples:
-                smp.__class__ = _TableRowSample
+        samples = [MeasurementSample(views[t], v) for t, v in zip(idx.tolist(), y.tolist())]
         for _ in range(replays):
             yield from samples

@@ -308,6 +308,13 @@ def test_a_k_that_changes_every_step_takes_dense_rows(monkeypatch):
         assert flushes.count((True, 1)) == one_row, algo.label
 
 
+# the squares of a huge finite iterate overflow in the cut's check, the
+# certificate and the r-MSE
+_HUGE_OVERFLOWS = pytest.mark.filterwarnings(
+    "ignore:overflow encountered in (dot|multiply):RuntimeWarning"
+)
+
+
 @pytest.mark.parametrize(
     "step, value, message",
     [
@@ -319,8 +326,10 @@ def test_a_k_that_changes_every_step_takes_dense_rows(monkeypatch):
         pytest.param(400, math.nan, "trial 0, step 401: non-finite coefficient at position 0: "
                      "(nan+nanj)", id="nan-after-burn-in"),
         # a finite iterate whose r-MSE overflows, and whose error update b can
-        pytest.param(40, 1.7e308, "trial 0: r-MSE is inf at step 40", id="huge-early"),
-        pytest.param(1000, 1e307, "trial 0: r-MSE is inf at step 1000", id="huge-late"),
+        pytest.param(40, 1.7e308, "trial 0: r-MSE is inf at step 40", id="huge-early",
+                     marks=_HUGE_OVERFLOWS),
+        pytest.param(1000, 1e307, "trial 0: r-MSE is inf at step 1000", id="huge-late",
+                     marks=_HUGE_OVERFLOWS),
     ],
 )
 def test_diverging_xi0_tracker_is_reported_where_it_was(monkeypatch, step, value, message):
@@ -334,6 +343,7 @@ def test_diverging_xi0_tracker_is_reported_where_it_was(monkeypatch, step, value
         run_trial(spec, algo, 0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
 def test_run_trial_stops_a_finite_divergence(monkeypatch):
     # w[3] = 1e150 keeps every iterate finite, and its r-MSE of about 1e300 would
     # otherwise enter the curve

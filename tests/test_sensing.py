@@ -1,12 +1,11 @@
 import itertools
-import weakref
+import math
 
 import numpy as np
 import pytest
 
 from sparselms import sensing
 from sparselms.sensing import (
-    MeasurementSample,
     RepeatedPass,
     SensingConfig,
     StreamExhausted,
@@ -44,7 +43,7 @@ def test_regressor_row_bad_index():
 def test_fourier_rows_built_in_blocks_equal_the_one_shot_table(n):
     # the table is filled a block of rows at a time; the one-shot gather of
     # roots[(t k) mod n] gives the same bytes, and the table is read-only and
-    # registered
+    # passes the magnitude bound
     fourier_rows.cache_clear()
     rows = fourier_rows(n)
     roots = np.exp(-2j * np.pi * np.arange(n) / n)
@@ -53,7 +52,7 @@ def test_fourier_rows_built_in_blocks_equal_the_one_shot_table(n):
     assert rows.dtype == want.dtype and rows.shape == want.shape
     assert rows.tobytes() == want.tobytes()
     assert not rows.flags.writeable
-    assert sensing.unit_magnitude(rows[n - 1])
+    assert sensing.unit_rows(n) is rows
 
 
 def test_second_moment_identity_direct_sum():
@@ -143,28 +142,34 @@ def test_stream_deterministic():
 
 
 def test_stream_samples_hold_python_numbers_and_carry_the_unit_proof():
+    # the proof an estimator reads is x.base: the table unit_rows gave it
     cfg = SensingConfig(n=16, m=4, mode=RepeatedPass(2), seed=3)
     samples = list(make_stream(cfg, [np.arange(16.0)], noise_std=0.1))
     rows = fourier_rows(16)
-    for smp in samples:
-        assert type(smp.y) is float and type(smp.t) is int
-        assert smp.x.base is rows and smp.unit
-    # a stream sample is read-only, so its x stays the proven row
-    smp = samples[0]
-    for name, value in [("x", smp.x.copy()), ("y", 0.0), ("__class__", MeasurementSample)]:
-        with pytest.raises(AttributeError, match="read-only"):
-            setattr(smp, name, value)
-    assert smp.x.base is rows and smp.unit
-    # built by hand, the proof is computed from x
-    assert MeasurementSample(smp.x, smp.y).unit
-    assert not MeasurementSample(smp.x.copy(), smp.y).unit
-    assert not MeasurementSample(rows.copy()[smp.t], smp.y).unit
+    assert sensing.unit_rows(16) is rows
+    for smp, t in zip(samples, np.tile(sample_indices(cfg, 0), 2)):
+        assert type(smp.y) is float
+        assert smp.x.base is rows and smp.x.tobytes() == rows[t].tobytes()
+    # a replay yields the same objects
+    assert all(a is b for a, b in zip(samples[:4], samples[4:]))
 
 
 def test_stream_off_an_unregistered_table_has_no_unit_proof(monkeypatch):
-    monkeypatch.setattr(sensing, "_UNIT_TABLES", weakref.WeakValueDictionary())
+    # roots that fail the bound leave no unit rows; the stream still yields
+    # views of fourier_rows, on which an estimator takes the dense rule
+    rows = fourier_rows(16)
+    monkeypatch.setattr(sensing, "UNIT_SQ_MAG_BOUND", 1.0 - 1e-3)
+    assert sensing.unit_rows(16) is None
+    assert fourier_rows(16) is rows
     cfg = SensingConfig(n=16, m=4, mode=RepeatedPass(1), seed=3)
-    assert not any(smp.unit for smp in make_stream(cfg, [np.zeros(16)]))
+    assert all(smp.x.base is rows for smp in make_stream(cfg, [np.zeros(16)]))
+
+
+@pytest.mark.parametrize("noise_std", [-0.5, math.nan, math.inf])
+def test_stream_rejects_a_bad_noise_std(noise_std):
+    cfg = SensingConfig(n=16, m=4, mode=Windowed(1))
+    with pytest.raises(ValueError, match=r"^noise_std must be finite and >= 0, got"):
+        next(make_stream(cfg, [np.zeros(16)], noise_std))
 
 
 def test_stream_exhaustion():
