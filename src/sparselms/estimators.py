@@ -22,9 +22,21 @@ lets the next steps update w[K] alone once ``_certified`` proves the cut would
 return K again (``support_kept``), and ``sparse_iterate`` hands (K, w[K]) to
 the r-MSE.  While a bound B on the tracker's largest error entry shows that no
 entry off K can pass q*, the tracker's count is read from K and reused
-(``count_reusable``).  sza's iterate stays dense, but its top-s set is reused
-after an exact cut with a strict gap (``set_kept``).  Every path gives the
-dense rule's results bit for bit; the derivation is above ``Record``.
+(``count_reusable``); when B also shows that no entry on K can cross q*, the
+count is decided from |w[K]| alone, without reading the tracker's error.
+sza's iterate stays dense, but its top-s set is reused after an exact cut
+with a strict gap (``set_kept``).  Every path gives the dense rule's results
+bit for bit; the derivation is above ``Record``.
+
+Deferred tracker updates.  After a count decided from |w[K]|, until the next
+exact count or full query, a tracked step on a unit row appends (x, e*) to a
+pending list and advances kappa and B in O(1).  Every read of the error (the
+full query, an exact count and ``Estimator.tracker``; an estimator with the
+occupancy mask never counts, so never defers) first replays the pending
+updates in order (``replay_updates``, the operations of
+``tracker_update``), so err and kappa are the eager rule's bits.  A step whose row is not a unit row, or whose e or B is too large for
+the update to be free of overflow, updates eagerly, so a warning or a NaN
+shows at its own step.
 
 Two bodies.  ``Estimator.step`` runs the support step when the last top-s
 cut's record is on ``state.w``, the row is a unit row and the budget is |K|
@@ -35,10 +47,12 @@ variants.  Any other step, and a support step whose certificate fails, runs
 the general body: the dense rule above.
 
 Unit rows.  The bounds below need every computed |x_k|^2 <= 1 + 4u.  An
-estimator takes the table of rows that meet it once, from
-``sensing.unit_rows``, and a step's row is a unit row when it is a view of
-that table (``x.base is self._rows``); any other row takes the dense rule,
-and makes the bounds it would advance infinite.
+estimator takes the table of rows that meet it from ``sensing.unit_rows``,
+and a step's row is a unit row when it is a view of that table
+(``x.base is self._rows``).  A row of a table that ``fourier_rows`` rebuilt
+after its cache dropped the estimator's makes the estimator take the new
+table; any other row takes the dense rule, and makes the bounds it would
+advance infinite.
 
 The scalars of a step (e, e*, c = mu e* and the bounds) are Python numbers:
 ``prediction_error`` forms e as complex minus complex, and c as complex x
@@ -49,12 +63,13 @@ complex, which are numpy's complex128 difference and product bit for bit.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sensing import unit_rows
+from .sensing import fourier_rows, unit_rows
 from .sparse_ops import complex_sign, hard_threshold, keep_mask, selective_penalty
 from .tracker import (
     TrackerParams,
@@ -63,6 +78,7 @@ from .tracker import (
     estimate_sparsity,
     make_tracker,
     occupancy_mask,
+    replay_updates,
     support_count,
     tracker_update,
 )
@@ -226,7 +242,8 @@ def _occupancy(w, s, mask):
 # step on a unit row moves any |w_k| on K by at most
 #   inc = (|c| + rho)(1 + _DELTA) + _DELTA (top + D) + _TINY   (_step_bound),
 # which also covers the rounding of the sum, and D advances by inc; any other
-# row sets D = inf.  Three corollaries follow, and (d) bounds the tracker.
+# row sets D = inf.  Three corollaries follow; (d) bounds the tracker, and (e)
+# decides a count from B.
 #
 # (a) Support kept.  A passed _certified(v, c) records lo = sqrt(min m2) and
 # top = sqrt(max m2) + r on K, with D = 0: every |v_k| on K is at least
@@ -282,6 +299,20 @@ def _occupancy(w, s, mask):
 # xi |err_k| (1 + 4u) plus an absolute error below _TINY, so no entry off K
 # passes while _step_bound(xi B, 0) < q*.  An assigned err sets B = inf.
 #
+# (e) Count decided by B.  On K let m_k = fl(|w_k|), within 2.3u of |w_k|,
+# and d_k = |m_k - q*|.  a_k rounds |w_k - p_k|, p_k = fl(xi err_k) and
+# |p_k| <= xi B (1 + 4u) + tiny by (d), with one rounding of the difference
+# (u) and one of the abs (2.3u), so
+#   |a_k - m_k| <= xi B (1 + 8u) + 6u m_k + tiny,  m_k <= q* + d_k.
+# If the smallest computed d_k, times (1 - _DELTA), exceeds
+# _step_bound(xi B, q*), the _DELTA terms cover the 6u terms and the test's
+# own roundings, and every a_k is on m_k's side of q*, at least that excess
+# away: the count over K is #{m_k > q*}, and err is not read.  The excess is
+# a lower bound on (c)'s sigma, and (c)'s argument holds for any such bound.
+# A NaN m_k decides nothing.  An m_k that overflows to inf has |w_k| near the
+# largest float, and |p_k| < q* (off K's test), so a_k > q* too while
+# q* < _ROOT_MAX, which the test asks.
+#
 # A step that finds state.w reassigned drops the records; a changed budget and
 # a dense step leave a record unread or drop it; a cut starts a record with
 # nothing proved (lo = -inf).
@@ -289,6 +320,15 @@ _DELTA = 1e-12
 _TINY = float(np.finfo(float).tiny)
 _ROOT_TINY = math.sqrt(_TINY)
 _ROOT_MAX = math.sqrt(float(np.finfo(float).max)) * (1.0 - _DELTA)
+# deferred e* values per packed complex128 array
+_PACK = 1024
+# (e) is tried only while its reach is below this share of q*.  Past it, the
+# band q* +- reach that every |w_k| on K must clear is wide and the test
+# rarely passes: exp4's HARD-EST at N = 1000 runs with reach between 0.28 q*
+# and q*, where 387 of 5,170 tests passed, while every test that passed on
+# exp2's and exp3's labels had a reach below 0.12 q* (N = 64 to 1000).  A test
+# not tried costs an exact count.
+_E_REACH = 0.25
 
 
 def _step_bound(move, scale):
@@ -381,6 +421,18 @@ def _budget_support(rec, params, bound):
     return rec.kept
 
 
+def _count_by_bound(v, q_star, reach):
+    """(e): the count over K, #{|v_k| > q*}, and its slack, the smallest
+    |v_k| - q* in magnitude less ``reach`` = _step_bound(xi B, q*), when that
+    slack is positive; else None."""
+    above = np.abs(v)
+    above -= q_star  # fl(m - q*) > 0 exactly when m > q*
+    slack = float(np.abs(above).min(initial=math.inf)) * (1.0 - _DELTA) - reach
+    if not (slack > 0.0 and q_star < _ROOT_MAX):  # a NaN slack fails
+        return None
+    return int(np.count_nonzero(above > 0.0)), slack
+
+
 class Estimator:
     """Drives one update rule over a measurement stream.
 
@@ -394,10 +446,17 @@ class Estimator:
     reads, or whose ``xi`` is 0, is not updated.
 
     A row is a unit row, which the certificates need, when it is a view of
-    the table ``unit_rows`` gave at construction; any other row takes the
-    dense rule.  Next to its records the estimator holds B, the bound (d) on
-    the tracker's largest error entry, as a Python float: each tracker update
-    advances it, and each full query resets it.
+    the table ``unit_rows`` gave (taken again when ``fourier_rows`` rebuilt
+    it); any other row takes the dense rule.  Next to its records the
+    estimator holds B, the bound (d) on the tracker's largest error entry, as
+    a Python float: each tracker update advances it, and each full query
+    resets it.
+
+    ``tracker`` is the tracker's state with every deferred update applied; a
+    reference held across steps may show err without the updates deferred
+    since.  The estimator counts, as plain ints, its ``full_queries``,
+    ``exact_counts`` (on K, reading err), ``bound_counts`` (on K, decided by
+    (e)), ``reused_counts``, ``deferred_updates`` and ``replayed_updates``.
 
     ``step`` takes one sample.  A certified step of hard or hard_l0 finishes
     on ``_support_step``; every other step runs ``_general``, which a support
@@ -415,6 +474,16 @@ class Estimator:
     also sends the next budget to the full query.
     """
 
+    # slots keep every attribute read specialised: past 30 attributes a plain
+    # instance's dict loses CPython's shared keys, and each read slows down
+    __slots__ = (
+        "config", "state", "last_s", "full_queries", "exact_counts", "bound_counts",
+        "reused_counts", "deferred_updates", "replayed_updates", "_tracker", "_table",
+        "_rows", "_mu", "_rho", "_burn_in", "_penalty", "_selective", "_penalty_in_burn_in",
+        "_rec", "_count", "_ro", "_w", "_bound", "_err", "_pending", "_fresh", "_packed",
+        "_kappa0", "_defer", "_s", "_budget", "_project", "_track", "_xi", "_lam",
+    )
+
     def __init__(
         self,
         config: EstimatorConfig,
@@ -423,13 +492,13 @@ class Estimator:
     ):
         self.config = config
         self.state = EstimatorState.zeros(n_dim)
-        self.tracker: TrackerState | None = None
+        self._tracker: TrackerState | None = None
         if tracker_params is not None:
-            self.tracker = make_tracker(tracker_params, n_dim)
+            self._tracker = make_tracker(tracker_params, n_dim)
         if config.s is not None and not 1 <= config.s <= n_dim:
             raise ValueError(f"need 1 <= s <= {n_dim}, got s={config.s}")
         variant = config.variant
-        if variant in THRESHOLDED and config.s is None and self.tracker is None:
+        if variant in THRESHOLDED and config.s is None and self._tracker is None:
             raise ValueError(f"{variant} needs a fixed s or a tracker")
         # the a-posteriori error is e (1 - mu |x|^2), and |x|^2 = N for unit rows
         if not 0.0 < config.mu * n_dim < 2.0:
@@ -438,10 +507,7 @@ class Estimator:
                 f"mu*N={config.mu * n_dim}"
             )
         self.last_s: int | None = None
-        # the unit rows' table; when the roots fail the bound, an object that
-        # no row's base is
-        rows = unit_rows(n_dim)
-        self._rows = object() if rows is None else rows
+        self._take_table(n_dim)
 
         self._mu = complex(config.mu)
         self._rho = config.rho if variant in _PENALTY else 0.0
@@ -456,7 +522,16 @@ class Estimator:
         self._ro = self._w = None
         # B, and the tracker's err it was taken on
         self._bound = 0.0
-        self._err = None if self.tracker is None else self.tracker.err
+        self._err = None if self._tracker is None else self._tracker.err
+        # the deferred tracker updates: their rows, their e* (the last few as
+        # Python complex, the rest packed _PACK at a time into complex128
+        # arrays, 16 bytes an update) and the kappa before the first.
+        # _defer is set by a count decided by (e), and cleared by a read of err
+        self._pending, self._fresh, self._packed = [], [], []
+        self._kappa0 = 0.0
+        self._defer = False
+        self.full_queries = self.exact_counts = self.bound_counts = self.reused_counts = 0
+        self.deferred_updates = self.replayed_updates = 0
         # the budget: the fixed s, or a tracker query (a count or the occupancy
         # mask) when _budget is set.  The query is held as a function, not a
         # bound method: a bound method
@@ -481,6 +556,65 @@ class Estimator:
             and reads_tracker(config, tracker_params)
         )
         self._xi = 0.0 if tracker_params is None else tracker_params.xi
+        self._lam = 0.0 if tracker_params is None else tracker_params.lam
+
+    @property
+    def tracker(self) -> TrackerState | None:
+        """The tracker's state, with every deferred update applied."""
+        if self._pending:
+            self._replay()
+        return self._tracker
+
+    def _replay(self):
+        """Apply the deferred updates in order, from the kappa before the
+        first: the eager rule's bits, and kappa ends where the steps left it."""
+        e_conj = itertools.chain(*self._packed, self._fresh)
+        replay_updates(self._tracker, self._kappa0, zip(self._pending, e_conj))
+        self.replayed_updates += len(self._pending)
+        self._drop_pending()
+
+    def _drop_pending(self):
+        for pending in (self._pending, self._fresh, self._packed):
+            pending.clear()
+
+    def _read_err(self):
+        """Before a budget reads err: replay, and update eagerly from now on."""
+        if self._pending:
+            self._replay()
+        self._defer = False
+
+    def _defer_update(self, x, e_conj):
+        """Defer this step's tracker update, advancing kappa as it would."""
+        tr = self._tracker
+        pend = self._pending
+        if not pend:
+            self._kappa0 = tr.kappa
+        pend.append(x)
+        fresh = self._fresh
+        fresh.append(e_conj)
+        if len(fresh) == _PACK:
+            self._packed.append(np.array(fresh))
+            fresh.clear()
+        tr.kappa = self._lam * tr.kappa + 1.0
+        self.deferred_updates += 1
+
+    def _take_table(self, n):
+        """Take ``fourier_rows(n)`` as the unit rows when ``unit_rows`` passes
+        it; when it fails, ``_rows`` is an object that no row's base is."""
+        rows = unit_rows(n)
+        self._table = fourier_rows(n)
+        self._rows = object() if rows is None else rows
+
+    def _retake(self, x) -> bool:
+        """Whether x, which failed the identity test, is a row of the table
+        ``fourier_rows`` holds now, which replaced the estimator's after its
+        cache dropped that one, and that table passes ``unit_rows``."""
+        base, table = x.base, self._table
+        if (not isinstance(base, np.ndarray) or base is table or base.flags.writeable
+                or base.shape != table.shape or base is not fourier_rows(table.shape[0])):
+            return False
+        self._take_table(table.shape[0])
+        return base is self._rows
 
     def _own(self, w):
         """Make w, which a record is taken on, read-only to callers."""
@@ -504,25 +638,40 @@ class Estimator:
         return rec.kept, rec.value
 
     def _tracker_budget(self, w):
-        tr = self.tracker
+        tr = self._tracker
+        p = tr.params
         # sza's record is taken on a dense iterate: it counts in full
-        kept = None if self._selective else _budget_support(self._rec, tr.params, self._bound)
+        kept = None if self._selective else _budget_support(self._rec, p, self._bound)
         if kept is None:
             self._count = None
+            self._read_err()
             s = estimate_sparsity(tr, w)
             self._bound = float(np.abs(tr.err).max()) * (1.0 + _DELTA)  # (d)
+            self.full_queries += 1
             return s, None
         rec = self._count
-        if rec is None or not rec.count_reusable():
+        if rec is not None and rec.count_reusable():
+            self.reused_counts += 1
+            return rec.value, None
+        reach = _step_bound(p.xi * self._bound, p.q_star)
+        decided = None
+        if reach < _E_REACH * p.q_star:
+            decided = _count_by_bound(self._rec.value, p.q_star, reach)  # the cut's w[K]
+        if decided is None:
+            self._read_err()
             count, slack = support_count(tr, w, kept)
-            p = tr.params
-            top = p.q_star + slack
-            drift = _step_bound(0.0, top + p.xi * self._bound)
-            rec = self._count = Record(kept, top, slack, drift, clamp_budget(count, w.size))
-        return rec.value, None
+            self.exact_counts += 1
+        else:
+            count, slack = decided
+            self._defer = True
+            self.bound_counts += 1
+        top = p.q_star + slack
+        drift = _step_bound(0.0, top + p.xi * self._bound)
+        self._count = Record(kept, top, slack, drift, clamp_budget(count, w.size))
+        return self._count.value, None
 
     def _mask_budget(self, w):
-        mask = occupancy_mask(self.tracker, w)
+        mask = occupancy_mask(self._tracker, w)
         if self.config.s is not None:
             return self.config.s, mask
         return clamp_budget(int(np.count_nonzero(mask)), w.size), mask
@@ -551,16 +700,19 @@ class Estimator:
         # state.w is the array they were taken on, and B while err is
         if st.w is not self._ro:
             self._rec = self._count = None
-        tr = self.tracker
+        tr = self._tracker
         if tr is not None and tr.err is not self._err:
+            # the updates deferred since were the replaced err's
             self._err, self._bound = tr.err, math.inf
+            self._drop_pending()
         if st.n < self._burn_in:
             return self._general(sample, False, None, None)
         s, mask = self._s, None
         if self._budget is not None:
             s, mask = self._budget(self, st.w)
         if self._project is _top_s:
-            kept = _support(self._rec, s, sample.x.base is self._rows)
+            x = sample.x
+            kept = _support(self._rec, s, x.base is self._rows or self._retake(x))
             if kept is not None:
                 return self._support_step(sample, kept, s)
         return self._general(sample, True, s, mask)
@@ -609,10 +761,15 @@ class Estimator:
         cnt = self._count
         if self._track:
             # the general body's tracker update, on a unit row
-            tr = self.tracker
+            tr = self._tracker
             bound = self._bound
             beta = math.hypot(e.real, e.imag) * (1.0 + _DELTA)
-            tracker_update(tr, np.multiply(e_conj, x, out=tr.work))
+            if self._defer and beta + bound < _ROOT_MAX:  # no overflow: NaN fails
+                self._defer_update(x, e_conj)
+            else:
+                if self._pending:
+                    self._replay()
+                tracker_update(tr, np.multiply(e_conj, x, out=tr.work))
             inv = 1.0 / tr.kappa
             self._bound = _step_bound((1.0 - inv) * bound + inv * beta, 0.0)  # (d)
         if cnt is not None:
@@ -656,14 +813,20 @@ class Estimator:
                 self._rec = Record(cut, 0.0, -math.inf, value=st.w[cut])
         st.n += 1
         if self._track or self._selective:
-            unit = sample.x.base is self._rows
+            x = sample.x
+            unit = x.base is self._rows or self._retake(x)
             if self._track:
-                tr = self.tracker
+                tr = self._tracker
                 bound = self._bound
                 # math.hypot, unlike abs(complex), overflows to inf without raising
                 beta = math.hypot(e.real, e.imag) * (1.0 + _DELTA) if unit else math.inf
-                # b = e* x, formed in the tracker's work array
-                tracker_update(tr, np.multiply(e.conjugate(), sample.x, out=tr.work))
+                if self._defer and beta + bound < _ROOT_MAX:
+                    self._defer_update(x, e.conjugate())
+                else:
+                    if self._pending:
+                        self._replay()
+                    # b = e* x, formed in the tracker's work array
+                    tracker_update(tr, np.multiply(e.conjugate(), x, out=tr.work))
                 inv = 1.0 / tr.kappa
                 self._bound = _step_bound((1.0 - inv) * bound + inv * beta, 0.0)  # (d)
             if self._selective and rec is not None:

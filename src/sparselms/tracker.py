@@ -89,6 +89,22 @@ def tracker_update(state: TrackerState, b: np.ndarray) -> TrackerState:
     return state
 
 
+def replay_updates(state: TrackerState, kappa: float, updates) -> None:
+    """``tracker_update(state, e* x)`` for each (x, e*) of ``updates`` in
+    order, from kappa ``kappa``: the same operations on the same operands,
+    with b = e* x formed in the work array."""
+    err = _own_err(state)
+    work = state.work
+    lam = state.params.lam
+    for x, e_conj in updates:
+        kappa = lam * kappa + 1.0
+        inv = 1.0 / kappa
+        np.multiply(e_conj, x, out=work)
+        err *= 1.0 - inv
+        err -= np.multiply(work, inv, out=work)
+    state.kappa = kappa
+
+
 def corrected_estimate(state: TrackerState, w: np.ndarray) -> np.ndarray:
     """w' = w - xi * err."""
     if w.shape != state.err.shape:

@@ -509,6 +509,19 @@ def dense_step(est, sample):
         return est.step(sample)
 
 
+def _trial_estimator(monkeypatch):
+    """A function that returns the Estimator the next run_trial builds."""
+    made = []
+
+    class Kept(Estimator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(harness, "Estimator", Kept)
+    return lambda: made[-1]
+
+
 @contextmanager
 def general_steps_counted():
     """A list that receives one entry per step that ran the general body; every
@@ -638,11 +651,12 @@ def test_support_path_needs_unit_magnitude_rows(monkeypatch):
 
 @pytest.mark.parametrize(
     "source",
-    ["copied-row", "unregistered-stream", "unregistered-table", "reassigned-x", "rebuilt-table"],
+    ["copied-row", "unregistered-stream", "unregistered-table", "reassigned-x"],
 )
 def test_support_path_takes_the_dense_rule_off_a_registered_table(monkeypatch, source):
-    # a row is a unit row only as a view of the table the estimator took at
-    # construction; every other row runs the dense cut, bit for bit
+    # a row is a unit row only as a view of the table the estimator took (or
+    # of the one fourier_rows rebuilt, below); every other row runs the dense
+    # cut, bit for bit
     if source == "unregistered-stream":  # the roots fail the bound: no table is taken
         monkeypatch.setattr(sensing, "UNIT_SQ_MAG_BOUND", 1.0 - 1e-3)
     fast, dense, _ = _stable_run()
@@ -656,17 +670,36 @@ def test_support_path_takes_the_dense_rule_off_a_registered_table(monkeypatch, s
         samples = [MeasurementSample(fourier_rows(n).copy()[3], 0.25)]
     elif source == "unregistered-stream":
         samples = [streamed, copied]  # a copied row has no base to match either
-    elif source == "reassigned-x":
+    else:
         streamed.x = streamed.x.copy()
         samples = [streamed]
-    else:
-        fourier_rows.cache_clear()
-        samples = [MeasurementSample(fourier_rows(n)[3], 0.25)]
     for smp in samples:
         calls = _count_cuts(monkeypatch)
         e = fast.step(smp)
         assert len(calls) == 1
         assert_bitwise_equal(fast, dense, e, dense_step(dense, smp))
+
+
+def test_support_path_takes_the_table_fourier_rows_rebuilt(monkeypatch):
+    # after fourier_rows' cache drops the estimator's table, a stream serves
+    # rows of a rebuilt one; the estimator takes that table, so its steps stay
+    # on the support path, and the old table is no longer held
+    fast, dense, _ = _stable_run()
+    n = fast.state.w.size
+    old = fourier_rows(n)
+    fourier_rows.cache_clear()
+    rows = fourier_rows(n)
+    assert rows is not old
+    rng = np.random.default_rng(11)
+    calls = _count_cuts(monkeypatch)
+    for _ in range(20):
+        x = rows[rng.integers(n)]
+        smp = MeasurementSample(x, np.vdot(fast.state.w, x) + 1e-3 * rng.standard_normal())
+        e = fast.step(smp)
+        assert len(calls) == 0
+        assert_bitwise_equal(fast, dense, e, dense_step(dense, smp))
+        calls.clear()  # the oracle's cut
+    assert fast._rows is rows and fast._table is rows
 
 
 def test_support_path_never_certifies_non_finite():
@@ -796,6 +829,20 @@ def test_the_count_is_read_from_k_only_while_xi_b_is_below_q_star():
         assert estimators._budget_support(rec, params, unknown) is None
 
 
+def test_a_count_is_decided_from_w_only_past_the_reach():
+    # (e) decides nothing at a slack of exactly 0, nor on NaN, nor for a q*
+    # whose overflowing magnitudes it does not cover
+    q_star = 0.05
+    v = np.array([0.0, 2.0j])  # the nearest is 0, at q* from q*
+    reach = q_star * (1.0 - estimators._DELTA)
+    assert estimators._count_by_bound(v, q_star, reach) is None
+    count, slack = estimators._count_by_bound(v, q_star, math.nextafter(reach, 0.0))
+    assert count == 1 and slack > 0.0
+    assert estimators._count_by_bound(np.array([math.nan, 2.0]), q_star, 0.0) is None
+    assert estimators._count_by_bound(v, 1e200, 0.0) is None
+    assert estimators._count_by_bound(np.zeros(0, dtype=complex), q_star, reach)[0] == 0
+
+
 # -- budget path against the full query -----------------------------------------------
 #
 # The oracle is the same Estimator with the budget path declined, so every tracker
@@ -888,25 +935,24 @@ def test_error_bound_covers_the_tracker_error_and_a_full_query_resets_it(seed, n
     rng = np.random.default_rng(seed)
     rows = fourier_rows(n)
     cfg = EstimatorConfig("hard", mu=0.5 / n, burn_in=5)
-    est = Estimator(cfg, n, TrackerParams(lam=lam, xi=0.5 / n, q_star=0.05))
-    tr = est.tracker
     queried, resets = [], []
-    query, update = estimators.estimate_sparsity, estimators.tracker_update
+    query, budget = estimators.estimate_sparsity, estimators.Estimator._tracker_budget
 
-    def counted(*args):
-        queried.append(True)
-        return query(*args)
+    def counted(state, w):
+        queried.append(float(np.abs(state.err).max()))  # err as the query reads it
+        return query(state, w)
 
-    def checked(state, b):
+    def checked(self, w):
+        out = budget(self, w)
         if queried:  # the bound B a full query left: max |err_k|, rounded up
-            peak = float(np.abs(state.err).max())
-            resets.append(est._bound == peak * (1.0 + 1e-12))
-            queried.clear()
-        return update(state, b)
+            resets.append(self._bound == queried.pop() * (1.0 + 1e-12))
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimators, "estimate_sparsity", counted)
-        mp.setattr(estimators, "tracker_update", checked)
+        mp.setattr(estimators.Estimator, "_tracker_budget", checked)
+        # the estimator holds the budget function it was built with
+        est = Estimator(cfg, n, TrackerParams(lam=lam, xi=0.5 / n, q_star=0.05))
         for _ in range(60):
             x = rows[rng.integers(n)]
             if rng.random() < 0.1:
@@ -914,7 +960,8 @@ def test_error_bound_covers_the_tracker_error_and_a_full_query_resets_it(seed, n
             y = scale * complex(rng.standard_normal(), rng.standard_normal())
             est.step(MeasurementSample(x, y))
             if math.isfinite(est._bound):
-                assert max(_exact_sq(z) for z in tr.err) <= Fraction(est._bound) ** 2
+                # est.tracker replays any deferred update first
+                assert max(_exact_sq(z) for z in est.tracker.err) <= Fraction(est._bound) ** 2
     assert resets and all(resets)
 
 
@@ -997,25 +1044,172 @@ def test_budget_queries_mostly_skip_the_full_pass(monkeypatch, name, label):
     # so most queries reuse a count or read it from K.  (exp4's HARD-EST is not
     # here: at N = 64 its xi = 20/64 lets entries off K pass q* = 0.005, and most
     # of its queries need the full pass.)  Measured at trial 0: exp3's HARD-EST
-    # ran 1 full pass and 28 counts on K for 1287 queries, hence its own bound.
+    # ran 1 full pass and 34 counts on K (15 exact, 19 decided by B) for 1287
+    # queries, hence its own bound.  Its tracker updates were deferred on 1266
+    # steps, and exp2's HARD-EST on 1268 of 1274; HARD-EST-SIMPLE (xi = 0)
+    # updates no tracker.
     on_k_share = 0.1 if name == "exp3" else 0.5
     spec = get_experiment(name, trials=1, n=64)
     algo = next(a for a in spec.algorithms if a.label == label)
-    calls = {"full": 0, "on_K": 0}
-
-    def tally(key, fn):
-        def counted(*args):
-            calls[key] += 1
-            return fn(*args)
-
-        return counted
-
-    for key, attr in (("full", "estimate_sparsity"), ("on_K", "support_count")):
-        monkeypatch.setattr(estimators, attr, tally(key, getattr(estimators, attr)))
+    built = _trial_estimator(monkeypatch)
     queries = int(np.count_nonzero(~np.isnan(run_trial(spec, algo, 0).s_trajectory)))
+    est = built()
     assert queries == spec.sensing.total_samples - algo.estimator.burn_in
-    assert calls["full"] < 0.05 * queries
-    assert calls["on_K"] < on_k_share * queries
+    counts = est.exact_counts + est.bound_counts
+    assert est.full_queries + counts + est.reused_counts == queries
+    assert est.full_queries < 0.05 * queries
+    assert counts < on_k_share * queries
+    if algo.tracker.xi == 0.0:
+        assert est.deferred_updates == est.replayed_updates == 0
+    else:
+        assert est.deferred_updates > 0.9 * queries
+
+
+# -- deferred tracker updates against the eager rule --------------------------------
+#
+# The oracle is the same Estimator with the count from B, (e), declined: every
+# count on K reads err, so no tracker update is ever deferred.
+
+
+@contextmanager
+def eager_tracker():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_count_by_bound", lambda *args: None)
+        yield
+
+
+def eager_step(est, sample):
+    with eager_tracker():
+        return est.step(sample)
+
+
+def assert_same_tracker(fast, oracle):
+    # est.tracker replays the deferred updates
+    assert _bits(fast.tracker.err) == _bits(oracle.tracker.err)
+    assert fast.tracker.kappa == oracle.tracker.kappa
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([8, 16, 32]),
+    k=st.integers(1, 3),
+    variant=st.sampled_from(["hard", "hard_l0"]),
+    xi_ref=st.sampled_from([0.05, 0.5, 2.0]),
+    lam=st.sampled_from([0.2, 0.7, 0.95]),
+    near=st.floats(0.8, 1.2),  # q* near a coefficient magnitude: counts read err
+    noise=st.sampled_from([0.0, 0.01, 0.3]),
+    read_every=st.sampled_from([1, 7, 50]),  # how long the pending list grows
+)
+# xi = 0: no tracker update, and every count is decided from |w[K]|
+@example(seed=5, n=16, k=2, variant="hard", xi_ref=0.0, lam=0.7, near=0.9, noise=0.01,
+         read_every=7)
+def test_deferred_tracker_updates_match_the_eager_rule(
+    seed, n, k, variant, xi_ref, lam, near, noise, read_every
+):
+    rng = np.random.default_rng(seed)
+    rows = fourier_rows(n)
+    w_true = _sparse_truth(rng, n, k)
+    q_star = near * float(np.abs(w_true[np.flatnonzero(w_true)]).min())
+    rho = 0.02 / n if variant == "hard_l0" else 0.0
+    cfg = EstimatorConfig(variant, mu=0.5 / n, rho=rho, beta=0.5, burn_in=n)
+    params = TrackerParams(lam=lam, xi=xi_ref / n, q_star=q_star)
+    fast, oracle = Estimator(cfg, n, params), Estimator(cfg, n, params)
+    for step in range(300):
+        x = rows[rng.integers(n)]
+        y = np.vdot(w_true, x) + noise * rng.standard_normal()
+        draw = rng.random()
+        if draw > 0.995:
+            x = x.copy()  # a non-unit row: an eager update, and B unknown
+        elif draw > 0.99:  # a reassigned iterate: a full query
+            nudge = 1e-3 * rng.standard_normal(n)
+            fast.state.w = fast.state.w + nudge
+            oracle.state.w = oracle.state.w + nudge
+        elif draw > 0.985:  # an assigned err: B unknown, a full query
+            j, shift = rng.integers(n), 0.1 * q_star
+            for est in (fast, oracle):
+                err = est.tracker.err.copy()
+                err[j] += shift
+                est.tracker.err = err
+        sample = MeasurementSample(x, y)
+        assert_bitwise_equal(fast, oracle, fast.step(sample), eager_step(oracle, sample))
+        assert fast._tracker.kappa == oracle._tracker.kappa  # advanced even when deferred
+        if step % read_every == 0:
+            assert_same_tracker(fast, oracle)
+    assert_same_tracker(fast, oracle)
+
+
+def _deferring_pair(n=16):
+    """A hard estimator whose tracker updates are being deferred, its oracle,
+    and the rows.  Three entries of w are 1, far above q*, so the count on K
+    is decided from |w[K]|; mu is so small that even |e| near the largest
+    float keeps |c| below them, and the support path certified."""
+    cfg = EstimatorConfig("hard", mu=1e-320, burn_in=1)
+    params = TrackerParams(lam=0.9, xi=0.5 / n, q_star=0.05)
+    fast, oracle = Estimator(cfg, n, params), Estimator(cfg, n, params)
+    rows = fourier_rows(n)
+    w = np.zeros(n, dtype=complex)
+    w[:3] = 1.0
+    for t in range(6):
+        if t == 1:
+            fast.state.w, oracle.state.w = w.copy(), w.copy()
+        sample = MeasurementSample(rows[t], np.vdot(fast.state.w, rows[t]) + 0.01)
+        assert_bitwise_equal(fast, oracle, fast.step(sample), eager_step(oracle, sample))
+    assert fast._pending and fast.bound_counts > 0
+    return fast, oracle, rows
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+def test_an_update_that_overflows_runs_at_its_own_step():
+    # |e| near the largest float: b = e* x overflows, and the warning and the
+    # infinite err entries show inside that step, not at a later read of err
+    fast, oracle, rows = _deferring_pair()
+    sample = MeasurementSample(rows[2], complex(1.5e308, -1.5e308))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        e = fast.step(sample)
+    assert fast.last_s == 3  # the support step, not the dense rule
+    assert not fast._pending
+    assert not np.isfinite(fast._tracker.err).all()
+    assert_bitwise_equal(fast, oracle, e, eager_step(oracle, sample))
+    assert_same_tracker(fast, oracle)
+
+
+def test_a_copied_row_is_updated_at_its_own_step():
+    # a copied row is writable; its update runs at its step, so a later write
+    # to it cannot reach err through a replay
+    fast, oracle, rows = _deferring_pair()
+    x = rows[3].copy()
+    sample = MeasurementSample(x, np.vdot(fast.state.w, x) + 0.01)
+    assert_bitwise_equal(fast, oracle, fast.step(sample), eager_step(oracle, sample))
+    assert not fast._pending
+    x[:] = 7.0
+    assert_same_tracker(fast, oracle)
+    # B is unknown after a copied row: the next budget is a full query, which
+    # turns deferral off, so that step's update runs eagerly too
+    full = fast.full_queries
+    sample = MeasurementSample(rows[4], np.vdot(fast.state.w, rows[4]) + 0.01)
+    assert_bitwise_equal(fast, oracle, fast.step(sample), eager_step(oracle, sample))
+    assert fast.full_queries == full + 1
+    assert not fast._pending
+    assert_same_tracker(fast, oracle)
+
+
+def test_an_err_assigned_through_a_held_reference_drops_the_deferred_updates():
+    # the eager rule applied the deferred updates to the err that the caller
+    # replaced, so the new err starts without them
+    fast, oracle, rows = _deferring_pair()
+    held = fast.tracker, oracle.tracker
+    for t in (4, 5):  # deferred, and not applied to the held state
+        sample = MeasurementSample(rows[t], np.vdot(fast.state.w, rows[t]) + 0.01)
+        assert_bitwise_equal(fast, oracle, fast.step(sample), eager_step(oracle, sample))
+    assert fast._pending
+    err = np.full(rows.shape[0], 0.001 + 0.002j)
+    for tr in held:
+        tr.err = err.copy()
+    sample = MeasurementSample(rows[6], np.vdot(fast.state.w, rows[6]) + 0.01)
+    assert_bitwise_equal(fast, oracle, fast.step(sample), eager_step(oracle, sample))
+    assert_same_tracker(fast, oracle)
 
 
 @pytest.mark.parametrize("in_place", [False, True], ids=["assigned", "in-place"])

@@ -10,6 +10,7 @@ from sparselms.tracker import (
     estimate_sparsity,
     make_tracker,
     occupancy_mask,
+    replay_updates,
     tracker_update,
 )
 
@@ -31,6 +32,24 @@ def test_first_update_forced_values():
     tracker_update(st, b)
     assert st.kappa == 1.0
     np.testing.assert_array_equal(st.err, -b)
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.99, 1.0])
+def test_replay_updates_is_tracker_update_in_order(lam):
+    # from a tracker that has seen two updates, replaying five from its kappa
+    # gives tracker_update's bits for err and kappa
+    rng = np.random.default_rng(7)
+    rows = fourier_rows(8)
+    eager, replayed = (make_tracker(TrackerParams(lam=lam), 8) for _ in range(2))
+    updates = [(rows[rng.integers(8)], complex(*rng.standard_normal(2))) for _ in range(7)]
+    for x, e_conj in updates[:2]:
+        tracker_update(eager, e_conj * x)
+        tracker_update(replayed, e_conj * x)
+    for x, e_conj in updates[2:]:
+        tracker_update(eager, e_conj * x)
+    replay_updates(replayed, replayed.kappa, iter(updates[2:]))
+    assert eager.err.tobytes() == replayed.err.tobytes()
+    assert eager.kappa == replayed.kappa
 
 
 def test_unit_forgetting_gives_running_mean():
