@@ -58,6 +58,22 @@ The scalars of a step (e, e*, c = mu e* and the bounds) are Python numbers:
 ``prediction_error`` forms e as complex minus complex, and c as complex x
 complex, which are numpy's complex128 difference and product bit for bit.
 ``make_stream`` gives y as a Python float, once per window.
+
+0-d operands.  Where a step's scalar meets an array whose dtype is fixed by
+construction, it is passed as a preallocated 0-d array of the dtype numpy
+gives that scalar against the array, assigned once per step: c against a unit
+row, e* in the tracker's b = e* x on a unit row, and rho, epsilon, the 1 of
+1 + epsilon |w| and -beta against a complex128 iterate's penalty and weight
+(``_Scalars``); ``tracker_update`` does the same with 1 - 1/kappa and 1/kappa
+while err, work and b are complex128.  numpy converts a Python scalar on
+every call, which costs 0.08-0.15 us; the 0-d array gives the same bits.  An
+array whose dtype a caller chose (a row that is not a view of the table, an
+assigned iterate or err of another dtype) gets the Python number, and keeps
+numpy's dtype and bits for it.
+
+Shapes.  ``prediction_error`` checks the row's shape against the iterate's on
+the general body; the support step checks it against the (N,) the estimator
+holds, since state.w then holds the record.
 """
 
 from __future__ import annotations
@@ -163,37 +179,58 @@ def prediction_error(state: EstimatorState, sample) -> complex:
     return complex(sample.y) - dot
 
 
-# -- penalties g(w, config, s) -------------------------------------------------
+# -- penalties g(w, k, s) ------------------------------------------------------
 #
-# Each returns a fresh array, which the step scales by rho in place.
+# Each returns a fresh array, which the step scales by k.rho in place.  k holds
+# the scalar operands (_Scalars): Python floats, or for a complex128 w, 0-d
+# arrays of the dtypes numpy gives those floats against w's arrays.
 
 
-def _za(w, cfg, s):
+@dataclass(frozen=True, slots=True)
+class _Scalars:
+    """A penalty's scalar operands: rho for the complex penalty, and epsilon,
+    the 1 of 1 + epsilon |w| and -beta for the real weight |w|."""
+
+    rho: object
+    epsilon: object
+    one: object
+    neg_beta: object
+
+    @classmethod
+    def pair(cls, rho, epsilon, beta):
+        """The Python floats, and the 0-d arrays for a complex128 iterate."""
+        plain = cls(rho, epsilon, 1.0, -beta)
+        zero_d = (np.array(v, dtype=d) for v, d in zip(
+            (rho, epsilon, 1.0, -beta), (complex, float, float, float)))
+        return plain, cls(*zero_d)
+
+
+def _za(w, k, s):
     """Uniform zero attraction: sgn(w)."""
     return complex_sign(w)
 
 
-def _rza(w, cfg, s):
+def _rza(w, k, s):
     """Reweighted attraction: sgn(w) / (1 + epsilon |w|)."""
     weight = np.abs(w)
     g = complex_sign(w, weight)
-    weight *= cfg.epsilon
-    weight += 1.0
+    weight *= k.epsilon
+    weight += k.one
     g /= weight
     return g
 
 
-def _l0(w, cfg, s):
+def _l0(w, k, s):
     """Smoothed-l0 attraction: sgn(w) * exp(-beta |w|)."""
     weight = np.abs(w)
     g = complex_sign(w, weight)
-    weight *= -cfg.beta
+    weight *= k.neg_beta
     np.exp(weight, out=weight)
     g *= weight
     return g
 
 
-def _selective(w, cfg, s):
+def _selective(w, k, s):
     """Sign penalty only off the top-s support."""
     return selective_penalty(w, s)
 
@@ -317,11 +354,18 @@ def _occupancy(w, s, mask):
 # a dense step leave a record unread or drop it; a cut starts a record with
 # nothing proved (lo = -inf).
 _DELTA = 1e-12
+_GROW = 1.0 + _DELTA
 _TINY = float(np.finfo(float).tiny)
 _ROOT_TINY = math.sqrt(_TINY)
 _ROOT_MAX = math.sqrt(float(np.finfo(float).max)) * (1.0 - _DELTA)
 # deferred e* values per packed complex128 array
 _PACK = 1024
+_C128 = np.dtype(complex)
+# _certified sorts m2 for both ends up to this |K|, and takes them with argmin
+# and argmax above it: at N = 1000 a sort costs 0.28 us at |K| = 20 and
+# 2.6 us at 990, the two arg calls 0.46 and 0.65 us, and they cross between
+# |K| = 128 and 200
+_SORT_MAX = 160
 # (e) is tried only while its reach is below this share of q*.  Past it, the
 # band q* +- reach that every |w_k| on K must clear is wide and the test
 # rarely passes: exp4's HARD-EST at N = 1000 runs with reach between 0.28 q*
@@ -334,7 +378,7 @@ _E_REACH = 0.25
 def _step_bound(move, scale):
     """The lemma's bound on one step's change of a magnitude on K: ``move``
     in exact arithmetic, on entries of size at most ``scale``."""
-    return move * (1.0 + _DELTA) + _DELTA * scale + _TINY
+    return move * _GROW + _DELTA * scale + _TINY
 
 
 @dataclass(slots=True, eq=False)
@@ -379,10 +423,15 @@ def _certified(v, c):
     NaN and inf in v never pass, so the dense cut reports them.
     """
     m2 = v.real * v.real + v.imag * v.imag
-    m2.sort()  # one call for both ends, cheaper than min and max; NaN sorts last
+    if m2.size > _SORT_MAX:
+        # argmin and argmax point at the first NaN, which fails both tests
+        lo, hi = m2[m2.argmin()], m2[m2.argmax()]
+    else:
+        m2.sort()  # NaN sorts last
+        lo, hi = m2[0], m2[-1]
     c2 = c.real * c.real + c.imag * c.imag
-    if m2[0] > c2 * (1.0 + _DELTA) + _TINY and m2[-1] < math.inf:
-        return math.sqrt(m2[0]), math.sqrt(m2[-1]) + _ROOT_TINY
+    if lo > c2 * (1.0 + _DELTA) + _TINY and hi < math.inf:
+        return math.sqrt(lo), math.sqrt(hi) + _ROOT_TINY
     return None
 
 
@@ -479,9 +528,10 @@ class Estimator:
     __slots__ = (
         "config", "state", "last_s", "full_queries", "exact_counts", "bound_counts",
         "reused_counts", "deferred_updates", "replayed_updates", "_tracker", "_table",
-        "_rows", "_mu", "_rho", "_burn_in", "_penalty", "_selective", "_penalty_in_burn_in",
-        "_rec", "_count", "_ro", "_w", "_bound", "_err", "_pending", "_fresh", "_packed",
-        "_kappa0", "_defer", "_s", "_budget", "_project", "_track", "_xi", "_lam",
+        "_rows", "_shape", "_mu", "_rho", "_plain", "_zero_d", "_c", "_e", "_burn_in",
+        "_penalty", "_selective", "_penalty_in_burn_in", "_rec", "_count", "_ro", "_w",
+        "_bound", "_err", "_pending", "_fresh", "_packed", "_kappa0", "_defer", "_s",
+        "_budget", "_project", "_track", "_xi", "_lam",
     )
 
     def __init__(
@@ -508,9 +558,14 @@ class Estimator:
             )
         self.last_s: int | None = None
         self._take_table(n_dim)
+        self._shape = (n_dim,)
 
         self._mu = complex(config.mu)
-        self._rho = config.rho if variant in _PENALTY else 0.0
+        self._rho = rho = config.rho if variant in _PENALTY else 0.0
+        # the penalty's scalars, and the 0-d operands of c and e* (the module
+        # docstring's "0-d operands")
+        self._plain, self._zero_d = _Scalars.pair(rho, config.epsilon, config.beta)
+        self._c, self._e = np.empty((), dtype=complex), np.empty((), dtype=complex)
         self._burn_in = config.burn_in
         self._penalty = _PENALTY.get(variant)
         self._selective = variant == "sza"
@@ -729,20 +784,26 @@ class Estimator:
         w = rec.value
         x = sample.x
         # prediction_error, inlined: a unit row is complex128, so the
-        # dot is too, and its __complex__ is what complex() would call
-        if x.shape != st.w.shape:
-            raise ValueError(f"regressor has shape {x.shape}, expected {st.w.shape}")
+        # dot is too, and its __complex__ is what complex() would call.
+        # state.w holds the record, so its shape is the estimator's
+        if x.shape != self._shape:
+            raise ValueError(f"regressor has shape {x.shape}, expected {self._shape}")
         e = complex(sample.y) - np.vdot(st.w, x).__complex__()
+        rho = self._rho
         shrink = None
         if self._penalty is not None:
             # complex_sign(0) = 0, so off K the penalty is exactly zero
-            shrink = self._penalty(w, self.config, s)
-            shrink *= self._rho
+            k = self._zero_d if w.dtype is _C128 else self._plain
+            shrink = self._penalty(w, k, s)
+            shrink *= k.rho
         e_conj = e.conjugate()
         c = self._mu * e_conj
         abs_c = math.hypot(c.real, c.imag)
-        rec.drift += _step_bound(abs_c + self._rho, rec.top + rec.drift)
-        v = w + c * x[kept]
+        # the three bounds below are _step_bound's arithmetic, inlined
+        rec.drift += (abs_c + rho) * _GROW + _DELTA * (rec.top + rec.drift) + _TINY
+        c0 = self._c
+        c0[()] = c
+        v = w + c0 * x[kept]
         if shrink is not None:
             v -= shrink
         if not rec.support_kept(abs_c):
@@ -763,22 +824,26 @@ class Estimator:
             # the general body's tracker update, on a unit row
             tr = self._tracker
             bound = self._bound
-            beta = math.hypot(e.real, e.imag) * (1.0 + _DELTA)
+            beta = math.hypot(e.real, e.imag) * _GROW
             if self._defer and beta + bound < _ROOT_MAX:  # no overflow: NaN fails
                 self._defer_update(x, e_conj)
             else:
                 if self._pending:
                     self._replay()
-                tracker_update(tr, np.multiply(e_conj, x, out=tr.work))
+                e0 = self._e
+                e0[()] = e_conj
+                tracker_update(tr, np.multiply(e0, x, out=tr.work))
             inv = 1.0 / tr.kappa
-            self._bound = _step_bound((1.0 - inv) * bound + inv * beta, 0.0)  # (d)
+            # (d); the scale 0 adds _DELTA * 0.0, which changes no sum that
+            # then adds _TINY
+            self._bound = ((1.0 - inv) * bound + inv * beta) * _GROW + _TINY
         if cnt is not None:
             # a certified step after a count on K: (c)
             xi = self._xi
-            move = abs_c + self._rho
+            move = abs_c + rho
             if self._track:
                 move += xi * ((bound + beta) / tr.kappa + _DELTA * bound)
-            cnt.drift += _step_bound(move, cnt.top + xi * self._bound)
+            cnt.drift += move * _GROW + _DELTA * (cnt.top + xi * self._bound) + _TINY
         self.last_s = s
         return e
 
@@ -787,22 +852,31 @@ class Estimator:
         mask; ``active`` is False in burn-in.  A support step whose proof
         failed passes the e, c and penalty it formed."""
         st = self.state
+        x = sample.x
         if e is None:
             # before the penalty, which reads the same w; sza's record reads e
             e = prediction_error(st, sample)
             if self._penalty is not None and (active or self._penalty_in_burn_in):
+                w = st.w
+                k = self._zero_d if w.dtype is _C128 else self._plain
                 if self._selective:
-                    shrink = self._selective_penalty(st.w, s, e)
+                    shrink = self._selective_penalty(w, s, e)
                 else:
-                    shrink = self._penalty(st.w, self.config, s)
-                shrink *= self._rho
+                    shrink = self._penalty(w, k, s)
+                shrink *= k.rho
             c = self._mu * e.conjugate()
+        unit = x.base is self._rows or self._retake(x)
         rec = self._rec
         if self._selective and rec is not None:
             inc = _step_bound(math.hypot(c.real, c.imag) + self._rho, rec.top + rec.drift)
         self._count = None
         w = self._w if st.w is self._ro else st.w
-        w += c * sample.x
+        if unit:
+            c0 = self._c
+            c0[()] = c
+            w += c0 * x
+        else:
+            w += c * x
         if shrink is not None:
             w -= shrink
         if active and self._project is not None:
@@ -812,24 +886,26 @@ class Estimator:
                 cut = np.flatnonzero(st.w)
                 self._rec = Record(cut, 0.0, -math.inf, value=st.w[cut])
         st.n += 1
-        if self._track or self._selective:
-            x = sample.x
-            unit = x.base is self._rows or self._retake(x)
-            if self._track:
-                tr = self._tracker
-                bound = self._bound
-                # math.hypot, unlike abs(complex), overflows to inf without raising
-                beta = math.hypot(e.real, e.imag) * (1.0 + _DELTA) if unit else math.inf
-                if self._defer and beta + bound < _ROOT_MAX:
-                    self._defer_update(x, e.conjugate())
-                else:
-                    if self._pending:
-                        self._replay()
-                    # b = e* x, formed in the tracker's work array
-                    tracker_update(tr, np.multiply(e.conjugate(), x, out=tr.work))
-                inv = 1.0 / tr.kappa
-                self._bound = _step_bound((1.0 - inv) * bound + inv * beta, 0.0)  # (d)
-            if self._selective and rec is not None:
-                rec.drift += inc if unit else math.inf
+        if self._track:
+            tr = self._tracker
+            bound = self._bound
+            # math.hypot, unlike abs(complex), overflows to inf without raising
+            beta = math.hypot(e.real, e.imag) * _GROW if unit else math.inf
+            if self._defer and beta + bound < _ROOT_MAX:
+                self._defer_update(x, e.conjugate())
+            else:
+                if self._pending:
+                    self._replay()
+                # b = e* x, formed in the tracker's work array
+                e_conj = e.conjugate()
+                if unit:
+                    e0 = self._e
+                    e0[()] = e_conj
+                    e_conj = e0
+                tracker_update(tr, np.multiply(e_conj, x, out=tr.work))
+            inv = 1.0 / tr.kappa
+            self._bound = _step_bound((1.0 - inv) * bound + inv * beta, 0.0)  # (d)
+        if self._selective and rec is not None:
+            rec.drift += inc if unit else math.inf
         self.last_s = s
         return e

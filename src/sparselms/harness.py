@@ -80,9 +80,17 @@ class _RmseRows:
     and only the K columns are computed, as _rmse_rows computes them; the same
     row sum then gives every value bit for bit.
 
-    A new K starts a block and costs a flush of the last one and the K
-    columns' indices, several dense rows' worth.  So while K changes on
-    consecutive steps, the rows are taken dense until a K repeats.
+    A new K starts a block and costs a flush of the last one, the K columns'
+    indices in every row of ``sq`` and the restore of the last K's columns,
+    several dense rows' worth.  So while K changes on consecutive steps, the
+    rows are taken dense until a K repeats.  A K of more than RMSE_BLOCK
+    entries is taken dense until it has lasted RMSE_BLOCK steps: at N = 1000
+    a new K costs about 7 us plus 0.03 us per entry, and a support row saves
+    about 1 us over a dense one, so a K that lasts the 6 to 15 steps of
+    exp4's moving supports costs more as support rows.  A smaller K keeps
+    the one-step rule: its set-up, at most RMSE_BLOCK^2 positions, is mostly
+    the flush's fixed cost, and such supports last long in the registry's
+    runs (31 rows a flush on exp4 at N = 1000).
     """
 
     def __init__(self, out: np.ndarray, n: int):
@@ -122,11 +130,14 @@ class _RmseRows:
             self.rows += 1
             return
         kept = None if sparse is None or sparse[0].size > self.max_kept else sparse[0]
-        if kept is not None and kept is not self.last:
+        if kept is not None:
             step = self.start + self.rows
-            if self.new_at == step - 1:  # K changed on the last step too
+            young = False
+            if kept is not self.last:
+                young = self.new_at == step - 1  # K changed on the last step too
+                self.last, self.new_at = kept, step
+            if young or (kept.size > RMSE_BLOCK and step - self.new_at < RMSE_BLOCK):
                 kept = None
-            self.last, self.new_at = sparse[0], step
         if kept is not self.kept or self.rows == RMSE_BLOCK:
             self.flush()
             self.kept = kept

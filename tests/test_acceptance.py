@@ -30,8 +30,6 @@ from sparselms.verification import (
     tightness_suite,
 )
 
-from conftest import acceptance_lines
-
 # the slow part of the suite: `pytest -m "not acceptance"` runs the rest
 pytestmark = pytest.mark.acceptance
 
@@ -41,8 +39,7 @@ def _report(criterion: str, ok: bool, elapsed: float, detail: str = "") -> None:
     line = f"ACCEPTANCE {criterion}: {status} ({elapsed:.1f}s)"
     if detail:
         line += f"  {detail}"
-    print(line)
-    acceptance_lines.append(line)
+    print(line)  # conftest gathers it into the terminal summary
 
 
 def test_criterion_1_theorem2_property_suite():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 from types import SimpleNamespace
@@ -235,22 +236,24 @@ def _bits(a):
 )
 def test_penalties_match_the_reference_formulas_bit_for_bit(re, im, real, weight, s):
     w = np.array(re) if real else np.array(re) + 1j * np.array(im[: len(re)])
-    cfg = EstimatorConfig("hard_l0", mu=0.01, rho=0.1, beta=weight, epsilon=weight)
-    with np.errstate(all="ignore"):
-        assert _bits(estimators.complex_sign(w)) == _bits(_ref_complex_sign(w))
-        assert _bits(estimators._za(w, cfg, None)) == _bits(_ref_complex_sign(w))
-        rza = _ref_complex_sign(w) / (1.0 + weight * np.abs(w))
-        assert _bits(estimators._rza(w, cfg, None)) == _bits(rza)
-        l0 = _ref_complex_sign(w) * np.exp(-weight * np.abs(w))
-        assert _bits(estimators._l0(w, cfg, None)) == _bits(l0)
+    # the penalties' scalar operands as Python floats, and as the 0-d arrays a
+    # complex128 iterate gets; a float64 weight meets 0-d float64 arrays either way
+    for k in estimators._Scalars.pair(0.1, weight, weight):
+        with np.errstate(all="ignore"):
+            assert _bits(estimators.complex_sign(w)) == _bits(_ref_complex_sign(w))
+            assert _bits(estimators._za(w, k, None)) == _bits(_ref_complex_sign(w))
+            rza = _ref_complex_sign(w) / (1.0 + weight * np.abs(w))
+            assert _bits(estimators._rza(w, k, None)) == _bits(rza)
+            l0 = _ref_complex_sign(w) * np.exp(-weight * np.abs(w))
+            assert _bits(estimators._l0(w, k, None)) == _bits(l0)
     assert not estimators.complex_sign(np.array([math.nan, complex(math.nan, 1.0)])).any()
     s = min(s, w.size)
     if np.isfinite(w).all():
         with np.errstate(all="ignore"):
-            assert _bits(estimators._selective(w, cfg, s)) == _bits(_ref_selective(w, s))
+            assert _bits(estimators._selective(w, k, s)) == _bits(_ref_selective(w, s))
     else:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite coefficient"):
-            estimators._selective(w, cfg, s)
+            estimators._selective(w, k, s)
 
 
 # -- reduction lattice ---------------------------------------------------------
@@ -1548,3 +1551,236 @@ def test_exp3_certifies_sza_and_logs_tracker_updates(monkeypatch):
     monkeypatch.setattr(estimators, "selective_penalty", counted)
     run_trial(spec, algo, 0)
     assert len(calls) < 0.15 * spec.sensing.total_samples
+
+
+# -- 0-d operands, shapes and the certificate's two ends ----------------------
+
+
+def _certified_by_sort(v, c):
+    """_certified with both ends of m2 taken from one sort, for every |K|."""
+    m2 = v.real * v.real + v.imag * v.imag
+    m2.sort()
+    c2 = c.real * c.real + c.imag * c.imag
+    if m2[0] > c2 * (1.0 + estimators._DELTA) + estimators._TINY and m2[-1] < math.inf:
+        return math.sqrt(m2[0]), math.sqrt(m2[-1]) + estimators._ROOT_TINY
+    return None
+
+
+_SIZES = st.integers(min_value=1, max_value=2 * estimators._SORT_MAX + 40)
+_PLACED = st.lists(st.tuples(st.integers(min_value=0), _any_float, _any_float), max_size=4)
+_SCALES = st.sampled_from([1e-170, 1e-3, 1.0, 1e150, 1e154, 1e200])
+_C_VALUES = st.sampled_from([0j, 1e-3 + 1e-3j, 2.3e-162, 0.5, complex(math.nan, 0.0),
+                             complex(0.0, math.inf), 1e154j])
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=_SIZES, seed=st.integers(min_value=0, max_value=2**32 - 1), placed=_PLACED,
+       scale=_SCALES, c=_C_VALUES)
+@example(size=estimators._SORT_MAX + 1, seed=0, placed=[(10**6, math.nan, 0.0)], scale=1.0, c=0j)
+@example(size=estimators._SORT_MAX + 1, seed=1, placed=[(3, math.inf, 1.0)], scale=1.0, c=0j)
+@example(size=estimators._SORT_MAX + 1, seed=2, placed=[], scale=1e155, c=0j)
+@example(size=estimators._SORT_MAX, seed=3, placed=[(0, 1e-3, 0.0)], scale=1.0, c=1e-3 + 1e-3j)
+def test_certified_ends_match_the_sort_form(size, seed, placed, scale, c):
+    # above _SORT_MAX the ends come from argmin and argmax; (lo, top) and
+    # every refusal (a NaN, an inf, a square that overflows, an entry within
+    # reach of |c|) are the sort form's
+    rng = np.random.default_rng(seed)
+    v = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    for at, re, im in placed:
+        v[at % size] = complex(re, im)
+    with np.errstate(all="ignore"):
+        assert estimators._certified(v, c) == _certified_by_sort(v, c)
+
+
+def _views(n):
+    rows = fourier_rows(n)
+    return {"short": rows[0, : n - 1], "two-rows": rows[:2], "other-table": fourier_rows(2 * n)[1]}
+
+
+@pytest.mark.parametrize("view", ["short", "two-rows", "other-table"])
+@pytest.mark.parametrize("path", ["support", "general"])
+def test_a_wrong_shaped_table_view_names_its_shape(monkeypatch, path, view):
+    # the support step checks the row's shape against the (N,) it holds, the
+    # general body through prediction_error; the first two views are views of
+    # the estimator's own table, so on the support path they reach the
+    # support step's check
+    n = 16
+    rows = fourier_rows(n)
+    supported = []
+    support_step = Estimator._support_step
+
+    def counted(self, *args):
+        supported.append(args[0].x)
+        return support_step(self, *args)
+
+    monkeypatch.setattr(Estimator, "_support_step", counted)
+    burn_in = 0 if path == "support" else 10**6
+    est = Estimator(EstimatorConfig("hard", mu=0.5 / n, s=3, burn_in=burn_in), n)
+    est.state.w = np.random.default_rng(2).standard_normal(n) * (1 + 1j)
+    for t in (1, 5, 9):
+        est.step(MeasurementSample(rows[t], 0.25))
+    assert bool(supported) == (path == "support")
+    bad = _views(n)[view]
+    supported.clear()
+    with pytest.raises(ValueError, match=re.escape(f"regressor has shape {bad.shape}, "
+                                                   f"expected ({n},)")):
+        est.step(MeasurementSample(bad, 0.25))
+    assert bool(supported) == (path == "support" and view != "other-table")
+
+
+_OPERANDS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e308, -1e308, math.inf,
+                                       -math.inf, math.nan]), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(_OPERANDS, min_size=2, max_size=12), re=_OPERANDS, im=_OPERANDS,
+       real=st.booleans())
+def test_a_zero_d_operand_gives_the_python_scalars_bits(parts, re, im, real):
+    # what a step passes: a Python float or complex against a complex128
+    # array, and a float against a float64 one, each as a 0-d array of the
+    # dtype numpy gives it there, assigned into a preallocated array
+    scalar = re if real else complex(re, im)
+    zero_d = np.empty((), dtype=complex)
+    zero_d[()] = scalar
+    arrays = [np.array(parts[: len(parts) // 2 * 2]).view(complex)]
+    operands = [zero_d]
+    if real:
+        arrays.append(np.array(parts))
+        real_d = np.empty(())
+        real_d[()] = scalar
+        operands.append(real_d)
+    with np.errstate(all="ignore"):
+        for a, d in zip(arrays, operands):
+            for op in (np.multiply, np.add, np.subtract):
+                assert _bits(op(a, d)) == _bits(op(a, scalar)), (op, a, scalar)
+                assert _bits(op(d, a)) == _bits(op(scalar, a)), (op, a, scalar)
+                want, got = a.copy(), a.copy()
+                op(want, scalar, out=want)
+                op(got, d, out=got)
+                assert _bits(got) == _bits(want), (op, a, scalar)
+
+
+def _caller_rows(n, dtype, count, seed):
+    """Rows that are not views of the table, in the dtype a caller chose."""
+    rng = np.random.default_rng(seed)
+    table = fourier_rows(n)
+    if np.dtype(dtype).kind == "f":
+        return [np.sign(table[t].real + 0.5).astype(dtype) for t in rng.integers(n, size=count)]
+    return [table[t].astype(dtype) for t in rng.integers(n, size=count)]
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.float32])
+@pytest.mark.parametrize("variant", ["lms", "za", "rza", "l0"])
+def test_a_row_of_a_callers_dtype_gets_the_python_scalars(variant, dtype):
+    # c x and the tracker's e* x in the row's own precision, as numpy makes
+    # them for a Python c or e*: a 0-d complex128 c would make them complex128
+    n = 8
+    cfg = EstimatorConfig(variant, mu=0.5 / n, rho=1e-3, beta=2.0, epsilon=3.0)
+    est = Estimator(cfg, n)
+    plain = estimators._Scalars.pair(cfg.rho, cfg.epsilon, cfg.beta)[0]
+    penalty = estimators._PENALTY.get(variant)
+    w = np.zeros(n, dtype=complex)
+    rng = np.random.default_rng(3)
+    for x in _caller_rows(n, dtype, 40, seed=4):
+        y = float(rng.standard_normal())
+        e = est.step(MeasurementSample(x, y))
+        ref_e = complex(y) - complex(np.vdot(w, x))
+        shrink = None if penalty is None else penalty(w, plain, None) * cfg.rho
+        w += (complex(cfg.mu) * ref_e.conjugate()) * x
+        if shrink is not None:
+            w -= shrink
+        assert _bits(np.complex128(e)) == _bits(np.complex128(ref_e))
+        assert est.state.w.dtype == complex and _bits(est.state.w) == _bits(w)
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.float32])
+def test_a_tracked_row_of_a_callers_dtype_gets_the_python_e_conj(dtype):
+    n = 8
+    params = TrackerParams(lam=0.9, xi=1.0, q_star=0.05)
+    est = Estimator(EstimatorConfig("hard", mu=0.5 / n), n, params)
+    ref = make_tracker(params, n)
+    rng = np.random.default_rng(6)
+    for x in _caller_rows(n, dtype, 30, seed=7):
+        e = est.step(MeasurementSample(x, float(rng.standard_normal())))
+        tracker_update(ref, np.multiply(e.conjugate(), x, out=ref.work))
+        assert _bits(est.tracker.err) == _bits(ref.err)
+    assert est.tracker.err.dtype == complex
+
+
+def test_an_assigned_complex64_err_keeps_its_dtype_and_bits():
+    # 1 - 1/kappa and 1/kappa stay Python floats against a complex64 err: a
+    # 0-d complex128 operand would round each product twice
+    n = 16
+    params = TrackerParams(lam=0.95, xi=1.0, q_star=0.05)
+    est = Estimator(EstimatorConfig("hard", mu=0.5 / n), n, params)
+    rows = fourier_rows(n)
+    rng = np.random.default_rng(8)
+    est.tracker.err = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(np.complex64)
+    err = est.tracker.err.copy()
+    kappa = est.tracker.kappa
+    for t in rng.integers(n, size=30):
+        e = est.step(MeasurementSample(rows[t], float(rng.standard_normal())))
+        kappa = params.lam * kappa + 1.0
+        inv = 1.0 / kappa
+        err *= 1.0 - inv
+        err -= np.multiply(e.conjugate() * rows[t], inv)
+        assert est.tracker.err.dtype == np.complex64
+        assert _bits(est.tracker.err) == _bits(err)
+
+
+@pytest.mark.parametrize("variant", ["za", "rza", "l0"])
+def test_an_iterate_of_a_callers_dtype_gets_the_python_scalars(variant):
+    # an assigned complex64 iterate gives a float32 weight and a complex64
+    # penalty, which meet rho, epsilon, 1 and -beta as Python floats: in their
+    # own precision, as numpy rounds those floats
+    n = 16
+    rows = fourier_rows(n)
+    # epsilon and beta round in float32
+    cfg = EstimatorConfig(variant, mu=0.5 / n, rho=1e-2, beta=0.7, epsilon=0.3)
+    plain = estimators._Scalars.pair(cfg.rho, cfg.epsilon, cfg.beta)[0]
+    penalty = estimators._PENALTY[variant]
+    rng = np.random.default_rng(10)
+    est = Estimator(cfg, n)
+    est.state.w = (rng.standard_normal(n) * (1 + 2j)).astype(np.complex64)
+    w = est.state.w.copy()
+    for t in rng.integers(n, size=40):
+        y = float(rng.standard_normal())
+        e = est.step(MeasurementSample(rows[t], y))
+        ref_e = complex(y) - complex(np.vdot(w, rows[t]))
+        shrink = penalty(w, plain, None)
+        shrink *= cfg.rho
+        w += (complex(cfg.mu) * ref_e.conjugate()) * rows[t]
+        w -= shrink
+        assert _bits(np.complex128(e)) == _bits(np.complex128(ref_e))
+        assert est.state.w.dtype == np.complex64 and _bits(est.state.w) == _bits(w)
+
+
+def test_a_support_step_on_a_callers_dtype_gets_the_python_scalars():
+    # the first support step after a cut of an assigned complex64 iterate
+    # takes the l0 penalty of its complex64 w[K] with the Python floats
+    n = 16
+    rows = fourier_rows(n)
+    cfg = EstimatorConfig("hard_l0", mu=0.5 / n, rho=1e-2, beta=0.7, s=8)
+    plain = estimators._Scalars.pair(cfg.rho, cfg.epsilon, cfg.beta)[0]
+    est = Estimator(cfg, n)
+    w = np.zeros(n, dtype=np.complex64)
+    w[::2] = [5 + 1j, 4 - 2j, 3j, 6 + 0.5j, 2.5 - 2.5j, 7j, 3.3 + 1.1j, 4.4]
+    est.state.w = w
+    est.step(MeasurementSample(rows[2], 0.5))  # the dense cut, on w itself
+    kept = np.flatnonzero(est.state.w)
+    w_k = est.state.w[kept]
+    assert kept.size == 8 and w_k.dtype == np.complex64
+    x, y = rows[7], -0.25
+    ref_e = complex(y) - complex(np.vdot(est.state.w, x))
+    shrink = estimators._l0(w_k, plain, None)
+    shrink *= cfg.rho
+    v = w_k + (complex(cfg.mu) * ref_e.conjugate()) * x[kept]
+    v -= shrink
+    with general_steps_counted() as general:
+        e = est.step(MeasurementSample(x, y))
+    assert not general
+    assert _bits(np.complex128(e)) == _bits(np.complex128(ref_e))
+    # w[K] as the record holds it, and as state.w stores it
+    assert np.array_equal(est.sparse_iterate()[0], kept)
+    assert _bits(est.sparse_iterate()[1]) == _bits(v)
+    assert _bits(est.state.w[kept]) == _bits(v.astype(np.complex64))

@@ -308,6 +308,57 @@ def test_a_k_that_changes_every_step_takes_dense_rows(monkeypatch):
         assert flushes.count((True, 1)) == one_row, algo.label
 
 
+class _SparseIterate(_DenseIterate):
+    """What _RmseRows.add reads of an estimator whose iterate is zero off K."""
+
+    def __init__(self, kept, values, n):
+        w = np.zeros(n, dtype=complex)
+        w[kept] = values
+        super().__init__(w)
+        self.sparse = (kept, values)
+
+    def sparse_iterate(self):
+        return self.sparse
+
+
+def test_a_wide_k_takes_support_rows_once_it_has_lasted_a_block(monkeypatch):
+    # K of more than RMSE_BLOCK entries: two that last 10 steps, as exp4's
+    # moving supports do, take dense rows only; one that lasts 80 takes dense
+    # rows for RMSE_BLOCK steps, then support rows.  A K of RMSE_BLOCK entries
+    # or fewer takes support rows from its first step, as before
+    n, block = 200, harness.RMSE_BLOCK
+    rng = np.random.default_rng(12)
+    w_true = np.zeros(n, dtype=complex)
+    w_true[rng.choice(n, size=30, replace=False)] = rng.standard_normal(30) + 1j
+    runs = [(block + 8, 10), (block + 8, 10), (block + 8, 80), (block, 20), (block + 1, 40)]
+    flushes = []
+    flush = harness._RmseRows.flush
+
+    def counted(self):
+        if self.rows:
+            flushes.append((None if self.kept is None else self.kept.size, self.rows))
+        flush(self)
+
+    monkeypatch.setattr(harness._RmseRows, "flush", counted)
+    out = np.empty(sum(steps for _, steps in runs))
+    rows = harness._RmseRows(out, n)
+    rows.phase(w_true)
+    sig2 = harness._sq_norm(w_true)
+    want = []
+    for size, steps in runs:
+        kept = np.sort(rng.choice(n, size=size, replace=False))
+        for _ in range(steps):
+            it = _SparseIterate(kept, rng.standard_normal(size) + 1j * rng.standard_normal(size), n)
+            rows.add(it)
+            want.append(harness._sq_norm(it.state.w - w_true) / sig2)
+    rows.flush()
+    _assert_bitwise_equal(out, np.array(want), "wide K")
+    support = [(size, count) for size, count in flushes if size is not None]
+    # the 80-step K from its 33rd step: 48 rows, in blocks of RMSE_BLOCK
+    assert support == [(block + 8, block), (block + 8, 48 - block), (block, 20), (block + 1, 8)]
+    assert sum(count for size, count in flushes if size is None) == 10 + 10 + block + block
+
+
 # the squares of a huge finite iterate overflow in the cut's check, the
 # certificate and the r-MSE
 _HUGE_OVERFLOWS = pytest.mark.filterwarnings(

@@ -169,3 +169,33 @@ def test_tracker_converges_to_error_under_unit_forgetting():
     corrected = corrected_estimate(tracker, w_hat)
     np.testing.assert_allclose(corrected, w_true, atol=1e-10)
     assert estimate_sparsity(tracker, w_hat) == 4
+
+
+@pytest.mark.parametrize("err_dtype", [np.complex128, np.complex64])
+def test_an_update_keeps_the_python_floats_bits_for_any_err(err_dtype):
+    # tracker_update and replay_updates pass 1 - 1/kappa and 1/kappa as 0-d
+    # complex128 arrays only while err, work and b are complex128; an assigned
+    # complex64 err, or a complex64 b, gets the Python floats
+    rng = np.random.default_rng(9)
+    rows = fourier_rows(8)
+    start = (rng.standard_normal(8) + 1j * rng.standard_normal(8)).astype(err_dtype)
+    updates = [(rows[rng.integers(8)], complex(*rng.standard_normal(2))) for _ in range(6)]
+    eager, replayed, narrow_b = (make_tracker(TrackerParams(lam=0.9), 8) for _ in range(3))
+    for tr in (eager, replayed, narrow_b):
+        tr.err = start.copy()
+    err, narrow_err, kappa = start.copy(), start.copy(), 0.0
+    for x, e_conj in updates:
+        kappa = 0.9 * kappa + 1.0
+        inv = 1.0 / kappa
+        b = e_conj * x
+        err *= 1.0 - inv
+        err -= np.multiply(b, inv)
+        tracker_update(eager, b)
+        b64 = b.astype(np.complex64)
+        narrow_err *= 1.0 - inv
+        narrow_err -= np.multiply(b64, inv)
+        tracker_update(narrow_b, b64)
+    replay_updates(replayed, 0.0, iter(updates))
+    for tr, want in ((eager, err), (replayed, err), (narrow_b, narrow_err)):
+        assert tr.err.dtype == err_dtype
+        assert tr.err.tobytes() == want.tobytes()
