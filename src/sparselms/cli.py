@@ -122,6 +122,17 @@ def _cmd_oracle(args) -> int:
     ])
 
 
+def _draw_count(text: str) -> int:
+    """argparse type of --draws: an integer of at least 1."""
+    try:
+        draws = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if draws < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 draw, got {draws}")
+    return draws
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="sparselms",
@@ -149,12 +160,12 @@ def main(argv=None) -> int:
     export.set_defaults(func=_cmd_export)
 
     verify = sub.add_parser("verify", help="randomized support-recovery suites")
-    verify.add_argument("--draws", type=int, default=100_000)
+    verify.add_argument("--draws", type=_draw_count, default=100_000)
     verify.add_argument("--seed", type=int, default=7)
     verify.set_defaults(func=_cmd_verify)
 
     oracle = sub.add_parser("oracle", help="brute-force cross-checks")
-    oracle.add_argument("--draws", type=int, default=10_000)
+    oracle.add_argument("--draws", type=_draw_count, default=10_000)
     oracle.add_argument("--seed", type=int, default=11)
     oracle.set_defaults(func=_cmd_oracle)
 

@@ -512,12 +512,12 @@ class Estimator:
     step also enters, with the e, c and penalty it formed, when its
     certificate fails.
 
-    An array a record is taken on (each top-s cut of hard and hard_l0, sza's
-    iterate at its first recorded cut) is read-only to callers from then on:
-    the step writes it through a private writable view, and an in-place write
-    from outside raises.  Assigning a new array to ``state.w`` is the only way
-    in; the next step drops the records, so it runs the dense rule and the
-    full query.  A NaN, inf or huge value so assigned reaches e(n) and c, and
+    An array a record is taken on (each complex128 top-s cut of hard and
+    hard_l0, sza's iterate at its first recorded cut) is read-only to callers
+    from then on: the step writes it through a private writable view, and an
+    in-place write from outside raises.  Assigning a new array to ``state.w``
+    is the only way in; the next step drops the records, so it runs the dense
+    rule and the full query.  A NaN, inf or huge value so assigned reaches e(n) and c, and
     through them the dense rule.  The tracker's ``err`` is read-only to callers
     in the same way (``TrackerState``); an assigned one makes B unknown, which
     also sends the next budget to the full query.
@@ -682,10 +682,11 @@ class Estimator:
         """(K, w[K]) when ``state.w`` is known to be zero off K, else None.
 
         That holds while the record of the last top-s cut is on ``state.w``:
-        after each cut of hard or hard_l0 and each certified step.  Dense
-        variants, sza (its record is on a dense iterate), the occupancy mask
-        and an assigned ``state.w`` give None.  Neither array is written
-        afterwards: a certified step stores a new w[K].
+        after each complex128 cut of hard or hard_l0 and each certified step.
+        Dense variants, sza (its record is on a dense iterate), the occupancy
+        mask, an iterate of another dtype and an assigned ``state.w`` give
+        None.  Neither array is written afterwards: a certified step stores a
+        new w[K].
         """
         rec = self._rec
         if self._project is not _top_s or rec is None or self.state.w is not self._ro:
@@ -881,7 +882,9 @@ class Estimator:
             w -= shrink
         if active and self._project is not None:
             st.w = self._project(w, s, mask)
-            if self._project is _top_s:
+            # a support step on an iterate of a caller's dtype would build on
+            # its unrounded w[K], and the dense rule on the stored one
+            if self._project is _top_s and st.w.dtype is _C128:
                 self._own(st.w)
                 cut = np.flatnonzero(st.w)
                 self._rec = Record(cut, 0.0, -math.inf, value=st.w[cut])

@@ -4,10 +4,24 @@ The reference routines here deliberately avoid the library's own code paths:
 the top-k reference ranks by pairwise magnitude counting, and the sensing
 identity is accumulated as an explicit sum of outer products.
 
-The randomized suites make every draw's generator calls in the order a
-one-vector loop makes them, hold the draws of each length n in chunks of
-CHUNK, and check a chunk as one stack; the draws and the per-draw decisions
-are those of the one-vector loop, bit for bit.
+The randomized suites read the generator stream in the order a one-vector
+loop reads it, hold the draws of each length n in chunks of CHUNK, and check
+a chunk as one stack; the draws and the per-draw decisions are those of the
+one-vector loop, bit for bit.  A draw reads the stream with fewer calls than
+the loop makes, through four identities of numpy's Generator that
+tests/test_generator_identities.py checks one by one:
+
+- ``uniform(a, b, size=s)`` is ``(b - a) * random(s) + a``, numpy's own
+  formula, so the two uniform calls of a sparse vector's magnitudes and
+  phases are one ``random((2, s))``, and the perturbation's scale t is
+  ``random()``; ``uniform`` applies the formula once per chunk;
+- two ``standard_normal(n)`` calls are one ``standard_normal`` into a
+  contiguous (2, n) row;
+- ``choice(table, size=n)`` is ``table[integers(0, len(table), size=n)]``.
+
+``choice(n, size=s, replace=False)`` and the scalar ``integers`` calls stay
+as the loop makes them: Floyd's draws are followed by a masked shuffle on
+32-bit halves of the stream, which no cheaper call reproduces.
 """
 
 from __future__ import annotations
@@ -45,18 +59,25 @@ class SuiteResult:
 
 CHUNK = 32  # draws of one length n checked together; bounds the held draws
 
+MAGNITUDES = (0.3, 2.0)  # a sparse vector's nonzero magnitudes are uniform here
+PHASES = (0.0, 2.0 * np.pi)
+SCALES = (0.01, 0.99)  # t, the squared norm of a perturbation over the squared radius
+TIE_MAGNITUDES = np.array([0.0, 1.0, 2.0])  # the oracle's engineered ties
+TIE_PHASES = np.array([1.0, -1.0, 1.0j, -1.0j])
 
-def _sparse_draw(rng, n: int, s: int):
-    """Positions, magnitudes in [0.3, 2] and phases of an s-sparse vector."""
-    pos = rng.choice(n, size=s, replace=False)
-    return pos, rng.uniform(0.3, 2.0, size=s), rng.uniform(0.0, 2.0 * np.pi, size=s)
+
+def uniform(u, low: float, high: float):
+    """numpy's ``uniform(low, high)`` from the doubles ``u`` that ``random()``
+    drew in its place: Generator.uniform computes low + (high - low) u."""
+    return (high - low) * u + low
 
 
 def _random_sparse(rng, n: int, s: int) -> np.ndarray:
     """s-sparse complex vector with nonzero magnitudes in [0.3, 2]."""
     w = np.zeros(n, dtype=complex)
-    pos, mags, phases = _sparse_draw(rng, n, s)
-    w[pos] = mags * np.exp(1j * phases)
+    pos = rng.choice(n, size=s, replace=False)
+    mags, phases = rng.random((2, s))
+    w[pos] = uniform(mags, *MAGNITUDES) * np.exp(1j * uniform(phases, *PHASES))
     return w
 
 
@@ -69,30 +90,29 @@ class _Groups(dict):
 
 
 class _Group:
-    """Up to CHUNK draws of one length n, held in fixed buffers.
+    """Up to CHUNK draws of one length n.
 
-    ``mag`` and ``phase`` hold a sparse vector scattered to its positions,
-    ``re`` and ``im`` a draw's two standard-normal vectors (or the parts of
-    an oracle vector), ``t`` its perturbation uniform and ``ints`` its integer
-    parameter (budget or tau).
+    A sparse vector is held as drawn: its size s in ``sizes``, its positions
+    in ``pos`` and the (2, s) uniforms of its magnitudes and phases in
+    ``units``; ``sparse_rows`` scatters the chunk's at once.  ``normal[row]``
+    holds a draw's two standard-normal vectors (or the parts of an oracle
+    vector), ``t`` the ``random()`` of its perturbation's scale and ``ints``
+    its integer parameter (budget or tau).
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.mag = np.zeros((CHUNK, n))
-        self.phase = np.zeros((CHUNK, n))
-        self.re = np.zeros((CHUNK, n))
-        self.im = np.zeros((CHUNK, n))
-        self.index: list[int] = []
-        self.ints: list[int] = []
-        self.t: list[float] = []
+        self.normal = np.zeros((CHUNK, 2, n))
+        self.clear()
 
     def clear(self) -> None:
         """Release the held draws; lists handed out before stay intact."""
-        k = len(self.index)
-        self.mag[:k] = 0.0
-        self.phase[:k] = 0.0
-        self.index, self.ints, self.t = [], [], []
+        self.index: list[int] = []
+        self.ints: list[int] = []
+        self.t: list[float] = []
+        self.sizes: list[int] = []
+        self.pos: list[np.ndarray] = []
+        self.units: list[np.ndarray] = []
 
     def add(self, i: int, param: int) -> int:
         """Hold draw ``i`` with its integer parameter; returns its row."""
@@ -100,29 +120,31 @@ class _Group:
         self.ints.append(param)
         return len(self.index) - 1
 
-    def draw_normals(self, rng, row: int) -> None:
-        rng.standard_normal(out=self.re[row])
-        rng.standard_normal(out=self.im[row])
-
     def draw_perturbed_sparse(self, rng, i: int, param: int, s: int) -> "_Group":
         """Hold draw ``i``: an s-sparse vector, then the two normal vectors and
         the uniform of its perturbation, in the order of the rng calls."""
         row = self.add(i, param)
-        pos, mags, phases = _sparse_draw(rng, self.n, s)
-        self.mag[row, pos] = mags
-        self.phase[row, pos] = phases
-        self.draw_normals(rng, row)
-        self.t.append(rng.uniform(0.01, 0.99))
+        self.sizes.append(s)
+        self.pos.append(rng.choice(self.n, size=s, replace=False))
+        self.units.append(rng.random((2, s)))
+        rng.standard_normal(out=self.normal[row])
+        self.t.append(rng.random())
         return self
 
     def sparse_rows(self) -> np.ndarray:
         """The held sparse vectors, as _random_sparse builds each one."""
         k = len(self.index)
-        return self.mag[:k] * np.exp(1j * self.phase[:k])
+        mags, phases = np.concatenate(self.units, axis=1)
+        w = np.zeros((k, self.n), dtype=complex)
+        rows = np.repeat(np.arange(k), self.sizes)
+        w[rows, np.concatenate(self.pos)] = (
+            uniform(mags, *MAGNITUDES) * np.exp(1j * uniform(phases, *PHASES))
+        )
+        return w
 
     def complex_rows(self) -> np.ndarray:
-        k = len(self.index)
-        return self.re[:k] + 1j * self.im[:k]
+        normal = self.normal[: len(self.index)]
+        return normal[:, 0] + 1j * normal[:, 1]
 
     def perturbed(self, w: np.ndarray, radius_sq) -> np.ndarray:
         """Rows w + u, u = re + 1j*im rescaled to ||u||^2 = t * radius_sq.
@@ -134,25 +156,35 @@ class _Group:
         u = self.complex_rows()
         re, im = u.real, u.imag
         sq = (re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0]
-        u *= (np.sqrt(np.array(self.t) * radius_sq) / np.sqrt(sq))[:, None]
+        t = uniform(np.array(self.t), *SCALES)
+        u *= (np.sqrt(t * radius_sq) / np.sqrt(sq))[:, None]
         return w + u
 
 
-def _by_n(draws: int, seed: int, draw):
+def _by_n(draws: int, seed: int, draw, chunk):
     """Make ``draws`` draws in order from one generator; ``draw(rng, i,
     groups)`` holds draw i in the group of its length n and returns that
-    group.  Yields a group once it holds CHUNK draws, and every group still
-    holding draws at the end; a yielded group is cleared on resumption."""
-    rng = np.random.default_rng(seed)
-    groups = _Groups()
-    for i in range(draws):
-        group = draw(rng, i, groups)
-        if len(group.index) == CHUNK:
-            yield group
-            group.clear()
-    for group in groups.values():
-        if group.index:
-            yield group
+    group.  Returns an iterator over ``chunk(group)`` of each group once it
+    holds CHUNK draws, and of every group still holding draws at the end; a
+    group is cleared once its chunk is made.  A draw count below 1 raises
+    here, before any draw."""
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
+
+    def chunks():
+        rng = np.random.default_rng(seed)
+        groups = _Groups()
+        for i in range(draws):
+            group = draw(rng, i, groups)
+            if len(group.index) == CHUNK:
+                held = chunk(group)
+                group.clear()
+                yield held
+        for group in groups.values():
+            if group.index:
+                yield chunk(group)
+
+    return chunks()
 
 
 def _min_sq_nonzero(w: np.ndarray) -> np.ndarray:
@@ -166,13 +198,16 @@ def _theorem2_draw(rng, i, groups) -> _Group:
     return groups[n].draw_perturbed_sparse(rng, i, s, s)
 
 
+def _theorem2_chunk(group: _Group):
+    w = group.sparse_rows()
+    return group.index, np.array(group.ints), w, group.perturbed(w, _min_sq_nonzero(w) / 2.0)
+
+
 def theorem2_draws(draws: int, seed: int):
-    """The theorem-2 suite's draws, in chunks of equal length n: yields
-    (draw numbers, budgets s, w, w_hat), with w_hat inside the premise ball
-    ||w - w_hat||^2 < q^2/2."""
-    for group in _by_n(draws, seed, _theorem2_draw):
-        w = group.sparse_rows()
-        yield group.index, np.array(group.ints), w, group.perturbed(w, _min_sq_nonzero(w) / 2.0)
+    """The theorem-2 suite's draws, in chunks of equal length n: an iterator
+    of (draw numbers, budgets s, w, w_hat), with w_hat inside the premise
+    ball ||w - w_hat||^2 < q^2/2."""
+    return _by_n(draws, seed, _theorem2_draw, _theorem2_chunk)
 
 
 def _theorem3_draw(rng, i, groups) -> _Group:
@@ -182,15 +217,18 @@ def _theorem3_draw(rng, i, groups) -> _Group:
     return groups[n].draw_perturbed_sparse(rng, i, tau, s)
 
 
+def _theorem3_chunk(group: _Group):
+    tau = np.array(group.ints)
+    w = group.sparse_rows()
+    radius_sq = _min_sq_nonzero(w) * (1.0 - 1.0 / (tau + 2.0))
+    return group.index, tau, w, group.perturbed(w, radius_sq)
+
+
 def theorem3_draws(draws: int, seed: int):
-    """The theorem-3 suite's draws, in chunks of equal length n: yields
-    (draw numbers, tau per row, w, w_hat), with w_hat inside the relaxed
+    """The theorem-3 suite's draws, in chunks of equal length n: an iterator
+    of (draw numbers, tau per row, w, w_hat), with w_hat inside the relaxed
     ball ||w - w_hat||^2 <= q^2 (1 - 1/(tau+2))."""
-    for group in _by_n(draws, seed, _theorem3_draw):
-        tau = np.array(group.ints)
-        w = group.sparse_rows()
-        radius_sq = _min_sq_nonzero(w) * (1.0 - 1.0 / (tau + 2.0))
-        yield group.index, tau, w, group.perturbed(w, radius_sq)
+    return _by_n(draws, seed, _theorem3_draw, _theorem3_chunk)
 
 
 def _in_draw_order(notes: list[tuple[int, str]]) -> list[str]:
@@ -296,35 +334,49 @@ def _oracle_draw(rng, i, groups) -> _Group:
     s = int(rng.integers(1, n + 1))
     kind = rng.integers(0, 3)
     group = groups[n]
-    row = group.add(i, s)
+    parts = group.normal[group.add(i, s)]
     if kind == 0:
-        group.draw_normals(rng, row)
+        rng.standard_normal(out=parts)
     elif kind == 1:
         # engineered ties: magnitudes drawn from a tiny exact set
-        base = rng.choice([0.0, 1.0, 2.0], size=n)
-        phase = rng.choice([1.0, -1.0, 1.0j, -1.0j], size=n)
-        v = base * phase
-        group.re[row], group.im[row] = v.real, v.imag
+        base = TIE_MAGNITUDES[rng.integers(0, TIE_MAGNITUDES.size, size=n)]
+        v = base * TIE_PHASES[rng.integers(0, TIE_PHASES.size, size=n)]
+        parts[0], parts[1] = v.real, v.imag
     else:
-        rng.standard_normal(out=group.re[row])  # real input
-        group.im[row] = 0.0
+        rng.standard_normal(out=parts[0])  # real input
+        parts[1] = 0.0
     return group
 
 
+def _oracle_chunk(group: _Group):
+    return group.index, np.array(group.ints), group.complex_rows()
+
+
 def oracle_draws(draws: int, seed: int):
-    """The top-k oracle suite's draws, in chunks of equal length n: yields
-    (draw numbers, budgets s, v) for complex, tied and real vectors."""
-    for group in _by_n(draws, seed, _oracle_draw):
-        yield group.index, np.array(group.ints), group.complex_rows()
+    """The top-k oracle suite's draws, in chunks of equal length n: an
+    iterator of (draw numbers, budgets s, v) for complex, tied and real
+    vectors."""
+    return _by_n(draws, seed, _oracle_draw, _oracle_chunk)
+
+
+NOTED = 10  # mismatches the oracle suite names by draw number
 
 
 def hard_threshold_oracle_suite(draws: int = 10_000, seed: int = 11) -> SuiteResult:
     """Agreement of hard_threshold with the pairwise-count reference on random
-    complex vectors (N <= 12) plus engineered tie patterns."""
+    complex vectors (N <= 12) plus engineered tie patterns.  The notes name
+    the first NOTED mismatches by draw number."""
     res = SuiteResult("hard-threshold-oracle", draws, 0)
-    for _, s, v in oracle_draws(draws, seed):
+    mismatches = []
+    for index, s, v in oracle_draws(draws, seed):
         agree = (hard_threshold(v, s) == topk_reference(v, s)).all(axis=-1)
-        res.failures += int(np.count_nonzero(~agree))
+        mismatches += [index[j] for j in np.flatnonzero(~agree)]
+    mismatches.sort()
+    res.failures = len(mismatches)
+    res.notes = [f"draw {i}: hard_threshold differs from the pairwise-count reference"
+                 for i in mismatches[:NOTED]]
+    if res.failures > NOTED:
+        res.notes.append(f"and {res.failures - NOTED} more mismatches")
     return res
 
 

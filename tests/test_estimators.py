@@ -1755,32 +1755,22 @@ def test_an_iterate_of_a_callers_dtype_gets_the_python_scalars(variant):
         assert est.state.w.dtype == np.complex64 and _bits(est.state.w) == _bits(w)
 
 
-def test_a_support_step_on_a_callers_dtype_gets_the_python_scalars():
-    # the first support step after a cut of an assigned complex64 iterate
-    # takes the l0 penalty of its complex64 w[K] with the Python floats
-    n = 16
+@pytest.mark.parametrize("variant", ["hard", "hard_l0"])
+def test_a_callers_complex64_iterate_follows_the_dense_rule(variant):
+    # a cut of an assigned complex64 iterate takes no support record: a
+    # support step would build on its unrounded complex128 w[K], where the
+    # dense rule builds on the stored, rounded one and, for hard_l0, rounds
+    # after the gradient step and again after the penalty
+    n, steps = 16, 40
     rows = fourier_rows(n)
-    cfg = EstimatorConfig("hard_l0", mu=0.5 / n, rho=1e-2, beta=0.7, s=8)
-    plain = estimators._Scalars.pair(cfg.rho, cfg.epsilon, cfg.beta)[0]
-    est = Estimator(cfg, n)
-    w = np.zeros(n, dtype=np.complex64)
-    w[::2] = [5 + 1j, 4 - 2j, 3j, 6 + 0.5j, 2.5 - 2.5j, 7j, 3.3 + 1.1j, 4.4]
-    est.state.w = w
-    est.step(MeasurementSample(rows[2], 0.5))  # the dense cut, on w itself
-    kept = np.flatnonzero(est.state.w)
-    w_k = est.state.w[kept]
-    assert kept.size == 8 and w_k.dtype == np.complex64
-    x, y = rows[7], -0.25
-    ref_e = complex(y) - complex(np.vdot(est.state.w, x))
-    shrink = estimators._l0(w_k, plain, None)
-    shrink *= cfg.rho
-    v = w_k + (complex(cfg.mu) * ref_e.conjugate()) * x[kept]
-    v -= shrink
+    cfg = EstimatorConfig(variant, mu=0.5 / n, rho=1e-2, s=3)
+    rng = np.random.default_rng(3)
+    w = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(np.complex64)
+    fast, dense = Estimator(cfg, n), Estimator(cfg, n)
+    fast.state.w, dense.state.w = w, w.copy()
     with general_steps_counted() as general:
-        e = est.step(MeasurementSample(x, y))
-    assert not general
-    assert _bits(np.complex128(e)) == _bits(np.complex128(ref_e))
-    # w[K] as the record holds it, and as state.w stores it
-    assert np.array_equal(est.sparse_iterate()[0], kept)
-    assert _bits(est.sparse_iterate()[1]) == _bits(v)
-    assert _bits(est.state.w[kept]) == _bits(v.astype(np.complex64))
+        for t in rng.integers(n, size=steps):
+            sample = MeasurementSample(rows[t], float(rng.standard_normal()))
+            assert_bitwise_equal(fast, dense, fast.step(sample), dense_step(dense, sample))
+            assert fast.state.w.dtype == np.complex64 and fast.sparse_iterate() is None
+    assert len(general) == 2 * steps  # no support step on either estimator
