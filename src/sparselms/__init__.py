@@ -26,7 +26,7 @@ from .sensing import (
     regressor_row,
     sample_indices,
 )
-from .signals import SignalSpec, add_noise, multisine, true_spectrum
+from .signals import SignalSpec, multisine, true_spectrum
 from .sparse_ops import (
     complex_sign,
     hard_threshold,

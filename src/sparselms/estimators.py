@@ -44,15 +44,14 @@ cut's record is on ``state.w``, the row is a unit row and the budget is |K|
 hard_l0 once their support has settled.  It updates w[K] alone, in straight
 line, and skips the O(N) update, the cut and every branch of the other
 variants.  Any other step, and a support step whose certificate fails, runs
-the general body: the dense rule above.
+the general body: the dense rule above.  Both end on ``_update_tracker``.
 
 Unit rows.  The bounds below need every computed |x_k|^2 <= 1 + 4u.  An
-estimator takes the table of rows that meet it from ``sensing.unit_rows``,
-and a step's row is a unit row when it is a view of that table
-(``x.base is self._rows``).  A row of a table that ``fourier_rows`` rebuilt
-after its cache dropped the estimator's makes the estimator take the new
-table; any other row takes the dense rule, and makes the bounds it would
-advance infinite.
+estimator takes the table of rows that meet it from ``sensing.unit_rows``
+once, when it is built, and a step's row is a unit row when it is a view of
+that table (``x.base is self._rows``).  Any other row takes the dense rule,
+and makes the bounds it would advance infinite; so does a row of a table
+that ``fourier_rows`` rebuilt after its cache dropped the estimator's.
 
 The scalars of a step (e, e*, c = mu e* and the bounds) are Python numbers:
 ``prediction_error`` forms e as complex minus complex, and c as complex x
@@ -85,7 +84,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sensing import fourier_rows, unit_rows
+from .sensing import unit_rows
 from .sparse_ops import complex_sign, hard_threshold, keep_mask, selective_penalty
 from .tracker import (
     TrackerParams,
@@ -361,11 +360,6 @@ _ROOT_MAX = math.sqrt(float(np.finfo(float).max)) * (1.0 - _DELTA)
 # deferred e* values per packed complex128 array
 _PACK = 1024
 _C128 = np.dtype(complex)
-# _certified sorts m2 for both ends up to this |K|, and takes them with argmin
-# and argmax above it: at N = 1000 a sort costs 0.28 us at |K| = 20 and
-# 2.6 us at 990, the two arg calls 0.46 and 0.65 us, and they cross between
-# |K| = 128 and 200
-_SORT_MAX = 160
 # (e) is tried only while its reach is below this share of q*.  Past it, the
 # band q* +- reach that every |w_k| on K must clear is wide and the test
 # rarely passes: exp4's HARD-EST at N = 1000 runs with reach between 0.28 q*
@@ -423,12 +417,8 @@ def _certified(v, c):
     NaN and inf in v never pass, so the dense cut reports them.
     """
     m2 = v.real * v.real + v.imag * v.imag
-    if m2.size > _SORT_MAX:
-        # argmin and argmax point at the first NaN, which fails both tests
-        lo, hi = m2[m2.argmin()], m2[m2.argmax()]
-    else:
-        m2.sort()  # NaN sorts last
-        lo, hi = m2[0], m2[-1]
+    # argmin and argmax point at the first NaN, which fails both tests
+    lo, hi = m2[m2.argmin()], m2[m2.argmax()]
     c2 = c.real * c.real + c.imag * c.imag
     if lo > c2 * (1.0 + _DELTA) + _TINY and hi < math.inf:
         return math.sqrt(lo), math.sqrt(hi) + _ROOT_TINY
@@ -495,22 +485,22 @@ class Estimator:
     reads, or whose ``xi`` is 0, is not updated.
 
     A row is a unit row, which the certificates need, when it is a view of
-    the table ``unit_rows`` gave (taken again when ``fourier_rows`` rebuilt
-    it); any other row takes the dense rule.  Next to its records the
-    estimator holds B, the bound (d) on the tracker's largest error entry, as
-    a Python float: each tracker update advances it, and each full query
-    resets it.
+    the table ``unit_rows`` gave when the estimator was built; any other row
+    takes the dense rule.  Next to its records the estimator holds B, the
+    bound (d) on the tracker's largest error entry, as a Python float: each
+    tracker update advances it, and each full query resets it.
 
     ``tracker`` is the tracker's state with every deferred update applied; a
     reference held across steps may show err without the updates deferred
     since.  The estimator counts, as plain ints, its ``full_queries``,
     ``exact_counts`` (on K, reading err), ``bound_counts`` (on K, decided by
-    (e)), ``reused_counts``, ``deferred_updates`` and ``replayed_updates``.
+    (e)), ``reused_counts``, ``deferred_updates``, ``replayed_updates``,
+    ``general_steps`` and ``certificate_runs`` (calls of ``_certified``).
 
     ``step`` takes one sample.  A certified step of hard or hard_l0 finishes
     on ``_support_step``; every other step runs ``_general``, which a support
     step also enters, with the e, c and penalty it formed, when its
-    certificate fails.
+    certificate fails.  ``general_steps`` counts the steps that ran it.
 
     An array a record is taken on (each complex128 top-s cut of hard and
     hard_l0, sza's iterate at its first recorded cut) is read-only to callers
@@ -527,11 +517,11 @@ class Estimator:
     # instance's dict loses CPython's shared keys, and each read slows down
     __slots__ = (
         "config", "state", "last_s", "full_queries", "exact_counts", "bound_counts",
-        "reused_counts", "deferred_updates", "replayed_updates", "_tracker", "_table",
-        "_rows", "_shape", "_mu", "_rho", "_plain", "_zero_d", "_c", "_e", "_burn_in",
-        "_penalty", "_selective", "_penalty_in_burn_in", "_rec", "_count", "_ro", "_w",
-        "_bound", "_err", "_pending", "_fresh", "_packed", "_kappa0", "_defer", "_s",
-        "_budget", "_project", "_track", "_xi", "_lam",
+        "reused_counts", "deferred_updates", "replayed_updates", "general_steps",
+        "certificate_runs", "_tracker", "_rows", "_shape", "_mu", "_rho", "_plain",
+        "_zero_d", "_c", "_e", "_burn_in", "_penalty", "_selective", "_penalty_in_burn_in",
+        "_rec", "_count", "_ro", "_w", "_bound", "_err", "_pending", "_fresh", "_packed",
+        "_kappa0", "_defer", "_s", "_budget", "_project", "_track", "_xi", "_lam",
     )
 
     def __init__(
@@ -557,7 +547,8 @@ class Estimator:
                 f"mu*N={config.mu * n_dim}"
             )
         self.last_s: int | None = None
-        self._take_table(n_dim)
+        rows = unit_rows(n_dim)
+        self._rows = object() if rows is None else rows  # no row's base is an object()
         self._shape = (n_dim,)
 
         self._mu = complex(config.mu)
@@ -587,6 +578,7 @@ class Estimator:
         self._defer = False
         self.full_queries = self.exact_counts = self.bound_counts = self.reused_counts = 0
         self.deferred_updates = self.replayed_updates = 0
+        self.general_steps = self.certificate_runs = 0
         # the budget: the fixed s, or a tracker query (a count or the occupancy
         # mask) when _budget is set.  The query is held as a function, not a
         # bound method: a bound method
@@ -653,23 +645,27 @@ class Estimator:
         tr.kappa = self._lam * tr.kappa + 1.0
         self.deferred_updates += 1
 
-    def _take_table(self, n):
-        """Take ``fourier_rows(n)`` as the unit rows when ``unit_rows`` passes
-        it; when it fails, ``_rows`` is an object that no row's base is."""
-        rows = unit_rows(n)
-        self._table = fourier_rows(n)
-        self._rows = object() if rows is None else rows
-
-    def _retake(self, x) -> bool:
-        """Whether x, which failed the identity test, is a row of the table
-        ``fourier_rows`` holds now, which replaced the estimator's after its
-        cache dropped that one, and that table passes ``unit_rows``."""
-        base, table = x.base, self._table
-        if (not isinstance(base, np.ndarray) or base is table or base.flags.writeable
-                or base.shape != table.shape or base is not fourier_rows(table.shape[0])):
-            return False
-        self._take_table(table.shape[0])
-        return base is self._rows
+    def _update_tracker(self, x, e_conj, unit):
+        """The tracker update with b = e* x, deferred or eager, and (d)'s
+        advance of B.  Returns B before the update, and beta."""
+        tr = self._tracker
+        bound = self._bound
+        # |e*| = |e|; math.hypot, unlike abs(), overflows to inf without raising
+        beta = math.hypot(e_conj.real, e_conj.imag) * _GROW if unit else math.inf
+        if self._defer and beta + bound < _ROOT_MAX:  # no overflow: NaN fails
+            self._defer_update(x, e_conj)
+        else:
+            if self._pending:
+                self._replay()
+            # b = e* x, formed in the tracker's work array
+            if unit:
+                e0 = self._e
+                e0[()] = e_conj
+                e_conj = e0
+            tracker_update(tr, np.multiply(e_conj, x, out=tr.work))
+        inv = 1.0 / tr.kappa
+        self._bound = _step_bound((1.0 - inv) * bound + inv * beta, 0.0)  # (d)
+        return bound, beta
 
     def _own(self, w):
         """Make w, which a record is taken on, read-only to callers."""
@@ -685,7 +681,7 @@ class Estimator:
         after each complex128 cut of hard or hard_l0 and each certified step.
         Dense variants, sza (its record is on a dense iterate), the occupancy
         mask, an iterate of another dtype and an assigned ``state.w`` give
-        None.  Neither array is written afterwards: a certified step stores a
+        None.  Neither array changes afterwards: a certified step stores a
         new w[K].
         """
         rec = self._rec
@@ -768,7 +764,7 @@ class Estimator:
             s, mask = self._budget(self, st.w)
         if self._project is _top_s:
             x = sample.x
-            kept = _support(self._rec, s, x.base is self._rows or self._retake(x))
+            kept = _support(self._rec, s, x.base is self._rows)
             if kept is not None:
                 return self._support_step(sample, kept, s)
         return self._general(sample, True, s, mask)
@@ -800,7 +796,7 @@ class Estimator:
         e_conj = e.conjugate()
         c = self._mu * e_conj
         abs_c = math.hypot(c.real, c.imag)
-        # the three bounds below are _step_bound's arithmetic, inlined
+        # the two bounds below are _step_bound's arithmetic, inlined
         rec.drift += (abs_c + rho) * _GROW + _DELTA * (rec.top + rec.drift) + _TINY
         c0 = self._c
         c0[()] = c
@@ -808,6 +804,7 @@ class Estimator:
         if shrink is not None:
             v -= shrink
         if not rec.support_kept(abs_c):
+            self.certificate_runs += 1
             proof = _certified(v, c)
             if proof is None:
                 if shrink is not None:
@@ -822,28 +819,13 @@ class Estimator:
         st.n += 1
         cnt = self._count
         if self._track:
-            # the general body's tracker update, on a unit row
-            tr = self._tracker
-            bound = self._bound
-            beta = math.hypot(e.real, e.imag) * _GROW
-            if self._defer and beta + bound < _ROOT_MAX:  # no overflow: NaN fails
-                self._defer_update(x, e_conj)
-            else:
-                if self._pending:
-                    self._replay()
-                e0 = self._e
-                e0[()] = e_conj
-                tracker_update(tr, np.multiply(e0, x, out=tr.work))
-            inv = 1.0 / tr.kappa
-            # (d); the scale 0 adds _DELTA * 0.0, which changes no sum that
-            # then adds _TINY
-            self._bound = ((1.0 - inv) * bound + inv * beta) * _GROW + _TINY
+            bound, beta = self._update_tracker(x, e_conj, True)
         if cnt is not None:
             # a certified step after a count on K: (c)
             xi = self._xi
             move = abs_c + rho
             if self._track:
-                move += xi * ((bound + beta) / tr.kappa + _DELTA * bound)
+                move += xi * ((bound + beta) / self._tracker.kappa + _DELTA * bound)
             cnt.drift += move * _GROW + _DELTA * (cnt.top + xi * self._bound) + _TINY
         self.last_s = s
         return e
@@ -852,6 +834,7 @@ class Estimator:
         """The dense rule, steps 2-5 of the module docstring, for budget s and
         mask; ``active`` is False in burn-in.  A support step whose proof
         failed passes the e, c and penalty it formed."""
+        self.general_steps += 1
         st = self.state
         x = sample.x
         if e is None:
@@ -866,7 +849,7 @@ class Estimator:
                     shrink = self._penalty(w, k, s)
                 shrink *= k.rho
             c = self._mu * e.conjugate()
-        unit = x.base is self._rows or self._retake(x)
+        unit = x.base is self._rows
         rec = self._rec
         if self._selective and rec is not None:
             inc = _step_bound(math.hypot(c.real, c.imag) + self._rho, rec.top + rec.drift)
@@ -890,24 +873,7 @@ class Estimator:
                 self._rec = Record(cut, 0.0, -math.inf, value=st.w[cut])
         st.n += 1
         if self._track:
-            tr = self._tracker
-            bound = self._bound
-            # math.hypot, unlike abs(complex), overflows to inf without raising
-            beta = math.hypot(e.real, e.imag) * _GROW if unit else math.inf
-            if self._defer and beta + bound < _ROOT_MAX:
-                self._defer_update(x, e.conjugate())
-            else:
-                if self._pending:
-                    self._replay()
-                # b = e* x, formed in the tracker's work array
-                e_conj = e.conjugate()
-                if unit:
-                    e0 = self._e
-                    e0[()] = e_conj
-                    e_conj = e0
-                tracker_update(tr, np.multiply(e_conj, x, out=tr.work))
-            inv = 1.0 / tr.kappa
-            self._bound = _step_bound((1.0 - inv) * bound + inv * beta, 0.0)  # (d)
+            self._update_tracker(x, e.conjugate(), unit)
         if self._selective and rec is not None:
             rec.drift += inc if unit else math.inf
         self.last_s = s

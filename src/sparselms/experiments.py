@@ -327,7 +327,7 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     return spec
 
 
-# yaml is imported where a config is read or written: building a spec needs none
+# yaml is imported where a config is read or saved: building a spec needs none
 def save_spec(spec: ExperimentSpec, path) -> None:
     import yaml
 
@@ -351,7 +351,8 @@ def _spec_in(path, d, where: str = "") -> ExperimentSpec:
 
 def load_specs(path) -> list[ExperimentSpec]:
     """Load one experiment (or a list under the ``experiments`` key) from YAML.
-    A config error raises ValueError naming the file and the field."""
+    A config error raises ValueError naming the file and the field; so does a
+    repeated experiment name, since each experiment's CSVs are named after it."""
     import yaml
 
     with open(path) as f:
@@ -365,4 +366,12 @@ def load_specs(path) -> list[ExperimentSpec]:
         raise ValueError(f"{path}: config key experiments must be a list, got {entries!r}")
     if not entries:
         raise ValueError(f"{path}: config key experiments must list at least one experiment")
-    return [_spec_in(path, d, f"experiments[{i}]: ") for i, d in enumerate(entries)]
+    specs = [_spec_in(path, d, f"experiments[{i}]: ") for i, d in enumerate(entries)]
+    first = {}
+    for i, spec in enumerate(specs):
+        j = first.setdefault(spec.name, i)
+        if j != i:
+            raise ValueError(
+                f"{path}: experiments[{i}].name {spec.name!r} repeats experiments[{j}].name"
+            )
+    return specs

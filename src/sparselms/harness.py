@@ -55,7 +55,7 @@ def _rmse_rows(block: np.ndarray, sig2: float, sq: np.ndarray, out) -> None:
 
     Each row sum reduces a contiguous row of re^2 + im^2, as the 1-D sum in
     _sq_norm does, so every value is the per-step one bit for bit.  ``block``
-    and ``sq`` are preallocated work arrays; both are overwritten.
+    and ``sq`` are preallocated work arrays; the call writes over both.
     """
     rows = out.size
     f = block[:rows].view(float)  # re, im interleaved
@@ -81,8 +81,8 @@ class _RmseRows:
     row sum then gives every value bit for bit.
 
     A new K starts a block and costs a flush of the last one, the K columns'
-    indices in every row of ``sq`` and the restore of the last K's columns,
-    several dense rows' worth.  So while K changes on consecutive steps, the
+    indices in every row of ``sq`` and a reset of ``sq`` to base, several
+    dense rows' worth.  So while K changes on consecutive steps, the
     rows are taken dense until a K repeats.  A K of more than RMSE_BLOCK
     entries is taken dense until it has lasted RMSE_BLOCK steps: at N = 1000
     a new K costs about 7 us plus 0.03 us per entry, and a support row saves
@@ -103,10 +103,10 @@ class _RmseRows:
         self.start = self.rows = 0  # the block's first step and its row count
         self.kept = None  # K of the block's rows, None for dense rows
         self.values = []  # their w[K]
-        # sq holds base but for the columns ``stale`` of its first ``written``
-        # rows; stale is None when sq does not hold base.  For K = stale:
-        # w*[K], and the flat index of K in each row of sq
-        self.stale, self.written = None, 0
+        # sq holds base but for the columns ``stale``; stale is None when sq
+        # does not hold base.  For K = stale: w*[K], and the flat index of K
+        # in each row of sq
+        self.stale = None
         self.true_kept = self.at = None
         # the last step's K and the step at which it first came
         self.last, self.new_at = None, -2
@@ -160,11 +160,8 @@ class _RmseRows:
             self.stale = None
         else:
             if self.stale is not kept:
-                if self.stale is None:
-                    sq[:] = self.base
-                else:
-                    sq[:self.written, self.stale] = self.base[self.stale]
-                self.stale, self.written = kept, 0
+                sq[:] = self.base
+                self.stale = kept
                 self.true_kept = self.w_true[kept]
                 self.at = (self.row_at + kept).ravel()
             d = np.concatenate(self.values).reshape(rows, kept.size)
@@ -172,7 +169,6 @@ class _RmseRows:
             f = d.view(float)
             np.multiply(f, f, out=f)
             sq.reshape(-1)[self.at[:d.size]] = (f[:, 0::2] + f[:, 1::2]).reshape(-1)
-            self.written = max(self.written, rows)
             sq[:rows].sum(axis=1, out=out)
             out /= self.sig2
             self.values = []
@@ -209,6 +205,8 @@ class TrackingSpec:
     def __post_init__(self):
         if self.extra_sines < 0:
             raise ValueError(f"extra_sines must be >= 0, got {self.extra_sines}")
+        if len(self.phase_windows) != 2:
+            raise ValueError(f"phase_windows must have 2 items, got {len(self.phase_windows)}")
         for i, windows in enumerate(self.phase_windows):
             if windows < 1:
                 raise ValueError(f"phase_windows[{i}] must be >= 1, got {windows}")
@@ -456,7 +454,7 @@ def write_curves_csv(result: ExperimentResult, path) -> None:
 
     The bytes are a csv.writer's: a csv.writer quotes the name and label once
     per label, the numbers need no quoting, and lines end in CRLF.  Rows are
-    formatted and written CSV_CHUNK at a time.
+    formatted and saved CSV_CHUNK at a time.
     """
     fixed = {
         a.label: a.estimator.s

@@ -126,12 +126,3 @@ def noise_std(power: float, snr_db: float) -> float:
             f"snr_db must give a finite, positive noise std at signal power {power}, got {snr_db}"
         )
     return std
-
-
-def add_noise(values, snr_db: float, power: float, rng: np.random.Generator):
-    """Add white Gaussian noise with variance power / 10^(SNR/10)."""
-    values = np.asarray(values, dtype=float)
-    sigma = noise_std(power, snr_db)
-    if sigma == 0.0:
-        return values.copy()
-    return values + rng.normal(0.0, sigma, size=values.shape)

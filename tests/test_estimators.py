@@ -525,22 +525,6 @@ def _trial_estimator(monkeypatch):
     return lambda: made[-1]
 
 
-@contextmanager
-def general_steps_counted():
-    """A list that receives one entry per step that ran the general body; every
-    other step finished on the support step."""
-    calls = []
-    general = estimators.Estimator._general
-
-    def counted(self, *args):
-        calls.append(self.state.n)
-        return general(self, *args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimators.Estimator, "_general", counted)
-        yield calls
-
-
 def assert_bitwise_equal(fast, dense, e_fast, e_dense):
     assert fast.state.w.tobytes() == dense.state.w.tobytes()
     assert np.complex128(e_fast).tobytes() == np.complex128(e_dense).tobytes()
@@ -654,12 +638,12 @@ def test_support_path_needs_unit_magnitude_rows(monkeypatch):
 
 @pytest.mark.parametrize(
     "source",
-    ["copied-row", "unregistered-stream", "unregistered-table", "reassigned-x"],
+    ["copied-row", "unregistered-stream", "unregistered-table", "reassigned-x", "rebuilt-table"],
 )
 def test_support_path_takes_the_dense_rule_off_a_registered_table(monkeypatch, source):
-    # a row is a unit row only as a view of the table the estimator took (or
-    # of the one fourier_rows rebuilt, below); every other row runs the dense
-    # cut, bit for bit
+    # a row is a unit row only as a view of the table the estimator took when
+    # it was built; every other row, a row of a table that fourier_rows has
+    # rebuilt since included, runs the dense cut, bit for bit
     if source == "unregistered-stream":  # the roots fail the bound: no table is taken
         monkeypatch.setattr(sensing, "UNIT_SQ_MAG_BOUND", 1.0 - 1e-3)
     fast, dense, _ = _stable_run()
@@ -673,6 +657,9 @@ def test_support_path_takes_the_dense_rule_off_a_registered_table(monkeypatch, s
         samples = [MeasurementSample(fourier_rows(n).copy()[3], 0.25)]
     elif source == "unregistered-stream":
         samples = [streamed, copied]  # a copied row has no base to match either
+    elif source == "rebuilt-table":
+        fourier_rows.cache_clear()
+        samples = [MeasurementSample(fourier_rows(n)[3], 0.25)]
     else:
         streamed.x = streamed.x.copy()
         samples = [streamed]
@@ -681,28 +668,6 @@ def test_support_path_takes_the_dense_rule_off_a_registered_table(monkeypatch, s
         e = fast.step(smp)
         assert len(calls) == 1
         assert_bitwise_equal(fast, dense, e, dense_step(dense, smp))
-
-
-def test_support_path_takes_the_table_fourier_rows_rebuilt(monkeypatch):
-    # after fourier_rows' cache drops the estimator's table, a stream serves
-    # rows of a rebuilt one; the estimator takes that table, so its steps stay
-    # on the support path, and the old table is no longer held
-    fast, dense, _ = _stable_run()
-    n = fast.state.w.size
-    old = fourier_rows(n)
-    fourier_rows.cache_clear()
-    rows = fourier_rows(n)
-    assert rows is not old
-    rng = np.random.default_rng(11)
-    calls = _count_cuts(monkeypatch)
-    for _ in range(20):
-        x = rows[rng.integers(n)]
-        smp = MeasurementSample(x, np.vdot(fast.state.w, x) + 1e-3 * rng.standard_normal())
-        e = fast.step(smp)
-        assert len(calls) == 0
-        assert_bitwise_equal(fast, dense, e, dense_step(dense, smp))
-        calls.clear()  # the oracle's cut
-    assert fast._rows is rows and fast._table is rows
 
 
 def test_support_path_never_certifies_non_finite():
@@ -749,19 +714,20 @@ def test_support_path_reports_nan_like_the_dense_rule(variant):
 
 
 @pytest.mark.parametrize("name", ["exp2", "exp3"])
-def test_registry_trajectories_match_dense_rule(name):
+def test_registry_trajectories_match_dense_rule(monkeypatch, name):
     spec = get_experiment(name, trials=1, n=64)
+    built = _trial_estimator(monkeypatch)
     for algo in spec.algorithms:
-        with general_steps_counted() as general:
-            fast = run_trial(spec, algo, 0)
-        with dense_rule(), general_steps_counted() as dense_general:
+        fast = run_trial(spec, algo, 0)
+        general = built().general_steps
+        with dense_rule():
             dense = run_trial(spec, algo, 0)
         # the oracle takes no support step, so it is not the fast path again;
         # the fast path takes it on every hard and hard_l0 label
         steps = dense.rmse_lin_trajectory.size
-        assert len(dense_general) == steps
+        assert built().general_steps == steps
         if algo.estimator.variant in estimators.PROJECTED:
-            assert len(general) < steps, algo.label
+            assert general < steps, algo.label
         assert fast.rmse_lin_trajectory.tobytes() == dense.rmse_lin_trajectory.tobytes()
         if fast.s_trajectory is None:
             assert dense.s_trajectory is None
@@ -1486,27 +1452,15 @@ def test_exp2_support_path_mostly_skips_the_certificate(monkeypatch):
     # ran on 50 (HARD-20), 56 (HARD-40), 22 (HARD-80) and 2 (HARD-EST); the
     # record answered the rest in O(1).  Declining the record runs it on all.
     spec = get_experiment("exp2", trials=1, n=64)
-    calls = {"support": 0, "certified": 0}
-    support, certified = estimators._support, estimators._certified
-
-    def counted_support(*args):
-        kept = support(*args)
-        calls["support"] += kept is not None
-        return kept
-
-    def counted_certified(*args):
-        calls["certified"] += 1
-        return certified(*args)
-
-    monkeypatch.setattr(estimators, "_support", counted_support)
-    monkeypatch.setattr(estimators, "_certified", counted_certified)
+    built = _trial_estimator(monkeypatch)
     for algo in spec.algorithms:
         if algo.estimator.variant != "hard":
             continue
-        calls.update(support=0, certified=0)
         run_trial(spec, algo, 0)
-        assert calls["support"] > 0.9 * (spec.sensing.total_samples - algo.estimator.burn_in)
-        assert calls["certified"] < 0.15 * calls["support"], algo.label
+        est = built()
+        support = est.state.n - est.general_steps  # support steps that finished
+        assert support > 0.9 * (spec.sensing.total_samples - algo.estimator.burn_in)
+        assert est.certificate_runs < 0.15 * support, algo.label
 
 
 @pytest.mark.parametrize(
@@ -1528,11 +1482,11 @@ def test_every_active_step_but_the_dense_cuts_finishes_on_the_support_step(
     # (HARD-EST-SIMPLE) for exp4; every other active step was a dense cut
     spec = get_experiment(name, trials=1, n=64)
     algo = next(a for a in spec.algorithms if a.label == label)
+    built = _trial_estimator(monkeypatch)
     cuts = _count_cuts(monkeypatch)
-    with general_steps_counted() as general:
-        steps = run_trial(spec, algo, 0).rmse_lin_trajectory.size
+    steps = run_trial(spec, algo, 0).rmse_lin_trajectory.size
     active = steps - algo.estimator.burn_in
-    support = steps - len(general)
+    support = steps - built().general_steps
     assert support == active - len(cuts)
     assert support > share * active
 
@@ -1566,7 +1520,7 @@ def _certified_by_sort(v, c):
     return None
 
 
-_SIZES = st.integers(min_value=1, max_value=2 * estimators._SORT_MAX + 40)
+_SIZES = st.integers(min_value=1, max_value=360)
 _PLACED = st.lists(st.tuples(st.integers(min_value=0), _any_float, _any_float), max_size=4)
 _SCALES = st.sampled_from([1e-170, 1e-3, 1.0, 1e150, 1e154, 1e200])
 _C_VALUES = st.sampled_from([0j, 1e-3 + 1e-3j, 2.3e-162, 0.5, complex(math.nan, 0.0),
@@ -1576,14 +1530,14 @@ _C_VALUES = st.sampled_from([0j, 1e-3 + 1e-3j, 2.3e-162, 0.5, complex(math.nan, 
 @settings(max_examples=200, deadline=None)
 @given(size=_SIZES, seed=st.integers(min_value=0, max_value=2**32 - 1), placed=_PLACED,
        scale=_SCALES, c=_C_VALUES)
-@example(size=estimators._SORT_MAX + 1, seed=0, placed=[(10**6, math.nan, 0.0)], scale=1.0, c=0j)
-@example(size=estimators._SORT_MAX + 1, seed=1, placed=[(3, math.inf, 1.0)], scale=1.0, c=0j)
-@example(size=estimators._SORT_MAX + 1, seed=2, placed=[], scale=1e155, c=0j)
-@example(size=estimators._SORT_MAX, seed=3, placed=[(0, 1e-3, 0.0)], scale=1.0, c=1e-3 + 1e-3j)
+@example(size=161, seed=0, placed=[(10**6, math.nan, 0.0)], scale=1.0, c=0j)
+@example(size=161, seed=1, placed=[(3, math.inf, 1.0)], scale=1.0, c=0j)
+@example(size=161, seed=2, placed=[], scale=1e155, c=0j)
+@example(size=160, seed=3, placed=[(0, 1e-3, 0.0)], scale=1.0, c=1e-3 + 1e-3j)
 def test_certified_ends_match_the_sort_form(size, seed, placed, scale, c):
-    # above _SORT_MAX the ends come from argmin and argmax; (lo, top) and
-    # every refusal (a NaN, an inf, a square that overflows, an entry within
-    # reach of |c|) are the sort form's
+    # the ends come from argmin and argmax; (lo, top) and every refusal (a
+    # NaN, an inf, a square that overflows, an entry within reach of |c|)
+    # are the sort form's
     rng = np.random.default_rng(seed)
     v = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
     for at, re, im in placed:
@@ -1768,9 +1722,9 @@ def test_a_callers_complex64_iterate_follows_the_dense_rule(variant):
     w = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(np.complex64)
     fast, dense = Estimator(cfg, n), Estimator(cfg, n)
     fast.state.w, dense.state.w = w, w.copy()
-    with general_steps_counted() as general:
-        for t in rng.integers(n, size=steps):
-            sample = MeasurementSample(rows[t], float(rng.standard_normal()))
-            assert_bitwise_equal(fast, dense, fast.step(sample), dense_step(dense, sample))
-            assert fast.state.w.dtype == np.complex64 and fast.sparse_iterate() is None
-    assert len(general) == 2 * steps  # no support step on either estimator
+    for t in rng.integers(n, size=steps):
+        sample = MeasurementSample(rows[t], float(rng.standard_normal()))
+        assert_bitwise_equal(fast, dense, fast.step(sample), dense_step(dense, sample))
+        assert fast.state.w.dtype == np.complex64 and fast.sparse_iterate() is None
+    # no support step on either estimator
+    assert fast.general_steps == dense.general_steps == steps

@@ -572,6 +572,14 @@ def test_tracking_spec_validation():
         )  # windows mismatch
 
 
+@pytest.mark.parametrize("windows", [(4,), (3, 3, 2)])
+def test_tracking_spec_needs_two_phases(windows):
+    # three phases summing to the window count used to pass, and run_trial
+    # then ran the first two alone
+    with pytest.raises(ValueError, match=rf"^phase_windows must have 2 items, got {len(windows)}$"):
+        TrackingSpec(windows, 2)
+
+
 def test_tracking_spec_needs_bins_for_its_extra_sines():
     spec = dict(
         name="tiny-track",
@@ -1099,6 +1107,23 @@ def test_cli_multi_spec_writes_sweep_summary(tmp_path):
     summary = (tmp_path / "res" / "msweep_summary.csv").read_text().splitlines()
     assert summary[0] == "experiment,label,m,steady_rmse_db"
     assert len(summary) == 1 + 2 * len(specs[0].algorithms)
+
+
+def test_config_rejects_a_repeated_experiment_name(tmp_path):
+    # both experiments used to run, and the second's CSVs overwrote the first's
+    from sparselms.cli import main
+    from sparselms.experiments import save_specs
+
+    config = tmp_path / "dup.yaml"
+    names = ["sweep-a", "sweep-b", "sweep-a"]
+    save_specs([tiny_spec(trials=1, name=name) for name in names], config)
+    message = f"{config}: experiments[2].name 'sweep-a' repeats experiments[0].name"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        load_specs(config)
+    with pytest.raises(SystemExit) as stop:
+        main(["run", str(config), "--out", str(tmp_path / "res")])
+    assert stop.value.code == f"error: {message}"
+    assert list(tmp_path.iterdir()) == [config]  # nothing written
 
 
 def test_cli_verify_and_oracle_small(capsys):

@@ -7,7 +7,6 @@ import pytest
 from sparselms.sensing import fourier_rows
 from sparselms.signals import (
     SignalSpec,
-    add_noise,
     multisine,
     noise_std,
     random_bins,
@@ -87,11 +86,9 @@ def test_noise_std_examples():
 
 @pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
 def test_noise_std_rejects_infinite_noise_and_nan(snr_db):
-    # -inf dB is infinite noise, not none; add_noise inherits the check
+    # -inf dB is infinite noise, not none
     with pytest.raises(ValueError, match=rf"^snr_db must be a number or inf, got {snr_db}$"):
         noise_std(1.0, snr_db)
-    with pytest.raises(ValueError, match="snr_db"):
-        add_noise(np.zeros(3), snr_db, 1.0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("snr_db", [3100.0, -3100.0, -4000.0])
@@ -113,25 +110,6 @@ def test_noise_std_keeps_a_finite_snr_near_the_limit():
 def test_noise_std_rejects_a_nan_power():
     with pytest.raises(ValueError, match="^signal power must be positive$"):
         noise_std(math.nan, 20.0)
-
-
-def test_add_noise_infinite_snr_identity():
-    rng = np.random.default_rng(0)
-    values = np.arange(10.0)
-    np.testing.assert_array_equal(add_noise(values, math.inf, 1.0, rng), values)
-
-
-def test_add_noise_calibration():
-    # 10 unit sines -> power 5; 20 dB -> variance 0.05, checked to +/- 5%
-    rng = np.random.default_rng(123)
-    noisy = add_noise(np.zeros(100_000), 20.0, 5.0, rng)
-    assert abs(noisy.var() - 0.05) < 0.05 * 0.05
-
-
-def test_add_noise_deterministic():
-    a = add_noise(np.zeros(16), 10.0, 0.5, np.random.default_rng(9))
-    b = add_noise(np.zeros(16), 10.0, 0.5, np.random.default_rng(9))
-    np.testing.assert_array_equal(a, b)
 
 
 def test_random_bins_range_and_distinctness():
