@@ -58,17 +58,18 @@ The scalars of a step (e, e*, c = mu e* and the bounds) are Python numbers:
 complex, which are numpy's complex128 difference and product bit for bit.
 ``make_stream`` gives y as a Python float, once per window.
 
-0-d operands.  Where a step's scalar meets an array whose dtype is fixed by
-construction, it is passed as a preallocated 0-d array of the dtype numpy
-gives that scalar against the array, assigned once per step: c against a unit
-row, e* in the tracker's b = e* x on a unit row, and rho, epsilon, the 1 of
-1 + epsilon |w| and -beta against a complex128 iterate's penalty and weight
-(``_Scalars``); ``tracker_update`` does the same with 1 - 1/kappa and 1/kappa
-while err, work and b are complex128.  numpy converts a Python scalar on
-every call, which costs 0.08-0.15 us; the 0-d array gives the same bits.  An
-array whose dtype a caller chose (a row that is not a view of the table, an
-assigned iterate or err of another dtype) gets the Python number, and keeps
-numpy's dtype and bits for it.
+complex128 and 0-d operands.  The iterate and the tracker's err are
+complex128: ``prediction_error``, which every step on an assigned
+``state.w`` runs, and ``TrackerState`` raise a ValueError naming the field
+for any other dtype.  Each scalar a step passes to numpy is a preallocated
+0-d array, assigned once per step: c in c x, e* in the tracker's b = e* x,
+and rho (complex128), epsilon, the 1 of 1 + epsilon |w| and -beta (float64)
+in the penalty and its weight (``_Scalars``); ``tracker_update`` does the
+same with 1 - 1/kappa and 1/kappa.  numpy converts a Python scalar on every
+call, which costs 0.08-0.15 us; against complex128 and float64 arrays the 0-d
+array gives the same bits.  A row of another dtype (complex64, float32) meets
+a complex128 operand, so numpy widens it exactly, and the step gives the bits
+of its complex128 copy.
 
 Shapes.  ``prediction_error`` checks the row's shape against the iterate's on
 the general body; the support step checks it against the (N,) the estimator
@@ -161,47 +162,39 @@ class EstimatorState:
 def prediction_error(state: EstimatorState, sample) -> complex:
     """e(n) = y(n) - w(n)^H x(n), numpy's complex128 value as a Python complex.
 
-    e is formed as complex minus complex in Python, part by part: numpy also
-    converts a real y to complex128 exactly before it subtracts, so this is
-    numpy's bits for a float, int, complex or numpy scalar y, signed zeros
-    and NaN included (a test pins it).  A complex dot converts with its own
-    ``__complex__``, which complex() would call; a real one, a float64 that
-    has none, with complex().
+    ``state.w`` must be complex128 (native byte order), else ValueError; a
+    row of another dtype is widened exactly.  e is formed as complex minus
+    complex in Python, part by part: numpy also converts a real y to
+    complex128 exactly before it subtracts, so this is numpy's bits for a
+    float, int, complex or numpy scalar y, signed zeros and NaN included (a
+    test pins it).  The complex128 dot converts with its own ``__complex__``,
+    which complex() would call.
     """
-    if sample.x.shape != state.w.shape:
-        raise ValueError(f"regressor has shape {sample.x.shape}, expected {state.w.shape}")
-    dot = np.vdot(state.w, sample.x)
-    try:
-        dot = dot.__complex__()
-    except AttributeError:
-        dot = complex(dot)
-    return complex(sample.y) - dot
+    w = state.w
+    if w.dtype != _C128:
+        raise ValueError(f"state.w has dtype {w.dtype}, expected complex128")
+    if sample.x.shape != w.shape:
+        raise ValueError(f"regressor has shape {sample.x.shape}, expected {w.shape}")
+    return complex(sample.y) - np.vdot(w, sample.x).__complex__()
 
 
 # -- penalties g(w, k, s) ------------------------------------------------------
 #
 # Each returns a fresh array, which the step scales by k.rho in place.  k holds
-# the scalar operands (_Scalars): Python floats, or for a complex128 w, 0-d
-# arrays of the dtypes numpy gives those floats against w's arrays.
+# the scalar operands (_Scalars).
 
 
-@dataclass(frozen=True, slots=True)
 class _Scalars:
-    """A penalty's scalar operands: rho for the complex penalty, and epsilon,
-    the 1 of 1 + epsilon |w| and -beta for the real weight |w|."""
+    """A penalty's scalar operands as 0-d arrays: rho (complex128) for the
+    complex penalty, and epsilon, the 1 of 1 + epsilon |w| and -beta
+    (float64) for the real weight |w|."""
 
-    rho: object
-    epsilon: object
-    one: object
-    neg_beta: object
+    __slots__ = ("rho", "epsilon", "one", "neg_beta")
 
-    @classmethod
-    def pair(cls, rho, epsilon, beta):
-        """The Python floats, and the 0-d arrays for a complex128 iterate."""
-        plain = cls(rho, epsilon, 1.0, -beta)
-        zero_d = (np.array(v, dtype=d) for v, d in zip(
-            (rho, epsilon, 1.0, -beta), (complex, float, float, float)))
-        return plain, cls(*zero_d)
+    def __init__(self, rho, epsilon, beta):
+        self.rho = np.array(rho, dtype=complex)
+        self.epsilon, self.one, self.neg_beta = (
+            np.array(v, dtype=float) for v in (epsilon, 1.0, -beta))
 
 
 def _za(w, k, s):
@@ -502,13 +495,14 @@ class Estimator:
     step also enters, with the e, c and penalty it formed, when its
     certificate fails.  ``general_steps`` counts the steps that ran it.
 
-    An array a record is taken on (each complex128 top-s cut of hard and
-    hard_l0, sza's iterate at its first recorded cut) is read-only to callers
+    An array a record is taken on (each top-s cut of hard and hard_l0, sza's
+    iterate at its first recorded cut) is read-only to callers
     from then on: the step writes it through a private writable view, and an
     in-place write from outside raises.  Assigning a new array to ``state.w``
     is the only way in; the next step drops the records, so it runs the dense
-    rule and the full query.  A NaN, inf or huge value so assigned reaches e(n) and c, and
-    through them the dense rule.  The tracker's ``err`` is read-only to callers
+    rule and the full query.  A NaN, inf or huge value so assigned reaches
+    e(n) and c, and through them the dense rule; an array that is not
+    complex128 raises there.  The tracker's ``err`` is read-only to callers
     in the same way (``TrackerState``); an assigned one makes B unknown, which
     also sends the next budget to the full query.
     """
@@ -518,8 +512,8 @@ class Estimator:
     __slots__ = (
         "config", "state", "last_s", "full_queries", "exact_counts", "bound_counts",
         "reused_counts", "deferred_updates", "replayed_updates", "general_steps",
-        "certificate_runs", "_tracker", "_rows", "_shape", "_mu", "_rho", "_plain",
-        "_zero_d", "_c", "_e", "_burn_in", "_penalty", "_selective", "_penalty_in_burn_in",
+        "certificate_runs", "_tracker", "_rows", "_shape", "_mu", "_rho", "_k", "_c", "_e",
+        "_burn_in", "_penalty", "_selective", "_penalty_in_burn_in",
         "_rec", "_count", "_ro", "_w", "_bound", "_err", "_pending", "_fresh", "_packed",
         "_kappa0", "_defer", "_s", "_budget", "_project", "_track", "_xi", "_lam",
     )
@@ -554,8 +548,8 @@ class Estimator:
         self._mu = complex(config.mu)
         self._rho = rho = config.rho if variant in _PENALTY else 0.0
         # the penalty's scalars, and the 0-d operands of c and e* (the module
-        # docstring's "0-d operands")
-        self._plain, self._zero_d = _Scalars.pair(rho, config.epsilon, config.beta)
+        # docstring's "complex128 and 0-d operands")
+        self._k = _Scalars(rho, config.epsilon, config.beta)
         self._c, self._e = np.empty((), dtype=complex), np.empty((), dtype=complex)
         self._burn_in = config.burn_in
         self._penalty = _PENALTY.get(variant)
@@ -658,11 +652,9 @@ class Estimator:
             if self._pending:
                 self._replay()
             # b = e* x, formed in the tracker's work array
-            if unit:
-                e0 = self._e
-                e0[()] = e_conj
-                e_conj = e0
-            tracker_update(tr, np.multiply(e_conj, x, out=tr.work))
+            e0 = self._e
+            e0[()] = e_conj
+            tracker_update(tr, np.multiply(e0, x, out=tr.work))
         inv = 1.0 / tr.kappa
         self._bound = _step_bound((1.0 - inv) * bound + inv * beta, 0.0)  # (d)
         return bound, beta
@@ -678,11 +670,10 @@ class Estimator:
         """(K, w[K]) when ``state.w`` is known to be zero off K, else None.
 
         That holds while the record of the last top-s cut is on ``state.w``:
-        after each complex128 cut of hard or hard_l0 and each certified step.
-        Dense variants, sza (its record is on a dense iterate), the occupancy
-        mask, an iterate of another dtype and an assigned ``state.w`` give
-        None.  Neither array changes afterwards: a certified step stores a
-        new w[K].
+        after each cut of hard or hard_l0 and each certified step.  Dense
+        variants, sza (its record is on a dense iterate), the occupancy mask
+        and an assigned ``state.w`` give None.  Neither array changes
+        afterwards: a certified step stores a new w[K].
         """
         rec = self._rec
         if self._project is not _top_s or rec is None or self.state.w is not self._ro:
@@ -790,9 +781,8 @@ class Estimator:
         shrink = None
         if self._penalty is not None:
             # complex_sign(0) = 0, so off K the penalty is exactly zero
-            k = self._zero_d if w.dtype is _C128 else self._plain
-            shrink = self._penalty(w, k, s)
-            shrink *= k.rho
+            shrink = self._penalty(w, self._k, s)
+            shrink *= self._k.rho
         e_conj = e.conjugate()
         c = self._mu * e_conj
         abs_c = math.hypot(c.real, c.imag)
@@ -841,13 +831,11 @@ class Estimator:
             # before the penalty, which reads the same w; sza's record reads e
             e = prediction_error(st, sample)
             if self._penalty is not None and (active or self._penalty_in_burn_in):
-                w = st.w
-                k = self._zero_d if w.dtype is _C128 else self._plain
                 if self._selective:
-                    shrink = self._selective_penalty(w, s, e)
+                    shrink = self._selective_penalty(st.w, s, e)
                 else:
-                    shrink = self._penalty(w, k, s)
-                shrink *= k.rho
+                    shrink = self._penalty(st.w, self._k, s)
+                shrink *= self._k.rho
             c = self._mu * e.conjugate()
         unit = x.base is self._rows
         rec = self._rec
@@ -855,19 +843,14 @@ class Estimator:
             inc = _step_bound(math.hypot(c.real, c.imag) + self._rho, rec.top + rec.drift)
         self._count = None
         w = self._w if st.w is self._ro else st.w
-        if unit:
-            c0 = self._c
-            c0[()] = c
-            w += c0 * x
-        else:
-            w += c * x
+        c0 = self._c
+        c0[()] = c
+        w += c0 * x
         if shrink is not None:
             w -= shrink
         if active and self._project is not None:
             st.w = self._project(w, s, mask)
-            # a support step on an iterate of a caller's dtype would build on
-            # its unrounded w[K], and the dense rule on the stored one
-            if self._project is _top_s and st.w.dtype is _C128:
+            if self._project is _top_s:
                 self._own(st.w)
                 cut = np.flatnonzero(st.w)
                 self._rec = Record(cut, 0.0, -math.inf, value=st.w[cut])

@@ -20,7 +20,7 @@ import numpy as np
 from .estimators import THRESHOLDED, Estimator, EstimatorConfig
 from .sensing import SensingConfig, Windowed, make_stream
 from .signals import SignalSpec, multisine, noise_std, random_bins, signal_power, true_spectrum
-from .sparse_ops import support
+from .sparse_ops import _complex_pair, support
 from .tracker import TrackerParams
 
 DB_FLOOR = -120.0
@@ -176,9 +176,9 @@ class _RmseRows:
 
 
 def rmse(w_true: np.ndarray, w_est: np.ndarray) -> float:
-    """Relative mean-square error ||w - w_est||^2 / ||w||^2 (linear scale)."""
-    w_true = np.asarray(w_true, dtype=complex)
-    w_est = np.asarray(w_est, dtype=complex)
+    """Relative mean-square error ||w - w_est||^2 / ||w||^2 (linear scale);
+    ValueError unless both have one shape."""
+    w_true, w_est = _complex_pair(w_true, w_est)
     sig = _sq_norm(w_true)
     if sig == 0.0:
         raise ValueError("reference spectrum must be nonzero")
@@ -289,10 +289,13 @@ class ExperimentResult:
     records: dict[str, list[TrialRecord]]
 
     def steady_state_db(self, label: str, tail: int | None = None) -> float:
-        """Mean linear r-MSE over the trailing ``tail`` iterations, in dB."""
+        """Mean linear r-MSE over the trailing ``tail`` iterations, in dB;
+        ``tail`` defaults to the last tenth and must be in [1, curve size]."""
         curve = self.curves_lin[label]
         if tail is None:
             tail = max(1, curve.size // 10)
+        elif not 1 <= tail <= curve.size:
+            raise ValueError(f"tail must be in [1, {curve.size}], got tail={tail}")
         return rmse_db(float(curve[-tail:].mean()))
 
 

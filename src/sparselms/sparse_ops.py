@@ -138,17 +138,26 @@ def selective_penalty(v, s: int, keep=None) -> np.ndarray:
 
 def support(v, tol: float = 0.0) -> frozenset[int]:
     """Positions with |v_i| > tol."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    if not tol >= 0:  # NaN fails too
+        raise ValueError(f"tolerance must be nonnegative, got {tol}")
     v = np.asarray(v)
     return frozenset(int(i) for i in np.flatnonzero(np.abs(v) > tol))
+
+
+def _complex_pair(w, w_hat):
+    """w and w_hat as complex arrays; ValueError naming both shapes unless
+    they are equal, so that no pair is broadcast."""
+    w = np.asarray(w, dtype=complex)
+    w_hat = np.asarray(w_hat, dtype=complex)
+    if w.shape != w_hat.shape:
+        raise ValueError(f"reference has shape {w.shape}, estimate has shape {w_hat.shape}")
+    return w, w_hat
 
 
 def ser(w, w_hat):
     """Signal-to-error ratio ||w||^2 / ||w - w_hat||^2 (+inf for exact match);
     a float for vectors, one value per row for stacks of shape (..., n)."""
-    w = np.asarray(w, dtype=complex)
-    w_hat = np.asarray(w_hat, dtype=complex)
+    w, w_hat = _complex_pair(w, w_hat)
     sig = _sq_mag(w).sum(axis=-1)
     if not np.all(sig):
         raise ValueError("reference vector must be nonzero")
@@ -186,8 +195,7 @@ def theorem2_check(w, w_hat) -> TheoremCheck:
     """Exact support recovery: ||w - w_hat||^2 < q^2/2 forces H_s to find
     support(w), where s = ||w||_0 and q is the smallest nonzero magnitude.
     Stacks of shape (..., n) are checked row by row."""
-    w = np.asarray(w, dtype=complex)
-    w_hat = np.asarray(w_hat, dtype=complex)
+    w, w_hat = _complex_pair(w, w_hat)
     s, q2 = _sparse_stats(w)
     premise = _sq_mag(w - w_hat).sum(axis=-1) < q2 / 2.0
     conclusion = ((hard_threshold(w_hat, s) != 0) == (w != 0)).all(axis=-1)
@@ -202,8 +210,7 @@ def theorem3_check(w, w_hat, tau) -> TheoremCheck:
     tau = np.asarray(tau)
     if np.any(tau < 1):
         raise ValueError("tau must be a positive integer")
-    w = np.asarray(w, dtype=complex)
-    w_hat = np.asarray(w_hat, dtype=complex)
+    w, w_hat = _complex_pair(w, w_hat)
     s, q2 = _sparse_stats(w)
     d = s + tau
     n = w.shape[-1]

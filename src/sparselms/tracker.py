@@ -37,14 +37,15 @@ class TrackerParams:
 
 @dataclass
 class TrackerState:
-    """err is read-only to callers: an update writes it through a private view,
-    and an in-place write from outside raises.  Assigning a new array is the
-    way in; each function here that reads or writes err takes it over first.
+    """err is complex128 (native byte order), and read-only to callers: an
+    update writes it through a private view, and an in-place write from
+    outside raises.  Assigning a new array is the way in; each function here
+    that reads or writes err takes it over first, and raises ValueError if it
+    is not complex128.
 
     An update passes 1 - 1/kappa and 1/kappa as 0-d complex128 arrays, which
     give a Python float's bits against complex128 arrays without converting it
-    on every call, while err, work and b are complex128; with any other dtype
-    it passes the Python floats."""
+    on every call; a b of another dtype is widened exactly."""
 
     err: np.ndarray
     kappa: float
@@ -55,21 +56,20 @@ class TrackerState:
     # the array err was taken over as, and its writable view
     _ro: np.ndarray = field(init=False, repr=False, compare=False)
     _rw: np.ndarray = field(init=False, repr=False, compare=False)
-    # the 0-d operands 1 - 1/kappa and 1/kappa, and whether err and work are
-    # complex128
+    # the 0-d operands 1 - 1/kappa and 1/kappa
     _keep: np.ndarray = field(init=False, repr=False, compare=False)
     _inv: np.ndarray = field(init=False, repr=False, compare=False)
-    _wide: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._take()
         self.work = np.empty_like(self.err)
         self._keep, self._inv = np.empty((), dtype=complex), np.empty((), dtype=complex)
-        self._take()
 
     def _take(self):
+        if self.err.dtype != _C128:
+            raise ValueError(f"TrackerState.err has dtype {self.err.dtype}, expected complex128")
         self._ro, self._rw = self.err, self.err.view()
         self.err.flags.writeable = False
-        self._wide = self.err.dtype is _C128 and self.work.dtype is _C128
 
 
 def _own_err(state: TrackerState) -> np.ndarray:
@@ -98,12 +98,9 @@ def tracker_update(state: TrackerState, b: np.ndarray) -> TrackerState:
     err = _own_err(state)
     state.kappa = state.params.lam * state.kappa + 1.0
     inv = 1.0 / state.kappa
-    keep = 1.0 - inv
-    if state._wide and b.dtype is _C128:
-        state._keep[()], state._inv[()] = keep, inv
-        keep, inv = state._keep, state._inv
-    err *= keep
-    err -= np.multiply(b, inv, out=state.work)
+    state._keep[()], state._inv[()] = 1.0 - inv, inv
+    err *= state._keep
+    err -= np.multiply(b, state._inv, out=state.work)
     return state
 
 
@@ -114,18 +111,14 @@ def replay_updates(state: TrackerState, kappa: float, updates) -> None:
     err = _own_err(state)
     work = state.work
     lam = state.params.lam
-    wide = state._wide
     e0, keep0, inv0 = np.empty((), dtype=complex), state._keep, state._inv
     for x, e_conj in updates:
         kappa = lam * kappa + 1.0
         inv = 1.0 / kappa
-        keep = 1.0 - inv
-        if wide and x.dtype is _C128:
-            e0[()], keep0[()], inv0[()] = e_conj, keep, inv
-            e_conj, keep, inv = e0, keep0, inv0
-        np.multiply(e_conj, x, out=work)
-        err *= keep
-        err -= np.multiply(work, inv, out=work)
+        e0[()], keep0[()], inv0[()] = e_conj, 1.0 - inv, inv
+        np.multiply(e0, x, out=work)
+        err *= keep0
+        err -= np.multiply(work, inv0, out=work)
     state.kappa = kappa
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import re
 from contextlib import contextmanager
 from fractions import Fraction
@@ -83,17 +84,22 @@ def test_error_of_a_python_float_y_is_numpys_float64_minus_complex128(monkeypatc
             assert _bits(np.complex128(e)) == _bits(ref), (yk, re, im)
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
-def test_error_of_a_real_dot_is_numpys_complex_difference(dtype):
-    # a real w and x give a real numpy dot, which has no __complex__
-    w = np.array([3, -2, 1] if dtype == np.int64 else [0.75, -0.5, 0.25], dtype=dtype)
-    x = np.array([1, 5, -7], dtype=dtype)
-    dot = np.vdot(w, x)
-    assert type(dot) is dtype and not hasattr(dot, "__complex__")
-    for y in (0.75, -0.0, 2):
-        e = prediction_error(EstimatorState(w=w), MeasurementSample(x, y))
-        assert type(e) is complex
-        assert _bits(np.complex128(e)) == _bits(np.complex128(y) - np.complex128(dot)), y
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.complex64, ">c16"])
+def test_prediction_error_rejects_an_iterate_that_is_not_complex128(dtype):
+    w = np.array([0.75, -0.5, 0.25]).astype(dtype)
+    with pytest.raises(ValueError, match=re.escape(
+            f"state.w has dtype {np.dtype(dtype)}, expected complex128")):
+        prediction_error(EstimatorState(w=w), sample_of([1, 5, -7], 0.75))
+
+
+def test_prediction_error_accepts_an_unpickled_complex128_iterate():
+    # unpickling gives a dtype equal to complex128 but not numpy's own object
+    w = np.array([0.75, -0.5j, 0.25])
+    copy = pickle.loads(pickle.dumps(w))
+    assert copy.dtype is not w.dtype
+    sample = sample_of([1, 5, -7], 0.75)
+    e, want = (prediction_error(EstimatorState(w=v), sample) for v in (copy, w))
+    assert _bits(np.complex128(e)) == _bits(np.complex128(want))
 
 
 # -- single update rules, hand-computed ---------------------------------------
@@ -236,16 +242,16 @@ def _bits(a):
 )
 def test_penalties_match_the_reference_formulas_bit_for_bit(re, im, real, weight, s):
     w = np.array(re) if real else np.array(re) + 1j * np.array(im[: len(re)])
-    # the penalties' scalar operands as Python floats, and as the 0-d arrays a
-    # complex128 iterate gets; a float64 weight meets 0-d float64 arrays either way
-    for k in estimators._Scalars.pair(0.1, weight, weight):
-        with np.errstate(all="ignore"):
-            assert _bits(estimators.complex_sign(w)) == _bits(_ref_complex_sign(w))
-            assert _bits(estimators._za(w, k, None)) == _bits(_ref_complex_sign(w))
-            rza = _ref_complex_sign(w) / (1.0 + weight * np.abs(w))
-            assert _bits(estimators._rza(w, k, None)) == _bits(rza)
-            l0 = _ref_complex_sign(w) * np.exp(-weight * np.abs(w))
-            assert _bits(estimators._l0(w, k, None)) == _bits(l0)
+    # the penalties' scalar operands, as the 0-d arrays a step passes, against
+    # the reference formulas' Python floats
+    k = estimators._Scalars(0.1, weight, weight)
+    with np.errstate(all="ignore"):
+        assert _bits(estimators.complex_sign(w)) == _bits(_ref_complex_sign(w))
+        assert _bits(estimators._za(w, k, None)) == _bits(_ref_complex_sign(w))
+        rza = _ref_complex_sign(w) / (1.0 + weight * np.abs(w))
+        assert _bits(estimators._rza(w, k, None)) == _bits(rza)
+        l0 = _ref_complex_sign(w) * np.exp(-weight * np.abs(w))
+        assert _bits(estimators._l0(w, k, None)) == _bits(l0)
     assert not estimators.complex_sign(np.array([math.nan, complex(math.nan, 1.0)])).any()
     s = min(s, w.size)
     if np.isfinite(w).all():
@@ -1624,107 +1630,64 @@ def _caller_rows(n, dtype, count, seed):
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.float32])
-@pytest.mark.parametrize("variant", ["lms", "za", "rza", "l0"])
-def test_a_row_of_a_callers_dtype_gets_the_python_scalars(variant, dtype):
-    # c x and the tracker's e* x in the row's own precision, as numpy makes
-    # them for a Python c or e*: a 0-d complex128 c would make them complex128
+@pytest.mark.parametrize("variant", ["lms", "za", "rza", "l0", "hard"])
+def test_a_row_of_a_callers_dtype_gives_its_complex128_copys_bits(variant, dtype):
+    # the row meets complex128 operands (the iterate, c and e*), so numpy
+    # widens it exactly: the step, and the tracked hard estimator's b = e* x,
+    # see its complex128 copy
     n = 8
+    params = TrackerParams(lam=0.9, xi=1.0, q_star=0.05) if variant == "hard" else None
     cfg = EstimatorConfig(variant, mu=0.5 / n, rho=1e-3, beta=2.0, epsilon=3.0)
-    est = Estimator(cfg, n)
-    plain = estimators._Scalars.pair(cfg.rho, cfg.epsilon, cfg.beta)[0]
-    penalty = estimators._PENALTY.get(variant)
-    w = np.zeros(n, dtype=complex)
+    caller, copy = Estimator(cfg, n, params), Estimator(cfg, n, params)
     rng = np.random.default_rng(3)
     for x in _caller_rows(n, dtype, 40, seed=4):
         y = float(rng.standard_normal())
-        e = est.step(MeasurementSample(x, y))
-        ref_e = complex(y) - complex(np.vdot(w, x))
-        shrink = None if penalty is None else penalty(w, plain, None) * cfg.rho
-        w += (complex(cfg.mu) * ref_e.conjugate()) * x
-        if shrink is not None:
-            w -= shrink
-        assert _bits(np.complex128(e)) == _bits(np.complex128(ref_e))
-        assert est.state.w.dtype == complex and _bits(est.state.w) == _bits(w)
+        e = caller.step(MeasurementSample(x, y))
+        assert_bitwise_equal(caller, copy, e, copy.step(MeasurementSample(x.astype(complex), y)))
+        if params is not None:
+            assert _bits(caller.tracker.err) == _bits(copy.tracker.err)
+    assert caller.state.w.dtype == complex
 
 
-@pytest.mark.parametrize("dtype", [np.complex64, np.float32])
-def test_a_tracked_row_of_a_callers_dtype_gets_the_python_e_conj(dtype):
-    n = 8
-    params = TrackerParams(lam=0.9, xi=1.0, q_star=0.05)
-    est = Estimator(EstimatorConfig("hard", mu=0.5 / n), n, params)
-    ref = make_tracker(params, n)
-    rng = np.random.default_rng(6)
-    for x in _caller_rows(n, dtype, 30, seed=7):
-        e = est.step(MeasurementSample(x, float(rng.standard_normal())))
-        tracker_update(ref, np.multiply(e.conjugate(), x, out=ref.work))
-        assert _bits(est.tracker.err) == _bits(ref.err)
-    assert est.tracker.err.dtype == complex
+_OTHER_DTYPES = [np.dtype(np.complex64), np.dtype(np.float64), np.dtype(">c16")]
 
 
-def test_an_assigned_complex64_err_keeps_its_dtype_and_bits():
-    # 1 - 1/kappa and 1/kappa stay Python floats against a complex64 err: a
-    # 0-d complex128 operand would round each product twice
+def _as(w, dtype):
+    """w in dtype, its real part where dtype is real."""
+    return (w if dtype.kind == "c" else w.real).astype(dtype)
+
+
+@pytest.mark.parametrize("variant", ["za", "rza", "l0", "hard", "hard_l0"])
+def test_an_assigned_iterate_of_another_dtype_raises_at_the_next_step(variant):
+    # complex128 is the iterate's one dtype: a dense variant meets the
+    # assigned array at prediction_error, and so do hard and hard_l0, whose
+    # support record the assignment drops
+    n = 16
+    rows = fourier_rows(n)
+    s = 3 if variant in estimators.THRESHOLDED else None
+    cfg = EstimatorConfig(variant, mu=0.5 / n, rho=1e-2, s=s)
+    for dtype in _OTHER_DTYPES:
+        est = Estimator(cfg, n)
+        for t in range(4):
+            est.step(MeasurementSample(rows[t], 0.5))
+        assert (est.sparse_iterate() is not None) == (variant in estimators.PROJECTED)
+        est.state.w = _as(est.state.w, dtype)
+        with pytest.raises(ValueError, match=re.escape(
+                f"state.w has dtype {dtype}, expected complex128")):
+            est.step(MeasurementSample(rows[5], 0.5))
+        assert est.state.n == 4
+
+
+def test_an_assigned_err_of_another_dtype_raises_at_the_next_step():
     n = 16
     params = TrackerParams(lam=0.95, xi=1.0, q_star=0.05)
     est = Estimator(EstimatorConfig("hard", mu=0.5 / n), n, params)
     rows = fourier_rows(n)
-    rng = np.random.default_rng(8)
-    est.tracker.err = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(np.complex64)
-    err = est.tracker.err.copy()
-    kappa = est.tracker.kappa
-    for t in rng.integers(n, size=30):
-        e = est.step(MeasurementSample(rows[t], float(rng.standard_normal())))
-        kappa = params.lam * kappa + 1.0
-        inv = 1.0 / kappa
-        err *= 1.0 - inv
-        err -= np.multiply(e.conjugate() * rows[t], inv)
-        assert est.tracker.err.dtype == np.complex64
-        assert _bits(est.tracker.err) == _bits(err)
-
-
-@pytest.mark.parametrize("variant", ["za", "rza", "l0"])
-def test_an_iterate_of_a_callers_dtype_gets_the_python_scalars(variant):
-    # an assigned complex64 iterate gives a float32 weight and a complex64
-    # penalty, which meet rho, epsilon, 1 and -beta as Python floats: in their
-    # own precision, as numpy rounds those floats
-    n = 16
-    rows = fourier_rows(n)
-    # epsilon and beta round in float32
-    cfg = EstimatorConfig(variant, mu=0.5 / n, rho=1e-2, beta=0.7, epsilon=0.3)
-    plain = estimators._Scalars.pair(cfg.rho, cfg.epsilon, cfg.beta)[0]
-    penalty = estimators._PENALTY[variant]
-    rng = np.random.default_rng(10)
-    est = Estimator(cfg, n)
-    est.state.w = (rng.standard_normal(n) * (1 + 2j)).astype(np.complex64)
-    w = est.state.w.copy()
-    for t in rng.integers(n, size=40):
-        y = float(rng.standard_normal())
-        e = est.step(MeasurementSample(rows[t], y))
-        ref_e = complex(y) - complex(np.vdot(w, rows[t]))
-        shrink = penalty(w, plain, None)
-        shrink *= cfg.rho
-        w += (complex(cfg.mu) * ref_e.conjugate()) * rows[t]
-        w -= shrink
-        assert _bits(np.complex128(e)) == _bits(np.complex128(ref_e))
-        assert est.state.w.dtype == np.complex64 and _bits(est.state.w) == _bits(w)
-
-
-@pytest.mark.parametrize("variant", ["hard", "hard_l0"])
-def test_a_callers_complex64_iterate_follows_the_dense_rule(variant):
-    # a cut of an assigned complex64 iterate takes no support record: a
-    # support step would build on its unrounded complex128 w[K], where the
-    # dense rule builds on the stored, rounded one and, for hard_l0, rounds
-    # after the gradient step and again after the penalty
-    n, steps = 16, 40
-    rows = fourier_rows(n)
-    cfg = EstimatorConfig(variant, mu=0.5 / n, rho=1e-2, s=3)
-    rng = np.random.default_rng(3)
-    w = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(np.complex64)
-    fast, dense = Estimator(cfg, n), Estimator(cfg, n)
-    fast.state.w, dense.state.w = w, w.copy()
-    for t in rng.integers(n, size=steps):
-        sample = MeasurementSample(rows[t], float(rng.standard_normal()))
-        assert_bitwise_equal(fast, dense, fast.step(sample), dense_step(dense, sample))
-        assert fast.state.w.dtype == np.complex64 and fast.sparse_iterate() is None
-    # no support step on either estimator
-    assert fast.general_steps == dense.general_steps == steps
+    for t in range(4):
+        est.step(MeasurementSample(rows[t], 0.5))
+    assert est.sparse_iterate() is not None
+    est.tracker.err = est.tracker.err.astype(np.complex64)
+    with pytest.raises(ValueError, match=re.escape(
+            "TrackerState.err has dtype complex64, expected complex128")):
+        est.step(MeasurementSample(rows[5], 0.5))
+    assert est.state.n == 4

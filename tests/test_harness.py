@@ -87,6 +87,12 @@ def test_rmse_zero_reference_rejected():
         rmse([0.0, 0.0], [1.0, 0.0])
 
 
+def test_rmse_rejects_mismatched_shapes():
+    # broadcasting would compare every entry with the one estimate, and give 1.0
+    with pytest.raises(ValueError, match=re.escape("shape (3,), estimate has shape (1,)")):
+        rmse(np.ones(3), np.zeros(1))
+
+
 # -- divergence guard and LMS floor ----------------------------------------------
 
 
@@ -523,6 +529,19 @@ def test_summary_and_gnuplot_outputs(tmp_path):
     dat = (tmp_path / "curves.dat").read_text().splitlines()
     assert dat[0].startswith("# iteration")
     assert len(dat) == 1 + tiny_spec().sensing.total_samples
+
+
+def test_steady_state_tail_must_lie_within_the_curve(tmp_path):
+    curve = np.array([1.0, 1.0, 1e-3, 1e-3])
+    spec = SimpleNamespace(name="tails", trials=1)
+    res = harness.ExperimentResult(spec, {"a": curve}, {"a": rmse_db(curve)}, {"a": None}, {})
+    assert res.steady_state_db("a", 1) == res.steady_state_db("a", 2) == pytest.approx(-30.0)
+    assert res.steady_state_db("a", 4) == pytest.approx(rmse_db(curve.mean()))
+    for tail in (0, -1, 5):
+        with pytest.raises(ValueError, match=re.escape(f"tail must be in [1, 4], got tail={tail}")):
+            res.steady_state_db("a", tail)
+        with pytest.raises(ValueError, match="tail"):
+            write_summary_csv(res, tmp_path / "summary.csv", tail)
 
 
 def test_monotone_sanity_noiseless_full_sampling():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -369,8 +370,9 @@ def test_support_tolerance():
 
 
 def test_support_negative_tol_rejected():
-    with pytest.raises(ValueError):
-        support([1.0], tol=-1.0)
+    for tol in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            support([1.0], tol=tol)
 
 
 # -- SER ----------------------------------------------------------------------
@@ -387,6 +389,18 @@ def test_ser_exact_estimate():
 def test_ser_zero_reference_rejected():
     with pytest.raises(ValueError):
         ser([0.0, 0.0], [1.0, 0.0])
+
+
+def test_pairs_of_mismatched_shapes_are_rejected():
+    # broadcasting would give ser(ones(3), zeros(1)) = 1.0, and check every
+    # row of a stack against one vector
+    message = re.escape("reference has shape (3,), estimate has shape (1,)")
+    for check in (ser, theorem2_check, lambda w, w_hat: theorem3_check(w, w_hat, 1)):
+        with pytest.raises(ValueError, match=message):
+            check(np.ones(3), np.zeros(1))
+    stack = re.escape("reference has shape (4,), estimate has shape (2, 4)")
+    with pytest.raises(ValueError, match=stack):
+        theorem2_check([1.0, 0.0, 0.0, 0.0], np.zeros((2, 4)))
 
 
 def test_ser_exceeds_2s_under_theorem2_premise():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from sparselms.sensing import RepeatedPass, SensingConfig, fourier_rows, make_st
 from sparselms.signals import SignalSpec, multisine, true_spectrum
 from sparselms.tracker import (
     TrackerParams,
+    TrackerState,
     corrected_estimate,
     estimate_sparsity,
     make_tracker,
@@ -171,31 +174,47 @@ def test_tracker_converges_to_error_under_unit_forgetting():
     assert estimate_sparsity(tracker, w_hat) == 4
 
 
-@pytest.mark.parametrize("err_dtype", [np.complex128, np.complex64])
-def test_an_update_keeps_the_python_floats_bits_for_any_err(err_dtype):
+@pytest.mark.parametrize("b_dtype", [np.complex128, np.complex64])
+def test_an_update_keeps_the_python_floats_bits_for_any_err(b_dtype):
     # tracker_update and replay_updates pass 1 - 1/kappa and 1/kappa as 0-d
-    # complex128 arrays only while err, work and b are complex128; an assigned
-    # complex64 err, or a complex64 b, gets the Python floats
+    # complex128 arrays, which give the Python floats' bits; a complex64 b is
+    # widened exactly, so it gives the bits of its complex128 copy
     rng = np.random.default_rng(9)
     rows = fourier_rows(8)
-    start = (rng.standard_normal(8) + 1j * rng.standard_normal(8)).astype(err_dtype)
+    start = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     updates = [(rows[rng.integers(8)], complex(*rng.standard_normal(2))) for _ in range(6)]
-    eager, replayed, narrow_b = (make_tracker(TrackerParams(lam=0.9), 8) for _ in range(3))
-    for tr in (eager, replayed, narrow_b):
+    eager, replayed = (make_tracker(TrackerParams(lam=0.9), 8) for _ in range(2))
+    for tr in (eager, replayed):
         tr.err = start.copy()
-    err, narrow_err, kappa = start.copy(), start.copy(), 0.0
+    err, err_b, kappa = start.copy(), start.copy(), 0.0
     for x, e_conj in updates:
         kappa = 0.9 * kappa + 1.0
         inv = 1.0 / kappa
         b = e_conj * x
+        narrow = b.astype(b_dtype)
         err *= 1.0 - inv
         err -= np.multiply(b, inv)
-        tracker_update(eager, b)
-        b64 = b.astype(np.complex64)
-        narrow_err *= 1.0 - inv
-        narrow_err -= np.multiply(b64, inv)
-        tracker_update(narrow_b, b64)
+        err_b *= 1.0 - inv
+        err_b -= np.multiply(narrow.astype(complex), inv)
+        tracker_update(eager, narrow)
     replay_updates(replayed, 0.0, iter(updates))
-    for tr, want in ((eager, err), (replayed, err), (narrow_b, narrow_err)):
-        assert tr.err.dtype == err_dtype
+    for tr, want in ((eager, err_b), (replayed, err)):
+        assert tr.err.dtype == complex
         assert tr.err.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.float64, ">c16"])
+def test_an_err_that_is_not_complex128_is_rejected(dtype):
+    params = TrackerParams()
+    err = np.zeros(3, dtype=dtype)
+    message = re.escape(f"TrackerState.err has dtype {np.dtype(dtype)}, expected complex128")
+    with pytest.raises(ValueError, match=message):
+        TrackerState(err=err, kappa=0.0, params=params)
+    st = make_tracker(params, 3)
+    st.err = err
+    for call in (lambda: tracker_update(st, np.ones(3, dtype=complex)),
+                 lambda: replay_updates(st, 0.0, iter(())),
+                 lambda: corrected_estimate(st, np.ones(3, dtype=complex))):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert st.kappa == 0.0
