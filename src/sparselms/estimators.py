@@ -1,7 +1,18 @@
 """Single-sample online estimators: LMS and its six sparsity-aware variants.
 
 Every variant is one update rule, w <- P(w + mu e* x - rho g(w)), with the
-a-priori error e(n) = y(n) - w(n)^H x(n).  A step runs, in this order:
+a-priori error e(n) = y(n) - w(n)^H x(n).  The signal is real, so the
+spectrum is conjugate-symmetric and the estimator holds w, the tracker's
+error and the rows on bins 0..N/2 alone (``sensing.half_size``): over the
+full spectrum w^H x sums conj(w_k) x_k and its conjugate for each pair
+{k, N - k}, so
+
+    e = y - (2 Re sum_k conj(w_k) x_k - Re conj(w_0) x_0 - [N even] Re conj(w_m) x_m),
+
+m = N/2, is real (``prediction_error``), and so are c = mu e and the
+tracker's b = e x; the penalties are elementwise, and every step keeps the
+iterate the half of a conjugate-symmetric spectrum.  A step runs, in this
+order:
 
 1. budget: the fixed ``s``, the tracker's count, or the tracker's occupancy
    mask, computed once from the pre-update iterate w(n);
@@ -10,6 +21,21 @@ a-priori error e(n) = y(n) - w(n)^H x(n).  A step runs, in this order:
 4. shrink: w -= rho g;
 5. projection P: none, top-s (coefficients outside the kept set are exactly
    zero) or the occupancy mask, falling back to top-s when the mask is empty.
+
+Budgets are in full-spectrum bins: s, the tracker's count and the range
+[1, N].  The top-s cut (``_top_s``, and sza's set in ``_top_cut``) is
+keep_mask's rule on the full spectrum's N squared magnitudes, the stored
+ones with each interior bin's again for its mirror (``_mirrored``): the
+threshold is the s-th largest, counting each interior bin twice, and every
+tie is kept, so a pair is kept or cut whole.  On an even s that falls
+between pairs, K holds s full bins; when the s-th largest is the first
+copy of an interior bin (an odd s above no self-conjugate bin), its pair
+ties with it and K holds s + 1; bin 0 and, for even N, bin N/2 have one
+copy each and can make K's count odd.  The support path takes a budget
+equal to K's full count W(K) (``Record.size``), or one less, where the cut
+keeps K only while its least m2 has two copies: while no self-conjugate
+bin of K is below K's least interior bin (``_spare_kept``).  sza's set
+record is taken only at a strict gap, so W(K) = s.
 
 The variant fixes the penalty (``_PENALTY``) and whether a projection runs
 (``hard`` and ``hard_l0``); the README tabulates both.
@@ -29,7 +55,7 @@ with a strict gap (``set_kept``).  Every path gives the dense rule's results
 bit for bit; the derivation is above ``Record``.
 
 Deferred tracker updates.  After a count decided from |w[K]|, until the next
-exact count or full query, a tracked step on a unit row appends (x, e*) to a
+exact count or full query, a tracked step on a unit row appends (x, e) to a
 pending list and advances kappa and B in O(1).  Every read of the error (the
 full query, an exact count and ``Estimator.tracker``; an estimator with the
 occupancy mask never counts, so never defers) first replays the pending
@@ -49,20 +75,22 @@ the general body: the dense rule above.  Both end on ``_update_tracker``.
 Unit rows.  The bounds below need every computed |x_k|^2 <= 1 + 4u.  An
 estimator takes the table of rows that meet it from ``sensing.unit_rows``
 once, when it is built, and a step's row is a unit row when it is a view of
-that table (``x.base is self._rows``).  Any other row takes the dense rule,
+that table (``x.base is self._rows``), as the stored bins of a table row
+that ``make_stream`` yields are.  Any other row takes the dense rule,
 and makes the bounds it would advance infinite; so does a row of a table
 that ``fourier_rows`` rebuilt after its cache dropped the estimator's.
 
-The scalars of a step (e, e*, c = mu e* and the bounds) are Python numbers:
-``prediction_error`` forms e as complex minus complex, and c as complex x
-complex, which are numpy's complex128 difference and product bit for bit.
-``make_stream`` gives y as a Python float, once per window.
+The scalars of a step (e, c = mu e and the bounds) are Python floats:
+``prediction_error`` forms e from the complex128 dot and the end bins'
+products in Python floats.  ``make_stream`` gives y as a Python float, once
+per window; a y of another real type is converted exactly, and a complex y
+whose imaginary part is not zero raises a ValueError naming y.
 
 complex128 and 0-d operands.  The iterate and the tracker's err are
 complex128: ``prediction_error``, which every step on an assigned
 ``state.w`` runs, and ``TrackerState`` raise a ValueError naming the field
 for any other dtype.  Each scalar a step passes to numpy is a preallocated
-0-d array, assigned once per step: c in c x, e* in the tracker's b = e* x,
+0-d array, assigned once per step: c in c x, e in the tracker's b = e x,
 and rho (complex128), epsilon, the 1 of 1 + epsilon |w| and -beta (float64)
 in the penalty and its weight (``_Scalars``); ``tracker_update`` does the
 same with 1 - 1/kappa and 1/kappa.  numpy converts a Python scalar on every
@@ -71,21 +99,20 @@ array gives the same bits.  A row of another dtype (complex64, float32) meets
 a complex128 operand, so numpy widens it exactly, and the step gives the bits
 of its complex128 copy.
 
-Shapes.  ``prediction_error`` checks the row's shape against the iterate's on
-the general body; the support step checks it against the (N,) the estimator
-holds, since state.w then holds the record.
+Shapes.  ``prediction_error`` checks the iterate's shape and the row's
+against (N//2 + 1,) on the general body; the support step checks the row's,
+since state.w then holds the record.  A full row of length N raises.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sensing import unit_rows
+from .sensing import full_count, half_size, unit_rows
 from .sparse_ops import complex_sign, hard_threshold, keep_mask, selective_penalty
 from .tracker import (
     TrackerParams,
@@ -159,23 +186,52 @@ class EstimatorState:
         return cls(w=np.zeros(n_dim, dtype=complex))
 
 
-def prediction_error(state: EstimatorState, sample) -> complex:
-    """e(n) = y(n) - w(n)^H x(n), numpy's complex128 value as a Python complex.
+def _real(y) -> float:
+    """y as a Python float; a y whose imaginary part is not zero (NaN
+    included) raises ValueError naming y."""
+    if y.imag != 0:
+        raise ValueError(f"y has a nonzero imaginary part, got {y!r}; a real signal's samples are real")
+    return float(y.real)
 
-    ``state.w`` must be complex128 (native byte order), else ValueError; a
-    row of another dtype is widened exactly.  e is formed as complex minus
-    complex in Python, part by part: numpy also converts a real y to
-    complex128 exactly before it subtracts, so this is numpy's bits for a
-    float, int, complex or numpy scalar y, signed zeros and NaN included (a
-    test pins it).  The complex128 dot converts with its own ``__complex__``,
-    which complex() would call.
+
+def _error(w, x, y, even) -> float:
+    """e = y - w^H x over the full spectrum, from the stored bins 0..N/2 of a
+    conjugate-symmetric w and x: each interior bin's term counts twice,
+    Re conj(w_0) x_0 and, for even N, Re conj(w_m) x_m once.
+
+    The dot is numpy's complex128 vdot over all stored bins, converted with
+    its own ``__complex__``; the end bins' terms are Python complex products,
+    and the sum is formed in that order.
     """
-    w = state.w
+    wx = 2.0 * np.vdot(w, x).__complex__().real - (w.item(0).conjugate() * x.item(0)).real
+    if even:
+        wx -= (w.item(-1).conjugate() * x.item(-1)).real
+    return y - wx
+
+
+def prediction_error(state: EstimatorState, sample, n: int) -> float:
+    """e(n) = y(n) - w(n)^H x(n) for window length N, a Python float.
+
+    ``state.w`` and the row hold bins 0..N/2 (``sensing.half_size``) of the
+    conjugate-symmetric spectrum and a row of it; ``state.w`` must be
+    complex128 (native byte order), and a row of another dtype is widened
+    exactly.  Either of another shape, or an iterate of another dtype,
+    raises ValueError naming it, and so does a complex y whose imaginary part
+    is not zero (``_error`` gives the arithmetic).
+    """
+    return _checked_error(state.w, sample, (half_size(n),), n % 2 == 0)
+
+
+def _checked_error(w, sample, shape, even) -> float:
+    """prediction_error on the iterate w, with the stored bins' shape."""
     if w.dtype != _C128:
         raise ValueError(f"state.w has dtype {w.dtype}, expected complex128")
-    if sample.x.shape != w.shape:
-        raise ValueError(f"regressor has shape {sample.x.shape}, expected {w.shape}")
-    return complex(sample.y) - np.vdot(w, sample.x).__complex__()
+    if w.shape != shape:
+        raise ValueError(f"state.w has shape {w.shape}, expected {shape}")
+    x, y = sample.x, sample.y
+    if x.shape != shape:
+        raise ValueError(f"regressor has shape {x.shape}, expected {shape}")
+    return _error(w, x, y if type(y) is float else _real(y), even)
 
 
 # -- penalties g(w, k, s) ------------------------------------------------------
@@ -222,26 +278,30 @@ def _l0(w, k, s):
     return g
 
 
-def _selective(w, k, s):
-    """Sign penalty only off the top-s support."""
-    return selective_penalty(w, s)
+# sza's penalty, the sign off its top-s set, is Estimator._selective_penalty
+_PENALTY = {"za": _za, "rza": _rza, "l0": _l0, "hard_l0": _l0}
+
+# -- projections P(w, s, mask, n) ----------------------------------------------
 
 
-_PENALTY = {"za": _za, "rza": _rza, "l0": _l0, "sza": _selective, "hard_l0": _l0}
-
-# -- projections P(w, s, mask) -------------------------------------------------
-
-
-def _top_s(w, s, mask):
-    return hard_threshold(w, s)
+def _mirrored(w, n):
+    """The full spectrum's N entries up to conjugation, whose magnitudes are
+    all a top-s cut reads: w's stored bins, then its interior bins 1..N - h
+    again for their mirrors."""
+    return np.concatenate((w, w[1:n - w.size + 1]))
 
 
-def _occupancy(w, s, mask):
+def _top_s(w, s, mask, n):
+    """hard_threshold over the full spectrum, on the stored bins: pair-closed."""
+    return hard_threshold(_mirrored(w, n), s)[:w.size]
+
+
+def _occupancy(w, s, mask, n):
     # the passing set becomes the next support
     if mask.any():
         w[~mask] = 0
         return w
-    return hard_threshold(w, s)
+    return _top_s(w, s, mask, n)
 
 
 # -- records -------------------------------------------------------------------
@@ -249,7 +309,13 @@ def _occupancy(w, s, mask):
 # u = 2^-53, r = sqrt(_TINY), and m2 = fl(re^2 + im^2) as in keep_mask, which
 # is |v|^2 within a relative 3u, or an absolute _TINY below the normal range.
 # Unit rows (sensing.unit_rows) have computed |x_k|^2 <= 1 + 4u, so
-# |x_k| <= 1 + 3u.
+# |x_k| <= 1 + 3u.  K and every bound below are on the stored bins 0..N/2.  A
+# cut reads the full spectrum's N squares, in which each stored bin's m2
+# appears once or twice (weight 2 on interior bins, 1 on bin 0 and, for even
+# N, bin N/2), so an argument that places each m2 of K above each m2 off K
+# places the N squares the same way; and a count is a sum of weights over
+# per-bin tests, so an argument that keeps each bin's test keeps the count.
+# c = mu e and e are real; the bounds below hold for any complex c and e.
 #
 # Off K.  After a top-s cut w is zero off K, so off K the next dense update
 # holds fl(c x_k), c = a + ib.  With c2 = fl(a^2 + b^2):
@@ -259,8 +325,9 @@ def _occupancy(w, s, mask):
 # so every off-K m2 is at most c2 (1 + 16u), about 1.8e-15 relative.  _DELTA
 # leaves a wide margin over that and over the comparison's own rounding, and
 # _TINY covers squares below the normal range.  If min m2(v) on K beats the
-# bound (_certified), the |K| largest entries of the dense update are exactly
-# K, and keep_mask returns K.
+# bound (_certified), the W(K) largest of the N squares of the dense update
+# are K's, W(K) = Record.size the weight sum of K; with s = W(K) the s-th
+# largest is K's least m2, and the cut returns K.
 #
 # The move lemma.  A step stores fl(fl(w_k + fl(c x_k)) - fl(rho g_k)), with
 # |fl(c x_k)| <= |c| (1 + 6.1u) and |g_k| <= 1 + 4u (v / fl(|v|), or 0); each
@@ -291,16 +358,17 @@ def _occupancy(w, s, mask):
 # dense rule.
 #
 # (b) Set kept (sza).  An exact cut (_top_cut) with K = {m2 >= hi} and every
-# other m2 <= lo < hi (|K| = s, no tie) records top = sqrt(max m2) + r.  Every
+# other m2 <= lo < hi (no tie among the N squares, so W(K) = s and no pair is
+# split) records top = sqrt(max m2) + r.  Every
 # |w_k| on K is at least sqrt(hi)(1 - 2u) - r, every other at most
 # sqrt(lo)(1 + 2u) + r, all at most top, up to a relative 2u.  After a drift D
 # the computed m2 keep that order, and keep_mask(w, s) returns K, when
 #   2D + _DELTA D < gap = sqrt(hi) - sqrt(lo) - _DELTA top - 8 r
 # (terms relative to top cover the roundings of the square roots and of gap).
 #
-# (c) Count reusable.  A tracker budget counts #{k : a_k > q*}, a_k the computed
-# |w_k - xi err_k|.  On the cut's array, while (d) shows that no entry off K
-# passes, support_count over K is the full count; it also gives the slack
+# (c) Count reusable.  A tracker budget counts sum {weight_k : a_k > q*}, a_k
+# the computed |w_k - xi err_k|.  On the cut's array, while (d) shows that no
+# entry off K passes, support_count over K is the full count; it also gives the slack
 # sigma, the smallest |a_k - q*| on K.  Let t_k = |w_k - xi err_k| exactly, on
 # the stored floats, and d_k = |a_k - q*| >= sigma / (1 + u).  With l0's
 # |g_k| <= 1 + 3u, inv = 1/kappa, B the bound (d) before the update and
@@ -314,8 +382,8 @@ def _occupancy(w, s, mask):
 # D < sigma after n steps, the terms absolute or relative to q* and xi B sum
 # to less than sigma (1 - (n + 1) _DELTA), and t_k <= q* + d_k + sigma leaves
 # terms relative to d_k below (9 + 3n) u d_k, under the (n + 1) _DELTA d_k to
-# spare: every a_k stays on its side of q*, and so does the count.  A NaN
-# sigma, B or D fails every comparison.
+# spare: every a_k stays on its side of q*, and so does the weighted count.
+# A NaN sigma, B or D fails every comparison.
 #
 # (d) Error bound.  B bounds max_k |err_k|, and is 0 on a fresh tracker.  An
 # update stores fl(fl(keep err_k) - fl(inv b_k)), keep = 1 - inv, and on a
@@ -336,7 +404,7 @@ def _occupancy(w, s, mask):
 # If the smallest computed d_k, times (1 - _DELTA), exceeds
 # _step_bound(xi B, q*), the _DELTA terms cover the 6u terms and the test's
 # own roundings, and every a_k is on m_k's side of q*, at least that excess
-# away: the count over K is #{m_k > q*}, and err is not read.  The excess is
+# away: the count over K is sum {weight_k : m_k > q*}, and err is not read.  The excess is
 # a lower bound on (c)'s sigma, and (c)'s argument holds for any such bound.
 # A NaN m_k decides nothing.  An m_k that overflows to inf has |w_k| near the
 # largest float, and |p_k| < q* (off K's test), so a_k > q* too while
@@ -350,7 +418,7 @@ _GROW = 1.0 + _DELTA
 _TINY = float(np.finfo(float).tiny)
 _ROOT_TINY = math.sqrt(_TINY)
 _ROOT_MAX = math.sqrt(float(np.finfo(float).max)) * (1.0 - _DELTA)
-# deferred e* values per packed complex128 array
+# deferred e values per packed float64 array
 _PACK = 1024
 _C128 = np.dtype(complex)
 # (e) is tried only while its reach is below this share of q*.  Past it, the
@@ -375,7 +443,9 @@ class Record:
     ``kept`` is K, ``top`` bounds the magnitudes on K, ``margin`` is what the
     check left to spend (lo, the gap or the slack) and ``drift`` D bounds how
     far any magnitude on K has moved since.  ``value`` is what the step reuses:
-    the support's w[K], or the count.
+    the support's w[K], or the count.  On a cut's record, ``size`` is K's
+    count of full-spectrum bins, and ``inner`` the slice of K's interior bins
+    when K holds bin 0 or N/2, else None.
     """
 
     kept: np.ndarray
@@ -383,6 +453,8 @@ class Record:
     margin: float
     drift: float = 0.0
     value: object = None
+    size: int = 0
+    inner: slice | None = None
 
     def support_kept(self, abs_c) -> bool:
         """(a): _certified passes on this step's v, with the drift advanced."""
@@ -418,31 +490,52 @@ def _certified(v, c):
     return None
 
 
-def _top_cut(w, s):
-    """keep_mask(w, s) from one partition, and the record of that cut when K
-    is separated by a strict gap, else None."""
-    n = w.size
+def _top_cut(w, s, n):
+    """keep_mask(_mirrored(w, n), s) on the stored bins, from one partition,
+    and the record of that cut when K is separated by a strict gap, else
+    None."""
     m2 = w.real * w.real + w.imag * w.imag
     # keep_mask's own check: it names a NaN or inf, and a huge finite w, whose
     # squares may overflow, keeps no record
     if s == n or not math.isfinite(m2.dot(m2)):
-        return keep_mask(w, s), None
-    part = np.partition(m2, sorted({n - s - 1, n - s, n - 1}))
+        return keep_mask(_mirrored(w, n), s)[:w.size], None
+    part = np.partition(_mirrored(m2, n), sorted({n - s - 1, n - s, n - 1}))
     lo, hi = part[n - s - 1], part[n - s]
     keep = m2 >= hi  # keep_mask's cut: hi is its (n - s)-th order statistic
     if not lo < hi:
         return keep, None
     top = math.sqrt(part[n - 1]) + _ROOT_TINY
     gap = math.sqrt(hi) - math.sqrt(lo) - _DELTA * top - 8.0 * _ROOT_TINY
-    return keep, Record(np.flatnonzero(keep), top, gap)
+    # exactly s of the N squares are >= hi, so K's full count is s
+    return keep, Record(np.flatnonzero(keep), top, gap, size=s)
+
+
+def _cut_record(kept, value, n):
+    """The record of a top-s cut that kept the sorted stored bins K, with
+    nothing proved yet."""
+    lo = int(kept.size > 0 and kept[0] == 0)
+    hi = kept.size - int(kept.size > 0 and n % 2 == 0 and kept[-1] == n // 2)
+    inner = None if lo == 0 and hi == kept.size else slice(lo, hi)
+    size = kept.size + (hi - lo)  # interior bins count twice
+    return Record(kept, 0.0, -math.inf, value=value, size=size, inner=inner)
 
 
 def _support(rec, s, unit):
     """K of the last top-s cut when the support path may be tried, else None:
-    |K| = s and the row is a unit row."""
-    if rec is None or rec.kept.size != s or not unit:
+    the row is a unit row and K's full count is s or s + 1."""
+    if rec is None or not unit or not 0 <= rec.size - s <= 1:
         return None
     return rec.kept
+
+
+def _spare_kept(v, inner):
+    """For a budget one below K's full count: the cut keeps all of K when its
+    least m2 has two copies, which holds while no self-conjugate bin of K
+    (outside ``inner``) is below K's least interior m2.  NaN fails."""
+    m2 = v.real * v.real + v.imag * v.imag
+    least = m2[inner].min(initial=math.inf)
+    ends = np.concatenate((m2[:inner.start], m2[inner.stop:]))
+    return bool(least <= ends.min())
 
 
 def _budget_support(rec, params, bound):
@@ -453,16 +546,16 @@ def _budget_support(rec, params, bound):
     return rec.kept
 
 
-def _count_by_bound(v, q_star, reach):
-    """(e): the count over K, #{|v_k| > q*}, and its slack, the smallest
-    |v_k| - q* in magnitude less ``reach`` = _step_bound(xi B, q*), when that
-    slack is positive; else None."""
+def _count_by_bound(v, kept, n, q_star, reach):
+    """(e): the full-spectrum count over K, of the bins with |v_k| > q*, and
+    its slack, the smallest |v_k| - q* in magnitude less ``reach`` =
+    _step_bound(xi B, q*), when that slack is positive; else None."""
     above = np.abs(v)
     above -= q_star  # fl(m - q*) > 0 exactly when m > q*
     slack = float(np.abs(above).min(initial=math.inf)) * (1.0 - _DELTA) - reach
     if not (slack > 0.0 and q_star < _ROOT_MAX):  # a NaN slack fails
         return None
-    return int(np.count_nonzero(above > 0.0)), slack
+    return full_count(n, above > 0.0, kept), slack
 
 
 class Estimator:
@@ -477,9 +570,10 @@ class Estimator:
     top-s cut of the thresholded variants.  A tracker that no budget or mask
     reads, or whose ``xi`` is 0, is not updated.
 
-    A row is a unit row, which the certificates need, when it is a view of
-    the table ``unit_rows`` gave when the estimator was built; any other row
-    takes the dense rule.  Next to its records the estimator holds B, the
+    ``n_dim`` is the window length N; ``state.w`` and the tracker's err hold
+    bins 0..N/2, and a row must too.  A row is a unit row, which the
+    certificates need, when it is a view of the table ``unit_rows`` gave
+    when the estimator was built; any other row takes the dense rule.  Next to its records the estimator holds B, the
     bound (d) on the tracker's largest error entry, as a Python float: each
     tracker update advances it, and each full query resets it.
 
@@ -512,7 +606,8 @@ class Estimator:
     __slots__ = (
         "config", "state", "last_s", "full_queries", "exact_counts", "bound_counts",
         "reused_counts", "deferred_updates", "replayed_updates", "general_steps",
-        "certificate_runs", "_tracker", "_rows", "_shape", "_mu", "_rho", "_k", "_c", "_e",
+        "certificate_runs", "_tracker", "_rows", "_n", "_even", "_shape", "_mu", "_rho",
+        "_k", "_c", "_e", "_cx",
         "_burn_in", "_penalty", "_selective", "_penalty_in_burn_in",
         "_rec", "_count", "_ro", "_w", "_bound", "_err", "_pending", "_fresh", "_packed",
         "_kappa0", "_defer", "_s", "_budget", "_project", "_track", "_xi", "_lam",
@@ -525,7 +620,7 @@ class Estimator:
         tracker_params: TrackerParams | None = None,
     ):
         self.config = config
-        self.state = EstimatorState.zeros(n_dim)
+        self.state = EstimatorState.zeros(half_size(n_dim))
         self._tracker: TrackerState | None = None
         if tracker_params is not None:
             self._tracker = make_tracker(tracker_params, n_dim)
@@ -543,14 +638,16 @@ class Estimator:
         self.last_s: int | None = None
         rows = unit_rows(n_dim)
         self._rows = object() if rows is None else rows  # no row's base is an object()
-        self._shape = (n_dim,)
+        self._n, self._even = n_dim, n_dim % 2 == 0
+        self._shape = self.state.w.shape
 
-        self._mu = complex(config.mu)
-        self._rho = rho = config.rho if variant in _PENALTY else 0.0
-        # the penalty's scalars, and the 0-d operands of c and e* (the module
+        self._mu = float(config.mu)
+        self._rho = rho = config.rho if "rho" in READS[variant] else 0.0
+        # the penalty's scalars, and the 0-d operands of c and e (the module
         # docstring's "complex128 and 0-d operands")
         self._k = _Scalars(rho, config.epsilon, config.beta)
         self._c, self._e = np.empty((), dtype=complex), np.empty((), dtype=complex)
+        self._cx = np.empty_like(self.state.w)  # c x of a dense step
         self._burn_in = config.burn_in
         self._penalty = _PENALTY.get(variant)
         self._selective = variant == "sza"
@@ -563,9 +660,9 @@ class Estimator:
         # B, and the tracker's err it was taken on
         self._bound = 0.0
         self._err = None if self._tracker is None else self._tracker.err
-        # the deferred tracker updates: their rows, their e* (the last few as
-        # Python complex, the rest packed _PACK at a time into complex128
-        # arrays, 16 bytes an update) and the kappa before the first.
+        # the deferred tracker updates: their rows, their e (the last few as
+        # Python floats, the rest packed _PACK at a time into float64
+        # arrays, 8 bytes an update) and the kappa before the first.
         # _defer is set by a count decided by (e), and cleared by a read of err
         self._pending, self._fresh, self._packed = [], [], []
         self._kappa0 = 0.0
@@ -609,8 +706,8 @@ class Estimator:
     def _replay(self):
         """Apply the deferred updates in order, from the kappa before the
         first: the eager rule's bits, and kappa ends where the steps left it."""
-        e_conj = itertools.chain(*self._packed, self._fresh)
-        replay_updates(self._tracker, self._kappa0, zip(self._pending, e_conj))
+        es = itertools.chain(*self._packed, self._fresh)
+        replay_updates(self._tracker, self._kappa0, zip(self._pending, es))
         self.replayed_updates += len(self._pending)
         self._drop_pending()
 
@@ -624,7 +721,7 @@ class Estimator:
             self._replay()
         self._defer = False
 
-    def _defer_update(self, x, e_conj):
+    def _defer_update(self, x, e):
         """Defer this step's tracker update, advancing kappa as it would."""
         tr = self._tracker
         pend = self._pending
@@ -632,28 +729,28 @@ class Estimator:
             self._kappa0 = tr.kappa
         pend.append(x)
         fresh = self._fresh
-        fresh.append(e_conj)
+        fresh.append(e)
         if len(fresh) == _PACK:
             self._packed.append(np.array(fresh))
             fresh.clear()
         tr.kappa = self._lam * tr.kappa + 1.0
         self.deferred_updates += 1
 
-    def _update_tracker(self, x, e_conj, unit):
-        """The tracker update with b = e* x, deferred or eager, and (d)'s
-        advance of B.  Returns B before the update, and beta."""
+    def _update_tracker(self, x, e, unit):
+        """The tracker update with b = e x (e is real, so e* = e), deferred or
+        eager, and (d)'s advance of B.  Returns B before the update, and
+        beta."""
         tr = self._tracker
         bound = self._bound
-        # |e*| = |e|; math.hypot, unlike abs(), overflows to inf without raising
-        beta = math.hypot(e_conj.real, e_conj.imag) * _GROW if unit else math.inf
+        beta = abs(e) * _GROW if unit else math.inf
         if self._defer and beta + bound < _ROOT_MAX:  # no overflow: NaN fails
-            self._defer_update(x, e_conj)
+            self._defer_update(x, e)
         else:
             if self._pending:
                 self._replay()
-            # b = e* x, formed in the tracker's work array
+            # b = e x, formed in the tracker's work array
             e0 = self._e
-            e0[()] = e_conj
+            e0[()] = e
             tracker_update(tr, np.multiply(e0, x, out=tr.work))
         inv = 1.0 / tr.kappa
         self._bound = _step_bound((1.0 - inv) * bound + inv * beta, 0.0)  # (d)
@@ -667,7 +764,8 @@ class Estimator:
             self._ro = w
 
     def sparse_iterate(self):
-        """(K, w[K]) when ``state.w`` is known to be zero off K, else None.
+        """(K, w[K]) when ``state.w`` is known to be zero off K, else None; K
+        holds stored bins, 0..N/2.
 
         That holds while the record of the last top-s cut is on ``state.w``:
         after each cut of hard or hard_l0 and each certified step.  Dense
@@ -699,7 +797,8 @@ class Estimator:
         reach = _step_bound(p.xi * self._bound, p.q_star)
         decided = None
         if reach < _E_REACH * p.q_star:
-            decided = _count_by_bound(self._rec.value, p.q_star, reach)  # the cut's w[K]
+            # the cut's w[K]
+            decided = _count_by_bound(self._rec.value, kept, self._n, p.q_star, reach)
         if decided is None:
             self._read_err()
             count, slack = support_count(tr, w, kept)
@@ -710,19 +809,20 @@ class Estimator:
             self.bound_counts += 1
         top = p.q_star + slack
         drift = _step_bound(0.0, top + p.xi * self._bound)
-        self._count = Record(kept, top, slack, drift, clamp_budget(count, w.size))
+        self._count = Record(kept, top, slack, drift, clamp_budget(count, self._n))
         return self._count.value, None
 
     def _mask_budget(self, w):
         mask = occupancy_mask(self._tracker, w)
         if self.config.s is not None:
             return self.config.s, mask
-        return clamp_budget(int(np.count_nonzero(mask)), w.size), mask
+        return clamp_budget(full_count(self._n, mask), self._n), mask
 
     def _selective_penalty(self, w, s, e):
+        """sza's penalty: the sign of w off its top-s set, zero on it."""
         rec = self._rec
-        if rec is None or rec.kept.size != s or not cmath.isfinite(e) or not rec.set_kept():
-            keep, self._rec = _top_cut(w, s)
+        if rec is None or rec.size != s or not math.isfinite(e) or not rec.set_kept():
+            keep, self._rec = _top_cut(w, s, self._n)
             if self._rec is not None:
                 self._own(w)
             return selective_penalty(w, s, keep)
@@ -730,8 +830,8 @@ class Estimator:
         pen[rec.kept] = 0
         return pen
 
-    def step(self, sample) -> complex:
-        """Take one sample and return its a-priori error e(n).
+    def step(self, sample) -> float:
+        """Take one sample and return its a-priori error e(n), a real float.
 
         Past burn-in the budget comes first, from the pre-update iterate.
         Then the step runs the support step when the last top-s cut's record is on
@@ -760,9 +860,10 @@ class Estimator:
                 return self._support_step(sample, kept, s)
         return self._general(sample, True, s, mask)
 
-    def _support_step(self, sample, kept, s) -> complex:
+    def _support_step(self, sample, kept, s) -> float:
         """A step of hard or hard_l0 on K alone: v = w[K] + c x[K] - rho g(w[K]),
-        stored when (a) or ``_certified`` proves that the top-s cut returns K.
+        stored when (a) or ``_certified`` proves that the top-s cut returns K
+        (with ``_spare_kept`` for a budget one below K's full count).
 
         It makes the general body's numpy calls on K, in its order, then the
         tracker update and the count's drift (c).  A failed proof hands e, c
@@ -771,21 +872,20 @@ class Estimator:
         rec = self._rec
         w = rec.value
         x = sample.x
-        # prediction_error, inlined: a unit row is complex128, so the
-        # dot is too, and its __complex__ is what complex() would call.
-        # state.w holds the record, so its shape is the estimator's
+        # prediction_error, inlined: state.w holds the record, so its dtype
+        # and shape are the estimator's
         if x.shape != self._shape:
             raise ValueError(f"regressor has shape {x.shape}, expected {self._shape}")
-        e = complex(sample.y) - np.vdot(st.w, x).__complex__()
+        y = sample.y
+        e = _error(st.w, x, y if type(y) is float else _real(y), self._even)
         rho = self._rho
         shrink = None
         if self._penalty is not None:
             # complex_sign(0) = 0, so off K the penalty is exactly zero
             shrink = self._penalty(w, self._k, s)
             shrink *= self._k.rho
-        e_conj = e.conjugate()
-        c = self._mu * e_conj
-        abs_c = math.hypot(c.real, c.imag)
+        c = self._mu * e
+        abs_c = abs(c)
         # the two bounds below are _step_bound's arithmetic, inlined
         rec.drift += (abs_c + rho) * _GROW + _DELTA * (rec.top + rec.drift) + _TINY
         c0 = self._c
@@ -793,23 +893,26 @@ class Estimator:
         v = w + c0 * x[kept]
         if shrink is not None:
             v -= shrink
+        proof = True
         if not rec.support_kept(abs_c):
             self.certificate_runs += 1
             proof = _certified(v, c)
-            if proof is None:
-                if shrink is not None:
-                    full = np.zeros_like(st.w)
-                    full[kept] = shrink
-                    shrink = full
-                return self._general(sample, True, s, None, e, c, shrink)
-            rec.margin, rec.top = proof
-            rec.drift = 0.0
+            if proof is not None:
+                rec.margin, rec.top = proof
+                rec.drift = 0.0
+        if proof is None or (rec.size != s and rec.inner is not None
+                             and not _spare_kept(v, rec.inner)):
+            if shrink is not None:
+                full = np.zeros_like(st.w)
+                full[kept] = shrink
+                shrink = full
+            return self._general(sample, True, s, None, e, c, shrink)
         self._w[kept] = v
         rec.value = v
         st.n += 1
         cnt = self._count
         if self._track:
-            bound, beta = self._update_tracker(x, e_conj, True)
+            bound, beta = self._update_tracker(x, e, True)
         if cnt is not None:
             # a certified step after a count on K: (c)
             xi = self._xi
@@ -820,7 +923,7 @@ class Estimator:
         self.last_s = s
         return e
 
-    def _general(self, sample, active, s, mask, e=None, c=None, shrink=None) -> complex:
+    def _general(self, sample, active, s, mask, e=None, c=None, shrink=None) -> float:
         """The dense rule, steps 2-5 of the module docstring, for budget s and
         mask; ``active`` is False in burn-in.  A support step whose proof
         failed passes the e, c and penalty it formed."""
@@ -829,34 +932,35 @@ class Estimator:
         x = sample.x
         if e is None:
             # before the penalty, which reads the same w; sza's record reads e
-            e = prediction_error(st, sample)
-            if self._penalty is not None and (active or self._penalty_in_burn_in):
-                if self._selective:
+            e = _checked_error(st.w, sample, self._shape, self._even)
+            if self._selective:
+                if active:
                     shrink = self._selective_penalty(st.w, s, e)
-                else:
-                    shrink = self._penalty(st.w, self._k, s)
+            elif self._penalty is not None and (active or self._penalty_in_burn_in):
+                shrink = self._penalty(st.w, self._k, s)
+            if shrink is not None:
                 shrink *= self._k.rho
-            c = self._mu * e.conjugate()
+            c = self._mu * e
         unit = x.base is self._rows
         rec = self._rec
         if self._selective and rec is not None:
-            inc = _step_bound(math.hypot(c.real, c.imag) + self._rho, rec.top + rec.drift)
+            inc = _step_bound(abs(c) + self._rho, rec.top + rec.drift)
         self._count = None
         w = self._w if st.w is self._ro else st.w
         c0 = self._c
         c0[()] = c
-        w += c0 * x
+        w += np.multiply(c0, x, out=self._cx)
         if shrink is not None:
             w -= shrink
         if active and self._project is not None:
-            st.w = self._project(w, s, mask)
+            st.w = self._project(w, s, mask, self._n)
             if self._project is _top_s:
                 self._own(st.w)
                 cut = np.flatnonzero(st.w)
-                self._rec = Record(cut, 0.0, -math.inf, value=st.w[cut])
+                self._rec = _cut_record(cut, st.w[cut], self._n)
         st.n += 1
         if self._track:
-            self._update_tracker(x, e.conjugate(), unit)
+            self._update_tracker(x, e, unit)
         if self._selective and rec is not None:
             rec.drift += inc if unit else math.inf
         self.last_s = s

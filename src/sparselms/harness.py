@@ -5,6 +5,13 @@ derived deterministically from (experiment seed, trial index), so every
 algorithm inside one experiment sees identical measurement realizations and
 cross-algorithm comparisons are paired.  Trial averaging happens on linear
 r-MSE values; conversion to dB (with a -120 dB floor) is a reporting step.
+
+Estimates and the true spectrum are held on the stored bins 0..N/2 of the
+conjugate-symmetric spectrum (``sensing.half_size``).  The r-MSE is the
+full spectrum's, sum_k weight_k |w_k - w*_k|^2 / sum_k weight_k |w*_k|^2 with
+weight 2 on interior bins and 1 on bin 0 and, for even N, bin N/2, and a
+trial's ``final_support`` names full-spectrum bins, {k, N - k} for each
+stored k.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import THRESHOLDED, Estimator, EstimatorConfig
-from .sensing import SensingConfig, Windowed, make_stream
+from .sensing import SensingConfig, Windowed, half_size, make_stream
 from .signals import SignalSpec, multisine, noise_std, random_bins, signal_power, true_spectrum
 from .sparse_ops import _complex_pair, support
 from .tracker import TrackerParams
@@ -44,13 +51,31 @@ RMSE_CEILING = 1e6
 CSV_CHUNK = 1024
 
 
-def _sq_norm(v: np.ndarray) -> float:
-    """||v||^2 of a complex vector, summed as re^2 + im^2."""
-    return float((v.real ** 2 + v.imag ** 2).sum())
+def _sq_norm(v: np.ndarray, n: int) -> float:
+    """||v||^2 of the full spectrum of length N whose bins 0..N/2 are v: the
+    interior bins' re^2 + im^2 summed and doubled, plus bin 0's and, for even
+    N, bin N/2's.  No term is subtracted, so an infinite entry gives inf."""
+    sq = v.real ** 2 + v.imag ** 2
+    total = 2.0 * float(sq[1:(n + 1) // 2].sum()) + float(sq[0])
+    if n % 2 == 0:
+        total += float(sq[-1])
+    return total
 
 
-def _rmse_rows(block: np.ndarray, sig2: float, sq: np.ndarray, out) -> None:
-    """out[r] = _sq_norm(block[r]) / sig2 for the first out.size rows, each
+def _weigh_rows(sq: np.ndarray, n: int, out) -> None:
+    """out[r] = _sq_norm's weighted sum of the squares sq[r], for the first
+    out.size rows: the same contiguous row sum and the same steps, so every
+    value is the per-step one bit for bit."""
+    rows = out.size
+    sq[:rows, 1:(n + 1) // 2].sum(axis=1, out=out)
+    out *= 2.0
+    out += sq[:rows, 0]
+    if n % 2 == 0:
+        out += sq[:rows, -1]
+
+
+def _rmse_rows(block: np.ndarray, sig2: float, sq: np.ndarray, n: int, out) -> None:
+    """out[r] = _sq_norm(block[r], N) / sig2 for the first out.size rows, each
     row holding an iterate's w - w*.
 
     Each row sum reduces a contiguous row of re^2 + im^2, as the 1-D sum in
@@ -61,7 +86,7 @@ def _rmse_rows(block: np.ndarray, sig2: float, sq: np.ndarray, out) -> None:
     f = block[:rows].view(float)  # re, im interleaved
     np.multiply(f, f, out=f)
     np.add(f[:, 0::2], f[:, 1::2], out=sq[:rows])
-    sq[:rows].sum(axis=1, out=out)
+    _weigh_rows(sq, n, out)
     out /= sig2
 
 
@@ -69,8 +94,8 @@ class _RmseRows:
     """The r-MSE of each iterate of a trial, into ``out``, RMSE_BLOCK rows per
     reduction.
 
-    A block holds rows of one kind and one phase.  A dense iterate w is copied
-    into ``block``; the flush subtracts w* on its support T alone and reduces
+    A block holds rows of one kind and one phase, on the stored bins 0..N/2.
+    A dense iterate w is copied into ``block``; the flush subtracts w* on its support T alone and reduces
     the block by _rmse_rows.  Off T w* is an exact zero, so w_k - w*_k is w_k
     but for the sign of a zero, which its square drops, and every value is
     the per-row subtraction's bit for bit.  An iterate that is zero off its
@@ -95,11 +120,13 @@ class _RmseRows:
 
     def __init__(self, out: np.ndarray, n: int):
         self.out = out
-        self.block = np.empty((RMSE_BLOCK, n), dtype=complex)
+        self.n = n
+        h = half_size(n)
+        self.block = np.empty((RMSE_BLOCK, h), dtype=complex)
         self.flat = self.block.reshape(-1)
         self.sq = np.empty(self.block.shape)
-        self.row_at = np.arange(0, RMSE_BLOCK * n, n)[:, None]  # flat index of each row
-        self.max_kept = int(n * SUPPORT_ROW_SHARE)
+        self.row_at = np.arange(0, RMSE_BLOCK * h, h)[:, None]  # flat index of each row
+        self.max_kept = int(h * SUPPORT_ROW_SHARE)
         self.start = self.rows = 0  # the block's first step and its row count
         self.kept = None  # K of the block's rows, None for dense rows
         self.values = []  # their w[K]
@@ -112,9 +139,10 @@ class _RmseRows:
         self.last, self.new_at = None, -2
 
     def phase(self, w_true: np.ndarray) -> None:
+        """Start a phase whose true spectrum is w_true, on bins 0..N/2."""
         self.flush()
         self.w_true = w_true
-        self.sig2 = _sq_norm(w_true)
+        self.sig2 = _sq_norm(w_true, self.n)
         self.base = w_true.real * w_true.real + w_true.imag * w_true.imag
         true_at = np.flatnonzero(w_true)  # T
         # T's flat index in each row of block, and w*[T] once per row
@@ -156,7 +184,7 @@ class _RmseRows:
         if kept is None:
             k = rows * self.true_on.size // RMSE_BLOCK
             self.flat[self.true_at[:k]] -= self.true_on[:k]
-            _rmse_rows(self.block, self.sig2, sq, out)
+            _rmse_rows(self.block, self.sig2, sq, self.n, out)
             self.stale = None
         else:
             if self.stale is not kept:
@@ -169,20 +197,23 @@ class _RmseRows:
             f = d.view(float)
             np.multiply(f, f, out=f)
             sq.reshape(-1)[self.at[:d.size]] = (f[:, 0::2] + f[:, 1::2]).reshape(-1)
-            sq[:rows].sum(axis=1, out=out)
+            _weigh_rows(sq, self.n, out)
             out /= self.sig2
             self.values = []
         self.start, self.rows = start + rows, 0
 
 
-def rmse(w_true: np.ndarray, w_est: np.ndarray) -> float:
-    """Relative mean-square error ||w - w_est||^2 / ||w||^2 (linear scale);
-    ValueError unless both have one shape."""
+def rmse(w_true: np.ndarray, w_est: np.ndarray, n: int) -> float:
+    """Relative mean-square error ||w - w_est||^2 / ||w||^2 (linear scale) of
+    the length-N spectra whose bins 0..N/2 are given; ValueError unless both
+    have shape (N//2 + 1,)."""
     w_true, w_est = _complex_pair(w_true, w_est)
-    sig = _sq_norm(w_true)
+    if w_true.shape != (half_size(n),):
+        raise ValueError(f"spectra have shape {w_true.shape}, expected {(half_size(n),)}")
+    sig = _sq_norm(w_true, n)
     if sig == 0.0:
         raise ValueError("reference spectrum must be nonzero")
-    return _sq_norm(w_true - w_est) / sig
+    return _sq_norm(w_true - w_est, n) / sig
 
 
 def rmse_db(value) -> np.ndarray | float:
@@ -311,6 +342,12 @@ def _derived_seed(*entropy: int) -> int:
     return int(np.random.SeedSequence(list(entropy)).generate_state(1, np.uint64)[0])
 
 
+def _full_support(w: np.ndarray, n: int) -> frozenset[int]:
+    """support(w) of stored bins, named as full-spectrum bins {k, N - k}."""
+    kept = support(w)
+    return kept | frozenset((n - k) % n for k in kept)
+
+
 def _build_phases(spec: ExperimentSpec, trial: int) -> list[_Phase]:
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, trial, 0]))
     sig = spec.signal
@@ -347,7 +384,7 @@ def _build_phases(spec: ExperimentSpec, trial: int) -> list[_Phase]:
 def run_trial(spec: ExperimentSpec, algo: AlgorithmSpec, trial: int) -> TrialRecord:
     """One deterministic trial of one algorithm; records r-MSE per iteration.
 
-    The r-MSE of each iterate is _sq_norm(w - w*) / ||w*||^2 bit for bit, reduced
+    The r-MSE of each iterate is rmse(w*, w, N) bit for bit, reduced
     RMSE_BLOCK rows at a time (_RmseRows): a dense iterate costs a copy into
     the block and an O(N) row, one that is zero off its support K costs
     O(|K|) and a row sum.
@@ -362,13 +399,14 @@ def run_trial(spec: ExperimentSpec, algo: AlgorithmSpec, trial: int) -> TrialRec
     total = sum(p.sensing.total_samples for p in phases)
     rmse_lin = np.empty(total)
     s_traj = np.full(total, np.nan) if adaptive else None
-    rows = _RmseRows(rmse_lin, spec.signal.n)
+    n = spec.signal.n
+    rows = _RmseRows(rmse_lin, n)
 
     i = 0
     step, add = est.step, rows.add
     try:
         for phase in phases:
-            rows.phase(phase.w_true)
+            rows.phase(phase.w_true[:half_size(n)])
             stream = make_stream(
                 phase.sensing, itertools.repeat(phase.z, phase.sensing.n_windows), phase.sigma
             )
@@ -394,7 +432,7 @@ def run_trial(spec: ExperimentSpec, algo: AlgorithmSpec, trial: int) -> TrialRec
         seed=(spec.seed, trial),
         rmse_lin_trajectory=rmse_lin,
         s_trajectory=s_traj,
-        final_support=support(est.state.w),
+        final_support=_full_support(est.state.w, n),
     )
 
 

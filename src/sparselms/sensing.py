@@ -8,6 +8,14 @@ so that the spectrum estimate w predicts y(n) as w^H x(n).
 The regressor rows carry unit-magnitude entries (no 1/sqrt(N) factor).  Under
 uniform position sampling this makes E[x x^H] the exact N x N identity, which
 the sparsity tracker relies on.
+
+The sensed signal is real, so its spectrum is conjugate-symmetric,
+w_{N-k} = conj(w_k), and the library holds it on bins 0..N/2 alone
+(``half_size(n)`` = N//2 + 1 entries, as a real FFT does).  Bin 0 and, for
+even N, bin N/2 are their own conjugates and stand for one bin of the full
+spectrum; every other stored bin stands for the pair {k, N - k}
+(``full_count``).  ``make_stream`` yields the rows on those bins, and
+``regressor_row`` and ``unit_rows`` give full rows.
 """
 
 from __future__ import annotations
@@ -90,9 +98,9 @@ class SensingConfig:
 class MeasurementSample:
     """One observation: regressor row x and noisy scalar y.
 
-    ``make_stream`` gives x as a row view of the ``fourier_rows`` table and y
-    as a Python float.  An estimator takes x as unit-magnitude only while it
-    is a view of the table ``unit_rows`` gave that estimator.
+    ``make_stream`` gives x as a view of bins 0..N/2 of a ``fourier_rows``
+    row, and y as a Python float.  An estimator takes x as unit-magnitude only
+    while it is a view of the table ``unit_rows`` gave that estimator.
     """
 
     x: np.ndarray
@@ -138,6 +146,28 @@ def unit_rows(n: int) -> np.ndarray | None:
     return rows if (x.real * x.real + x.imag * x.imag).max() <= UNIT_SQ_MAG_BOUND else None
 
 
+def half_size(n: int) -> int:
+    """Bins 0..N/2 of a length-N spectrum: the entries the library stores."""
+    return n // 2 + 1
+
+
+def full_count(n: int, flags: np.ndarray, kept: np.ndarray | None = None) -> int:
+    """The number of bins of the length-N spectrum that ``flags`` marks.
+
+    ``flags`` marks stored bins: every bin when ``kept`` is None, else the
+    sorted positions ``kept``.  Bin 0 and, for even N, bin N/2 count once,
+    every other bin twice, for itself and its mirror N - k.
+    """
+    count = 2 * int(np.count_nonzero(flags))
+    if flags.size:
+        first, last = (0, flags.size - 1) if kept is None else (kept[0], kept[-1])
+        if first == 0:
+            count -= bool(flags[0])
+        if n % 2 == 0 and last == n // 2:
+            count -= bool(flags[-1])
+    return count
+
+
 def regressor_row(n: int, t: int) -> np.ndarray:
     """Regressor for time index t: x_k = exp(-2j*pi*k*t/n), unit magnitude."""
     if not 0 <= t < n:
@@ -177,14 +207,15 @@ def make_stream(
     A replay yields the same ``MeasurementSample`` objects again.
 
     Whatever depends on the sample alone is done here, once per window: y
-    becomes a Python float.  A ``noise_std`` that is negative, NaN or infinite
+    becomes a Python float, and x is a view of the stored bins 0..N/2 of
+    its ``fourier_rows`` row.  A ``noise_std`` that is negative, NaN or infinite
     raises ValueError at the first sample.
     """
     if not 0.0 <= noise_std < math.inf:
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
-    # one view per row, made once per stream: a list lookup costs less than
-    # indexing the table for each sample of each window
-    views = list(fourier_rows(config.n))
+    # one view of bins 0..N/2 per row, made once per stream: a list lookup
+    # costs less than indexing the table for each sample of each window
+    views = list(fourier_rows(config.n)[:, :half_size(config.n)])
     source = iter(windows)
     n_windows, replays = config.mode.plan
     for w in range(n_windows):

@@ -115,7 +115,10 @@ def complex_sign(v, mag=None):
     # zero entry.
     floor = _COMPLEX_FLOOR[v.dtype.char] if v.dtype.kind == "c" else _REAL_FLOOR
     dtype = np.promote_types(v.dtype, float)
-    if mag.size and mag.min() >= floor:  # a NaN fails it too
+    # the least magnitude by argmin, which points at the first NaN and costs a
+    # fraction of min()'s NaN-propagating reduction
+    flat = mag.reshape(-1)
+    if flat.size and flat[flat.argmin()] >= floor:  # a NaN fails it too
         out = np.divide(v, mag)
         if out.dtype != dtype:  # float32 or complex64: the masked path's cast
             out = out.astype(dtype)

@@ -6,6 +6,12 @@ exponentially weighted average of -b tracks the current estimation error.
 Subtracting a scaled copy of that average from the estimate gives a corrected
 vector whose magnitudes are compared against the occupancy threshold q*; the
 number of coefficients passing is the sparsity estimate.
+
+The error is held on the stored bins 0..N/2 of the conjugate-symmetric
+spectrum (``sensing.half_size``), like the estimate, and the count is in
+full-spectrum bins: a passing interior bin counts twice, for itself and its
+mirror N - k, and bin 0 and, for even N, bin N/2 once (``sensing.full_count``).
+The budget range [1, N] is in the same units.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .sensing import full_count, half_size
 
 _C128 = np.dtype(complex)
 
@@ -37,11 +45,14 @@ class TrackerParams:
 
 @dataclass
 class TrackerState:
-    """err is complex128 (native byte order), and read-only to callers: an
+    """``n`` is the window length N, and err holds the stored bins 0..N/2.
+
+    err is complex128 (native byte order), and read-only to callers: an
     update writes it through a private view, and an in-place write from
     outside raises.  Assigning a new array is the way in; each function here
-    that reads or writes err takes it over first, and raises ValueError if it
-    is not complex128.
+    that reads or writes err takes it over first, and raises ValueError,
+    before anything changes, if it is not complex128 or not of shape
+    (N//2 + 1,).
 
     An update passes 1 - 1/kappa and 1/kappa as 0-d complex128 arrays, which
     give a Python float's bits against complex128 arrays without converting it
@@ -50,6 +61,7 @@ class TrackerState:
     err: np.ndarray
     kappa: float
     params: TrackerParams
+    n: int
     # work array for (1/kappa) b, so an update allocates nothing; a caller
     # may form b in it (see ``tracker_update``)
     work: np.ndarray = field(init=False, repr=False, compare=False)
@@ -68,6 +80,9 @@ class TrackerState:
     def _take(self):
         if self.err.dtype != _C128:
             raise ValueError(f"TrackerState.err has dtype {self.err.dtype}, expected complex128")
+        shape = (half_size(self.n),)
+        if self.err.shape != shape:
+            raise ValueError(f"TrackerState.err has shape {self.err.shape}, expected {shape}")
         self._ro, self._rw = self.err, self.err.view()
         self.err.flags.writeable = False
 
@@ -79,9 +94,9 @@ def _own_err(state: TrackerState) -> np.ndarray:
     return state._rw
 
 
-def make_tracker(params: TrackerParams, n_dim: int) -> TrackerState:
-    """Fresh state: err(0) = 0, kappa_0 = 0."""
-    return TrackerState(err=np.zeros(n_dim, dtype=complex), kappa=0.0, params=params)
+def make_tracker(params: TrackerParams, n: int) -> TrackerState:
+    """Fresh state for window length N: err(0) = 0 on bins 0..N/2, kappa_0 = 0."""
+    return TrackerState(err=np.zeros(half_size(n), dtype=complex), kappa=0.0, params=params, n=n)
 
 
 def clamp_budget(count: int, n: int) -> int:
@@ -93,9 +108,9 @@ def tracker_update(state: TrackerState, b: np.ndarray) -> TrackerState:
     """kappa <- lam*kappa + 1;  err <- (1 - 1/kappa)*err - (1/kappa)*b.
 
     b may be ``state.work``, which is then scaled in place."""
-    if b.shape != state.err.shape:
-        raise ValueError(f"direction has shape {b.shape}, expected {state.err.shape}")
     err = _own_err(state)
+    if b.shape != err.shape:
+        raise ValueError(f"direction has shape {b.shape}, expected {err.shape}")
     state.kappa = state.params.lam * state.kappa + 1.0
     inv = 1.0 / state.kappa
     state._keep[()], state._inv[()] = 1.0 - inv, inv
@@ -105,17 +120,17 @@ def tracker_update(state: TrackerState, b: np.ndarray) -> TrackerState:
 
 
 def replay_updates(state: TrackerState, kappa: float, updates) -> None:
-    """``tracker_update(state, e* x)`` for each (x, e*) of ``updates`` in
+    """``tracker_update(state, e x)`` for each (x, e) of ``updates`` in
     order, from kappa ``kappa``: the same operations on the same operands,
-    with b = e* x formed in the work array."""
+    with b = e x formed in the work array."""
     err = _own_err(state)
     work = state.work
     lam = state.params.lam
     e0, keep0, inv0 = np.empty((), dtype=complex), state._keep, state._inv
-    for x, e_conj in updates:
+    for x, e in updates:
         kappa = lam * kappa + 1.0
         inv = 1.0 / kappa
-        e0[()], keep0[()], inv0[()] = e_conj, 1.0 - inv, inv
+        e0[()], keep0[()], inv0[()] = e, 1.0 - inv, inv
         np.multiply(e0, x, out=work)
         err *= keep0
         err -= np.multiply(work, inv0, out=work)
@@ -136,13 +151,15 @@ def occupancy_mask(state: TrackerState, w: np.ndarray) -> np.ndarray:
 
 
 def estimate_sparsity(state: TrackerState, w: np.ndarray) -> int:
-    """Count of coefficients passing the occupancy test, clamped to [1, N]."""
-    return clamp_budget(int(np.count_nonzero(occupancy_mask(state, w))), w.size)
+    """Full-spectrum count of the bins passing the occupancy test, clamped to
+    [1, N]."""
+    return clamp_budget(full_count(state.n, occupancy_mask(state, w)), state.n)
 
 
 def support_count(state: TrackerState, w: np.ndarray, kept: np.ndarray) -> tuple[int, float]:
-    """The unclamped passing count over the positions ``kept`` alone, and the
-    slack: the smallest distance of a computed |w'_k| there from q*.
+    """The unclamped full-spectrum passing count over the sorted positions
+    ``kept`` alone, and the slack: the smallest distance of a computed |w'_k|
+    there from q*.
 
     Each |w'_k| is computed with the elementwise operations of
     ``occupancy_mask``, so where no entry off ``kept`` can pass, the count is
@@ -151,7 +168,7 @@ def support_count(state: TrackerState, w: np.ndarray, kept: np.ndarray) -> tuple
     _own_err(state)
     mag = np.abs(w[kept] - state.params.xi * state.err[kept])
     q_star = state.params.q_star
-    count = int(np.count_nonzero(mag > q_star))
+    count = full_count(state.n, mag > q_star, kept)
     mag -= q_star
     np.abs(mag, out=mag)
     return count, float(mag.min(initial=math.inf))

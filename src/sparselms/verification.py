@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import Estimator, EstimatorConfig
-from .sensing import SensingConfig, Windowed, fourier_rows, make_stream, regressor_row
+from .sensing import SensingConfig, Windowed, fourier_rows, half_size, make_stream, regressor_row
 from .signals import SignalSpec, multisine, noise_std, signal_power, true_spectrum
 from .sparse_ops import hard_threshold, ser, theorem2_check, theorem3_check
 
@@ -420,7 +420,7 @@ def sza_bias_suite(
     bins = tuple(int(b) for b in rng.choice(np.arange(1, n // 2), size=sines, replace=False))
     spec = SignalSpec(n=n, sines=sines, bins=bins, snr_db=snr_db)
     z = multisine(spec)
-    w_true = true_spectrum(spec)
+    w_true = true_spectrum(spec)[:half_size(n)]  # the estimator's stored bins
     sigma = noise_std(signal_power(spec), snr_db)
 
     mu = mu_ref / n
@@ -428,7 +428,7 @@ def sza_bias_suite(
     m = 8  # keeps per-sample index draws uniform while batching the rng work
     windows = steps // m
 
-    finals = np.empty((realizations, n), dtype=complex)
+    finals = np.empty((realizations, half_size(n)), dtype=complex)
     for r in range(realizations):
         est = Estimator(EstimatorConfig("sza", mu=mu, rho=rho, s=2 * sines), n)
         sens = SensingConfig(n=n, m=m, mode=Windowed(windows), seed=seed + 1000 + r)

@@ -36,52 +36,67 @@ def sample_of(x, y):
 
 def test_error_with_zero_weights_is_observation():
     st = EstimatorState.zeros(3)
-    assert prediction_error(st, sample_of([1, 1, 1], 2.5)) == 2.5
+    assert prediction_error(st, sample_of([1, 1, 1], 2.5), 4) == 2.5
 
 
 def test_error_hand_computed_conjugation():
+    # N = 1: bin 0 alone, e = y - Re conj(w_0) x_0
     st = EstimatorState(w=np.array([0.5j]))
-    e = prediction_error(st, sample_of([-1j], 1.0))
+    e = prediction_error(st, sample_of([-1j], 1.0), 1)
     assert e == pytest.approx(1.5)
+    # N = 4: interior bin 1 counts twice, bins 0 and 2 once
+    st = EstimatorState(w=np.array([0.25, 0.5j, -1.0]))
+    e = prediction_error(st, sample_of([1, -1j, -1], 1.0), 4)
+    assert e == pytest.approx(1.0 - (0.25 + 2 * -0.5 + 1.0))
 
 
 def test_error_at_true_spectrum_noiseless():
-    spec = SignalSpec(n=32, sines=2, bins=(3, 11))
-    z = multisine(spec)
-    st = EstimatorState(w=true_spectrum(spec))
-    cfg = SensingConfig(n=32, m=32, mode=RepeatedPass(1), seed=0)
-    for sample in make_stream(cfg, [z]):
-        assert abs(prediction_error(st, sample)) < 1e-10
+    for n in (32, 31):
+        spec = SignalSpec(n=n, sines=2, bins=(3, 11))
+        z = multisine(spec)
+        st = EstimatorState(w=true_spectrum(spec)[:n // 2 + 1])
+        cfg = SensingConfig(n=n, m=n, mode=RepeatedPass(1), seed=0)
+        for sample in make_stream(cfg, [z]):
+            assert abs(prediction_error(st, sample, n)) < 1e-10
 
 
 def test_error_dimension_mismatch():
     st = EstimatorState.zeros(3)
-    with pytest.raises(ValueError):
-        prediction_error(st, sample_of([1, 1], 1.0))
+    with pytest.raises(ValueError, match=r"regressor has shape \(2,\), expected \(3,\)"):
+        prediction_error(st, sample_of([1, 1], 1.0), 4)
+    with pytest.raises(ValueError, match=r"state.w has shape \(3,\), expected \(4,\)"):
+        prediction_error(st, sample_of([1, 1, 1], 1.0), 6)
 
 
 _EDGE_GRID = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 1e300, math.inf, -math.inf, math.nan]
 
 
-def test_error_of_a_python_float_y_is_numpys_float64_minus_complex128(monkeypatch):
-    # make_stream's y is a Python float and is subtracted in Python; y and both
-    # parts of the dot run over the edge grid, signed zeros and NaN included.
-    # A hand-built y of another kind (numpy float, int, complex) gives numpy's
-    # difference of that y too.
-    st = EstimatorState.zeros(1)
-    dot = np.complex128(0)
-    monkeypatch.setattr(estimators, "np", SimpleNamespace(vdot=lambda w, x: dot))
-    for y, re, im in itertools.product(_EDGE_GRID, repeat=3):
-        dot = np.complex128(complex(re, im))
-        kinds = [y, np.float64(y), complex(y, re), np.complex128(complex(re, y))]
-        if y in (0.0, 1.0, -1.0):
-            kinds.append(int(y))
-        for yk in kinds:
-            e = prediction_error(st, MeasurementSample(np.ones(1, dtype=complex), yk))
-            assert type(e) is complex
+def test_error_of_a_python_float_y_is_numpys_float64_minus_complex128():
+    # make_stream's y is a Python float and is subtracted in Python from the
+    # real w^H x; y runs over the edge grid, signed zeros and NaN included.
+    # A hand-built y of another real kind (numpy float, int, a complex with a
+    # zero imaginary part) gives the float's bits; a complex y with an
+    # imaginary part that is not zero raises.
+    x = np.array([1.0, 0.5 - 0.25j, -1.0])
+    for re, im in itertools.product([0.0, -0.5, 2.0], repeat=2):
+        st = EstimatorState(w=np.array([re, complex(re, im), im], dtype=complex))
+        w = st.w
+        wx = (2.0 * np.vdot(w, x).real - (np.conj(w[0]) * x[0]).real
+              - (np.conj(w[2]) * x[2]).real)
+        for y in _EDGE_GRID:
+            kinds = [np.float64(y), complex(y, 0.0), np.complex128(complex(y, -0.0))]
+            if y in (1.0, -1.0) or y == 0.0 and math.copysign(1.0, y) > 0:
+                kinds.append(int(y))
+            e = prediction_error(st, MeasurementSample(x, y), 4)
+            assert type(e) is float
             with np.errstate(all="ignore"):
-                ref = (np.float64(yk) if type(yk) is float else yk) - dot
-            assert _bits(np.complex128(e)) == _bits(ref), (yk, re, im)
+                assert _bits(np.float64(e)) == _bits(np.float64(y) - np.float64(wx)), (y, re, im)
+            for yk in kinds:
+                got = prediction_error(st, MeasurementSample(x, yk), 4)
+                assert type(got) is float and _bits(np.float64(got)) == _bits(np.float64(e))
+            for yk in (complex(y, 1.0), np.complex128(complex(y, 5e-324)), complex(y, math.nan)):
+                with pytest.raises(ValueError, match="y has a nonzero imaginary part"):
+                    prediction_error(st, MeasurementSample(x, yk), 4)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.complex64, ">c16"])
@@ -89,7 +104,7 @@ def test_prediction_error_rejects_an_iterate_that_is_not_complex128(dtype):
     w = np.array([0.75, -0.5, 0.25]).astype(dtype)
     with pytest.raises(ValueError, match=re.escape(
             f"state.w has dtype {np.dtype(dtype)}, expected complex128")):
-        prediction_error(EstimatorState(w=w), sample_of([1, 5, -7], 0.75))
+        prediction_error(EstimatorState(w=w), sample_of([1, 5, -7], 0.75), 4)
 
 
 def test_prediction_error_accepts_an_unpickled_complex128_iterate():
@@ -98,16 +113,20 @@ def test_prediction_error_accepts_an_unpickled_complex128_iterate():
     copy = pickle.loads(pickle.dumps(w))
     assert copy.dtype is not w.dtype
     sample = sample_of([1, 5, -7], 0.75)
-    e, want = (prediction_error(EstimatorState(w=v), sample) for v in (copy, w))
-    assert _bits(np.complex128(e)) == _bits(np.complex128(want))
+    e, want = (prediction_error(EstimatorState(w=v), sample, 4) for v in (copy, w))
+    assert _bits(np.float64(e)) == _bits(np.float64(want))
 
 
 # -- single update rules, hand-computed ---------------------------------------
 
 
 def step_from(variant, w, sample, **params):
-    """One Estimator.step from iterate w, burn-in off; returns the estimator."""
-    est = Estimator(EstimatorConfig(variant, burn_in=0, **params), len(w))
+    """One Estimator.step from iterate w, burn-in off; returns the estimator.
+
+    The window length is N = 2 (len(w) - 1), or 1 for one entry, so w holds
+    bins 0..N/2; for two entries both are their own conjugates."""
+    n = max(1, 2 * (len(w) - 1))
+    est = Estimator(EstimatorConfig(variant, burn_in=0, **params), n)
     est.state.w = np.array(w, dtype=complex)
     est.step(sample)
     return est
@@ -164,6 +183,8 @@ def test_l0_huge_beta_reduces_to_lms():
 
 
 def test_sza_hand_example():
+    # N = 6: the top 2 of the six magnitudes are bin 0 and bin 1's pair, which
+    # ties with it and is kept
     est = step_from(
         "sza", [2.0 + 0j, -2.0, 1.0, 0.0], sample_of([0, 0, 0, 0], 0.0), mu=0.25, rho=0.01, s=2
     )
@@ -176,18 +197,20 @@ def test_hard_step_tie_keeps_everything():
 
 
 def test_hard_step_thresholds_unchanged_vector():
-    est = step_from("hard", [1.0 + 0j, 0.2, 0.0], sample_of([0, 0, 0], 0.0), mu=0.5, s=1)
+    est = step_from("hard", [1.0 + 0j, 0.2, 0.0], sample_of([0, 0, 0], 0.0), mu=0.25, s=1)
     np.testing.assert_array_equal(est.state.w, [1.0, 0.0, 0.0])
 
 
 def test_hard_step_zeros_are_exact():
+    # N = 8, s = 3: at most two of the five stored bins are kept (bin 0 and a
+    # pair, or two pairs)
     est = Estimator(EstimatorConfig("hard", mu=0.05, s=3, burn_in=0), 8)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         est.step(MeasurementSample(x, rng.standard_normal()))
         zeroed = est.state.w == 0
-        assert zeroed.sum() >= 5
+        assert zeroed.sum() >= 3
 
 
 def test_hard_l0_composes_penalty_and_threshold():
@@ -256,18 +279,19 @@ def test_penalties_match_the_reference_formulas_bit_for_bit(re, im, real, weight
     s = min(s, w.size)
     if np.isfinite(w).all():
         with np.errstate(all="ignore"):
-            assert _bits(estimators._selective(w, k, s)) == _bits(_ref_selective(w, s))
+            assert _bits(estimators.selective_penalty(w, s)) == _bits(_ref_selective(w, s))
     else:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite coefficient"):
-            estimators._selective(w, k, s)
+            estimators.selective_penalty(w, s)
 
 
 # -- reduction lattice ---------------------------------------------------------
 
 
-def _random_case(rng, n=6):
-    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x = np.exp(-2j * np.pi * rng.integers(0, n) * np.arange(n) / n)
+def _random_case(rng, n=10):
+    h = n // 2 + 1
+    w = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+    x = np.exp(-2j * np.pi * rng.integers(0, n) * np.arange(h) / n)
     y = float(rng.standard_normal())
     return w, MeasurementSample(x, y)
 
@@ -276,7 +300,7 @@ def _random_case(rng, n=6):
 def test_reduction_lattice_exact(case):
     rng = np.random.default_rng(case)
     w, sample = _random_case(rng)
-    mu, rho, beta, eps, n = 0.1, 0.01, 0.7, 1.3, w.size
+    mu, rho, beta, eps, n = 0.1, 0.01, 0.7, 1.3, 10
 
     def stepped(variant, **params):
         return step_from(variant, w, sample, mu=mu, **params).state.w
@@ -343,7 +367,7 @@ def test_estimator_rejects_unstable_step():
 
 def test_hard_burn_in_skips_threshold():
     cfg = EstimatorConfig("hard", mu=0.1, s=1, burn_in=2)
-    est = Estimator(cfg, n_dim=3)
+    est = Estimator(cfg, n_dim=4)
     s1 = MeasurementSample(np.ones(3, dtype=complex), 1.0)
     est.step(s1)
     est.step(s1)
@@ -379,7 +403,7 @@ def test_occupancy_support_shortcut():
 
     # the passing set becomes the support directly instead of a top-s cut
     params = TrackerParams(lam=1.0, xi=0.0, q_star=0.3, use_support=True)
-    est = Estimator(EstimatorConfig("hard", mu=0.1, burn_in=0), 3, params)
+    est = Estimator(EstimatorConfig("hard", mu=0.1, burn_in=0), 4, params)
     est.state.w = np.array([1.0 + 0j, 0.5, 0.1])
     est.step(MeasurementSample(np.zeros(3, dtype=complex), 0.0))
     np.testing.assert_array_equal(est.state.w, [1.0, 0.5, 0.0])  # 0.1 below q*
@@ -389,7 +413,7 @@ def test_occupancy_support_shortcut_empty_set_falls_back():
     from sparselms.tracker import TrackerParams
 
     params = TrackerParams(lam=1.0, xi=0.0, q_star=10.0, use_support=True)
-    est = Estimator(EstimatorConfig("hard", mu=0.1, burn_in=0), 3, params)
+    est = Estimator(EstimatorConfig("hard", mu=0.1, burn_in=0), 4, params)
     est.state.w = np.array([1.0 + 0j, 0.5, 0.1])
     est.step(MeasurementSample(np.zeros(3, dtype=complex), 0.0))
     assert np.count_nonzero(est.state.w) == 1  # clamped budget keeps the largest
@@ -400,7 +424,7 @@ def test_occupancy_mask_applied_with_fixed_budget():
 
     # a fixed s does not switch the mask off: top-1 would keep only 1.0
     params = TrackerParams(lam=1.0, xi=0.0, q_star=0.3, use_support=True)
-    est = Estimator(EstimatorConfig("hard", mu=0.1, s=1, burn_in=0), 3, params)
+    est = Estimator(EstimatorConfig("hard", mu=0.1, s=1, burn_in=0), 4, params)
     est.state.w = np.array([1.0 + 0j, 0.5, 0.1])
     est.step(MeasurementSample(np.zeros(3, dtype=complex), 0.0))
     np.testing.assert_array_equal(est.state.w, [1.0, 0.5, 0.0])
@@ -411,9 +435,10 @@ def test_occupancy_budget_is_clamped_mask_count():
     from sparselms.tracker import TrackerParams
 
     zero_x = MeasurementSample(np.zeros(3, dtype=complex), 0.0)
-    for q_star, expected in ((0.3, 2), (10.0, 1)):
+    # N = 4: bin 0 counts once, interior bin 1 twice
+    for q_star, expected in ((0.3, 3), (10.0, 1)):
         params = TrackerParams(lam=1.0, xi=0.0, q_star=q_star, use_support=True)
-        est = Estimator(EstimatorConfig("hard", mu=0.1, burn_in=0), 3, params)
+        est = Estimator(EstimatorConfig("hard", mu=0.1, burn_in=0), 4, params)
         est.state.w = np.array([1.0 + 0j, 0.5, 0.1])
         est.step(zero_x)
         assert est.last_s == expected
@@ -423,7 +448,7 @@ def test_last_s_none_in_burn_in_then_budget():
     from sparselms.tracker import TrackerParams, estimate_sparsity
 
     x = MeasurementSample(np.array([1.0, 1.0j, -1.0]), 0.5)
-    fixed = Estimator(EstimatorConfig("sza", mu=0.1, rho=0.01, s=2, burn_in=2), 3)
+    fixed = Estimator(EstimatorConfig("sza", mu=0.1, rho=0.01, s=2, burn_in=2), 4)
     for _ in range(2):
         fixed.step(x)
         assert fixed.last_s is None
@@ -431,7 +456,7 @@ def test_last_s_none_in_burn_in_then_budget():
     assert fixed.last_s == 2
 
     params = TrackerParams(lam=0.9, xi=0.5, q_star=0.05)
-    tracked = Estimator(EstimatorConfig("hard", mu=0.1, burn_in=1), 3, params)
+    tracked = Estimator(EstimatorConfig("hard", mu=0.1, burn_in=1), 4, params)
     tracked.step(x)
     assert tracked.last_s is None
     for _ in range(3):
@@ -446,7 +471,7 @@ def test_last_s_none_without_thresholding():
     x = MeasurementSample(np.array([1.0, 1.0j, -1.0]), 0.5)
     for variant in ("lms", "za", "rza", "l0"):
         cfg = EstimatorConfig(variant, mu=0.1, rho=0.01, beta=1.0, burn_in=0)
-        est = Estimator(cfg, 3, TrackerParams())
+        est = Estimator(cfg, 4, TrackerParams())
         for _ in range(3):
             est.step(x)
             assert est.last_s is None
@@ -465,7 +490,7 @@ def test_last_s_none_without_thresholding():
     ],
 )
 def test_tracker_is_updated_only_when_a_budget_reads_its_error(config, params, updated):
-    est = Estimator(config, 3, params)
+    est = Estimator(config, 4, params)
     est.step(MeasurementSample(np.array([1.0, 1.0j, -1.0]), 0.5))
     assert (est.tracker.kappa == 1.0) is updated
     assert bool(est.tracker.err.any()) is updated
@@ -495,8 +520,7 @@ def test_noiseless_full_sampling_identification(variant, mu_ref):
     sens = SensingConfig(n=n, m=n, mode=RepeatedPass(50), seed=1)
     for sample in make_stream(sens, [z]):
         est.step(sample)
-    err = np.abs(est.state.w - w_true) ** 2
-    rmse = err.sum() / (np.abs(w_true) ** 2).sum()
+    rmse = harness.rmse(w_true[:n // 2 + 1], est.state.w, n)
     assert 10 * math.log10(rmse) < -80.0
 
 
@@ -533,13 +557,31 @@ def _trial_estimator(monkeypatch):
 
 def assert_bitwise_equal(fast, dense, e_fast, e_dense):
     assert fast.state.w.tobytes() == dense.state.w.tobytes()
-    assert np.complex128(e_fast).tobytes() == np.complex128(e_dense).tobytes()
+    assert np.float64(e_fast).tobytes() == np.float64(e_dense).tobytes()
     assert fast.last_s == dense.last_s
 
 
+def _half_rows(n):
+    """The stored bins 0..N/2 of every table row, as make_stream yields them."""
+    return fourier_rows(n)[:, :n // 2 + 1]
+
+
+def _wx(w, x, n):
+    """w^H x over the full spectrum, from bins 0..N/2, with the operations
+    the step subtracts from y: y = _wx(w, x, n) gives e exactly 0."""
+    wx = 2.0 * np.vdot(w, x).real - (np.conj(w[0]) * x[0]).real
+    if n % 2 == 0:
+        wx -= (np.conj(w[-1]) * x[-1]).real
+    return float(wx)
+
+
 def _sparse_truth(rng, n, k):
-    w = np.zeros(n, dtype=complex)
-    w[rng.choice(n, size=k, replace=False)] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    """Bins 0..N/2 of a real signal's spectrum with k interior bins occupied
+    (at most all of them): 2k bins of the full spectrum."""
+    k = min(k, (n - 1) // 2)
+    w = np.zeros(n // 2 + 1, dtype=complex)
+    bins = rng.choice(np.arange(1, (n + 1) // 2), size=k, replace=False)
+    w[bins] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     return w
 
 
@@ -573,19 +615,19 @@ def test_support_path_matches_dense_rule(
     seed, n, k, extra, variant, tracked, burn_in, mu_ref, noise
 ):
     rng = np.random.default_rng(seed)
-    rows = fourier_rows(n)
+    rows = _half_rows(n)
     w_true = _sparse_truth(rng, n, k)
-    s = None if tracked else min(k + extra, n)
+    s = None if tracked else min(2 * k + extra, n)
     fast, dense = _pair(variant, n, s, burn_in, mu_ref, tracked)
     for _ in range(150):
         x = rows[rng.integers(n)]
         draw = rng.random()
         if draw < 0.05:
-            y = np.vdot(fast.state.w, x)  # e exactly 0
+            y = _wx(fast.state.w, x, n)  # e exactly 0
         else:
-            y = np.vdot(w_true, x) + noise * rng.standard_normal()
+            y = _wx(w_true, x, n) + noise * rng.standard_normal()
         if draw > 0.98:  # a reassigned, dense iterate must go back to the dense rule
-            nudge = 1e-3 * rng.standard_normal(n)
+            nudge = 1e-3 * rng.standard_normal(n // 2 + 1)
             fast.state.w = fast.state.w + nudge
             dense.state.w = dense.state.w + nudge
         sample = MeasurementSample(x, y)
@@ -595,14 +637,14 @@ def test_support_path_matches_dense_rule(
 def _stable_run(variant="hard", n=32, k=2, steps=400, seed=3):
     """A fixed-budget pair after ``steps`` noiseless steps, and its stream."""
     rng = np.random.default_rng(seed)
-    rows = fourier_rows(n)
+    rows = _half_rows(n)
     w_true = _sparse_truth(rng, n, k)
 
     def sample():
         x = rows[rng.integers(n)]
-        return MeasurementSample(x, np.vdot(w_true, x))
+        return MeasurementSample(x, _wx(w_true, x, n))
 
-    fast, dense = _pair(variant, n, k, burn_in=n)
+    fast, dense = _pair(variant, n, 2 * k, burn_in=n)
     for _ in range(steps):
         smp = sample()
         assert_bitwise_equal(fast, dense, fast.step(smp), dense_step(dense, smp))
@@ -653,19 +695,19 @@ def test_support_path_takes_the_dense_rule_off_a_registered_table(monkeypatch, s
     if source == "unregistered-stream":  # the roots fail the bound: no table is taken
         monkeypatch.setattr(sensing, "UNIT_SQ_MAG_BOUND", 1.0 - 1e-3)
     fast, dense, _ = _stable_run()
-    n = fast.state.w.size
+    n = 32
     cfg = SensingConfig(n=n, m=1, mode=RepeatedPass(1), seed=0)
     (streamed,) = make_stream(cfg, [np.full(n, 0.25)])
-    copied = MeasurementSample(fourier_rows(n)[3].copy(), 0.25)
+    copied = MeasurementSample(_half_rows(n)[3].copy(), 0.25)
     if source == "copied-row":
         samples = [copied]
     elif source == "unregistered-table":
-        samples = [MeasurementSample(fourier_rows(n).copy()[3], 0.25)]
+        samples = [MeasurementSample(fourier_rows(n).copy()[3, :n // 2 + 1], 0.25)]
     elif source == "unregistered-stream":
         samples = [streamed, copied]  # a copied row has no base to match either
     elif source == "rebuilt-table":
         fourier_rows.cache_clear()
-        samples = [MeasurementSample(fourier_rows(n)[3], 0.25)]
+        samples = [MeasurementSample(_half_rows(n)[3], 0.25)]
     else:
         streamed.x = streamed.x.copy()
         samples = [streamed]
@@ -746,18 +788,18 @@ def test_an_array_a_record_is_taken_on_is_read_only():
     # a hard cut's array, HARD-EST's after a certified step and sza's iterate
     n, k = 32, 2
     rng = np.random.default_rng(5)
-    rows = fourier_rows(n)
+    rows = _half_rows(n)
     w_true = _sparse_truth(rng, n, k)
-    hard = Estimator(EstimatorConfig("hard", mu=0.5 / n, s=k), n)
+    hard = Estimator(EstimatorConfig("hard", mu=0.5 / n, s=2 * k), n)
     tracked = Estimator(
         EstimatorConfig("hard", mu=0.5 / n, burn_in=n), n,
         TrackerParams(lam=0.9, xi=0.5 / n, q_star=0.05),
     )
-    sza = Estimator(EstimatorConfig("sza", mu=0.5 / n, rho=0.02 / n, s=k), n)
+    sza = Estimator(EstimatorConfig("sza", mu=0.5 / n, rho=0.02 / n, s=2 * k), n)
 
     def sample():
         x = rows[rng.integers(n)]
-        return MeasurementSample(x, np.vdot(w_true, x))
+        return MeasurementSample(x, _wx(w_true, x, n))
 
     hard.step(sample())  # the first active step cuts
     certified = False
@@ -809,13 +851,15 @@ def test_a_count_is_decided_from_w_only_past_the_reach():
     # whose overflowing magnitudes it does not cover
     q_star = 0.05
     v = np.array([0.0, 2.0j])  # the nearest is 0, at q* from q*
+    kept, n = np.array([0, 3]), 8  # bin 0 counts once, bin 3 twice
     reach = q_star * (1.0 - estimators._DELTA)
-    assert estimators._count_by_bound(v, q_star, reach) is None
-    count, slack = estimators._count_by_bound(v, q_star, math.nextafter(reach, 0.0))
-    assert count == 1 and slack > 0.0
-    assert estimators._count_by_bound(np.array([math.nan, 2.0]), q_star, 0.0) is None
-    assert estimators._count_by_bound(v, 1e200, 0.0) is None
-    assert estimators._count_by_bound(np.zeros(0, dtype=complex), q_star, reach)[0] == 0
+    assert estimators._count_by_bound(v, kept, n, q_star, reach) is None
+    count, slack = estimators._count_by_bound(v, kept, n, q_star, math.nextafter(reach, 0.0))
+    assert count == 2 and slack > 0.0
+    assert estimators._count_by_bound(np.array([math.nan, 2.0]), kept, n, q_star, 0.0) is None
+    assert estimators._count_by_bound(v, kept, n, 1e200, 0.0) is None
+    empty = np.zeros(0, dtype=complex)
+    assert estimators._count_by_bound(empty, np.zeros(0, dtype=int), n, q_star, reach)[0] == 0
 
 
 # -- budget path against the full query -----------------------------------------------
@@ -858,7 +902,7 @@ def test_budget_path_matches_the_full_query(
     seed, n, k, variant, xi_ref, lam, near, rho_ref, noise, exact
 ):
     rng = np.random.default_rng(seed)
-    rows = fourier_rows(n)
+    rows = _half_rows(n)
     w_true = _sparse_truth(rng, n, k)
     q_star = near * float(np.abs(w_true[np.flatnonzero(w_true)]).min())
     rho = rho_ref / n if variant != "hard" else 0.0
@@ -869,13 +913,13 @@ def test_budget_path_matches_the_full_query(
         x = rows[rng.integers(n)]
         draw = rng.random()
         if rng.random() < (exact if step >= 100 else 0.05):
-            y = np.vdot(fast.state.w, x)  # e exactly 0
+            y = _wx(fast.state.w, x, n)  # e exactly 0
         else:
-            y = np.vdot(w_true, x) + noise * rng.standard_normal()
+            y = _wx(w_true, x, n) + noise * rng.standard_normal()
         if draw > 0.99:
             x = x.copy()  # a non-unit row: the tracker's bound becomes unknown
         if 0.98 < draw <= 0.99:  # a reassigned iterate, one entry poisoned or moved
-            j, value = rng.integers(n), rng.choice([0.0, 2 * q_star, 1e150, math.nan])
+            j, value = rng.integers(n // 2 + 1), rng.choice([0.0, 2 * q_star, 1e150, math.nan])
             fast.state.w = _poisoned_copy(fast.state.w, j, value)
             oracle.state.w = _poisoned_copy(oracle.state.w, j, value)
         sample = MeasurementSample(x, y)
@@ -908,7 +952,7 @@ def _exact_sq(z) -> Fraction:
 @example(seed=0, n=8, lam=0.9, scale=1e-315)
 def test_error_bound_covers_the_tracker_error_and_a_full_query_resets_it(seed, n, lam, scale):
     rng = np.random.default_rng(seed)
-    rows = fourier_rows(n)
+    rows = _half_rows(n)
     cfg = EstimatorConfig("hard", mu=0.5 / n, burn_in=5)
     queried, resets = [], []
     query, budget = estimators.estimate_sparsity, estimators.Estimator._tracker_budget
@@ -932,7 +976,7 @@ def test_error_bound_covers_the_tracker_error_and_a_full_query_resets_it(seed, n
             x = rows[rng.integers(n)]
             if rng.random() < 0.1:
                 x = x.copy()  # a non-unit row: the bound becomes unknown
-            y = scale * complex(rng.standard_normal(), rng.standard_normal())
+            y = scale * rng.standard_normal()
             est.step(MeasurementSample(x, y))
             if math.isfinite(est._bound):
                 # est.tracker replays any deferred update first
@@ -951,20 +995,22 @@ def test_error_bound_covers_the_tracker_error_and_a_full_query_resets_it(seed, n
     ),
 )
 def test_tracked_step_forms_b_in_the_work_array_as_tracker_update_of_e_conj_x(seed, n, lam, ys):
-    # the step writes e* x into the tracker's work array and the update scales
-    # it there; a tracker fed tracker_update(e* x) gives the same bits.  The
-    # tracker runs during burn-in, which keeps a non-finite e from the cut.
+    # the step writes e* x = e x (e is real) into the tracker's work array and
+    # the update scales it there; a tracker fed tracker_update(e x) gives the
+    # same bits.  The tracker runs during burn-in, which keeps a non-finite e
+    # from the cut.
     rng = np.random.default_rng(seed)
-    rows = fourier_rows(n)
+    rows = _half_rows(n)
     cfg = EstimatorConfig("hard", mu=0.5 / n, burn_in=100)
     est = Estimator(cfg, n, TrackerParams(lam=lam, xi=0.5 / n))
     ref = make_tracker(est.tracker.params, n)
     with np.errstate(all="ignore"):
         for re, im in ys:
             x = rows[rng.integers(n)]
-            y = re if im == 0.0 else complex(re, im)  # a Python float, or numpy's path
+            y = re if im == 0.0 else complex(re, 0.0)  # a Python float, or a real complex
             e = est.step(MeasurementSample(x, y))
-            tracker_update(ref, e.conjugate() * x)
+            assert type(e) is float
+            tracker_update(ref, e * x)
             assert _bits(est.tracker.err) == _bits(ref.err)
             assert est.tracker.kappa == ref.kappa
 
@@ -974,38 +1020,38 @@ def test_tracked_step_forms_b_in_the_work_array_as_tracker_update_of_e_conj_x(se
 
 @settings(max_examples=300, deadline=None)
 @given(
-    y_re=_any_float,
-    y_im=_any_float,
-    w_re=st.lists(_any_float, min_size=4, max_size=4),
-    w_im=st.lists(_any_float, min_size=4, max_size=4),
+    y=_any_float,
+    w_re=st.lists(_any_float, min_size=3, max_size=3),
+    w_im=st.lists(_any_float, min_size=3, max_size=3),
     mu=st.one_of(st.sampled_from([5e-324, 0.25]), st.floats(1e-300, 0.49)),
     zero_w=st.booleans(),
     t=st.integers(0, 3),
 )
-def test_step_scalars_match_numpy_complex128_bit_for_bit(y_re, y_im, w_re, w_im, mu, zero_w, t):
-    # e = y - w^H x, c = mu e* and b = e* x as numpy scalars formed them; a zero
+def test_step_scalars_match_numpy_complex128_bit_for_bit(y, w_re, w_im, mu, zero_w, t):
+    # e = y - w^H x over N = 4 from bins 0..2 (bin 1 twice), c = mu e and
+    # b = e x as numpy's float64 and complex128 operations form them; a zero
     # iterate gives e = y exactly, signed zeros included
-    w = np.zeros(4, dtype=complex)
+    w = np.zeros(3, dtype=complex)
     if not zero_w:
         w.real, w.imag = w_re, w_im
-    x = fourier_rows(4)[t]
-    y = complex(y_re, y_im)
+    x = _half_rows(4)[t]
     with np.errstate(all="ignore"):
-        e_ref = y - np.vdot(w, x)
-        e_conj_ref = e_ref.conjugate()
-        c_ref = mu * e_conj_ref
+        wx = (np.float64(2.0) * np.vdot(w, x).real - (np.conj(w[0]) * x[0]).real
+              - (np.conj(w[2]) * x[2]).real)
+        e_ref = np.float64(y) - wx
+        c_ref = np.float64(mu) * e_ref
         est = Estimator(EstimatorConfig("lms", mu=mu), 4)
         est.state.w = w.copy()
         e = est.step(MeasurementSample(x, y))
-        w_ref = w + c_ref * x
+        w_ref = w + np.complex128(c_ref) * x
         tracked = Estimator(EstimatorConfig("hard", mu=mu, burn_in=1), 4, TrackerParams())
         tracked.state.w = w.copy()
         tracked.step(MeasurementSample(x, y))
         ref = make_tracker(TrackerParams(), 4)
-        tracker_update(ref, e_conj_ref * x)
-    assert type(e) is complex
-    assert type(prediction_error(EstimatorState(w=w), MeasurementSample(x, y))) is complex
-    assert _bits(np.complex128(e)) == _bits(e_ref)
+        tracker_update(ref, np.complex128(e_ref) * x)
+    assert type(e) is float
+    assert type(prediction_error(EstimatorState(w=w), MeasurementSample(x, y), 4)) is float
+    assert _bits(np.float64(e)) == _bits(e_ref)
     assert _bits(est.state.w) == _bits(w_ref)
     assert _bits(tracked.tracker.err) == _bits(ref.err)
 
@@ -1083,7 +1129,7 @@ def test_deferred_tracker_updates_match_the_eager_rule(
     seed, n, k, variant, xi_ref, lam, near, noise, read_every
 ):
     rng = np.random.default_rng(seed)
-    rows = fourier_rows(n)
+    rows = _half_rows(n)
     w_true = _sparse_truth(rng, n, k)
     q_star = near * float(np.abs(w_true[np.flatnonzero(w_true)]).min())
     rho = 0.02 / n if variant == "hard_l0" else 0.0
@@ -1092,16 +1138,16 @@ def test_deferred_tracker_updates_match_the_eager_rule(
     fast, oracle = Estimator(cfg, n, params), Estimator(cfg, n, params)
     for step in range(300):
         x = rows[rng.integers(n)]
-        y = np.vdot(w_true, x) + noise * rng.standard_normal()
+        y = _wx(w_true, x, n) + noise * rng.standard_normal()
         draw = rng.random()
         if draw > 0.995:
             x = x.copy()  # a non-unit row: an eager update, and B unknown
         elif draw > 0.99:  # a reassigned iterate: a full query
-            nudge = 1e-3 * rng.standard_normal(n)
+            nudge = 1e-3 * rng.standard_normal(n // 2 + 1)
             fast.state.w = fast.state.w + nudge
             oracle.state.w = oracle.state.w + nudge
         elif draw > 0.985:  # an assigned err: B unknown, a full query
-            j, shift = rng.integers(n), 0.1 * q_star
+            j, shift = rng.integers(n // 2 + 1), 0.1 * q_star
             for est in (fast, oracle):
                 err = est.tracker.err.copy()
                 err[j] += shift
@@ -1122,13 +1168,13 @@ def _deferring_pair(n=16):
     cfg = EstimatorConfig("hard", mu=1e-320, burn_in=1)
     params = TrackerParams(lam=0.9, xi=0.5 / n, q_star=0.05)
     fast, oracle = Estimator(cfg, n, params), Estimator(cfg, n, params)
-    rows = fourier_rows(n)
-    w = np.zeros(n, dtype=complex)
-    w[:3] = 1.0
+    rows = _half_rows(n)
+    w = np.zeros(n // 2 + 1, dtype=complex)
+    w[:3] = 1.0  # bin 0 and the pairs of bins 1 and 2: a count of 5
     for t in range(6):
         if t == 1:
             fast.state.w, oracle.state.w = w.copy(), w.copy()
-        sample = MeasurementSample(rows[t], np.vdot(fast.state.w, rows[t]) + 0.01)
+        sample = MeasurementSample(rows[t], _wx(fast.state.w, rows[t], n) + 0.01)
         assert_bitwise_equal(fast, oracle, fast.step(sample), eager_step(oracle, sample))
     assert fast._pending and fast.bound_counts > 0
     return fast, oracle, rows
@@ -1137,15 +1183,16 @@ def _deferring_pair(n=16):
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
 def test_an_update_that_overflows_runs_at_its_own_step():
-    # |e| near the largest float: b = e* x overflows, and the warning and the
-    # infinite err entries show inside that step, not at a later read of err
+    # |e| near the largest float: (d)'s bound on err would overflow, so the
+    # update runs eagerly inside that step, and a deferral ends with a replay
+    # there; a real e on a unit row keeps b = e x and err finite
     fast, oracle, rows = _deferring_pair()
-    sample = MeasurementSample(rows[2], complex(1.5e308, -1.5e308))
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        e = fast.step(sample)
-    assert fast.last_s == 3  # the support step, not the dense rule
+    sample = MeasurementSample(rows[2], 1.5e308)
+    e = fast.step(sample)
+    assert fast.last_s == 5  # the support step, not the dense rule
     assert not fast._pending
-    assert not np.isfinite(fast._tracker.err).all()
+    assert fast._bound > estimators._ROOT_MAX and np.isfinite(fast._tracker.err).all()
+    assert np.abs(fast._tracker.err).max() > 1e307
     assert_bitwise_equal(fast, oracle, e, eager_step(oracle, sample))
     assert_same_tracker(fast, oracle)
 
@@ -1155,7 +1202,7 @@ def test_a_copied_row_is_updated_at_its_own_step():
     # to it cannot reach err through a replay
     fast, oracle, rows = _deferring_pair()
     x = rows[3].copy()
-    sample = MeasurementSample(x, np.vdot(fast.state.w, x) + 0.01)
+    sample = MeasurementSample(x, _wx(fast.state.w, x, 16) + 0.01)
     assert_bitwise_equal(fast, oracle, fast.step(sample), eager_step(oracle, sample))
     assert not fast._pending
     x[:] = 7.0
@@ -1163,7 +1210,7 @@ def test_a_copied_row_is_updated_at_its_own_step():
     # B is unknown after a copied row: the next budget is a full query, which
     # turns deferral off, so that step's update runs eagerly too
     full = fast.full_queries
-    sample = MeasurementSample(rows[4], np.vdot(fast.state.w, rows[4]) + 0.01)
+    sample = MeasurementSample(rows[4], _wx(fast.state.w, rows[4], 16) + 0.01)
     assert_bitwise_equal(fast, oracle, fast.step(sample), eager_step(oracle, sample))
     assert fast.full_queries == full + 1
     assert not fast._pending
@@ -1176,13 +1223,13 @@ def test_an_err_assigned_through_a_held_reference_drops_the_deferred_updates():
     fast, oracle, rows = _deferring_pair()
     held = fast.tracker, oracle.tracker
     for t in (4, 5):  # deferred, and not applied to the held state
-        sample = MeasurementSample(rows[t], np.vdot(fast.state.w, rows[t]) + 0.01)
+        sample = MeasurementSample(rows[t], _wx(fast.state.w, rows[t], 16) + 0.01)
         assert_bitwise_equal(fast, oracle, fast.step(sample), eager_step(oracle, sample))
     assert fast._pending
-    err = np.full(rows.shape[0], 0.001 + 0.002j)
+    err = np.full(rows.shape[1], 0.001 + 0.002j)
     for tr in held:
         tr.err = err.copy()
-    sample = MeasurementSample(rows[6], np.vdot(fast.state.w, rows[6]) + 0.01)
+    sample = MeasurementSample(rows[6], _wx(fast.state.w, rows[6], 16) + 0.01)
     assert_bitwise_equal(fast, oracle, fast.step(sample), eager_step(oracle, sample))
     assert_same_tracker(fast, oracle)
 
@@ -1191,7 +1238,7 @@ def test_an_err_assigned_through_a_held_reference_drops_the_deferred_updates():
 def test_a_changed_tracker_err_gives_the_full_query_budgets(in_place):
     # exp2 at N = 64, HARD-EST, trial 0, with err[K] + 3 after step 600, where a
     # count on K is being reused.  Measured: the full query then gives budgets
-    # 23, 20, 18, 16, 15, 14 at steps 601-606, where an ignored change keeps 28.
+    # 23, 21, 19, 17, 15, 13 at steps 601-606, where an ignored change keeps 28.
     # An assigned err drops the count and B; an in-place write raises.
     spec = get_experiment("exp2", trials=1, n=64)
     algo = next(a for a in spec.algorithms if a.label == "HARD-EST")
@@ -1215,7 +1262,7 @@ def test_a_changed_tracker_err_gives_the_full_query_budgets(in_place):
                 err = err.copy()
                 err[kept] += 3
                 est.tracker.err = err
-    assert budgets[600:606] == ([28] * 6 if in_place else [23, 20, 18, 16, 15, 14])
+    assert budgets[600:606] == ([28] * 6 if in_place else [23, 21, 19, 17, 15, 13])
 
 
 def test_the_tracker_err_stays_read_only_when_xi_is_zero():
@@ -1286,30 +1333,31 @@ def test_selective_path_matches_the_exact_cut(
     seed, n, k, s_shift, burn_in, mu_ref, rho_ref, noise, equal
 ):
     rng = np.random.default_rng(seed)
-    rows = fourier_rows(n)
+    rows = _half_rows(n)
     w_true = _sparse_truth(rng, n, k)
     if equal:
         w_true[w_true != 0] = 0.5 + 0.5j
-    s = min(max(k + s_shift, 1), n)
+    s = min(max(2 * k + s_shift, 1), n)
     cfg = EstimatorConfig("sza", mu=mu_ref / n, rho=rho_ref / n, s=s, burn_in=burn_in)
     fast, oracle = Estimator(cfg, n), Estimator(cfg, n)
     for _ in range(200):
         x = rows[rng.integers(n)]
         draw = rng.random()
         if draw < 0.05:
-            y = np.vdot(fast.state.w, x)  # e exactly 0: only rho moves w
+            y = _wx(fast.state.w, x, n)  # e exactly 0: only rho moves w
         else:
-            y = np.vdot(w_true, x) + noise * rng.standard_normal()
+            y = _wx(w_true, x, n) + noise * rng.standard_normal()
         sample = MeasurementSample(x, y)
         if 0.95 < draw <= 0.97:  # a non-unit row, up to 20 times a unit one
             sample = MeasurementSample(x * rng.uniform(1.0, 20.0), y)
         if 0.97 < draw <= 0.985:  # reassigned, with an exact tie at the s-th magnitude
             w = fast.state.w.copy()
             order = np.argsort(np.abs(w))
-            w[order[-1]] = w[order[0]] = abs(w[order[-s]])
+            # the s-th largest of the full spectrum's N magnitudes
+            w[order[-1]] = w[order[0]] = np.sort(np.abs(estimators._mirrored(w, n)))[-s]
             fast.state.w, oracle.state.w = w, w.copy()
         if 0.985 < draw <= 0.99:  # a NaN assigned: same error, same step
-            j = rng.integers(n)
+            j = rng.integers(n // 2 + 1)
             fast.state.w = _poisoned_copy(fast.state.w, j, math.nan)
             oracle.state.w = _poisoned_copy(oracle.state.w, j, math.nan)
         with np.errstate(all="ignore"):
@@ -1388,7 +1436,7 @@ def test_support_record_takes_the_certificate_path(
     seed, n, k, extra, variant, tracked, burn_in, mu_ref, rho_ref, noise, exact, scale
 ):
     rng = np.random.default_rng(seed)
-    rows = fourier_rows(n)
+    rows = _half_rows(n)
     w_true = scale * _sparse_truth(rng, n, k)
     rho = rho_ref * scale / n if variant == "hard_l0" else 0.0
     cfg = EstimatorConfig(
@@ -1401,18 +1449,18 @@ def test_support_record_takes_the_certificate_path(
         x = rows[rng.integers(n)]
         draw = rng.random()
         if rng.random() < (exact if step >= 100 else 0.05):
-            y = np.vdot(fast.state.w, x)  # e exactly 0
+            y = _wx(fast.state.w, x, n)  # e exactly 0
         else:
-            y = np.vdot(w_true, x) + noise * scale * rng.standard_normal()
+            y = _wx(w_true, x, n) + noise * scale * rng.standard_normal()
         sample = MeasurementSample(x, y)
         if 0.95 < draw <= 0.96:  # a non-unit row: the dense rule
             sample = MeasurementSample(x.copy(), y)
         if 0.96 < draw <= 0.98:  # a reassigned iterate: a new cut
-            nudge = 1e-3 * scale * rng.standard_normal(n)
+            nudge = 1e-3 * scale * rng.standard_normal(n // 2 + 1)
             fast.state.w = fast.state.w + nudge
             oracle.state.w = oracle.state.w + nudge
         if 0.995 < draw:  # a NaN assigned: same error, same step
-            j = rng.integers(n)
+            j = rng.integers(n // 2 + 1)
             fast.state.w = _poisoned_copy(fast.state.w, j, math.nan)
             oracle.state.w = _poisoned_copy(oracle.state.w, j, math.nan)
         with np.errstate(all="ignore"), cuts_logged() as calls:
@@ -1428,23 +1476,24 @@ def test_support_record_takes_the_certificate_path(
 def test_support_record_never_certifies_a_square_that_overflows():
     # K's entries sit just below sqrt(largest float): a step that moves one past
     # it leaves a finite v whose square overflows, which _certified refuses
+    # N = 4: s = 3 keeps the pair of bin 1 and the self-conjugate bin 2
     n = 4
-    cfg = EstimatorConfig("hard", mu=0.25, s=2)
+    cfg = EstimatorConfig("hard", mu=0.25, s=3)
     fast, oracle = Estimator(cfg, n), Estimator(cfg, n)
-    w = np.array([1.30e154, 1.20e154, 0.0, 0.0], dtype=complex)
-    x = fourier_rows(n)[1]
+    w = np.array([0.0, 1.30e154, 1.20e154], dtype=complex)
+    x = _half_rows(n)[0]
     for est in (fast, oracle):
         est.state.w = w.copy()
     for y_off in (0.0, 0.0, 4.0e153):  # a dense cut, a record, then the overflow
         with np.errstate(over="ignore"), cuts_logged() as calls:
             cuts_fast, e_fast = _cuts_of(
-                calls, lambda: fast.step(MeasurementSample(x, np.vdot(fast.state.w, x) + y_off))
+                calls, lambda: fast.step(MeasurementSample(x, _wx(fast.state.w, x, n) + y_off))
             )
             cuts_oracle, e_oracle = _cuts_of(
                 calls,
                 lambda: _step_with(
                     no_record, oracle,
-                    MeasurementSample(x, np.vdot(oracle.state.w, x) + y_off),
+                    MeasurementSample(x, _wx(oracle.state.w, x, n) + y_off),
                 ),
             )
         assert cuts_fast == cuts_oracle
@@ -1553,19 +1602,19 @@ def test_certified_ends_match_the_sort_form(size, seed, placed, scale, c):
 
 
 def _views(n):
-    rows = fourier_rows(n)
-    return {"short": rows[0, : n - 1], "two-rows": rows[:2], "other-table": fourier_rows(2 * n)[1]}
+    rows = _half_rows(n)
+    return {"short": rows[0, : n // 2], "two-rows": rows[:2], "other-table": fourier_rows(2 * n)[1]}
 
 
 @pytest.mark.parametrize("view", ["short", "two-rows", "other-table"])
 @pytest.mark.parametrize("path", ["support", "general"])
 def test_a_wrong_shaped_table_view_names_its_shape(monkeypatch, path, view):
-    # the support step checks the row's shape against the (N,) it holds, the
-    # general body through prediction_error; the first two views are views of
+    # the support step checks the row's shape against the (N//2 + 1,) it
+    # holds, the general body through prediction_error's check; the first two views are views of
     # the estimator's own table, so on the support path they reach the
     # support step's check
     n = 16
-    rows = fourier_rows(n)
+    rows = _half_rows(n)
     supported = []
     support_step = Estimator._support_step
 
@@ -1576,14 +1625,14 @@ def test_a_wrong_shaped_table_view_names_its_shape(monkeypatch, path, view):
     monkeypatch.setattr(Estimator, "_support_step", counted)
     burn_in = 0 if path == "support" else 10**6
     est = Estimator(EstimatorConfig("hard", mu=0.5 / n, s=3, burn_in=burn_in), n)
-    est.state.w = np.random.default_rng(2).standard_normal(n) * (1 + 1j)
+    est.state.w = np.random.default_rng(2).standard_normal(n // 2 + 1) * (1 + 1j)
     for t in (1, 5, 9):
         est.step(MeasurementSample(rows[t], 0.25))
     assert bool(supported) == (path == "support")
     bad = _views(n)[view]
     supported.clear()
     with pytest.raises(ValueError, match=re.escape(f"regressor has shape {bad.shape}, "
-                                                   f"expected ({n},)")):
+                                                   f"expected ({n // 2 + 1},)")):
         est.step(MeasurementSample(bad, 0.25))
     assert bool(supported) == (path == "support" and view != "other-table")
 
@@ -1623,7 +1672,7 @@ def test_a_zero_d_operand_gives_the_python_scalars_bits(parts, re, im, real):
 def _caller_rows(n, dtype, count, seed):
     """Rows that are not views of the table, in the dtype a caller chose."""
     rng = np.random.default_rng(seed)
-    table = fourier_rows(n)
+    table = _half_rows(n)
     if np.dtype(dtype).kind == "f":
         return [np.sign(table[t].real + 0.5).astype(dtype) for t in rng.integers(n, size=count)]
     return [table[t].astype(dtype) for t in rng.integers(n, size=count)]
@@ -1663,7 +1712,7 @@ def test_an_assigned_iterate_of_another_dtype_raises_at_the_next_step(variant):
     # assigned array at prediction_error, and so do hard and hard_l0, whose
     # support record the assignment drops
     n = 16
-    rows = fourier_rows(n)
+    rows = _half_rows(n)
     s = 3 if variant in estimators.THRESHOLDED else None
     cfg = EstimatorConfig(variant, mu=0.5 / n, rho=1e-2, s=s)
     for dtype in _OTHER_DTYPES:
@@ -1682,7 +1731,7 @@ def test_an_assigned_err_of_another_dtype_raises_at_the_next_step():
     n = 16
     params = TrackerParams(lam=0.95, xi=1.0, q_star=0.05)
     est = Estimator(EstimatorConfig("hard", mu=0.5 / n), n, params)
-    rows = fourier_rows(n)
+    rows = _half_rows(n)
     for t in range(4):
         est.step(MeasurementSample(rows[t], 0.5))
     assert est.sparse_iterate() is not None

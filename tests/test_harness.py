@@ -68,29 +68,35 @@ def tiny_spec(trials=2, **overrides):
 
 
 def test_rmse_zero_estimate():
-    assert rmse([1.0, 0.0], [0.0, 0.0]) == 1.0
+    # N = 2: bins 0 and 1 are both their own conjugates
+    assert rmse([1.0, 0.0], [0.0, 0.0], 2) == 1.0
     assert rmse_db(1.0) == 0.0
 
 
 def test_rmse_exact_estimate_floors():
-    assert rmse([1.0, 0.0], [1.0, 0.0]) == 0.0
+    assert rmse([1.0, 0.0], [1.0, 0.0], 2) == 0.0
     assert rmse_db(0.0) == -120.0
 
 
 def test_rmse_hand_example():
-    assert rmse([1.0, 0.0], [1.0, 0.1]) == pytest.approx(0.01)
+    assert rmse([1.0, 0.0], [1.0, 0.1], 2) == pytest.approx(0.01)
     assert rmse_db(0.01) == pytest.approx(-20.0)
+    # N = 3: bin 1 stands for bins 1 and 2, so its error counts twice
+    assert rmse([1.0, 0.0], [1.0, 0.1], 3) == pytest.approx(0.02)
+    assert rmse([0.0, 1.0], [0.1, 1.0], 3) == pytest.approx(0.005)
 
 
 def test_rmse_zero_reference_rejected():
     with pytest.raises(ValueError):
-        rmse([0.0, 0.0], [1.0, 0.0])
+        rmse([0.0, 0.0], [1.0, 0.0], 2)
 
 
 def test_rmse_rejects_mismatched_shapes():
     # broadcasting would compare every entry with the one estimate, and give 1.0
     with pytest.raises(ValueError, match=re.escape("shape (3,), estimate has shape (1,)")):
-        rmse(np.ones(3), np.zeros(1))
+        rmse(np.ones(3), np.zeros(1), 4)
+    with pytest.raises(ValueError, match=re.escape("spectra have shape (3,), expected (4,)")):
+        rmse(np.ones(3), np.zeros(3), 6)
 
 
 # -- divergence guard and LMS floor ----------------------------------------------
@@ -139,18 +145,20 @@ def _per_step_rmse(spec, algo, trial, kept=None):
     """run_trial's r-MSE trajectory recomputed with _sq_norm after every step;
     ``kept``, when given, gets the K of each iterate that is zero off a support
     small enough for a support row, or None."""
-    est = harness.Estimator(algo.estimator, spec.signal.n, algo.tracker)
+    n = spec.signal.n
+    est = harness.Estimator(algo.estimator, n, algo.tracker)
     out = []
     for phase in harness._build_phases(spec, trial):
-        sig2 = harness._sq_norm(phase.w_true)
+        w_true = phase.w_true[:n // 2 + 1]
+        sig2 = harness._sq_norm(w_true, n)
         windows = itertools.repeat(phase.z, phase.sensing.n_windows)
         for sample in harness.make_stream(phase.sensing, windows, phase.sigma):
             est.step(sample)
-            out.append(harness._sq_norm(est.state.w - phase.w_true) / sig2)
+            out.append(harness._sq_norm(est.state.w - w_true, n) / sig2)
             if kept is not None:
                 sparse = est.sparse_iterate()
                 small = sparse is not None and (
-                    sparse[0].size <= spec.signal.n * harness.SUPPORT_ROW_SHARE)
+                    sparse[0].size <= (n // 2 + 1) * harness.SUPPORT_ROW_SHARE)
                 kept.append(sparse[0] if small else None)
     return np.array(out)
 
@@ -253,13 +261,13 @@ def test_dense_rows_match_the_per_row_subtraction():
     # two phases of more than a block each (the second ends mid-block), and a
     # w* whose zeros include -0.0 entries that np.flatnonzero leaves off T
     rng = np.random.default_rng(5)
-    n = 12
-    w_a = np.zeros(n, dtype=complex)
-    w_a[[2, 9]] = [-0.5j, 0.5j]
+    n, h = 12, 7
+    w_a = np.zeros(h, dtype=complex)
+    w_a[[2, 6]] = [-0.5j, 0.5]
     w_b = w_a.copy()
-    w_b[[4, 7]] = [0.25 - 1j, 3.0]
+    w_b[[4, 1]] = [0.25 - 1j, 3.0]
     w_b[[0, 5]] = [complex(-0.0, -0.0), complex(-0.0, 0.0)]
-    w_b[11] = complex(0.0, -0.0)
+    w_b[3] = complex(0.0, -0.0)
     phases = [(w_a, 40), (w_b, 45)]
     parts = np.array(_SMALL_PARTS)
     specials = [complex(-0.0, -0.0), 1e300, complex(1.0, -1e300), math.inf,
@@ -268,12 +276,12 @@ def test_dense_rows_match_the_per_row_subtraction():
     for _, count in phases:
         ws = []
         for i in range(count):
-            w = np.empty(n, dtype=complex)
-            w.real = parts[rng.integers(parts.size, size=n)]
-            w.imag = parts[rng.integers(parts.size, size=n)]
+            w = np.empty(h, dtype=complex)
+            w.real = parts[rng.integers(parts.size, size=h)]
+            w.imag = parts[rng.integers(parts.size, size=h)]
             if i < len(specials):
                 # on T, off T, and on the -0.0 entries of w_b
-                w[[i % 3, 4, 5, 9, 11]] = specials[i]
+                w[[i % 3, 4, 5, 6, 3]] = specials[i]
             ws.append(w)
         iterates.append(ws)
 
@@ -283,10 +291,10 @@ def test_dense_rows_match_the_per_row_subtraction():
     with np.errstate(all="ignore"):
         for (w_true, _), ws in zip(phases, iterates):
             rows.phase(w_true)
-            sig2 = harness._sq_norm(w_true)
+            sig2 = harness._sq_norm(w_true, n)
             for w in ws:
                 rows.add(_DenseIterate(w))
-                want.append(harness._sq_norm(w - w_true) / sig2)
+                want.append(harness._sq_norm(w - w_true, n) / sig2)
         rows.flush()
     want = np.array(want)
     assert np.isnan(want).any() and np.isinf(want).any() and np.isfinite(want).any()
@@ -297,7 +305,8 @@ def test_a_k_that_changes_every_step_takes_dense_rows(monkeypatch):
     # exp4's HARD-EST moves K on runs of consecutive steps after its signal
     # change; a support row per new K cost a one-row flush each (181 of them
     # in this trial, 3 for HARD-EST-SIMPLE) where a dense row is several
-    # times cheaper.  Only the first K of a run is taken as support rows.
+    # times cheaper.  Only the first K of a run is taken as support rows
+    # (95 and 0 one-row flushes, measured on bins 0..N/2).
     spec = build_exp4_tracking(trials=1, n=64)
     flushes = []
     flush = harness._RmseRows.flush
@@ -308,7 +317,7 @@ def test_a_k_that_changes_every_step_takes_dense_rows(monkeypatch):
         flush(self)
 
     monkeypatch.setattr(harness._RmseRows, "flush", counted)
-    for algo, one_row in zip(spec.algorithms, (113, 2)):
+    for algo, one_row in zip(spec.algorithms, (95, 0)):
         flushes.clear()
         run_trial(spec, algo, 0)
         assert flushes.count((True, 1)) == one_row, algo.label
@@ -332,10 +341,10 @@ def test_a_wide_k_takes_support_rows_once_it_has_lasted_a_block(monkeypatch):
     # moving supports do, take dense rows only; one that lasts 80 takes dense
     # rows for RMSE_BLOCK steps, then support rows.  A K of RMSE_BLOCK entries
     # or fewer takes support rows from its first step, as before
-    n, block = 200, harness.RMSE_BLOCK
+    n, h, block = 200, 101, harness.RMSE_BLOCK
     rng = np.random.default_rng(12)
-    w_true = np.zeros(n, dtype=complex)
-    w_true[rng.choice(n, size=30, replace=False)] = rng.standard_normal(30) + 1j
+    w_true = np.zeros(h, dtype=complex)
+    w_true[rng.choice(h, size=30, replace=False)] = rng.standard_normal(30) + 1j
     runs = [(block + 8, 10), (block + 8, 10), (block + 8, 80), (block, 20), (block + 1, 40)]
     flushes = []
     flush = harness._RmseRows.flush
@@ -349,14 +358,14 @@ def test_a_wide_k_takes_support_rows_once_it_has_lasted_a_block(monkeypatch):
     out = np.empty(sum(steps for _, steps in runs))
     rows = harness._RmseRows(out, n)
     rows.phase(w_true)
-    sig2 = harness._sq_norm(w_true)
+    sig2 = harness._sq_norm(w_true, n)
     want = []
     for size, steps in runs:
-        kept = np.sort(rng.choice(n, size=size, replace=False))
+        kept = np.sort(rng.choice(h, size=size, replace=False))
         for _ in range(steps):
-            it = _SparseIterate(kept, rng.standard_normal(size) + 1j * rng.standard_normal(size), n)
+            it = _SparseIterate(kept, rng.standard_normal(size) + 1j * rng.standard_normal(size), h)
             rows.add(it)
-            want.append(harness._sq_norm(it.state.w - w_true) / sig2)
+            want.append(harness._sq_norm(it.state.w - w_true, n) / sig2)
     rows.flush()
     _assert_bitwise_equal(out, np.array(want), "wide K")
     support = [(size, count) for size, count in flushes if size is not None]
@@ -382,8 +391,9 @@ _HUGE_OVERFLOWS = pytest.mark.filterwarnings(
                      "(nan+nanj)", id="inf-in-burn-in"),
         pytest.param(400, math.nan, "trial 0, step 401: non-finite coefficient at position 0: "
                      "(nan+nanj)", id="nan-after-burn-in"),
-        # a finite iterate whose r-MSE overflows, and whose error update b can
-        pytest.param(40, 1.7e308, "trial 0: r-MSE is inf at step 40", id="huge-early",
+        # a finite iterate whose r-MSE overflows; an interior bin stands for
+        # two, so a value near the largest float would overflow w^H x itself
+        pytest.param(40, 1e307, "trial 0: r-MSE is inf at step 40", id="huge-early",
                      marks=_HUGE_OVERFLOWS),
         pytest.param(1000, 1e307, "trial 0: r-MSE is inf at step 1000", id="huge-late",
                      marks=_HUGE_OVERFLOWS),
@@ -402,14 +412,14 @@ def test_diverging_xi0_tracker_is_reported_where_it_was(monkeypatch, step, value
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
 def test_run_trial_stops_a_finite_divergence(monkeypatch):
-    # w[3] = 1e150 keeps every iterate finite, and its r-MSE of about 1e300 would
-    # otherwise enter the curve
+    # w[3] = 1e150 keeps every iterate finite, and its r-MSE of about 2e300 (bin
+    # 3 counts twice) would otherwise enter the curve
     spec = build_exp4_tracking(trials=1, n=64)
     algo = spec.algorithms[1]
     monkeypatch.setattr(harness, "Estimator", _poisoned_at(5, 1e150))
     with pytest.raises(
         ValueError,
-        match=r"^HARD-EST-SIMPLE trial 0: r-MSE is 9\.999999999999999e\+299 at step 5, "
+        match=r"^HARD-EST-SIMPLE trial 0: r-MSE is 1\.9999999999999998e\+300 at step 5, "
         r"above the ceiling 1e\+06$",
     ):
         run_trial(spec, algo, 0)

@@ -142,14 +142,16 @@ def test_stream_deterministic():
 
 
 def test_stream_samples_hold_python_numbers_and_carry_the_unit_proof():
-    # the proof an estimator reads is x.base: the table unit_rows gave it
+    # the proof an estimator reads is x.base: the table unit_rows gave it.  x
+    # holds the row's bins 0..N/2, a contiguous view of the same table
     cfg = SensingConfig(n=16, m=4, mode=RepeatedPass(2), seed=3)
     samples = list(make_stream(cfg, [np.arange(16.0)], noise_std=0.1))
     rows = fourier_rows(16)
     assert sensing.unit_rows(16) is rows
     for smp, t in zip(samples, np.tile(sample_indices(cfg, 0), 2)):
         assert type(smp.y) is float
-        assert smp.x.base is rows and smp.x.tobytes() == rows[t].tobytes()
+        assert smp.x.base is rows and smp.x.tobytes() == rows[t, :9].tobytes()
+        assert smp.x.flags.c_contiguous and not smp.x.flags.writeable
     # a replay yields the same objects
     assert all(a is b for a, b in zip(samples[:4], samples[4:]))
 
@@ -179,10 +181,14 @@ def test_stream_exhaustion():
 
 
 def test_noiseless_full_sampling_matches_spectrum_prediction():
-    # IDFT identity: y(t) = w^H x(t) for every time index
+    # IDFT identity: y(t) = w^H x(t) for every time index, the full row's
+    # product from the streamed bins 0..N/2 (interior bins twice)
     spec = SignalSpec(n=32, sines=3, bins=(2, 5, 9))
     z = multisine(spec)
     w = true_spectrum(spec)
     cfg = SensingConfig(n=32, m=32, mode=RepeatedPass(1), seed=0)
     for sample in make_stream(cfg, [z]):
-        assert abs(sample.y - np.vdot(w, sample.x)) < 1e-10
+        x = sample.x
+        wx = 2.0 * np.vdot(w[:17], x).real - (np.conj(w[0]) * x[0]).real
+        wx -= (np.conj(w[16]) * x[16]).real
+        assert abs(sample.y - wx) < 1e-10

@@ -30,7 +30,7 @@ def test_params_validation():
 
 
 def test_first_update_forced_values():
-    st = make_tracker(TrackerParams(), 3)
+    st = make_tracker(TrackerParams(), 4)  # bins 0..2
     b = np.array([1.0, -2.0, 0.5j])
     tracker_update(st, b)
     assert st.kappa == 1.0
@@ -42,7 +42,7 @@ def test_replay_updates_is_tracker_update_in_order(lam):
     # from a tracker that has seen two updates, replaying five from its kappa
     # gives tracker_update's bits for err and kappa
     rng = np.random.default_rng(7)
-    rows = fourier_rows(8)
+    rows = fourier_rows(8)[:, :5]
     eager, replayed = (make_tracker(TrackerParams(lam=lam), 8) for _ in range(2))
     updates = [(rows[rng.integers(8)], complex(*rng.standard_normal(2))) for _ in range(7)]
     for x, e_conj in updates[:2]:
@@ -66,7 +66,7 @@ def test_unit_forgetting_gives_running_mean():
 
 
 def test_update_matches_its_formula_and_leaves_the_direction_alone():
-    st = make_tracker(TrackerParams(lam=0.9), 4)
+    st = make_tracker(TrackerParams(lam=0.9), 6)  # bins 0..3
     rng = np.random.default_rng(5)
     err = np.zeros(4, dtype=complex)
     kappa = 0.0
@@ -93,9 +93,28 @@ def test_kappa_fixed_point():
 
 
 def test_update_dimension_mismatch():
-    st = make_tracker(TrackerParams(), 3)
-    with pytest.raises(ValueError):
-        tracker_update(st, np.zeros(2, dtype=complex))
+    st = make_tracker(TrackerParams(), 3)  # bins 0 and 1
+    with pytest.raises(ValueError, match=re.escape("direction has shape (3,), expected (2,)")):
+        tracker_update(st, np.zeros(3, dtype=complex))
+    assert st.kappa == 0.0
+
+
+def test_an_err_of_another_shape_is_rejected_before_anything_changes():
+    # work is sized once, from N; an assigned err of another shape used to
+    # advance kappa and scale err before numpy's broadcast error
+    st = make_tracker(TrackerParams(), 4)  # bins 0..2
+    st.err = np.zeros(4, dtype=complex)
+    message = re.escape("TrackerState.err has shape (4,), expected (3,)")
+    with pytest.raises(ValueError, match=message):
+        tracker_update(st, np.ones(4, dtype=complex))
+    assert st.kappa == 0.0 and st.err.tobytes() == np.zeros(4, dtype=complex).tobytes()
+    for call in (lambda: replay_updates(st, 0.0, iter(())),
+                 lambda: corrected_estimate(st, np.ones(4, dtype=complex)),
+                 lambda: TrackerState(err=np.ones(4, dtype=complex), kappa=0.0,
+                                      params=TrackerParams(), n=4)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert st.kappa == 0.0
 
 
 def test_corrected_estimate_identities():
@@ -115,22 +134,24 @@ def test_corrected_estimate_hand_example():
 
 
 def test_estimate_sparsity_counts():
-    st = make_tracker(TrackerParams(xi=0.0, q_star=0.05), 3)
+    # N = 4: bin 0 counts once, bin 1 twice (for bin 3)
+    st = make_tracker(TrackerParams(xi=0.0, q_star=0.05), 4)
     assert estimate_sparsity(st, np.array([0.6, 0.04, 0.0], dtype=complex)) == 1
+    assert estimate_sparsity(st, np.array([0.6, 0.06, 0.0], dtype=complex)) == 3
 
 
 def test_estimate_sparsity_clamps_to_one():
-    st = make_tracker(TrackerParams(xi=0.0, q_star=0.05), 3)
+    st = make_tracker(TrackerParams(xi=0.0, q_star=0.05), 4)
     assert estimate_sparsity(st, np.zeros(3, dtype=complex)) == 1
 
 
 def test_estimate_sparsity_clamps_to_n():
-    st = make_tracker(TrackerParams(xi=0.0, q_star=0.0001), 3)
-    assert estimate_sparsity(st, np.ones(3, dtype=complex)) == 3
+    st = make_tracker(TrackerParams(xi=0.0, q_star=0.0001), 4)
+    assert estimate_sparsity(st, np.ones(3, dtype=complex)) == 4
 
 
 def test_occupancy_mask_matches_count():
-    st = make_tracker(TrackerParams(xi=0.0, q_star=0.5), 4)
+    st = make_tracker(TrackerParams(xi=0.0, q_star=0.5), 6)
     w = np.array([1.0, 0.4, 0.6, 0.0], dtype=complex)
     mask = occupancy_mask(st, w)
     np.testing.assert_array_equal(mask, [True, False, True, False])
@@ -139,18 +160,20 @@ def test_occupancy_mask_matches_count():
 def test_error_direction_is_unbiased_over_full_sweep():
     # fixed estimate, noiseless samples over all positions:
     # -mean(e* x) must equal (estimate - truth) exactly
+    # on bins 0..N/2 of a conjugate-symmetric estimate: bins 0 and N/2 real
     n = 24
     spec = SignalSpec(n=n, sines=3, bins=(2, 7, 11))
     z = multisine(spec)
-    w_true = true_spectrum(spec)
+    w_true = true_spectrum(spec)[:13]
     rng = np.random.default_rng(3)
-    w_hat = w_true + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    w_hat = w_true + 0.1 * (rng.standard_normal(13) + 1j * rng.standard_normal(13))
+    w_hat[[0, 12]] = w_hat[[0, 12]].real
     st = EstimatorState(w=w_hat.copy())
     cfg = SensingConfig(n=n, m=n, mode=RepeatedPass(1), seed=0)
-    acc = np.zeros(n, dtype=complex)
+    acc = np.zeros(13, dtype=complex)
     for sample in make_stream(cfg, [z]):
-        e = prediction_error(st, sample)
-        acc += e.conjugate() * sample.x
+        e = prediction_error(st, sample, n)
+        acc += e * sample.x
     np.testing.assert_allclose(-acc / n, w_hat - w_true, atol=1e-10)
 
 
@@ -159,15 +182,15 @@ def test_tracker_converges_to_error_under_unit_forgetting():
     n = 16
     spec = SignalSpec(n=n, sines=2, bins=(3, 5))
     z = multisine(spec)
-    w_true = true_spectrum(spec)
+    w_true = true_spectrum(spec)[:9]
     w_hat = w_true.copy()
     w_hat[1] += 0.25
     st_est = EstimatorState(w=w_hat.copy())
     tracker = make_tracker(TrackerParams(lam=1.0, xi=1.0, q_star=0.05), n)
     cfg = SensingConfig(n=n, m=n, mode=RepeatedPass(1), seed=0)
     for sample in make_stream(cfg, [z]):
-        e = prediction_error(st_est, sample)
-        tracker_update(tracker, e.conjugate() * sample.x)
+        e = prediction_error(st_est, sample, n)
+        tracker_update(tracker, e * sample.x)
     np.testing.assert_allclose(tracker.err, w_hat - w_true, atol=1e-10)
     corrected = corrected_estimate(tracker, w_hat)
     np.testing.assert_allclose(corrected, w_true, atol=1e-10)
@@ -180,8 +203,8 @@ def test_an_update_keeps_the_python_floats_bits_for_any_err(b_dtype):
     # complex128 arrays, which give the Python floats' bits; a complex64 b is
     # widened exactly, so it gives the bits of its complex128 copy
     rng = np.random.default_rng(9)
-    rows = fourier_rows(8)
-    start = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    rows = fourier_rows(8)[:, :5]
+    start = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     updates = [(rows[rng.integers(8)], complex(*rng.standard_normal(2))) for _ in range(6)]
     eager, replayed = (make_tracker(TrackerParams(lam=0.9), 8) for _ in range(2))
     for tr in (eager, replayed):
@@ -209,8 +232,8 @@ def test_an_err_that_is_not_complex128_is_rejected(dtype):
     err = np.zeros(3, dtype=dtype)
     message = re.escape(f"TrackerState.err has dtype {np.dtype(dtype)}, expected complex128")
     with pytest.raises(ValueError, match=message):
-        TrackerState(err=err, kappa=0.0, params=params)
-    st = make_tracker(params, 3)
+        TrackerState(err=err, kappa=0.0, params=params, n=4)
+    st = make_tracker(params, 4)
     st.err = err
     for call in (lambda: tracker_update(st, np.ones(3, dtype=complex)),
                  lambda: replay_updates(st, 0.0, iter(())),
