@@ -73,10 +73,10 @@ variants.  Any other step, and a support step whose certificate fails, runs
 the general body: the dense rule above.  Both end on ``_update_tracker``.
 
 Unit rows.  The bounds below need every computed |x_k|^2 <= 1 + 4u.  An
-estimator takes the table of rows that meet it from ``sensing.unit_rows``
-once, when it is built, and a step's row is a unit row when it is a view of
-that table (``x.base is self._rows``), as the stored bins of a table row
-that ``make_stream`` yields are.  Any other row takes the dense rule,
+estimator takes the table of rows on the stored bins that meet it from
+``sensing.unit_rows`` once, when it is built, and a step's row is a unit row
+when it is a view of that table (``x.base is self._rows``), as the table's
+rows that ``make_stream`` yields are.  Any other row takes the dense rule,
 and makes the bounds it would advance infinite; so does a row of a table
 that ``fourier_rows`` rebuilt after its cache dropped the estimator's.
 
@@ -106,13 +106,12 @@ since state.w then holds the record.  A full row of length N raises.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sensing import full_count, half_size, unit_rows
+from .sensing import full_count, half_size, paired_bins, unit_rows
 from .sparse_ops import complex_sign, hard_threshold, keep_mask, selective_penalty
 from .tracker import (
     TrackerParams,
@@ -286,9 +285,9 @@ _PENALTY = {"za": _za, "rza": _rza, "l0": _l0, "hard_l0": _l0}
 
 def _mirrored(w, n):
     """The full spectrum's N entries up to conjugation, whose magnitudes are
-    all a top-s cut reads: w's stored bins, then its interior bins 1..N - h
-    again for their mirrors."""
-    return np.concatenate((w, w[1:n - w.size + 1]))
+    all a top-s cut reads: w's stored bins, then its paired bins again for
+    their mirrors."""
+    return np.concatenate((w, w[paired_bins(n)]))
 
 
 def _top_s(w, s, mask, n):
@@ -418,8 +417,6 @@ _GROW = 1.0 + _DELTA
 _TINY = float(np.finfo(float).tiny)
 _ROOT_TINY = math.sqrt(_TINY)
 _ROOT_MAX = math.sqrt(float(np.finfo(float).max)) * (1.0 - _DELTA)
-# deferred e values per packed float64 array
-_PACK = 1024
 _C128 = np.dtype(complex)
 # (e) is tried only while its reach is below this share of q*.  Past it, the
 # band q* +- reach that every |w_k| on K must clear is wide and the test
@@ -444,8 +441,8 @@ class Record:
     check left to spend (lo, the gap or the slack) and ``drift`` D bounds how
     far any magnitude on K has moved since.  ``value`` is what the step reuses:
     the support's w[K], or the count.  On a cut's record, ``size`` is K's
-    count of full-spectrum bins, and ``inner`` the slice of K's interior bins
-    when K holds bin 0 or N/2, else None.
+    count of full-spectrum bins, and ``inner`` the positions in K of its
+    paired bins (``sensing.paired_bins``).
     """
 
     kept: np.ndarray
@@ -513,10 +510,8 @@ def _top_cut(w, s, n):
 def _cut_record(kept, value, n):
     """The record of a top-s cut that kept the sorted stored bins K, with
     nothing proved yet."""
-    lo = int(kept.size > 0 and kept[0] == 0)
-    hi = kept.size - int(kept.size > 0 and n % 2 == 0 and kept[-1] == n // 2)
-    inner = None if lo == 0 and hi == kept.size else slice(lo, hi)
-    size = kept.size + (hi - lo)  # interior bins count twice
+    inner = paired_bins(n, kept)
+    size = kept.size + (inner.stop - inner.start)  # paired bins count twice
     return Record(kept, 0.0, -math.inf, value=value, size=size, inner=inner)
 
 
@@ -535,7 +530,7 @@ def _spare_kept(v, inner):
     m2 = v.real * v.real + v.imag * v.imag
     least = m2[inner].min(initial=math.inf)
     ends = np.concatenate((m2[:inner.start], m2[inner.stop:]))
-    return bool(least <= ends.min())
+    return bool(least <= ends.min(initial=math.inf))
 
 
 def _budget_support(rec, params, bound):
@@ -609,7 +604,7 @@ class Estimator:
         "certificate_runs", "_tracker", "_rows", "_n", "_even", "_shape", "_mu", "_rho",
         "_k", "_c", "_e", "_cx",
         "_burn_in", "_penalty", "_selective", "_penalty_in_burn_in",
-        "_rec", "_count", "_ro", "_w", "_bound", "_err", "_pending", "_fresh", "_packed",
+        "_rec", "_count", "_ro", "_w", "_bound", "_err", "_pending", "_es",
         "_kappa0", "_defer", "_s", "_budget", "_project", "_track", "_xi", "_lam",
     )
 
@@ -660,11 +655,10 @@ class Estimator:
         # B, and the tracker's err it was taken on
         self._bound = 0.0
         self._err = None if self._tracker is None else self._tracker.err
-        # the deferred tracker updates: their rows, their e (the last few as
-        # Python floats, the rest packed _PACK at a time into float64
-        # arrays, 8 bytes an update) and the kappa before the first.
-        # _defer is set by a count decided by (e), and cleared by a read of err
-        self._pending, self._fresh, self._packed = [], [], []
+        # the deferred tracker updates: their rows, their e and the kappa
+        # before the first.  _defer is set by a count decided by (e), and
+        # cleared by a read of err
+        self._pending, self._es = [], []
         self._kappa0 = 0.0
         self._defer = False
         self.full_queries = self.exact_counts = self.bound_counts = self.reused_counts = 0
@@ -706,14 +700,13 @@ class Estimator:
     def _replay(self):
         """Apply the deferred updates in order, from the kappa before the
         first: the eager rule's bits, and kappa ends where the steps left it."""
-        es = itertools.chain(*self._packed, self._fresh)
-        replay_updates(self._tracker, self._kappa0, zip(self._pending, es))
+        replay_updates(self._tracker, self._kappa0, zip(self._pending, self._es))
         self.replayed_updates += len(self._pending)
         self._drop_pending()
 
     def _drop_pending(self):
-        for pending in (self._pending, self._fresh, self._packed):
-            pending.clear()
+        self._pending.clear()
+        self._es.clear()
 
     def _read_err(self):
         """Before a budget reads err: replay, and update eagerly from now on."""
@@ -724,15 +717,10 @@ class Estimator:
     def _defer_update(self, x, e):
         """Defer this step's tracker update, advancing kappa as it would."""
         tr = self._tracker
-        pend = self._pending
-        if not pend:
+        if not self._pending:
             self._kappa0 = tr.kappa
-        pend.append(x)
-        fresh = self._fresh
-        fresh.append(e)
-        if len(fresh) == _PACK:
-            self._packed.append(np.array(fresh))
-            fresh.clear()
+        self._pending.append(x)
+        self._es.append(e)
         tr.kappa = self._lam * tr.kappa + 1.0
         self.deferred_updates += 1
 
@@ -900,8 +888,7 @@ class Estimator:
             if proof is not None:
                 rec.margin, rec.top = proof
                 rec.drift = 0.0
-        if proof is None or (rec.size != s and rec.inner is not None
-                             and not _spare_kept(v, rec.inner)):
+        if proof is None or (rec.size != s and not _spare_kept(v, rec.inner)):
             if shrink is not None:
                 full = np.zeros_like(st.w)
                 full[kept] = shrink

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import THRESHOLDED, Estimator, EstimatorConfig
-from .sensing import SensingConfig, Windowed, half_size, make_stream
+from .sensing import SensingConfig, Windowed, half_size, make_stream, paired_bins
 from .signals import SignalSpec, multisine, noise_std, random_bins, signal_power, true_spectrum
 from .sparse_ops import _complex_pair, support
 from .tracker import TrackerParams
@@ -51,35 +51,33 @@ RMSE_CEILING = 1e6
 CSV_CHUNK = 1024
 
 
-def _sq_norm(v: np.ndarray, n: int) -> float:
-    """||v||^2 of the full spectrum of length N whose bins 0..N/2 are v: the
-    interior bins' re^2 + im^2 summed and doubled, plus bin 0's and, for even
-    N, bin N/2's.  No term is subtracted, so an infinite entry gives inf."""
-    sq = v.real ** 2 + v.imag ** 2
-    total = 2.0 * float(sq[1:(n + 1) // 2].sum()) + float(sq[0])
-    if n % 2 == 0:
-        total += float(sq[-1])
-    return total
-
-
 def _weigh_rows(sq: np.ndarray, n: int, out) -> None:
-    """out[r] = _sq_norm's weighted sum of the squares sq[r], for the first
-    out.size rows: the same contiguous row sum and the same steps, so every
-    value is the per-step one bit for bit."""
+    """out[r] = the full spectrum's sum of the squares sq[r] of bins 0..N/2,
+    for the first out.size rows: the contiguous row sum of the paired bins
+    doubled, then the others added.  No term is subtracted, so an infinite
+    entry gives inf."""
     rows = out.size
-    sq[:rows, 1:(n + 1) // 2].sum(axis=1, out=out)
+    paired = paired_bins(n)
+    sq[:rows, paired].sum(axis=1, out=out)
     out *= 2.0
-    out += sq[:rows, 0]
-    if n % 2 == 0:
+    out += sq[:rows, 0]  # bin 0, before the paired bins
+    if paired.stop < sq.shape[1]:  # bin N/2 of an even N, after them
         out += sq[:rows, -1]
+
+
+def _sq_norm(v: np.ndarray, n: int) -> float:
+    """||v||^2 of the full spectrum of length N whose bins 0..N/2 are v."""
+    out = np.empty(1)
+    _weigh_rows((v.real ** 2 + v.imag ** 2)[None], n, out)
+    return float(out[0])
 
 
 def _rmse_rows(block: np.ndarray, sig2: float, sq: np.ndarray, n: int, out) -> None:
     """out[r] = _sq_norm(block[r], N) / sig2 for the first out.size rows, each
     row holding an iterate's w - w*.
 
-    Each row sum reduces a contiguous row of re^2 + im^2, as the 1-D sum in
-    _sq_norm does, so every value is the per-step one bit for bit.  ``block``
+    Each row sum reduces a contiguous row of re^2 + im^2, as _sq_norm's one
+    row does, so every value is the per-step one bit for bit.  ``block``
     and ``sq`` are preallocated work arrays; the call writes over both.
     """
     rows = out.size
@@ -477,11 +475,20 @@ def bootstrap_diff_ci(
     alpha: float = 0.05,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Percentile bootstrap CI for mean(b - a) over paired trials."""
+    """Percentile bootstrap CI for mean(b - a) over paired trials.
+
+    Unequal or empty samples, an n_boot below 1 and an alpha outside (0, 1),
+    NaN included, raise ValueError naming the argument."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("paired samples must have equal length")
+    if a.size == 0:
+        raise ValueError("paired samples a and b must not be empty")
+    if n_boot < 1:
+        raise ValueError(f"n_boot must be >= 1, got {n_boot}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     diffs = b - a
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, diffs.size, size=(n_boot, diffs.size))

@@ -14,8 +14,8 @@ w_{N-k} = conj(w_k), and the library holds it on bins 0..N/2 alone
 (``half_size(n)`` = N//2 + 1 entries, as a real FFT does).  Bin 0 and, for
 even N, bin N/2 are their own conjugates and stand for one bin of the full
 spectrum; every other stored bin stands for the pair {k, N - k}
-(``full_count``).  ``make_stream`` yields the rows on those bins, and
-``regressor_row`` and ``unit_rows`` give full rows.
+(``paired_bins``).  ``fourier_rows`` holds the rows on those bins, which
+``make_stream`` yields, and ``regressor_row`` gives full rows.
 """
 
 from __future__ import annotations
@@ -98,9 +98,9 @@ class SensingConfig:
 class MeasurementSample:
     """One observation: regressor row x and noisy scalar y.
 
-    ``make_stream`` gives x as a view of bins 0..N/2 of a ``fourier_rows``
-    row, and y as a Python float.  An estimator takes x as unit-magnitude only
-    while it is a view of the table ``unit_rows`` gave that estimator.
+    ``make_stream`` gives x as a row of the ``fourier_rows`` table (bins
+    0..N/2), and y as a Python float.  An estimator takes x as unit-magnitude
+    only while it is a view of the table ``unit_rows`` gave that estimator.
     """
 
     x: np.ndarray
@@ -114,20 +114,37 @@ UNIT_SQ_MAG_BOUND = 1.0 + 2.0 * np.finfo(float).eps
 _ROW_BLOCK = 16
 
 
+def half_size(n: int) -> int:
+    """Bins 0..N/2 of a length-N spectrum: the entries the library stores."""
+    return n // 2 + 1
+
+
+def paired_bins(n: int, kept: np.ndarray | None = None) -> slice:
+    """The positions, in bins 0..N/2 or in the sorted stored bins ``kept``,
+    of the bins that stand for a pair {k, N - k} and count twice; bin 0 and,
+    for even N, bin N/2 are their own mirrors and count once."""
+    if kept is None:
+        return slice(1, (n + 1) // 2)
+    lo = int(kept.size > 0 and kept.item(0) == 0)
+    hi = kept.size - int(kept.size > 0 and n % 2 == 0 and kept.item(-1) == n // 2)
+    return slice(lo, hi)
+
+
 @lru_cache(maxsize=8)
 def fourier_rows(n: int) -> np.ndarray:
-    """All N regressor rows as an N x N read-only matrix, F[t, k] = x(t)_k.
+    """All N regressor rows on bins 0..N/2, an (N, N//2 + 1) read-only matrix.
 
-    Entries are looked up from the single table of N-th roots of unity so
-    that equal angles produce bit-identical values.
+    F[t, k] = x(t)_k is looked up from the single table of N-th roots of
+    unity, roots[(k t) mod N], so that equal angles give bit-identical values.
     """
     roots = np.exp(-2j * np.pi * np.arange(n) / n)
-    rows = np.empty((n, n), dtype=complex)
-    # row blocks of (t k) mod n, never the two N x N int64 temporaries of a
+    h = half_size(n)
+    rows = np.empty((n, h), dtype=complex)
+    # row blocks of (t k) mod n, never the two N x h int64 temporaries of a
     # one-shot outer product; int32 while (n - 1)^2 fits
     k = np.arange(n, dtype=np.int32 if (n - 1) ** 2 <= np.iinfo(np.int32).max else np.int64)
     for start in range(0, n, _ROW_BLOCK):
-        idx = np.multiply.outer(k[start:start + _ROW_BLOCK], k)
+        idx = np.multiply.outer(k[start:start + _ROW_BLOCK], k[:h])
         idx %= n
         np.take(roots, idx, out=rows[start:start + _ROW_BLOCK])
     rows.flags.writeable = False
@@ -138,41 +155,40 @@ def unit_rows(n: int) -> np.ndarray | None:
     """``fourier_rows(n)`` when every computed |x_k|^2 of its rows is at most
     ``UNIT_SQ_MAG_BOUND``, else None.
 
-    Every entry is one of the N roots, and row 1 % n holds them all, so the
-    check reads that row alone.
+    Every entry is one of the N roots, and column 1 % h holds them all, so
+    the check reads that column alone.
     """
     rows = fourier_rows(n)
-    x = rows[1 % n]
+    x = rows[:, 1 % rows.shape[1]]
     return rows if (x.real * x.real + x.imag * x.imag).max() <= UNIT_SQ_MAG_BOUND else None
-
-
-def half_size(n: int) -> int:
-    """Bins 0..N/2 of a length-N spectrum: the entries the library stores."""
-    return n // 2 + 1
 
 
 def full_count(n: int, flags: np.ndarray, kept: np.ndarray | None = None) -> int:
     """The number of bins of the length-N spectrum that ``flags`` marks.
 
     ``flags`` marks stored bins: every bin when ``kept`` is None, else the
-    sorted positions ``kept``.  Bin 0 and, for even N, bin N/2 count once,
-    every other bin twice, for itself and its mirror N - k.
+    sorted positions ``kept``; ``paired_bins`` says which count twice.
     """
+    paired = paired_bins(n, kept)
     count = 2 * int(np.count_nonzero(flags))
-    if flags.size:
-        first, last = (0, flags.size - 1) if kept is None else (kept[0], kept[-1])
-        if first == 0:
-            count -= bool(flags[0])
-        if n % 2 == 0 and last == n // 2:
-            count -= bool(flags[-1])
+    if paired.start:  # bin 0 counts once
+        count -= bool(flags[0])
+    if paired.stop < flags.size:  # and so does bin N/2 of an even N
+        count -= bool(flags[-1])
     return count
 
 
 def regressor_row(n: int, t: int) -> np.ndarray:
-    """Regressor for time index t: x_k = exp(-2j*pi*k*t/n), unit magnitude."""
+    """The full regressor for time index t, x_k = exp(-2j*pi*k*t/n) for
+    k = 0..N-1: root (k t) mod N of ``fourier_rows``, whose row t holds its
+    bins 0..N/2 bit for bit.  A t that is not an integer in [0, N), a bool
+    included, raises ValueError naming t."""
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+        raise ValueError(f"time index must be an integer, got {t!r}")
     if not 0 <= t < n:
         raise ValueError(f"time index {t} outside [0, {n})")
-    return fourier_rows(n)[t]
+    # column 1 % h of the table holds root j at row j
+    return fourier_rows(n)[np.arange(n) * t % n, 1 % half_size(n)]
 
 
 def sample_indices(config: SensingConfig, window: int, rng=None) -> np.ndarray:
@@ -207,24 +223,28 @@ def make_stream(
     A replay yields the same ``MeasurementSample`` objects again.
 
     Whatever depends on the sample alone is done here, once per window: y
-    becomes a Python float, and x is a view of the stored bins 0..N/2 of
-    its ``fourier_rows`` row.  A ``noise_std`` that is negative, NaN or infinite
-    raises ValueError at the first sample.
+    becomes a Python float, and x is its ``fourier_rows`` row.  A
+    ``noise_std`` that is negative, NaN or infinite raises ValueError at the
+    first sample, and a complex window whose imaginary part is not zero (NaN
+    included) raises ValueError naming the window.
     """
     if not 0.0 <= noise_std < math.inf:
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
-    # one view of bins 0..N/2 per row, made once per stream: a list lookup
-    # costs less than indexing the table for each sample of each window
-    views = list(fourier_rows(config.n)[:, :half_size(config.n)])
+    # one view per row, made once per stream: a list lookup costs less than
+    # indexing the table for each sample of each window
+    views = list(fourier_rows(config.n))
     source = iter(windows)
     n_windows, replays = config.mode.plan
     for w in range(n_windows):
         try:
-            z = np.asarray(next(source), dtype=float)
+            z = np.asarray(next(source))
         except StopIteration:
             raise StreamExhausted(
                 f"signal source ended after {w} windows; {n_windows} required"
             ) from None
+        if np.iscomplexobj(z) and (z.imag != 0).any():
+            raise ValueError(f"window {w} has a nonzero imaginary part; a real signal's samples are real")
+        z = np.asarray(z.real, dtype=float)
         if z.shape != (config.n,):
             raise ValueError(f"window {w} has shape {z.shape}, expected ({config.n},)")
         idx = sample_indices(config, w)

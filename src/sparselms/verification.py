@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import Estimator, EstimatorConfig
-from .sensing import SensingConfig, Windowed, fourier_rows, half_size, make_stream, regressor_row
+from .sensing import SensingConfig, Windowed, half_size, make_stream, regressor_row
 from .signals import SignalSpec, multisine, noise_std, signal_power, true_spectrum
 from .sparse_ops import hard_threshold, ser, theorem2_check, theorem3_check
 
@@ -466,7 +466,7 @@ def roundtrip_suite(seed: int = 13, tol: float = 1e-10) -> SuiteResult:
         spec = SignalSpec(n=n, sines=k, bins=bins, amps=amps)
         z = multisine(spec)
         w = true_spectrum(spec)
-        rebuilt = (fourier_rows(n) @ w.conj()).real
+        rebuilt = (np.stack([regressor_row(n, t) for t in range(n)]) @ w.conj()).real
         dev = float(np.abs(rebuilt - z).max())
         res.draws += 1
         if dev >= tol:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from sparselms.sensing import fourier_rows, half_size
+from sparselms.sensing import fourier_rows, half_size, regressor_row
 from sparselms.sparse_ops import keep_mask
 
 
@@ -88,11 +88,13 @@ class FullSpectrum:
 
 
 def full_row(x):
-    """The full ``fourier_rows`` row whose bins 0..N/2 are the view x."""
+    """The full row, ``regressor_row``, whose bins 0..N/2 are the
+    ``fourier_rows`` row x."""
     table = x.base
+    n = table.shape[0]
     t = (x.ctypes.data - table.ctypes.data) // table.strides[0]
-    assert table is fourier_rows(table.shape[0]) and x.shape == (half_size(table.shape[0]),)
-    return table[t]
+    assert table is fourier_rows(n) and x.shape == (half_size(n),)
+    return regressor_row(n, t)
 
 
 def mirrored(w, n):

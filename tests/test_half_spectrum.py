@@ -20,7 +20,8 @@ from sparselms import estimators, harness
 from sparselms.estimators import Estimator, EstimatorConfig, EstimatorState, prediction_error
 from sparselms.experiments import get_experiment
 from sparselms.harness import AlgorithmSpec
-from sparselms.sensing import MeasurementSample, fourier_rows, full_count, half_size, make_stream
+from sparselms.sensing import (MeasurementSample, fourier_rows, full_count, half_size, make_stream,
+                               regressor_row)
 from sparselms.tracker import TrackerParams
 
 
@@ -85,7 +86,7 @@ def test_every_final_support_of_exp2_is_closed_under_mirroring():
 
 def test_a_row_of_length_n_raises_the_shape_error():
     n = 16
-    x = fourier_rows(n)[3]
+    x = regressor_row(n, 3)
     for cfg in (EstimatorConfig("lms", mu=0.05), EstimatorConfig("hard", mu=0.05, s=4)):
         est = Estimator(cfg, n)
         with pytest.raises(ValueError, match=r"regressor has shape \(16,\), expected \(9,\)"):
@@ -97,12 +98,12 @@ def test_a_row_of_length_n_raises_the_shape_error():
 def test_a_certified_support_step_rejects_a_row_of_length_n():
     n = 16
     est = Estimator(EstimatorConfig("hard", mu=0.05, s=2), n)
-    rows = fourier_rows(n)[:, :half_size(n)]
+    rows = fourier_rows(n)
     for t in range(40):  # a settled support: the record is on state.w
         est.step(MeasurementSample(rows[t % n], float(np.sin(2 * np.pi * 3 * t / n))))
     assert est.sparse_iterate() is not None
     with pytest.raises(ValueError, match=r"regressor has shape \(16,\), expected \(9,\)"):
-        est.step(MeasurementSample(fourier_rows(n)[5], 0.5))
+        est.step(MeasurementSample(regressor_row(n, 5), 0.5))
 
 
 @pytest.mark.parametrize("y", [1j, complex(0.5, -1e-300), complex(0.0, float("nan")),

@@ -586,6 +586,16 @@ def test_bootstrap_ci_contains_true_difference():
 def test_bootstrap_requires_paired_lengths():
     with pytest.raises(ValueError):
         bootstrap_diff_ci(np.zeros(3), np.zeros(4))
+    # empty samples, no resamples and an alpha outside (0, 1) name the argument
+    with pytest.raises(ValueError, match=r"^paired samples a and b must not be empty$"):
+        bootstrap_diff_ci(np.zeros(0), np.zeros(0))
+    for n_boot in (0, -1):
+        with pytest.raises(ValueError, match=r"^n_boot must be >= 1, got"):
+            bootstrap_diff_ci(np.zeros(3), np.ones(3), n_boot=n_boot)
+    for alpha in (0.0, 1.0, -0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\), got"):
+            bootstrap_diff_ci(np.zeros(3), np.ones(3), alpha=alpha)
+    assert bootstrap_diff_ci(np.zeros(3), np.ones(3), n_boot=1) == (1.0, 1.0)
 
 
 # -- tracking plumbing -------------------------------------------------------------

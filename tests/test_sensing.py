@@ -37,20 +37,28 @@ def test_regressor_row_bad_index():
         regressor_row(8, 8)
     with pytest.raises(ValueError):
         regressor_row(8, -1)
+    # a bool passes 0 <= t < n, and a float would index with numpy's bare error
+    for t in (True, np.True_, 2.0, np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"^time index must be an integer, got"):
+            regressor_row(8, t)
+    assert regressor_row(8, np.int32(3)).tobytes() == regressor_row(8, 3).tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 7, 3 * sensing._ROW_BLOCK + 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 3 * sensing._ROW_BLOCK + 5, 4 * sensing._ROW_BLOCK])
 def test_fourier_rows_built_in_blocks_equal_the_one_shot_table(n):
-    # the table is filled a block of rows at a time; the one-shot gather of
-    # roots[(t k) mod n] gives the same bytes, and the table is read-only and
-    # passes the magnitude bound
+    # the table is filled a block of rows at a time (53 ends on a partial
+    # block, 64 on a whole one); it holds the first N//2 + 1 columns of the
+    # one-shot gather of roots[(t k) mod n], and regressor_row's full row t is
+    # that gather's row t, bit for bit.  The table is read-only and passes the
+    # magnitude bound
     fourier_rows.cache_clear()
     rows = fourier_rows(n)
     roots = np.exp(-2j * np.pi * np.arange(n) / n)
     want = roots[np.outer(np.arange(n), np.arange(n)) % n]
-    assert n == 1 or n % sensing._ROW_BLOCK
-    assert rows.dtype == want.dtype and rows.shape == want.shape
-    assert rows.tobytes() == want.tobytes()
+    assert rows.dtype == want.dtype and rows.shape == (n, n // 2 + 1)
+    assert rows.view(float).tobytes() == want[:, :n // 2 + 1].view(float).tobytes()
+    for t in range(n):
+        assert regressor_row(n, t).view(float).tobytes() == want[t].view(float).tobytes()
     assert not rows.flags.writeable
     assert sensing.unit_rows(n) is rows
 
@@ -143,14 +151,15 @@ def test_stream_deterministic():
 
 def test_stream_samples_hold_python_numbers_and_carry_the_unit_proof():
     # the proof an estimator reads is x.base: the table unit_rows gave it.  x
-    # holds the row's bins 0..N/2, a contiguous view of the same table
+    # is a whole row of that table, the row's bins 0..N/2
     cfg = SensingConfig(n=16, m=4, mode=RepeatedPass(2), seed=3)
     samples = list(make_stream(cfg, [np.arange(16.0)], noise_std=0.1))
     rows = fourier_rows(16)
     assert sensing.unit_rows(16) is rows
     for smp, t in zip(samples, np.tile(sample_indices(cfg, 0), 2)):
         assert type(smp.y) is float
-        assert smp.x.base is rows and smp.x.tobytes() == rows[t, :9].tobytes()
+        assert smp.x.base is rows and smp.x.tobytes() == rows[t].tobytes()
+        assert smp.x.shape == (9,)
         assert smp.x.flags.c_contiguous and not smp.x.flags.writeable
     # a replay yields the same objects
     assert all(a is b for a, b in zip(samples[:4], samples[4:]))
@@ -178,6 +187,14 @@ def test_stream_exhaustion():
     cfg = SensingConfig(n=8, m=4, mode=Windowed(3), seed=1)
     with pytest.raises(StreamExhausted):
         list(make_stream(cfg, [np.zeros(8), np.zeros(8)]))
+    # a source that yields a complex window fails at that window, naming it,
+    # unless the imaginary part is exactly zero
+    z = np.arange(8.0)
+    for imag in (1e-300, math.nan):
+        with pytest.raises(ValueError, match=r"^window 1 has a nonzero imaginary part"):
+            list(make_stream(cfg, [z, z + complex(0.0, imag), z]))
+    real = list(make_stream(cfg, [z, z, z]))
+    assert [s.y for s in make_stream(cfg, [z, z + 0j, z])] == [s.y for s in real]
 
 
 def test_noiseless_full_sampling_matches_spectrum_prediction():
