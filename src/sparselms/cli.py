@@ -122,15 +122,22 @@ def _cmd_oracle(args) -> int:
     ])
 
 
-def _draw_count(text: str) -> int:
-    """argparse type of --draws: an integer of at least 1."""
-    try:
-        draws = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if draws < 1:
-        raise argparse.ArgumentTypeError(f"need at least 1 draw, got {draws}")
-    return draws
+def _at_least(low: int, what: str):
+    """The argparse type of an option that takes an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"need {what} of at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_draw_count, _seed = _at_least(1, "a draw count"), _at_least(0, "a seed")
 
 
 def main(argv=None) -> int:
@@ -161,12 +168,12 @@ def main(argv=None) -> int:
 
     verify = sub.add_parser("verify", help="randomized support-recovery suites")
     verify.add_argument("--draws", type=_draw_count, default=100_000)
-    verify.add_argument("--seed", type=int, default=7)
+    verify.add_argument("--seed", type=_seed, default=7)
     verify.set_defaults(func=_cmd_verify)
 
     oracle = sub.add_parser("oracle", help="brute-force cross-checks")
     oracle.add_argument("--draws", type=_draw_count, default=10_000)
-    oracle.add_argument("--seed", type=int, default=11)
+    oracle.add_argument("--seed", type=_seed, default=11)
     oracle.set_defaults(func=_cmd_oracle)
 
     args = parser.parse_args(argv)

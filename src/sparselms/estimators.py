@@ -59,18 +59,20 @@ exact count or full query, a tracked step on a unit row appends (x, e) to a
 pending list and advances kappa and B in O(1).  Every read of the error (the
 full query, an exact count and ``Estimator.tracker``; an estimator with the
 occupancy mask never counts, so never defers) first replays the pending
-updates in order (``replay_updates``, the operations of
-``tracker_update``), so err and kappa are the eager rule's bits.  A step whose row is not a unit row, or whose e or B is too large for
-the update to be free of overflow, updates eagerly, so a warning or a NaN
-shows at its own step.
+updates in order, from the kappa before the first, each through
+``tracker_update`` as an eager step makes it, so err and kappa are the eager
+rule's bits.  A step whose row is not a unit row, or whose e or B is too
+large for the update to be free of overflow, updates eagerly, so a warning
+or a NaN shows at its own step.
 
 Two bodies.  ``Estimator.step`` runs the support step when the last top-s
 cut's record is on ``state.w``, the row is a unit row and the budget is |K|
 (a fixed s, or the tracker's count read from K): every step of hard and
 hard_l0 once their support has settled.  It updates w[K] alone, in straight
 line, and skips the O(N) update, the cut and every branch of the other
-variants.  Any other step, and a support step whose certificate fails, runs
-the general body: the dense rule above.  Both end on ``_update_tracker``.
+variants.  Any other step, and a support step whose certificate fails, which
+has stored nothing, runs the general body: the dense rule above.  Both end
+on ``_update_tracker``.
 
 Unit rows.  The bounds below need every computed |x_k|^2 <= 1 + 4u.  An
 estimator takes the table of rows on the stored bins that meet it from
@@ -120,7 +122,6 @@ from .tracker import (
     estimate_sparsity,
     make_tracker,
     occupancy_mask,
-    replay_updates,
     support_count,
     tracker_update,
 )
@@ -173,6 +174,26 @@ class EstimatorConfig:
             raise ValueError("epsilon must be positive")
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
+
+
+def check_window(config: EstimatorConfig, n: int, tracked: bool, where: str = "") -> None:
+    """Raise ValueError unless ``config`` can run at window length N, with a
+    tracker when ``tracked``: 1 <= s <= N, a thresholded variant has a fixed
+    s or a tracker, and 0 < mu N < 2.  ``where`` names the algorithm in a
+    spec, such as ``algorithms[0]``, and the message then starts with the
+    field's path."""
+
+    def fail(field, message):
+        raise ValueError(f"{where}.{field}: {message}" if where else message)
+
+    if config.s is not None and not 1 <= config.s <= n:
+        fail("estimator.s", f"need 1 <= s <= {n}, got s={config.s}")
+    if config.variant in THRESHOLDED and config.s is None and not tracked:
+        fail("tracker", f"{config.variant} needs a fixed s or a tracker")
+    # the a-posteriori error is e (1 - mu |x|^2), and |x|^2 = N for unit rows
+    if not 0.0 < config.mu * n < 2.0:
+        fail("estimator.mu", f"step size must satisfy 0 < mu*N < 2, got mu={config.mu}, N={n},"
+                             f" mu*N={config.mu * n}")
 
 
 @dataclass
@@ -233,7 +254,7 @@ def _checked_error(w, sample, shape, even) -> float:
     return _error(w, x, y if type(y) is float else _real(y), even)
 
 
-# -- penalties g(w, k, s) ------------------------------------------------------
+# -- penalties g(w, k) ---------------------------------------------------------
 #
 # Each returns a fresh array, which the step scales by k.rho in place.  k holds
 # the scalar operands (_Scalars).
@@ -252,12 +273,12 @@ class _Scalars:
             np.array(v, dtype=float) for v in (epsilon, 1.0, -beta))
 
 
-def _za(w, k, s):
+def _za(w, k):
     """Uniform zero attraction: sgn(w)."""
     return complex_sign(w)
 
 
-def _rza(w, k, s):
+def _rza(w, k):
     """Reweighted attraction: sgn(w) / (1 + epsilon |w|)."""
     weight = np.abs(w)
     g = complex_sign(w, weight)
@@ -267,7 +288,7 @@ def _rza(w, k, s):
     return g
 
 
-def _l0(w, k, s):
+def _l0(w, k):
     """Smoothed-l0 attraction: sgn(w) * exp(-beta |w|)."""
     weight = np.abs(w)
     g = complex_sign(w, weight)
@@ -581,8 +602,8 @@ class Estimator:
 
     ``step`` takes one sample.  A certified step of hard or hard_l0 finishes
     on ``_support_step``; every other step runs ``_general``, which a support
-    step also enters, with the e, c and penalty it formed, when its
-    certificate fails.  ``general_steps`` counts the steps that ran it.
+    step also runs, on the same sample, when its certificate fails.
+    ``general_steps`` counts the steps that ran it.
 
     An array a record is taken on (each top-s cut of hard and hard_l0, sza's
     iterate at its first recorded cut) is read-only to callers
@@ -614,22 +635,13 @@ class Estimator:
         n_dim: int,
         tracker_params: TrackerParams | None = None,
     ):
+        check_window(config, n_dim, tracker_params is not None)
         self.config = config
         self.state = EstimatorState.zeros(half_size(n_dim))
         self._tracker: TrackerState | None = None
         if tracker_params is not None:
             self._tracker = make_tracker(tracker_params, n_dim)
-        if config.s is not None and not 1 <= config.s <= n_dim:
-            raise ValueError(f"need 1 <= s <= {n_dim}, got s={config.s}")
         variant = config.variant
-        if variant in THRESHOLDED and config.s is None and self._tracker is None:
-            raise ValueError(f"{variant} needs a fixed s or a tracker")
-        # the a-posteriori error is e (1 - mu |x|^2), and |x|^2 = N for unit rows
-        if not 0.0 < config.mu * n_dim < 2.0:
-            raise ValueError(
-                f"step size must satisfy 0 < mu*N < 2, got mu={config.mu}, N={n_dim}, "
-                f"mu*N={config.mu * n_dim}"
-            )
         self.last_s: int | None = None
         rows = unit_rows(n_dim)
         self._rows = object() if rows is None else rows  # no row's base is an object()
@@ -692,15 +704,25 @@ class Estimator:
 
     @property
     def tracker(self) -> TrackerState | None:
-        """The tracker's state, with every deferred update applied."""
+        """The tracker's state, with every deferred update applied.  The
+        updates deferred before an err was assigned are the replaced err's,
+        and are dropped, as the next step drops them."""
         if self._pending:
-            self._replay()
+            if self._tracker.err is self._err:
+                self._replay()
+            else:
+                self._drop_pending()
         return self._tracker
 
     def _replay(self):
         """Apply the deferred updates in order, from the kappa before the
-        first: the eager rule's bits, and kappa ends where the steps left it."""
-        replay_updates(self._tracker, self._kappa0, zip(self._pending, self._es))
+        first, each as ``_update_tracker``'s eager branch applies one: the
+        eager rule's bits, and kappa ends where the steps left it."""
+        tr, e0 = self._tracker, self._e
+        tr.kappa = self._kappa0
+        for x, e in zip(self._pending, self._es):
+            e0[()] = e
+            tracker_update(tr, np.multiply(e0, x, out=tr.work))
         self.replayed_updates += len(self._pending)
         self._drop_pending()
 
@@ -854,8 +876,8 @@ class Estimator:
         (with ``_spare_kept`` for a budget one below K's full count).
 
         It makes the general body's numpy calls on K, in its order, then the
-        tracker update and the count's drift (c).  A failed proof hands e, c
-        and the penalty, spread to N, to the general body."""
+        tracker update and the count's drift (c).  A failed proof, before
+        which nothing is stored, runs the general body on the same w."""
         st = self.state
         rec = self._rec
         w = rec.value
@@ -870,7 +892,7 @@ class Estimator:
         shrink = None
         if self._penalty is not None:
             # complex_sign(0) = 0, so off K the penalty is exactly zero
-            shrink = self._penalty(w, self._k, s)
+            shrink = self._penalty(w, self._k)
             shrink *= self._k.rho
         c = self._mu * e
         abs_c = abs(c)
@@ -889,11 +911,7 @@ class Estimator:
                 rec.margin, rec.top = proof
                 rec.drift = 0.0
         if proof is None or (rec.size != s and not _spare_kept(v, rec.inner)):
-            if shrink is not None:
-                full = np.zeros_like(st.w)
-                full[kept] = shrink
-                shrink = full
-            return self._general(sample, True, s, None, e, c, shrink)
+            return self._general(sample, True, s, None)
         self._w[kept] = v
         rec.value = v
         st.n += 1
@@ -910,24 +928,23 @@ class Estimator:
         self.last_s = s
         return e
 
-    def _general(self, sample, active, s, mask, e=None, c=None, shrink=None) -> float:
+    def _general(self, sample, active, s, mask) -> float:
         """The dense rule, steps 2-5 of the module docstring, for budget s and
-        mask; ``active`` is False in burn-in.  A support step whose proof
-        failed passes the e, c and penalty it formed."""
+        mask; ``active`` is False in burn-in."""
         self.general_steps += 1
         st = self.state
         x = sample.x
-        if e is None:
-            # before the penalty, which reads the same w; sza's record reads e
-            e = _checked_error(st.w, sample, self._shape, self._even)
-            if self._selective:
-                if active:
-                    shrink = self._selective_penalty(st.w, s, e)
-            elif self._penalty is not None and (active or self._penalty_in_burn_in):
-                shrink = self._penalty(st.w, self._k, s)
-            if shrink is not None:
-                shrink *= self._k.rho
-            c = self._mu * e
+        # before the penalty, which reads the same w; sza's record reads e
+        e = _checked_error(st.w, sample, self._shape, self._even)
+        shrink = None
+        if self._selective:
+            if active:
+                shrink = self._selective_penalty(st.w, s, e)
+        elif self._penalty is not None and (active or self._penalty_in_burn_in):
+            shrink = self._penalty(st.w, self._k)
+        if shrink is not None:
+            shrink *= self._k.rho
+        c = self._mu * e
         unit = x.base is self._rows
         rec = self._rec
         if self._selective and rec is not None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimators import THRESHOLDED, Estimator, EstimatorConfig
+from .estimators import THRESHOLDED, Estimator, EstimatorConfig, check_window
 from .sensing import SensingConfig, Windowed, half_size, make_stream, paired_bins
 from .signals import SignalSpec, multisine, noise_std, random_bins, signal_power, true_spectrum
 from .sparse_ops import _complex_pair, support
@@ -37,10 +37,12 @@ DB_FLOOR = -120.0
 RMSE_BLOCK = 32
 
 # an iterate zero off K is reduced as a support row while |K| <= this share of
-# N: its K columns cost a gather and a scatter, several times more per entry
-# than the contiguous passes of a dense row.  Measured at N = 1000, dense rows
-# win from |K| between N/3 and N/2 on (short blocks first), and by about 1.5x
-# at |K| = 2N/3; exp4's HARD-EST reaches |K| = N after its signal change.
+# the h = N//2 + 1 stored bins that K and a row hold: its K columns cost a
+# gather and a scatter, several times more per entry than the contiguous
+# passes of a dense row.  Measured on full-spectrum rows (h = N) at N = 1000,
+# dense rows win from |K| between h/3 and h/2 on (short blocks first), and by
+# about 1.5x at |K| = 2h/3; exp4's HARD-EST reaches |K| = h after its signal
+# change.
 SUPPORT_ROW_SHARE = 0.5
 
 # a linear r-MSE above this marks a diverged trial even while it stays finite:
@@ -106,14 +108,16 @@ class _RmseRows:
     A new K starts a block and costs a flush of the last one, the K columns'
     indices in every row of ``sq`` and a reset of ``sq`` to base, several
     dense rows' worth.  So while K changes on consecutive steps, the
-    rows are taken dense until a K repeats.  A K of more than RMSE_BLOCK
-    entries is taken dense until it has lasted RMSE_BLOCK steps: at N = 1000
-    a new K costs about 7 us plus 0.03 us per entry, and a support row saves
-    about 1 us over a dense one, so a K that lasts the 6 to 15 steps of
-    exp4's moving supports costs more as support rows.  A smaller K keeps
-    the one-step rule: its set-up, at most RMSE_BLOCK^2 positions, is mostly
-    the flush's fixed cost, and such supports last long in the registry's
-    runs (31 rows a flush on exp4 at N = 1000).
+    rows are taken dense until a K repeats.  A K of more than ``max_kept``
+    = SUPPORT_ROW_SHARE h of the h = N//2 + 1 stored bins is always taken
+    dense, and a K of more than RMSE_BLOCK entries until it has lasted
+    RMSE_BLOCK steps: measured on full-spectrum rows at N = 1000, a new K
+    cost about 7 us plus 0.03 us per entry, and a support row saved about
+    1 us over a dense one, so a K that lasts the 6 to 15 steps of exp4's
+    moving supports costs more as support rows.  A smaller K keeps the
+    one-step rule: its set-up, at most RMSE_BLOCK^2 positions, is mostly the
+    flush's fixed cost, and such supports last long in the registry's runs
+    (31 rows a flush on exp4 at N = 1000, full-spectrum rows).
     """
 
     def __init__(self, out: np.ndarray, n: int):
@@ -294,6 +298,9 @@ class ExperimentSpec:
             raise ValueError(
                 f"signal.n ({self.signal.n}) must equal sensing.n ({self.sensing.n})"
             )
+        for i, algo in enumerate(self.algorithms):
+            check_window(algo.estimator, self.signal.n, algo.tracker is not None,
+                         f"algorithms[{i}]")
 
 
 @dataclass

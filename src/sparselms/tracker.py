@@ -119,24 +119,6 @@ def tracker_update(state: TrackerState, b: np.ndarray) -> TrackerState:
     return state
 
 
-def replay_updates(state: TrackerState, kappa: float, updates) -> None:
-    """``tracker_update(state, e x)`` for each (x, e) of ``updates`` in
-    order, from kappa ``kappa``: the same operations on the same operands,
-    with b = e x formed in the work array."""
-    err = _own_err(state)
-    work = state.work
-    lam = state.params.lam
-    e0, keep0, inv0 = np.empty((), dtype=complex), state._keep, state._inv
-    for x, e in updates:
-        kappa = lam * kappa + 1.0
-        inv = 1.0 / kappa
-        e0[()], keep0[()], inv0[()] = e, 1.0 - inv, inv
-        np.multiply(e0, x, out=work)
-        err *= keep0
-        err -= np.multiply(work, inv0, out=work)
-    state.kappa = kappa
-
-
 def corrected_estimate(state: TrackerState, w: np.ndarray) -> np.ndarray:
     """w' = w - xi * err."""
     if w.shape != state.err.shape:

@@ -825,6 +825,47 @@ def test_config_names_the_section_a_dataclass_rejects(tmp_path, path, value, mes
     assert stop.value.code == f"error: {config}: {message}"
 
 
+@pytest.mark.parametrize(
+    "build, path, value, message",
+    [
+        (build_exp1, ("algorithms", 0, "estimator", "mu"), 0.5,
+         "algorithms[0].estimator.mu: step size must satisfy 0 < mu*N < 2,"
+         " got mu=0.5, N=1000, mu*N=500.0"),
+        (build_exp2, ("algorithms", 2, "estimator", "s"), 1001,
+         "algorithms[2].estimator.s: need 1 <= s <= 1000, got s=1001"),
+        (build_exp2, ("algorithms", 3, "tracker"), None,
+         "algorithms[3].tracker: hard needs a fixed s or a tracker"),
+    ],
+    ids=["mu", "s", "tracker"],
+)
+def test_config_that_breaks_a_window_rule_fails_at_load(tmp_path, build, path, value, message):
+    # each used to load, then fail with a traceback when its label came to run
+    from sparselms.cli import main
+
+    d = _set(spec_to_dict(build()), path, value)
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        spec_from_dict(d)
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(d))
+    with pytest.raises(SystemExit) as stop:  # printed as one line, exit status 1
+        main(["run", str(config), "--out", str(tmp_path)])
+    assert stop.value.code == f"error: {config}: {message}"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_a_registry_scale_that_breaks_a_window_rule_fails_before_any_run(tmp_path):
+    # exp2 at N = 8 asks HARD-80 for s = 16; it used to run HARD-20 and HARD-40 first
+    from sparselms.cli import main
+
+    message = "algorithms[2].estimator.s: need 1 <= s <= 8, got s=16"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        get_experiment("exp2", n=8)
+    with pytest.raises(SystemExit) as stop:
+        main(["run", "exp2", "--scale", "8", "--trials", "1", "--out", str(tmp_path)])
+    assert stop.value.code == f"error: {message}"
+    assert not list(tmp_path.iterdir())
+
+
 def test_config_rejects_an_empty_experiments_list(tmp_path):
     from sparselms.cli import main
 

@@ -39,6 +39,17 @@ def test_the_cli_rejects_a_bad_draw_count_naming_the_option(command, draws, caps
     assert "argument --draws:" in err and draws in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "-3"])
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_the_cli_rejects_a_bad_seed_naming_the_option(command, seed, capsys):
+    # a negative seed used to reach numpy's SeedSequence and end in a traceback
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--seed", seed])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed:" in err and seed in err
+
+
 def _never(*args):
     no = np.zeros(len(args[0]), dtype=bool)
     return TheoremCheck(no, no)

@@ -13,7 +13,6 @@ from sparselms.tracker import (
     estimate_sparsity,
     make_tracker,
     occupancy_mask,
-    replay_updates,
     tracker_update,
 )
 
@@ -35,24 +34,6 @@ def test_first_update_forced_values():
     tracker_update(st, b)
     assert st.kappa == 1.0
     np.testing.assert_array_equal(st.err, -b)
-
-
-@pytest.mark.parametrize("lam", [0.3, 0.99, 1.0])
-def test_replay_updates_is_tracker_update_in_order(lam):
-    # from a tracker that has seen two updates, replaying five from its kappa
-    # gives tracker_update's bits for err and kappa
-    rng = np.random.default_rng(7)
-    rows = fourier_rows(8)[:, :5]
-    eager, replayed = (make_tracker(TrackerParams(lam=lam), 8) for _ in range(2))
-    updates = [(rows[rng.integers(8)], complex(*rng.standard_normal(2))) for _ in range(7)]
-    for x, e_conj in updates[:2]:
-        tracker_update(eager, e_conj * x)
-        tracker_update(replayed, e_conj * x)
-    for x, e_conj in updates[2:]:
-        tracker_update(eager, e_conj * x)
-    replay_updates(replayed, replayed.kappa, iter(updates[2:]))
-    assert eager.err.tobytes() == replayed.err.tobytes()
-    assert eager.kappa == replayed.kappa
 
 
 def test_unit_forgetting_gives_running_mean():
@@ -108,8 +89,7 @@ def test_an_err_of_another_shape_is_rejected_before_anything_changes():
     with pytest.raises(ValueError, match=message):
         tracker_update(st, np.ones(4, dtype=complex))
     assert st.kappa == 0.0 and st.err.tobytes() == np.zeros(4, dtype=complex).tobytes()
-    for call in (lambda: replay_updates(st, 0.0, iter(())),
-                 lambda: corrected_estimate(st, np.ones(4, dtype=complex)),
+    for call in (lambda: corrected_estimate(st, np.ones(4, dtype=complex)),
                  lambda: TrackerState(err=np.ones(4, dtype=complex), kappa=0.0,
                                       params=TrackerParams(), n=4)):
         with pytest.raises(ValueError, match=message):
@@ -199,31 +179,25 @@ def test_tracker_converges_to_error_under_unit_forgetting():
 
 @pytest.mark.parametrize("b_dtype", [np.complex128, np.complex64])
 def test_an_update_keeps_the_python_floats_bits_for_any_err(b_dtype):
-    # tracker_update and replay_updates pass 1 - 1/kappa and 1/kappa as 0-d
-    # complex128 arrays, which give the Python floats' bits; a complex64 b is
-    # widened exactly, so it gives the bits of its complex128 copy
+    # tracker_update passes 1 - 1/kappa and 1/kappa as 0-d complex128 arrays,
+    # which give the Python floats' bits; a complex64 b is widened exactly, so
+    # it gives the bits of its complex128 copy
     rng = np.random.default_rng(9)
     rows = fourier_rows(8)[:, :5]
     start = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     updates = [(rows[rng.integers(8)], complex(*rng.standard_normal(2))) for _ in range(6)]
-    eager, replayed = (make_tracker(TrackerParams(lam=0.9), 8) for _ in range(2))
-    for tr in (eager, replayed):
-        tr.err = start.copy()
-    err, err_b, kappa = start.copy(), start.copy(), 0.0
+    tr = make_tracker(TrackerParams(lam=0.9), 8)
+    tr.err = start.copy()
+    err, kappa = start.copy(), 0.0
     for x, e_conj in updates:
         kappa = 0.9 * kappa + 1.0
         inv = 1.0 / kappa
-        b = e_conj * x
-        narrow = b.astype(b_dtype)
+        narrow = (e_conj * x).astype(b_dtype)
         err *= 1.0 - inv
-        err -= np.multiply(b, inv)
-        err_b *= 1.0 - inv
-        err_b -= np.multiply(narrow.astype(complex), inv)
-        tracker_update(eager, narrow)
-    replay_updates(replayed, 0.0, iter(updates))
-    for tr, want in ((eager, err_b), (replayed, err)):
-        assert tr.err.dtype == complex
-        assert tr.err.tobytes() == want.tobytes()
+        err -= np.multiply(narrow.astype(complex), inv)
+        tracker_update(tr, narrow)
+    assert tr.err.dtype == complex
+    assert tr.err.tobytes() == err.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.float64, ">c16"])
@@ -236,7 +210,6 @@ def test_an_err_that_is_not_complex128_is_rejected(dtype):
     st = make_tracker(params, 4)
     st.err = err
     for call in (lambda: tracker_update(st, np.ones(3, dtype=complex)),
-                 lambda: replay_updates(st, 0.0, iter(())),
                  lambda: corrected_estimate(st, np.ones(3, dtype=complex))):
         with pytest.raises(ValueError, match=message):
             call()
