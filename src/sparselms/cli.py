@@ -138,6 +138,7 @@ def _at_least(low: int, what: str):
 
 
 _draw_count, _seed = _at_least(1, "a draw count"), _at_least(0, "a seed")
+_trial_count, _window_length = _at_least(1, "a trial count"), _at_least(1, "a window length")
 
 
 def main(argv=None) -> int:
@@ -151,9 +152,9 @@ def main(argv=None) -> int:
 
     run = sub.add_parser("run", help="run an experiment by name or config path")
     run.add_argument("experiment")
-    run.add_argument("--trials", type=int, default=None)
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--scale", type=int, default=None, metavar="N",
+    run.add_argument("--trials", type=_trial_count, default=None)
+    run.add_argument("--seed", type=_seed, default=None)
+    run.add_argument("--scale", type=_window_length, default=None, metavar="N",
                      help="rebuild a registry experiment at window length N")
     run.add_argument("--out", default="results")
     run.add_argument("--gnuplot", action="store_true",

@@ -84,7 +84,14 @@ that ``fourier_rows`` rebuilt after its cache dropped the estimator's.
 
 The scalars of a step (e, c = mu e and the bounds) are Python floats:
 ``prediction_error`` forms e from the complex128 dot and the end bins'
-products in Python floats.  ``make_stream`` gives y as a Python float, once
+products in Python floats.  The dot is numpy's C vdot (``_vdot``), called
+without np.vdot's ``__array_function__`` dispatcher.  A support step whose
+K holds neither bin 0 nor, for even N, bin N/2, and whose y is a nonzero
+Python float, forms e = y - 2 Re(w^H x) from the dot alone and reads no
+end bin: off K w is zero, so each end term is a zero of either sign, and
+subtracting it changes at most the sign of a zero sum, which reaches e
+only when y is itself a zero.  The dot still runs over the whole row: over
+K alone it rounds differently.  ``make_stream`` gives y as a Python float, once
 per window; a y of another real type is converted exactly, and a complex y
 whose imaginary part is not zero raises a ValueError naming y.
 
@@ -214,16 +221,21 @@ def _real(y) -> float:
     return float(y.real)
 
 
+# numpy's C vdot, without the __array_function__ dispatcher that np.vdot
+# runs on every call; the same function, so the same bits
+_vdot = getattr(np.vdot, "_implementation", np.vdot)
+
+
 def _error(w, x, y, even) -> float:
     """e = y - w^H x over the full spectrum, from the stored bins 0..N/2 of a
     conjugate-symmetric w and x: each interior bin's term counts twice,
     Re conj(w_0) x_0 and, for even N, Re conj(w_m) x_m once.
 
-    The dot is numpy's complex128 vdot over all stored bins, converted with
-    its own ``__complex__``; the end bins' terms are Python complex products,
-    and the sum is formed in that order.
+    The dot is numpy's complex128 vdot over all stored bins (``_vdot``),
+    converted with its own ``__complex__``; the end bins' terms are Python
+    complex products, and the sum is formed in that order.
     """
-    wx = 2.0 * np.vdot(w, x).__complex__().real - (w.item(0).conjugate() * x.item(0)).real
+    wx = 2.0 * _vdot(w, x).__complex__().real - (w.item(0).conjugate() * x.item(0)).real
     if even:
         wx -= (w.item(-1).conjugate() * x.item(-1)).real
     return y - wx
@@ -887,7 +899,12 @@ class Estimator:
         if x.shape != self._shape:
             raise ValueError(f"regressor has shape {x.shape}, expected {self._shape}")
         y = sample.y
-        e = _error(st.w, x, y if type(y) is float else _real(y), self._even)
+        if type(y) is float and y != 0.0 and rec.size == 2 * kept.size:
+            # K holds neither end bin (each of its bins counts twice), so
+            # _error's end terms are zeros: e from the dot alone has its bits
+            e = y - 2.0 * _vdot(st.w, x).__complex__().real
+        else:
+            e = _error(st.w, x, y if type(y) is float else _real(y), self._even)
         rho = self._rho
         shrink = None
         if self._penalty is not None:

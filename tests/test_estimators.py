@@ -20,6 +20,7 @@ from sparselms.sensing import (
     RepeatedPass,
     SensingConfig,
     fourier_rows,
+    full_count,
     make_stream,
 )
 from sparselms.signals import SignalSpec, multisine, true_spectrum
@@ -1054,6 +1055,99 @@ def test_step_scalars_match_numpy_complex128_bit_for_bit(y, w_re, w_im, mu, zero
     assert _bits(np.float64(e)) == _bits(e_ref)
     assert _bits(est.state.w) == _bits(w_ref)
     assert _bits(tracked.tracker.err) == _bits(ref.err)
+
+
+# -- a support step's e from the dot alone -------------------------------------
+
+
+def _cut_on(w, n):
+    """A hard estimator whose last top-s cut left ``w`` (zero off K, nonzero
+    on K) on ``state.w``: s is K's full count, and the dense step that cuts
+    has e = 0 on row 0, whose entries are all 1, so w is unchanged."""
+    kept = np.flatnonzero(w)
+    est = Estimator(EstimatorConfig("hard", mu=0.1 / n, s=full_count(n, w != 0)), n)
+    est.state.w = w.copy()
+    x = _half_rows(n)[0]
+    assert est.step(MeasurementSample(x, _wx(w, x, n))) == 0.0
+    assert est.sparse_iterate()[0].tolist() == kept.tolist()
+    assert _bits(est.state.w) == _bits(w)
+    return est
+
+
+@contextmanager
+def _always_certified():
+    # a certificate that always passes lets the support step return its own e
+    # for an infinite or NaN y too; the real one refuses it, and the dense cut
+    # then raises before the step returns
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(estimators, "_certified", lambda v, c: (1.0, 1.0))
+        yield
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([7, 8, 63, 64]),
+    seed=st.integers(0, 2**32 - 1),
+    inner=st.integers(0, 5),  # interior bins in K
+    with_zero=st.booleans(),
+    with_mid=st.booleans(),  # bin N/2, for even N
+    t=st.integers(0, 127),
+    y=st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+)
+@example(n=8, seed=0, inner=1, with_zero=False, with_mid=False, t=1, y=-0.0)
+@example(n=64, seed=1, inner=3, with_zero=False, with_mid=False, t=5, y=math.nan)
+@example(n=64, seed=2, inner=2, with_zero=True, with_mid=True, t=3, y=-5e-324)
+def test_a_support_step_returns_prediction_errors_bits(n, seed, inner, with_zero, with_mid, t, y):
+    # when K holds neither bin 0 nor bin N/2 and y is a nonzero float, the
+    # support step forms e from the dot alone; every case gives the bits of
+    # prediction_error on the iterate before the step
+    rng = np.random.default_rng(seed)
+    w = np.zeros(n // 2 + 1, dtype=complex)
+    interior = np.arange(1, (n + 1) // 2)
+    bins = rng.choice(interior, size=min(inner, interior.size), replace=False)
+    w[bins] = rng.uniform(1.0, 2.0, bins.size) * np.exp(2j * np.pi * rng.random(bins.size))
+    ends = [0] * with_zero + [n // 2] * (with_mid and n % 2 == 0)
+    w[ends] = rng.uniform(1.0, 2.0, len(ends)) * rng.choice([-1.0, 1.0], len(ends))
+    if not w.any():
+        w[1] = 1.5 - 0.5j
+    est = _cut_on(w, n)
+    sample = MeasurementSample(_half_rows(n)[t % n], y)
+    want = prediction_error(EstimatorState(w=est.state.w.copy()), sample, n)
+    general = est.general_steps
+    with _always_certified():
+        e = est.step(sample)
+    assert est.general_steps == general  # the support step returned its own e
+    assert type(e) is float and _bits(np.float64(e)) == _bits(np.float64(want))
+
+
+def test_the_dot_alone_is_not_used_for_a_zero_y(monkeypatch):
+    # even N, odd t: x_{N/2} is -1 - 1.2e-16j, so bin N/2's term, +0 w times
+    # it, is -0.  np.vdot returns +0 for an exact zero real part, as here:
+    # w_2 = 1 + x_2.real j makes Re conj(w_2) x_2 cancel exactly.  A dot that
+    # returned -0 instead (a kernel forming it as -(b - a) would) gives
+    # 2 Re(w^H x) = -0 but _error's sum +0, so with y = -0 the dot alone
+    # would give e = +0 where prediction_error gives -0
+    n, t = 8, 1
+    x = _half_rows(n)[t]
+    w = np.zeros(n // 2 + 1, dtype=complex)
+    w[2] = complex(1.0, x[2].real)
+    assert (np.conj(w[2]) * x[2]).real == 0.0
+    est = _cut_on(w, n)
+    vdot = estimators._vdot
+
+    def negative_zero(a, b):
+        v = vdot(a, b)
+        return complex(-0.0, v.imag) if v.real == 0.0 else v
+
+    monkeypatch.setattr(estimators, "_vdot", negative_zero)
+    sample = MeasurementSample(x, -0.0)
+    want = prediction_error(EstimatorState(w=est.state.w.copy()), sample, n)
+    assert _bits(np.float64(want)) == _bits(np.float64(-0.0))
+    general = est.general_steps
+    e = est.step(sample)
+    assert est.general_steps == general  # a certified support step
+    assert _bits(np.float64(e)) == _bits(np.float64(want))
+    assert math.copysign(1.0, -0.0 - 2.0 * negative_zero(w, x).real) == 1.0  # the dot alone: +0
 
 
 @pytest.mark.parametrize(

@@ -810,6 +810,9 @@ def test_config_rejects_a_mistyped_value(tmp_path, path, value, name):
         (("signal", "snr_db"), -3074.0,
          "signal.snr_db must give a finite, positive noise std at the second phase's signal"
          " power 10.0, got -3074.0"),
+        # the CLI's --trials stops a 0 at parse time; a config file reaches
+        # this check
+        (("trials",), 0, "trials must be >= 1"),
     ],
 )
 def test_config_names_the_section_a_dataclass_rejects(tmp_path, path, value, message):
@@ -1054,24 +1057,44 @@ def _cli(args, tmp_path):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["exp1", "--trials", "0"], "trials must be >= 1"),
-        (["CONFIG", "--trials", "0"], "trials must be >= 1"),
         (["exp1", "--scale", "3"], "cannot place 2 sines on distinct bins in [1, 0] at n=3"),
         (["exp4-tracking", "--scale", "8"], "cannot place 2 + 2 sines"),
-        (["exp1", "--seed", "-1", "--trials", "1", "--scale", "64"], "seed must be >= 0, got -1"),
-        (["CONFIG", "--seed", "-1"], "seed must be >= 0, got -1"),
     ],
-    ids=["registry-trials", "config-trials", "registry-scale", "tracking-scale", "registry-seed",
-         "config-seed"],
+    ids=["registry-scale", "tracking-scale"],
 )
 def test_cli_run_reports_a_bad_override_on_one_line(tmp_path, args, message):
-    config = tmp_path / "exp1.yaml"
-    save_spec(build_exp1(n=64), config)
-    proc = _cli([str(config) if a == "CONFIG" else a for a in args], tmp_path)
+    proc = _cli(args, tmp_path)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, option, value",
+    [
+        (["exp1", "--trials", "0"], "--trials", "0"),
+        (["CONFIG", "--trials", "0"], "--trials", "0"),
+        (["exp2", "--scale", "0"], "--scale", "0"),
+        (["exp2", "--scale", "-4"], "--scale", "-4"),
+        (["exp1", "--seed", "-1", "--trials", "1", "--scale", "64"], "--seed", "-1"),
+        (["CONFIG", "--seed", "-1"], "--seed", "-1"),
+    ],
+    ids=["registry-trials", "config-trials", "scale-0", "scale-negative", "registry-seed",
+         "config-seed"],
+)
+def test_cli_run_rejects_a_bad_option_when_it_parses(tmp_path, capsys, args, option, value):
+    from sparselms.cli import main
+
+    config = tmp_path / "exp1.yaml"
+    save_spec(build_exp1(n=64), config)
+    out = tmp_path / "res"
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", *(str(config) if a == "CONFIG" else a for a in args), "--out", str(out)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: need " in err and f"got {value}" in err
+    assert not out.exists()  # nothing was built or run
 
 
 def test_load_specs_names_a_stale_signal_seed(tmp_path):
