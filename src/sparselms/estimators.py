@@ -14,13 +14,13 @@ tracker's b = e x; the penalties are elementwise, and every step keeps the
 iterate the half of a conjugate-symmetric spectrum.  A step runs, in this
 order:
 
-1. budget: the fixed ``s``, the tracker's count, or the tracker's occupancy
-   mask, computed once from the pre-update iterate w(n);
+1. budget: the fixed ``s`` or the tracker's count, computed once from the
+   pre-update iterate w(n);
 2. penalty g(w(n)): none, za, rza, l0 or selective(s);
 3. gradient step: w += (mu e*) x;
 4. shrink: w -= rho g;
-5. projection P: none, top-s (coefficients outside the kept set are exactly
-   zero) or the occupancy mask, falling back to top-s when the mask is empty.
+5. projection P: none or top-s (coefficients outside the kept set are exactly
+   zero).
 
 Budgets are in full-spectrum bins: s, the tracker's count and the range
 [1, N].  The top-s cut (``_top_s``, and sza's set in ``_top_cut``) is
@@ -57,9 +57,8 @@ bit for bit; the derivation is above ``Record``.
 Deferred tracker updates.  After a count decided from |w[K]|, until the next
 exact count or full query, a tracked step on a unit row appends (x, e) to a
 pending list and advances kappa and B in O(1).  Every read of the error (the
-full query, an exact count and ``Estimator.tracker``; an estimator with the
-occupancy mask never counts, so never defers) first replays the pending
-updates in order, from the kappa before the first, each through
+full query, an exact count and ``Estimator.tracker``) first replays the
+pending updates in order, from the kappa before the first, each through
 ``tracker_update`` as an eager step makes it, so err and kappa are the eager
 rule's bits.  A step whose row is not a unit row, or whose e or B is too
 large for the update to be free of overflow, updates eagerly, so a warning
@@ -128,7 +127,7 @@ from .tracker import (
     clamp_budget,
     estimate_sparsity,
     make_tracker,
-    occupancy_mask,
+    occupancy_mask,  # unused here; perfbench's tracer wraps this binding
     support_count,
     tracker_update,
 )
@@ -142,16 +141,14 @@ VARIANTS = tuple(READS)
 
 # variants that need a sparsity budget s
 THRESHOLDED = frozenset(v for v, names in READS.items() if "s" in names)
-# variants that end a step with a top-s cut or an occupancy mask
+# variants that end a step with a top-s cut
 PROJECTED = frozenset(("hard", "hard_l0"))
 
 
-def reads_tracker(config: "EstimatorConfig", params: TrackerParams) -> bool:
-    """True when a budget or a mask of this variant queries the tracker: a
-    thresholded variant without a fixed s, or a projected one with use_support."""
-    if config.variant not in THRESHOLDED:
-        return False
-    return config.s is None or (params.use_support and config.variant in PROJECTED)
+def reads_tracker(config: "EstimatorConfig") -> bool:
+    """True when the budget of this variant queries the tracker: a
+    thresholded variant without a fixed s."""
+    return config.variant in THRESHOLDED and config.s is None
 
 
 @dataclass(frozen=True)
@@ -313,7 +310,7 @@ def _l0(w, k):
 # sza's penalty, the sign off its top-s set, is Estimator._selective_penalty
 _PENALTY = {"za": _za, "rza": _rza, "l0": _l0, "hard_l0": _l0}
 
-# -- projections P(w, s, mask, n) ----------------------------------------------
+# -- projection P(w, s, n) -----------------------------------------------------
 
 
 def _mirrored(w, n):
@@ -323,17 +320,9 @@ def _mirrored(w, n):
     return np.concatenate((w, w[paired_bins(n)]))
 
 
-def _top_s(w, s, mask, n):
+def _top_s(w, s, n):
     """hard_threshold over the full spectrum, on the stored bins: pair-closed."""
     return hard_threshold(_mirrored(w, n), s)[:w.size]
-
-
-def _occupancy(w, s, mask, n):
-    # the passing set becomes the next support
-    if mask.any():
-        w[~mask] = 0
-        return w
-    return _top_s(w, s, mask, n)
 
 
 # -- records -------------------------------------------------------------------
@@ -594,9 +583,8 @@ class Estimator:
     hard_l0 keeps its l0 penalty during burn-in (exp3's HARD-L0 curve depends
     on it).  When ``config.s`` is None the budget is supplied each step by the
     tracker, which consumes the update direction b(n) the step already
-    computed.  With ``use_support`` the tracker's occupancy mask replaces the
-    top-s cut of the thresholded variants.  A tracker that no budget or mask
-    reads, or whose ``xi`` is 0, is not updated.
+    computed.  A tracker that no budget reads, or whose ``xi`` is 0, is not
+    updated.
 
     ``n_dim`` is the window length N; ``state.w`` and the tracker's err hold
     bins 0..N/2, and a row must too.  A row is a unit row, which the
@@ -638,7 +626,7 @@ class Estimator:
         "_k", "_c", "_e", "_cx",
         "_burn_in", "_penalty", "_selective", "_penalty_in_burn_in",
         "_rec", "_count", "_ro", "_w", "_bound", "_err", "_pending", "_es",
-        "_kappa0", "_defer", "_s", "_budget", "_project", "_track", "_xi", "_lam",
+        "_kappa0", "_defer", "_s", "_budget", "_cut", "_track", "_xi", "_lam",
     )
 
     def __init__(
@@ -688,29 +676,15 @@ class Estimator:
         self.full_queries = self.exact_counts = self.bound_counts = self.reused_counts = 0
         self.deferred_updates = self.replayed_updates = 0
         self.general_steps = self.certificate_runs = 0
-        # the budget: the fixed s, or a tracker query (a count or the occupancy
-        # mask) when _budget is set.  The query is held as a function, not a
-        # bound method: a bound method
-        # stored on its own instance is a reference cycle, which would keep the
-        # estimator's arrays until the cycle collector runs
-        self._s = self._budget = self._project = None
-        if variant in THRESHOLDED:
-            self._s = config.s
-            if config.s is None:
-                self._budget = Estimator._tracker_budget
-        if variant in PROJECTED:
-            self._project = _top_s
-            if tracker_params is not None and tracker_params.use_support:
-                self._budget, self._project = Estimator._mask_budget, _occupancy
+        # the budget: the fixed s, or the tracker's count when _budget is set
+        self._s = config.s if variant in THRESHOLDED else None
+        self._budget = reads_tracker(config)
+        self._cut = variant in PROJECTED
         # a budget reads err only through |w - xi err|, which is |w| when xi = 0
         # and err is finite.  err turns non-finite only when b = e* x overflows
         # in a diverged run; the NaN that 0 err then puts in w - 0 err is not
         # reproduced.
-        self._track = (
-            tracker_params is not None
-            and tracker_params.xi != 0.0
-            and reads_tracker(config, tracker_params)
-        )
+        self._track = tracker_params is not None and tracker_params.xi != 0.0 and self._budget
         self._xi = 0.0 if tracker_params is None else tracker_params.xi
         self._lam = 0.0 if tracker_params is None else tracker_params.lam
 
@@ -791,12 +765,12 @@ class Estimator:
 
         That holds while the record of the last top-s cut is on ``state.w``:
         after each cut of hard or hard_l0 and each certified step.  Dense
-        variants, sza (its record is on a dense iterate), the occupancy mask
-        and an assigned ``state.w`` give None.  Neither array changes
-        afterwards: a certified step stores a new w[K].
+        variants, sza (its record is on a dense iterate) and an assigned
+        ``state.w`` give None.  Neither array changes afterwards: a certified
+        step stores a new w[K].
         """
         rec = self._rec
-        if self._project is not _top_s or rec is None or self.state.w is not self._ro:
+        if not self._cut or rec is None or self.state.w is not self._ro:
             return None
         return rec.kept, rec.value
 
@@ -811,11 +785,11 @@ class Estimator:
             s = estimate_sparsity(tr, w)
             self._bound = float(np.abs(tr.err).max()) * (1.0 + _DELTA)  # (d)
             self.full_queries += 1
-            return s, None
+            return s
         rec = self._count
         if rec is not None and rec.count_reusable():
             self.reused_counts += 1
-            return rec.value, None
+            return rec.value
         reach = _step_bound(p.xi * self._bound, p.q_star)
         decided = None
         if reach < _E_REACH * p.q_star:
@@ -832,13 +806,7 @@ class Estimator:
         top = p.q_star + slack
         drift = _step_bound(0.0, top + p.xi * self._bound)
         self._count = Record(kept, top, slack, drift, clamp_budget(count, self._n))
-        return self._count.value, None
-
-    def _mask_budget(self, w):
-        mask = occupancy_mask(self._tracker, w)
-        if self.config.s is not None:
-            return self.config.s, mask
-        return clamp_budget(full_count(self._n, mask), self._n), mask
+        return self._count.value
 
     def _selective_penalty(self, w, s, e):
         """sza's penalty: the sign of w off its top-s set, zero on it."""
@@ -871,16 +839,13 @@ class Estimator:
             self._err, self._bound = tr.err, math.inf
             self._drop_pending()
         if st.n < self._burn_in:
-            return self._general(sample, False, None, None)
-        s, mask = self._s, None
-        if self._budget is not None:
-            s, mask = self._budget(self, st.w)
-        if self._project is _top_s:
-            x = sample.x
-            kept = _support(self._rec, s, x.base is self._rows)
+            return self._general(sample, False, None)
+        s = self._tracker_budget(st.w) if self._budget else self._s
+        if self._cut:
+            kept = _support(self._rec, s, sample.x.base is self._rows)
             if kept is not None:
                 return self._support_step(sample, kept, s)
-        return self._general(sample, True, s, mask)
+        return self._general(sample, True, s)
 
     def _support_step(self, sample, kept, s) -> float:
         """A step of hard or hard_l0 on K alone: v = w[K] + c x[K] - rho g(w[K]),
@@ -928,7 +893,7 @@ class Estimator:
                 rec.margin, rec.top = proof
                 rec.drift = 0.0
         if proof is None or (rec.size != s and not _spare_kept(v, rec.inner)):
-            return self._general(sample, True, s, None)
+            return self._general(sample, True, s)
         self._w[kept] = v
         rec.value = v
         st.n += 1
@@ -945,9 +910,9 @@ class Estimator:
         self.last_s = s
         return e
 
-    def _general(self, sample, active, s, mask) -> float:
-        """The dense rule, steps 2-5 of the module docstring, for budget s and
-        mask; ``active`` is False in burn-in."""
+    def _general(self, sample, active, s) -> float:
+        """The dense rule, steps 2-5 of the module docstring, for budget s;
+        ``active`` is False in burn-in."""
         self.general_steps += 1
         st = self.state
         x = sample.x
@@ -973,12 +938,11 @@ class Estimator:
         w += np.multiply(c0, x, out=self._cx)
         if shrink is not None:
             w -= shrink
-        if active and self._project is not None:
-            st.w = self._project(w, s, mask, self._n)
-            if self._project is _top_s:
-                self._own(st.w)
-                cut = np.flatnonzero(st.w)
-                self._rec = _cut_record(cut, st.w[cut], self._n)
+        if active and self._cut:
+            st.w = _top_s(w, s, self._n)
+            self._own(st.w)
+            cut = np.flatnonzero(st.w)
+            self._rec = _cut_record(cut, st.w[cut], self._n)
         st.n += 1
         if self._track:
             self._update_tracker(x, e, unit)

@@ -153,13 +153,10 @@ def build_exp3(trials: int = 20, n: int = 1000, seed: int = 303) -> ExperimentSp
     )
 
 
-def build_exp_msweep(
-    trials: int = 50, n: int = 1000, seed: int = 404, m_values: tuple[int, ...] | None = None
-) -> list[ExperimentSpec]:
+def build_exp_msweep(trials: int = 50, n: int = 1000, seed: int = 404) -> list[ExperimentSpec]:
     """Steady-state error for M=100..1000 samples per window, 50 passes."""
-    if m_values is None:
-        m_values = tuple(_scaled_m(m_ref, n) for m_ref in range(100, 1001, 100))
     sig = _signal(n)
+    m_values = [_scaled_m(m_ref, n) for m_ref in range(100, 1001, 100)]
     return [
         ExperimentSpec(
             name=f"exp-msweep-m{m}",
@@ -321,7 +318,7 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
             read = f.name in ("variant", "mu", *READS[est.variant])
             if not read and getattr(est, f.name) != f.default:
                 raise ValueError(f"{where}.estimator.{f.name} is ignored by variant {est.variant}")
-        if algo.tracker is not None and not reads_tracker(est, algo.tracker):
+        if algo.tracker is not None and not reads_tracker(est):
             fixed = " with a fixed s" if est.variant in THRESHOLDED else ""
             raise ValueError(f"{where}.tracker is ignored by variant {est.variant}{fixed}")
     return spec

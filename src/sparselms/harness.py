@@ -484,10 +484,17 @@ def bootstrap_diff_ci(
 ) -> tuple[float, float]:
     """Percentile bootstrap CI for mean(b - a) over paired trials.
 
-    Unequal or empty samples, an n_boot below 1 and an alpha outside (0, 1),
-    NaN included, raise ValueError naming the argument."""
+    A sample that is not 1-D or holds a NaN or an infinity, unequal or empty
+    samples, an n_boot below 1 and an alpha outside (0, 1), NaN included,
+    raise ValueError naming the argument."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    for name, v in (("a", a), ("b", b)):
+        if v.ndim != 1:
+            raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {v[bad[0]]} at index {bad[0]}")
     if a.shape != b.shape:
         raise ValueError("paired samples must have equal length")
     if a.size == 0:

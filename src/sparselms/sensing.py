@@ -191,13 +191,10 @@ def regressor_row(n: int, t: int) -> np.ndarray:
     return fourier_rows(n)[np.arange(n) * t % n, 1 % half_size(n)]
 
 
-def sample_indices(config: SensingConfig, window: int, rng=None) -> np.ndarray:
-    """M unique sorted positions in [0, N) for one window.
-
-    Deterministic given (config.seed, window) when no rng is supplied.
-    """
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, window]))
+def sample_indices(config: SensingConfig, window: int) -> np.ndarray:
+    """M unique sorted positions in [0, N) for one window, deterministic
+    given (config.seed, window)."""
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, window]))
     idx = rng.choice(config.n, size=config.m, replace=False)
     idx.sort()
     return idx

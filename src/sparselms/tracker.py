@@ -31,7 +31,6 @@ class TrackerParams:
     lam: float = 0.99     # forgetting factor, window mass 1/(1-lam)
     xi: float = 1.0       # error-correction scale
     q_star: float = 0.05  # occupancy magnitude threshold
-    use_support: bool = False  # carry the passing set into the next update
 
     def __post_init__(self):
         if not 0.0 < self.lam <= 1.0:

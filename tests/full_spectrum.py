@@ -4,9 +4,9 @@ the estimators, which hold bins 0..N/2 alone.
 ``FullSpectrum`` is the rule as it runs on an N-long iterate: the complex
 a-priori error e = y - w^H x, c = mu e*, the elementwise penalties, the
 top-s cut of keep_mask over the N bins (which may split a conjugate pair),
-the occupancy mask, and the tracker's N-long error with an unweighted
-count.  It shares no step code with ``sparselms.estimators``; it reads only
-the generic keep_mask of ``sparse_ops``.
+and the tracker's N-long error with an unweighted count.  It shares no step
+code with ``sparselms.estimators``; it reads only the generic keep_mask of
+``sparse_ops``.
 """
 
 from __future__ import annotations
@@ -38,22 +38,16 @@ class FullSpectrum:
         self.cut = None  # the last top-s set over N bins, a keep mask
         thresholded = config.variant in ("sza", "hard", "hard_l0")
         self.counts = thresholded and config.s is None
-        self.masks = params is not None and params.use_support and config.variant in (
-            "hard", "hard_l0")
-        self.tracked = params is not None and params.xi != 0.0 and (self.counts or self.masks)
-
-    def _corrected(self):
-        return np.abs(self.w - self.params.xi * self.err) > self.params.q_star
+        self.tracked = params is not None and params.xi != 0.0 and self.counts
 
     def step(self, x, y):
         """One step on the full row x; returns e (complex)."""
         cfg, w = self.cfg, self.w
         active = self.steps >= cfg.burn_in
-        s, mask = cfg.s, None
-        if active and (self.counts or self.masks):
-            mask = self._corrected()
-            if self.counts:
-                s = min(max(int(np.count_nonzero(mask)), 1), self.n)
+        s = cfg.s
+        if active and self.counts:
+            passing = np.abs(w - self.params.xi * self.err) > self.params.q_star
+            s = min(max(int(np.count_nonzero(passing)), 1), self.n)
         e = complex(y) - np.vdot(w, x)
         g = None
         v = cfg.variant
@@ -72,11 +66,8 @@ class FullSpectrum:
         if g is not None:
             w = w - cfg.rho * g
         if active and v in ("hard", "hard_l0"):
-            if self.masks and mask.any():
-                w = np.where(mask, w, 0)
-            else:
-                self.cut = keep_mask(w, s)
-                w = np.where(self.cut, w, 0)
+            self.cut = keep_mask(w, s)
+            w = np.where(self.cut, w, 0)
         self.w = w
         if self.tracked:
             self.kappa = self.params.lam * self.kappa + 1.0

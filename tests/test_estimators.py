@@ -399,50 +399,18 @@ def test_penalized_variants_burn_in_plain_lms():
         np.testing.assert_array_equal(est.state.w, [1.0, -1.0])  # no penalty yet
 
 
-def test_occupancy_support_shortcut():
-    from sparselms.tracker import TrackerParams
-
-    # the passing set becomes the support directly instead of a top-s cut
-    params = TrackerParams(lam=1.0, xi=0.0, q_star=0.3, use_support=True)
-    est = Estimator(EstimatorConfig("hard", mu=0.1, burn_in=0), 4, params)
-    est.state.w = np.array([1.0 + 0j, 0.5, 0.1])
-    est.step(MeasurementSample(np.zeros(3, dtype=complex), 0.0))
-    np.testing.assert_array_equal(est.state.w, [1.0, 0.5, 0.0])  # 0.1 below q*
-
-
-def test_occupancy_support_shortcut_empty_set_falls_back():
-    from sparselms.tracker import TrackerParams
-
-    params = TrackerParams(lam=1.0, xi=0.0, q_star=10.0, use_support=True)
-    est = Estimator(EstimatorConfig("hard", mu=0.1, burn_in=0), 4, params)
-    est.state.w = np.array([1.0 + 0j, 0.5, 0.1])
-    est.step(MeasurementSample(np.zeros(3, dtype=complex), 0.0))
-    assert np.count_nonzero(est.state.w) == 1  # clamped budget keeps the largest
-
-
-def test_occupancy_mask_applied_with_fixed_budget():
-    from sparselms.tracker import TrackerParams
-
-    # a fixed s does not switch the mask off: top-1 would keep only 1.0
-    params = TrackerParams(lam=1.0, xi=0.0, q_star=0.3, use_support=True)
-    est = Estimator(EstimatorConfig("hard", mu=0.1, s=1, burn_in=0), 4, params)
-    est.state.w = np.array([1.0 + 0j, 0.5, 0.1])
-    est.step(MeasurementSample(np.zeros(3, dtype=complex), 0.0))
-    np.testing.assert_array_equal(est.state.w, [1.0, 0.5, 0.0])
-    assert est.last_s == 1
-
-
 def test_occupancy_budget_is_clamped_mask_count():
     from sparselms.tracker import TrackerParams
 
     zero_x = MeasurementSample(np.zeros(3, dtype=complex), 0.0)
-    # N = 4: bin 0 counts once, interior bin 1 twice
-    for q_star, expected in ((0.3, 3), (10.0, 1)):
-        params = TrackerParams(lam=1.0, xi=0.0, q_star=q_star, use_support=True)
+    # N = 4: bin 0 counts once, interior bin 1 twice; a count of 0 keeps the largest
+    for q_star, expected, kept in ((0.3, 3, [1.0, 0.5, 0.0]), (10.0, 1, [1.0, 0.0, 0.0])):
+        params = TrackerParams(lam=1.0, xi=0.0, q_star=q_star)
         est = Estimator(EstimatorConfig("hard", mu=0.1, burn_in=0), 4, params)
         est.state.w = np.array([1.0 + 0j, 0.5, 0.1])
         est.step(zero_x)
         assert est.last_s == expected
+        np.testing.assert_array_equal(est.state.w, kept)
 
 
 def test_last_s_none_in_burn_in_then_budget():
@@ -484,9 +452,8 @@ def test_last_s_none_without_thresholding():
         (EstimatorConfig("hard", mu=0.1), TrackerParams(xi=0.5), True),
         (EstimatorConfig("hard", mu=0.1), TrackerParams(xi=0.0), False),  # w - 0 err = w
         (EstimatorConfig("hard", mu=0.1, s=1), TrackerParams(xi=0.5), False),
-        (EstimatorConfig("hard", mu=0.1, s=1), TrackerParams(xi=0.5, use_support=True), True),
-        (EstimatorConfig("sza", mu=0.1, rho=0.01, s=1),
-         TrackerParams(xi=0.5, use_support=True), False),
+        (EstimatorConfig("hard_l0", mu=0.1, rho=0.01, beta=1.0), TrackerParams(xi=0.5), True),
+        (EstimatorConfig("sza", mu=0.1, rho=0.01, s=1), TrackerParams(xi=0.5), False),
         (EstimatorConfig("lms", mu=0.1), TrackerParams(xi=0.5), False),
     ],
 )

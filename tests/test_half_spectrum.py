@@ -19,19 +19,13 @@ from full_spectrum import FullSpectrum, full_row, mirrored, split_pair
 from sparselms import estimators, harness
 from sparselms.estimators import Estimator, EstimatorConfig, EstimatorState, prediction_error
 from sparselms.experiments import get_experiment
-from sparselms.harness import AlgorithmSpec
 from sparselms.sensing import (MeasurementSample, fourier_rows, full_count, half_size, make_stream,
                                regressor_row)
-from sparselms.tracker import TrackerParams
 
 
 def _lineup(n):
-    """Every variant, as the registry configures it at N, and the occupancy mask."""
-    algos = [a for name in ("exp2", "exp3") for a in get_experiment(name, trials=1, n=n).algorithms]
-    hard = next(a for a in algos if a.label == "HARD-EST")
-    mask = AlgorithmSpec("HARD-MASK", hard.estimator,
-                         TrackerParams(lam=0.99, xi=hard.tracker.xi, q_star=0.05, use_support=True))
-    return algos + [mask]
+    """Every variant, as the registry configures it at N."""
+    return [a for name in ("exp2", "exp3") for a in get_experiment(name, trials=1, n=n).algorithms]
 
 
 @pytest.mark.parametrize("n", [16, 64, 63])
@@ -117,7 +111,7 @@ def test_a_complex_y_with_an_imaginary_part_raises_naming_y(y):
 
 
 def _cut(w, s, n):
-    return estimators._top_s(np.asarray(w, dtype=complex), s, None, n)
+    return estimators._top_s(np.asarray(w, dtype=complex), s, n)
 
 
 def test_the_top_s_cut_keeps_pairs_whole():

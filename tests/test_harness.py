@@ -596,6 +596,19 @@ def test_bootstrap_requires_paired_lengths():
         with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\), got"):
             bootstrap_diff_ci(np.zeros(3), np.ones(3), alpha=alpha)
     assert bootstrap_diff_ci(np.zeros(3), np.ones(3), n_boot=1) == (1.0, 1.0)
+    # a sample that is not 1-D, or holds a NaN or an infinity, is named; these
+    # used to give (nan, nan), a RuntimeWarning or an IndexError
+    for sample, message in [
+        (np.zeros((3, 2)), r"must be 1-D, got shape \(3, 2\)"),
+        (np.float64(1.0), r"must be 1-D, got shape \(\)"),
+        ([0.0, math.nan, 1.0], r"must be finite, got nan at index 1"),
+        ([0.0, 1.0, math.inf], r"must be finite, got inf at index 2"),
+        ([-math.inf, 0.0, 1.0], r"must be finite, got -inf at index 0"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^a {message}$"):
+            bootstrap_diff_ci(sample, np.zeros(3))
+        with pytest.raises(ValueError, match=rf"^b {message}$"):
+            bootstrap_diff_ci(np.zeros(3), sample)
 
 
 # -- tracking plumbing -------------------------------------------------------------
@@ -722,6 +735,23 @@ def test_spec_rejects_unknown_key(path, name):
         spec_from_dict(d)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_config_with_a_tracker_use_support_fails_at_load(tmp_path, value):
+    # older exports wrote use_support: false; the key selects nothing now
+    from sparselms.cli import main
+
+    path = ("algorithms", 1, "tracker", "use_support")
+    d = _set(spec_to_dict(build_exp4_tracking()), path, value)
+    message = r"unknown config key algorithms\[1\]\.tracker\.use_support"
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        spec_from_dict(d)
+    config = tmp_path / "old.yaml"
+    config.write_text(yaml.safe_dump(d))
+    with pytest.raises(SystemExit) as stop:  # printed as one line, exit status 1
+        main(["run", str(config), "--out", str(tmp_path)])
+    assert re.fullmatch(rf"error: {re.escape(str(config))}: {message}", stop.value.code)
+
+
 @pytest.mark.parametrize(
     "path, name",
     [
@@ -758,16 +788,16 @@ def test_spec_names_a_missing_key(path, name):
         (("signal", "n"), "1000", "signal.n"),
         (("sensing", "count"), "100", "sensing.count"),
         (("signal", "snr_db"), "high", "signal.snr_db"),
-        (("algorithms", 1, "tracker", "use_support"), "no", "algorithms[1].tracker.use_support"),
+        (("algorithms", 1, "tracker", "lam"), "0.9", "algorithms[1].tracker.lam"),
         (("tracking", "phase_windows", 1), "a", "tracking.phase_windows[1]"),
     ],
 )
 def test_config_rejects_a_mistyped_value(tmp_path, path, value, name):
-    # used to load (trials: true, use_support: "no") or to fail later without the path
+    # used to load (trials: true) or to fail later without the path
     from sparselms.cli import main
 
     d = _set(spec_to_dict(build_exp4_tracking()), path, value)
-    message = rf"{re.escape(name)} must be (int|float|str|bool), got {re.escape(repr(value))}"
+    message = rf"{re.escape(name)} must be (int|float|str), got {re.escape(repr(value))}"
     with pytest.raises(ValueError, match=rf"^{message}$"):
         spec_from_dict(d)
     config = tmp_path / "bad.yaml"
@@ -911,22 +941,17 @@ def test_config_rejects_a_tracker_without_a_budget():
         spec_from_dict(d)
 
 
-@pytest.mark.parametrize("index, use_support", [(0, False), (3, True)])
-def test_config_rejects_a_tracker_the_budget_never_reads(index, use_support):
-    # a fixed s is read in place of the tracker's count; sza has no mask
+@pytest.mark.parametrize("index", [0, 3])
+def test_config_rejects_a_tracker_the_budget_never_reads(index):
+    # a fixed s is read in place of the tracker's count
     build = build_exp2 if index == 0 else build_exp3
     d = spec_to_dict(build(n=64))
-    d = _set(d, ("algorithms", index, "tracker"), {"use_support": use_support})
+    d = _set(d, ("algorithms", index, "tracker"), {})
     variant = d["algorithms"][index]["estimator"]["variant"]
     assert d["algorithms"][index]["estimator"]["s"] > 0
     name = re.escape(f"algorithms[{index}].tracker")
     with pytest.raises(ValueError, match=rf"^{name} is ignored by variant {variant} with a fixed s$"):
         spec_from_dict(d)
-
-
-def test_config_accepts_a_mask_tracker_with_a_fixed_s():
-    d = _set(spec_to_dict(build_exp2(n=64)), ("algorithms", 0, "tracker"), {"use_support": True})
-    assert spec_from_dict(d).algorithms[0].tracker == TrackerParams(use_support=True)
 
 
 def test_config_rejects_burn_in_under_lms():
@@ -940,7 +965,7 @@ def test_config_rejects_burn_in_under_lms():
 
 
 def test_config_in_the_verbose_export_format_loads_to_the_same_spec():
-    # earlier exports wrote every estimator field, use_support and snr_db: "inf"
+    # earlier exports wrote every estimator field and snr_db: "inf"
     verbose = {
         "name": "verbose",
         "signal": {"n": 64, "sines": 2, "snr_db": "inf"},
@@ -952,7 +977,7 @@ def test_config_in_the_verbose_export_format_loads_to_the_same_spec():
                 "label": "EST",
                 "estimator": {"variant": "hard", "mu": 0.015625, "rho": 0.0, "beta": 0.0,
                               "epsilon": 1.0, "burn_in": 64},
-                "tracker": {"lam": 0.98, "xi": 0.3125, "q_star": 0.05, "use_support": False},
+                "tracker": {"lam": 0.98, "xi": 0.3125, "q_star": 0.05},
             },
             {
                 "label": "L0",

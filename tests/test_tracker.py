@@ -26,6 +26,9 @@ def test_params_validation():
         TrackerParams(xi=-1.0)
     with pytest.raises(ValueError):
         TrackerParams(q_star=0.0)
+    # top-s is the only projection: no field selects another
+    with pytest.raises(TypeError):
+        TrackerParams(use_support=True)
 
 
 def test_first_update_forced_values():
