@@ -27,13 +27,15 @@ def _cmd_list(args) -> int:
     return 0
 
 
+def _registry_specs(name, **overrides) -> list:
+    """A registry experiment's specs as a list: one, or a sweep's parts."""
+    built = experiments.get_experiment(name, **overrides)
+    return built if isinstance(built, list) else [built]
+
+
 def _cmd_export(args) -> int:
-    built = experiments.get_experiment(args.experiment)
     out = Path(args.out or f"{args.experiment}.yaml")
-    if isinstance(built, list):
-        experiments.save_specs(built, out)
-    else:
-        experiments.save_spec(built, out)
+    experiments.save_specs(_registry_specs(args.experiment), out)
     print(f"wrote {out}")
     return 0
 
@@ -47,10 +49,7 @@ def _resolve_specs(args):
         raise SystemExit(f"no such experiment or config file: {target}")
     try:
         if target in experiments.REGISTRY:
-            built = experiments.get_experiment(
-                target, trials=args.trials, n=args.scale, seed=args.seed
-            )
-            return built if isinstance(built, list) else [built]
+            return _registry_specs(target, trials=args.trials, n=args.scale, seed=args.seed)
         loaded = experiments.load_specs(path)
         given = {"trials": args.trials, "seed": args.seed}
         overrides = {k: v for k, v in given.items() if v is not None}

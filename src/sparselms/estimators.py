@@ -11,8 +11,11 @@ full spectrum w^H x sums conj(w_k) x_k and its conjugate for each pair
 
 m = N/2, is real (``prediction_error``), and so are c = mu e and the
 tracker's b = e x; the penalties are elementwise, and every step keeps the
-iterate the half of a conjugate-symmetric spectrum.  A step runs, in this
-order:
+iterate the half of a conjugate-symmetric spectrum.  Holding N/2 + 1 bins
+instead of N halves every O(N) pass of a dense step: over the full spectrum,
+exp3-shrinkage's benchmark steps per second were about 1.3x lower
+(BENCH_23.json), exp2-budget's and exp4-tracking's about 1.1x.  A step runs,
+in this order:
 
 1. budget: the fixed ``s`` or the tracker's count, computed once from the
    pre-update iterate w(n);
@@ -27,11 +30,13 @@ Budgets are in full-spectrum bins: s, the tracker's count and the range
 keep_mask's rule on the full spectrum's N squared magnitudes, the stored
 ones with each interior bin's again for its mirror (``_mirrored``): the
 threshold is the s-th largest, counting each interior bin twice, and every
-tie is kept, so a pair is kept or cut whole.  On an even s that falls
-between pairs, K holds s full bins; when the s-th largest is the first
-copy of an interior bin (an odd s above no self-conjugate bin), its pair
-ties with it and K holds s + 1; bin 0 and, for even N, bin N/2 have one
-copy each and can make K's count odd.  The support path takes a budget
+tie is kept, so a pair is kept or cut whole (the dense rule over all N
+bins split pairs at the cut, and held up to 2 and 7 unpaired bins on HARD-40
+and HARD-80 at N = 1000; tests/test_half_spectrum.py runs it as the
+oracle).  On an even s that falls between pairs, K holds s full bins; when
+the s-th largest is the first copy of an interior bin (an odd s above no
+self-conjugate bin), its pair ties with it and K holds s + 1; bin 0 and,
+for even N, bin N/2 have one copy each and can make K's count odd.  The support path takes a budget
 equal to K's full count W(K) (``Record.size``), or one less, where the cut
 keeps K only while its least m2 has two copies: while no self-conjugate
 bin of K is below K's least interior bin (``_spare_kept``).  sza's set
@@ -52,7 +57,9 @@ entry off K can pass q*, the tracker's count is read from K and reused
 count is decided from |w[K]| alone, without reading the tracker's error.
 sza's iterate stays dense, but its top-s set is reused after an exact cut
 with a strict gap (``set_kept``).  Every path gives the dense rule's results
-bit for bit; the derivation is above ``Record``.
+bit for bit; the derivation is above ``Record``.  The support certificate
+runs on 0.1% to 3.6% of the support-path steps of exp2's labels at
+N = 1000: a record answers for it on the rest.
 
 Deferred tracker updates.  After a count decided from |w[K]|, until the next
 exact count or full query, a tracked step on a unit row appends (x, e) to a
@@ -60,15 +67,20 @@ pending list and advances kappa and B in O(1).  Every read of the error (the
 full query, an exact count and ``Estimator.tracker``) first replays the
 pending updates in order, from the kappa before the first, each through
 ``tracker_update`` as an eager step makes it, so err and kappa are the eager
-rule's bits.  A step whose row is not a unit row, or whose e or B is too
+rule's bits, and a wrapper of ``tracker_update`` (perfbench's tracer) sees
+every update.  A step whose row is not a unit row, or whose e or B is too
 large for the update to be free of overflow, updates eagerly, so a warning
-or a NaN shows at its own step.
+or a NaN shows at its own step.  After burn-in, exp2's and exp3's HARD-EST
+and HARD-L0 read the error in full once, and most of their updates are
+never replayed.
 
 Two bodies.  ``Estimator.step`` runs the support step when the last top-s
 cut's record is on ``state.w``, the row is a unit row and the budget is |K|
 (a fixed s, or the tracker's count read from K): every step of hard and
-hard_l0 once their support has settled.  It updates w[K] alone, in straight
-line, and skips the O(N) update, the cut and every branch of the other
+hard_l0 once their support has settled, which is 78% of the steps of the
+exp2-budget benchmark workload, 96% of exp4-tracking's and 33% of
+exp3-shrinkage's (seed 0, unit 0, N = 1000).  It updates w[K] alone, in
+straight line, and skips the O(N) update, the cut and every branch of the other
 variants.  Any other step, and a support step whose certificate fails, which
 has stored nothing, runs the general body: the dense rule above.  Both end
 on ``_update_tracker``.
@@ -76,10 +88,12 @@ on ``_update_tracker``.
 Unit rows.  The bounds below need every computed |x_k|^2 <= 1 + 4u.  An
 estimator takes the table of rows on the stored bins that meet it from
 ``sensing.unit_rows`` once, when it is built, and a step's row is a unit row
-when it is a view of that table (``x.base is self._rows``), as the table's
-rows that ``make_stream`` yields are.  Any other row takes the dense rule,
+when it is a view of that table (``x.base is self._rows``, about 20 ns), as
+the table's rows that ``make_stream`` yields are.  Any other row takes the dense rule,
 and makes the bounds it would advance infinite; so does a row of a table
 that ``fourier_rows`` rebuilt after its cache dropped the estimator's.
+``run_trial`` builds its estimator and its streams from one cached table, so
+no run meets one.
 
 The scalars of a step (e, c = mu e and the bounds) are Python floats:
 ``prediction_error`` forms e from the complex128 dot and the end bins'
@@ -219,7 +233,7 @@ def _real(y) -> float:
 
 
 # numpy's C vdot, without the __array_function__ dispatcher that np.vdot
-# runs on every call; the same function, so the same bits
+# runs on every call (about 0.15-0.2 us); the same function, so the same bits
 _vdot = getattr(np.vdot, "_implementation", np.vdot)
 
 

@@ -325,18 +325,17 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
 
 
 # yaml is imported where a config is read or saved: building a spec needs none
-def save_spec(spec: ExperimentSpec, path) -> None:
-    import yaml
-
-    with open(path, "w") as f:
-        yaml.safe_dump(spec_to_dict(spec), f, sort_keys=False)
-
-
 def save_specs(specs: list[ExperimentSpec], path) -> None:
+    """Write specs as a config file that load_specs reads back: one spec as a
+    bare mapping, several as a list under the ``experiments`` key."""
     import yaml
 
+    if not specs:
+        raise ValueError("need at least one spec to save")
+    dicts = [spec_to_dict(s) for s in specs]
+    doc = dicts[0] if len(dicts) == 1 else {"experiments": dicts}
     with open(path, "w") as f:
-        yaml.safe_dump({"experiments": [spec_to_dict(s) for s in specs]}, f, sort_keys=False)
+        yaml.safe_dump(doc, f, sort_keys=False)
 
 
 def _spec_in(path, d, where: str = "") -> ExperimentSpec:

@@ -27,13 +27,21 @@ class SignalSpec:
         if self.sines < 1:
             raise ValueError("need at least one sine")
         _check_snr_db(self.snr_db)
-        if self.sines > self.n // 2 - 1:
+        top = self.n // 2 - 1  # the highest bin a sine may take
+        if self.sines > top:
             raise ValueError(
-                f"cannot place {self.sines} sines on distinct bins in [1, {self.n // 2 - 1}]"
-                f" at n={self.n}"
+                f"cannot place {self.sines} sines on distinct bins in [1, {top}] at n={self.n}"
             )
+        # the one check of the bins: it runs when a spec is built and on every
+        # dataclasses.replace, so multisine and true_spectrum trust them
         if self.bins is not None:
-            _check_bins(self.n, self.sines, self.bins)
+            if len(self.bins) != self.sines:
+                raise ValueError(f"expected {self.sines} bins, got {len(self.bins)}")
+            if len(set(self.bins)) != len(self.bins):
+                raise ValueError("bins must be distinct")
+            for m in self.bins:
+                if not 1 <= m <= top:
+                    raise ValueError(f"bin {m} outside valid range [1, {top}]")
         if self.amps is not None:
             if len(self.amps) != self.sines:
                 raise ValueError("one amplitude per sine required")
@@ -51,17 +59,6 @@ def _check_snr_db(snr_db: float) -> None:
     # +inf means no noise, -inf infinite noise; NaN fails the comparison
     if not -math.inf < snr_db <= math.inf:
         raise ValueError(f"snr_db must be a number or inf, got {snr_db}")
-
-
-def _check_bins(n: int, k: int, bins: tuple[int, ...]) -> None:
-    if len(bins) != k:
-        raise ValueError(f"expected {k} bins, got {len(bins)}")
-    if len(set(bins)) != len(bins):
-        raise ValueError("bins must be distinct")
-    hi = n // 2
-    for m in bins:
-        if not 1 <= m <= hi - 1:
-            raise ValueError(f"bin {m} outside valid range [1, {hi - 1}]")
 
 
 def random_bins(n: int, k: int, rng: np.random.Generator) -> tuple[int, ...]:
@@ -83,7 +80,6 @@ def multisine(spec: SignalSpec) -> np.ndarray:
     """Noiseless window: z_t = sum_i A_i * sin(2*pi*m_i*t/N)."""
     if spec.bins is None:
         raise ValueError("spec has unresolved bins")
-    _check_bins(spec.n, spec.sines, spec.bins)
     t = np.arange(spec.n)
     z = np.zeros(spec.n)
     for m, a in zip(spec.bins, spec.amplitudes):
@@ -95,7 +91,6 @@ def true_spectrum(spec: SignalSpec) -> np.ndarray:
     """Exact spectrum of the multisine: 2k nonzeros at bins {m_i, N - m_i}."""
     if spec.bins is None:
         raise ValueError("spec has unresolved bins")
-    _check_bins(spec.n, spec.sines, spec.bins)
     w = np.zeros(spec.n, dtype=complex)
     for m, a in zip(spec.bins, spec.amplitudes):
         w[m] = -0.5j * a

@@ -139,12 +139,9 @@ def selective_penalty(v, s: int, keep=None) -> np.ndarray:
     return pen
 
 
-def support(v, tol: float = 0.0) -> frozenset[int]:
-    """Positions with |v_i| > tol."""
-    if not tol >= 0:  # NaN fails too
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
-    v = np.asarray(v)
-    return frozenset(int(i) for i in np.flatnonzero(np.abs(v) > tol))
+def support(v) -> frozenset[int]:
+    """Positions with |v_i| > 0 (a NaN entry is not among them)."""
+    return frozenset(int(i) for i in np.flatnonzero(np.abs(np.asarray(v)) > 0))
 
 
 def _complex_pair(w, w_hat):

@@ -25,7 +25,7 @@ from sparselms.experiments import (
     build_exp4_tracking,
     get_experiment,
     load_specs,
-    save_spec,
+    save_specs,
     spec_from_dict,
     spec_to_dict,
 )
@@ -1112,7 +1112,7 @@ def test_cli_run_rejects_a_bad_option_when_it_parses(tmp_path, capsys, args, opt
     from sparselms.cli import main
 
     config = tmp_path / "exp1.yaml"
-    save_spec(build_exp1(n=64), config)
+    save_specs([build_exp1(n=64)], config)
     out = tmp_path / "res"
     with pytest.raises(SystemExit) as exit_:
         main(["run", *(str(config) if a == "CONFIG" else a for a in args), "--out", str(out)])
@@ -1166,7 +1166,7 @@ def test_export_matches_registry(tmp_path):
 def test_exported_config_runs_byte_identical_to_the_registry(tmp_path):
     from sparselms.cli import main
 
-    save_spec(get_experiment("exp2", n=64), tmp_path / "exp2.yaml")
+    save_specs([get_experiment("exp2", n=64)], tmp_path / "exp2.yaml")
     out = {"registry": tmp_path / "registry", "config": tmp_path / "config"}
     assert main(["run", "exp2", "--scale", "64", "--trials", "1",
                  "--out", str(out["registry"])]) == 0
@@ -1178,8 +1178,13 @@ def test_exported_config_runs_byte_identical_to_the_registry(tmp_path):
 
 def test_save_and_load_round_trip(tmp_path):
     spec = tiny_spec()
-    save_spec(spec, tmp_path / "tiny.yaml")
+    save_specs([spec], tmp_path / "tiny.yaml")
+    assert yaml.safe_load((tmp_path / "tiny.yaml").read_text()) == spec_to_dict(spec)  # bare
     assert load_specs(tmp_path / "tiny.yaml") == [spec]
+    # load_specs rejects an empty experiments list, so nothing writes one
+    with pytest.raises(ValueError, match="^need at least one spec to save$"):
+        save_specs([], tmp_path / "none.yaml")
+    assert not (tmp_path / "none.yaml").exists()
 
 
 def test_duplicate_labels_rejected():
@@ -1203,7 +1208,7 @@ def test_cli_list_and_run(tmp_path, capsys):
     assert "exp1" in captured.out
 
     spec = tiny_spec(trials=1)
-    save_spec(spec, tmp_path / "tiny.yaml")
+    save_specs([spec], tmp_path / "tiny.yaml")
     assert main(["run", str(tmp_path / "tiny.yaml"), "--out", str(tmp_path / "res")]) == 0
     # the wall time and the steps per second of all labels' trials
     head = capsys.readouterr().out.splitlines()[0]
@@ -1224,7 +1229,6 @@ def test_cli_list_prints_each_builder_docstring(capsys):
 
 def test_cli_multi_spec_writes_sweep_summary(tmp_path):
     from sparselms.cli import main
-    from sparselms.experiments import save_specs
 
     specs = [
         tiny_spec(trials=1, name="sweep-m8", sensing=SensingConfig(n=32, m=8, mode=RepeatedPass(20))),
@@ -1240,7 +1244,6 @@ def test_cli_multi_spec_writes_sweep_summary(tmp_path):
 def test_config_rejects_a_repeated_experiment_name(tmp_path):
     # both experiments used to run, and the second's CSVs overwrote the first's
     from sparselms.cli import main
-    from sparselms.experiments import save_specs
 
     config = tmp_path / "dup.yaml"
     names = ["sweep-a", "sweep-b", "sweep-a"]

@@ -365,16 +365,6 @@ def test_support_exact():
     assert support([2, -2, 0, 0]) == frozenset({0, 1})
 
 
-def test_support_tolerance():
-    assert support([1e-16, 1.0], tol=1e-12) == frozenset({1})
-
-
-def test_support_negative_tol_rejected():
-    for tol in (-1.0, math.nan):
-        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
-            support([1.0], tol=tol)
-
-
 # -- SER ----------------------------------------------------------------------
 
 
