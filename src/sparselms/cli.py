@@ -177,7 +177,10 @@ def main(argv=None) -> int:
     oracle.set_defaults(func=_cmd_oracle)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as err:  # a path that cannot be read or written: one line
+        raise SystemExit(f"error: {err.filename}: {err.strerror}") from None
 
 
 if __name__ == "__main__":

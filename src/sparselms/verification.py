@@ -4,24 +4,11 @@ The reference routines here deliberately avoid the library's own code paths:
 the top-k reference ranks by pairwise magnitude counting, and the sensing
 identity is accumulated as an explicit sum of outer products.
 
-The randomized suites read the generator stream in the order a one-vector
-loop reads it, hold the draws of each length n in chunks of CHUNK, and check
-a chunk as one stack; the draws and the per-draw decisions are those of the
-one-vector loop, bit for bit.  A draw reads the stream with fewer calls than
-the loop makes, through four identities of numpy's Generator that
-tests/test_generator_identities.py checks one by one:
-
-- ``uniform(a, b, size=s)`` is ``(b - a) * random(s) + a``, numpy's own
-  formula, so the two uniform calls of a sparse vector's magnitudes and
-  phases are one ``random((2, s))``, and the perturbation's scale t is
-  ``random()``; ``uniform`` applies the formula once per chunk;
-- two ``standard_normal(n)`` calls are one ``standard_normal`` into a
-  contiguous (2, n) row;
-- ``choice(table, size=n)`` is ``table[integers(0, len(table), size=n)]``.
-
-``choice(n, size=s, replace=False)`` and the scalar ``integers`` calls stay
-as the loop makes them: Floyd's draws are followed by a masked shuffle on
-32-bit halves of the stream, which no cheaper call reproduces.
+The randomized suites draw BLOCK draws at a time from one generator: first
+each draw's length n and integer parameters as arrays, then, for each length
+in the block, the vectors of that length's draws as one stack, which the
+suite checks at once.  A suite is deterministic for a seed, and holds at
+most one block of draws at a time.
 """
 
 from __future__ import annotations
@@ -57,7 +44,7 @@ class SuiteResult:
         return msg
 
 
-CHUNK = 32  # draws of one length n checked together; bounds the held draws
+BLOCK = 1024  # draws made and checked together; bounds the held draws
 
 MAGNITUDES = (0.3, 2.0)  # a sparse vector's nonzero magnitudes are uniform here
 PHASES = (0.0, 2.0 * np.pi)
@@ -66,125 +53,50 @@ TIE_MAGNITUDES = np.array([0.0, 1.0, 2.0])  # the oracle's engineered ties
 TIE_PHASES = np.array([1.0, -1.0, 1.0j, -1.0j])
 
 
-def uniform(u, low: float, high: float):
-    """numpy's ``uniform(low, high)`` from the doubles ``u`` that ``random()``
-    drew in its place: Generator.uniform computes low + (high - low) u."""
-    return (high - low) * u + low
-
-
-def _random_sparse(rng, n: int, s: int) -> np.ndarray:
-    """s-sparse complex vector with nonzero magnitudes in [0.3, 2]."""
-    w = np.zeros(n, dtype=complex)
-    pos = rng.choice(n, size=s, replace=False)
-    mags, phases = rng.random((2, s))
-    w[pos] = uniform(mags, *MAGNITUDES) * np.exp(1j * uniform(phases, *PHASES))
+def _sparse_rows(rng, n: int, s) -> np.ndarray:
+    """One complex row of length n per budget in ``s``, row j with s[j]
+    nonzeros at uniformly random positions, magnitudes uniform in MAGNITUDES
+    and phases uniform in PHASES.  The argsort of a uniform row is a uniform
+    permutation, so the positions where it is below s[j] are a uniform
+    s[j]-subset."""
+    s = np.asarray(s)
+    on = rng.random((s.size, n)).argsort(axis=1) < s[:, None]
+    w = np.zeros((s.size, n), dtype=complex)
+    k = int(np.count_nonzero(on))
+    w[on] = rng.uniform(*MAGNITUDES, k) * np.exp(1j * rng.uniform(*PHASES, k))
     return w
 
 
-class _Groups(dict):
-    """The _Group of each length n, made on first use."""
-
-    def __missing__(self, n: int) -> "_Group":
-        group = self[n] = _Group(n)
-        return group
-
-
-class _Group:
-    """Up to CHUNK draws of one length n.
-
-    A sparse vector is held as drawn: its size s in ``sizes``, its positions
-    in ``pos`` and the (2, s) uniforms of its magnitudes and phases in
-    ``units``; ``sparse_rows`` scatters the chunk's at once.  ``normal[row]``
-    holds a draw's two standard-normal vectors (or the parts of an oracle
-    vector), ``t`` the ``random()`` of its perturbation's scale and ``ints``
-    its integer parameter (budget or tau).
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.normal = np.zeros((CHUNK, 2, n))
-        self.clear()
-
-    def clear(self) -> None:
-        """Release the held draws; lists handed out before stay intact."""
-        self.index: list[int] = []
-        self.ints: list[int] = []
-        self.t: list[float] = []
-        self.sizes: list[int] = []
-        self.pos: list[np.ndarray] = []
-        self.units: list[np.ndarray] = []
-
-    def add(self, i: int, param: int) -> int:
-        """Hold draw ``i`` with its integer parameter; returns its row."""
-        self.index.append(i)
-        self.ints.append(param)
-        return len(self.index) - 1
-
-    def draw_perturbed_sparse(self, rng, i: int, param: int, s: int) -> "_Group":
-        """Hold draw ``i``: an s-sparse vector, then the two normal vectors and
-        the uniform of its perturbation, in the order of the rng calls."""
-        row = self.add(i, param)
-        self.sizes.append(s)
-        self.pos.append(rng.choice(self.n, size=s, replace=False))
-        self.units.append(rng.random((2, s)))
-        rng.standard_normal(out=self.normal[row])
-        self.t.append(rng.random())
-        return self
-
-    def sparse_rows(self) -> np.ndarray:
-        """The held sparse vectors, as _random_sparse builds each one."""
-        k = len(self.index)
-        mags, phases = np.concatenate(self.units, axis=1)
-        w = np.zeros((k, self.n), dtype=complex)
-        rows = np.repeat(np.arange(k), self.sizes)
-        w[rows, np.concatenate(self.pos)] = (
-            uniform(mags, *MAGNITUDES) * np.exp(1j * uniform(phases, *PHASES))
-        )
-        return w
-
-    def complex_rows(self) -> np.ndarray:
-        normal = self.normal[: len(self.index)]
-        return normal[:, 0] + 1j * normal[:, 1]
-
-    def perturbed(self, w: np.ndarray, radius_sq) -> np.ndarray:
-        """Rows w + u, u = re + 1j*im rescaled to ||u||^2 = t * radius_sq.
-
-        The norms come from a stacked matmul on the strided real and imaginary
-        parts of u, which runs the BLAS dot that np.linalg.norm runs on one
-        vector, so each row equals the one-vector result bit for bit.
-        """
-        u = self.complex_rows()
-        re, im = u.real, u.imag
-        sq = (re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0]
-        t = uniform(np.array(self.t), *SCALES)
-        u *= (np.sqrt(t * radius_sq) / np.sqrt(sq))[:, None]
-        return w + u
+def _perturbed(rng, w: np.ndarray, radius_sq) -> np.ndarray:
+    """Rows w + u, u complex normal rescaled to ||u||^2 = t * radius_sq with
+    t uniform in SCALES, one t per row."""
+    re, im = rng.standard_normal((2, *w.shape))
+    u = re + 1j * im
+    t = rng.uniform(*SCALES, len(w))
+    u *= np.sqrt(t * radius_sq / (re**2 + im**2).sum(axis=1))[:, None]
+    return w + u
 
 
-def _by_n(draws: int, seed: int, draw, chunk):
-    """Make ``draws`` draws in order from one generator; ``draw(rng, i,
-    groups)`` holds draw i in the group of its length n and returns that
-    group.  Returns an iterator over ``chunk(group)`` of each group once it
-    holds CHUNK draws, and of every group still holding draws at the end; a
-    group is cleared once its chunk is made.  A draw count below 1 raises
+def _blocks(draws: int, seed: int, params, rows):
+    """Make ``draws`` draws from one generator, BLOCK at a time.
+    ``params(rng, k)`` draws k lengths n and the integer parameters,
+    (n, shown, *rest); ``rows(rng, n, shown, *rest)`` draws the vectors of
+    the draws of one length n.  Returns an iterator of (draw numbers, shown,
+    *vectors), one per length in each block.  A draw count below 1 raises
     here, before any draw."""
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
 
-    def chunks():
+    def blocks():
         rng = np.random.default_rng(seed)
-        groups = _Groups()
-        for i in range(draws):
-            group = draw(rng, i, groups)
-            if len(group.index) == CHUNK:
-                held = chunk(group)
-                group.clear()
-                yield held
-        for group in groups.values():
-            if group.index:
-                yield chunk(group)
+        for start in range(0, draws, BLOCK):
+            n, *ints = params(rng, min(BLOCK, draws - start))
+            for length in np.unique(n):
+                at = np.flatnonzero(n == length)
+                held = [p[at] for p in ints]
+                yield (start + at, held[0], *rows(rng, int(length), *held))
 
-    return chunks()
+    return blocks()
 
 
 def _min_sq_nonzero(w: np.ndarray) -> np.ndarray:
@@ -192,43 +104,39 @@ def _min_sq_nonzero(w: np.ndarray) -> np.ndarray:
     return np.where(w != 0, np.abs(w) ** 2, np.inf).min(axis=-1)
 
 
-def _theorem2_draw(rng, i, groups) -> _Group:
-    n = int(rng.integers(2, 33))
-    s = int(rng.integers(1, max(2, n // 2 + 1)))
-    return groups[n].draw_perturbed_sparse(rng, i, s, s)
+def _theorem2_params(rng, k: int):
+    n = rng.integers(2, 33, k)
+    return n, rng.integers(1, np.maximum(2, n // 2 + 1))
 
 
-def _theorem2_chunk(group: _Group):
-    w = group.sparse_rows()
-    return group.index, np.array(group.ints), w, group.perturbed(w, _min_sq_nonzero(w) / 2.0)
+def _theorem2_rows(rng, n: int, s):
+    w = _sparse_rows(rng, n, s)
+    return w, _perturbed(rng, w, _min_sq_nonzero(w) / 2.0)
 
 
 def theorem2_draws(draws: int, seed: int):
-    """The theorem-2 suite's draws, in chunks of equal length n: an iterator
+    """The theorem-2 suite's draws, in batches of equal length n: an iterator
     of (draw numbers, budgets s, w, w_hat), with w_hat inside the premise
     ball ||w - w_hat||^2 < q^2/2."""
-    return _by_n(draws, seed, _theorem2_draw, _theorem2_chunk)
+    return _blocks(draws, seed, _theorem2_params, _theorem2_rows)
 
 
-def _theorem3_draw(rng, i, groups) -> _Group:
-    tau = int(rng.integers(1, 4))
-    n = int(rng.integers(tau + 2, 33))
-    s = int(rng.integers(1, n - tau))
-    return groups[n].draw_perturbed_sparse(rng, i, tau, s)
+def _theorem3_params(rng, k: int):
+    tau = rng.integers(1, 4, k)
+    n = rng.integers(tau + 2, 33)
+    return n, tau, rng.integers(1, n - tau)
 
 
-def _theorem3_chunk(group: _Group):
-    tau = np.array(group.ints)
-    w = group.sparse_rows()
-    radius_sq = _min_sq_nonzero(w) * (1.0 - 1.0 / (tau + 2.0))
-    return group.index, tau, w, group.perturbed(w, radius_sq)
+def _theorem3_rows(rng, n: int, tau, s):
+    w = _sparse_rows(rng, n, s)
+    return w, _perturbed(rng, w, _min_sq_nonzero(w) * (1.0 - 1.0 / (tau + 2.0)))
 
 
 def theorem3_draws(draws: int, seed: int):
-    """The theorem-3 suite's draws, in chunks of equal length n: an iterator
+    """The theorem-3 suite's draws, in batches of equal length n: an iterator
     of (draw numbers, tau per row, w, w_hat), with w_hat inside the relaxed
     ball ||w - w_hat||^2 <= q^2 (1 - 1/(tau+2))."""
-    return _by_n(draws, seed, _theorem3_draw, _theorem3_chunk)
+    return _blocks(draws, seed, _theorem3_params, _theorem3_rows)
 
 
 def _in_draw_order(notes: list[tuple[int, str]]) -> list[str]:
@@ -280,7 +188,7 @@ def tightness_suite(eps: float = 1e-6, seed: int = 9) -> SuiteResult:
     coefficient and plant a slightly larger impostor off the support, so that
     ||w - w_hat||^2 = q^2/2 + eps, and support equality must fail."""
     rng = np.random.default_rng(seed)
-    w = _random_sparse(rng, 8, 3)
+    w = _sparse_rows(rng, 8, [3])[0]
     mags = np.abs(w)
     on = np.flatnonzero(mags > 0)
     ell = on[np.argmin(mags[on])]
@@ -318,34 +226,25 @@ def topk_reference(v, s) -> np.ndarray:
     return np.where(larger < np.asarray(s)[..., None], v, 0)
 
 
-def _oracle_draw(rng, i, groups) -> _Group:
-    n = int(rng.integers(1, 13))
-    s = int(rng.integers(1, n + 1))
-    kind = rng.integers(0, 3)
-    group = groups[n]
-    parts = group.normal[group.add(i, s)]
-    if kind == 0:
-        rng.standard_normal(out=parts)
-    elif kind == 1:
-        # engineered ties: magnitudes drawn from a tiny exact set
-        base = TIE_MAGNITUDES[rng.integers(0, TIE_MAGNITUDES.size, size=n)]
-        v = base * TIE_PHASES[rng.integers(0, TIE_PHASES.size, size=n)]
-        parts[0], parts[1] = v.real, v.imag
-    else:
-        rng.standard_normal(out=parts[0])  # real input
-        parts[1] = 0.0
-    return group
+def _oracle_params(rng, k: int):
+    n = rng.integers(1, 13, k)
+    return n, rng.integers(1, n + 1), rng.integers(0, 3, k)
 
 
-def _oracle_chunk(group: _Group):
-    return group.index, np.array(group.ints), group.complex_rows()
+def _oracle_rows(rng, n: int, s, kind):
+    """Complex normal rows (kind 0), engineered ties from a tiny exact set of
+    magnitudes (kind 1) and real normal rows (kind 2)."""
+    re, im = rng.standard_normal((2, s.size, n))
+    ties = rng.choice(TIE_MAGNITUDES, (s.size, n)) * rng.choice(TIE_PHASES, (s.size, n))
+    kind = kind[:, None]
+    return (np.where(kind == 1, ties, re + 1j * np.where(kind == 2, 0.0, im)),)
 
 
 def oracle_draws(draws: int, seed: int):
-    """The top-k oracle suite's draws, in chunks of equal length n: an
+    """The top-k oracle suite's draws, in batches of equal length n: an
     iterator of (draw numbers, budgets s, v) for complex, tied and real
     vectors."""
-    return _by_n(draws, seed, _oracle_draw, _oracle_chunk)
+    return _blocks(draws, seed, _oracle_params, _oracle_rows)
 
 
 NOTED = 10  # mismatches the oracle suite names by draw number

@@ -1071,6 +1071,32 @@ def test_cli_run_reports_a_config_error_on_one_line(tmp_path, text, message):
     assert message in proc.stderr and str(path) in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, path, reason",
+    [
+        (["run", "DIR"], "DIR", "Is a directory"),
+        (["run", "exp1", "--out", "FILE"], "FILE", "File exists"),
+        (["run", "exp1", "--out", "FILE/sub"], "FILE/sub", "Not a directory"),
+        (["export", "exp1", "--out", "missing/dir/x.yaml"], "missing/dir/x.yaml",
+         "No such file or directory"),
+    ],
+    ids=["run-a-directory", "out-is-a-file", "out-under-a-file", "export-into-a-missing-dir"],
+)
+def test_cli_reports_a_file_error_on_one_line(tmp_path, args, path, reason):
+    # each ended in a traceback; --out is checked before any experiment runs
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "FILE").write_text("")
+    env = dict(os.environ, PYTHONPATH=str(Path(sparselms.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparselms.cli", *args],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {path}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["DIR", "FILE"]  # nothing written
+
+
 def _cli(args, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(sparselms.__file__).parents[1]))
     return subprocess.run(

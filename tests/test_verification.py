@@ -1,18 +1,19 @@
-"""The randomized suites draw exactly as a one-vector loop does and decide
-every draw as the one-vector checks do.
+"""The randomized suites draw by their laws and decide every draw as the
+one-vector checks do.
 
-The reference generators below are the suites' per-draw loops written for one
-vector at a time; the batched draws must match them bit for bit, draw by draw.
+Each iterator yields batches of one length n; the checks below read every
+row of a few thousand draws against its law (the ranges of n, s, tau and the
+oracle's kinds, the sparse vector and the premise ball) and against the
+one-vector check of that row.
 """
 
-import math
-
 import numpy as np
+import pytest
 
 from sparselms import verification
 from sparselms.sparse_ops import TheoremCheck, hard_threshold, ser, theorem2_check, theorem3_check
 from sparselms.verification import (
-    CHUNK,
+    hard_threshold_oracle_suite,
     oracle_draws,
     theorem2_draws,
     theorem2_suite,
@@ -21,128 +22,104 @@ from sparselms.verification import (
     topk_reference,
 )
 
-# enough draws that every length n fills several chunks
+# enough draws that every length n occurs in several blocks
 DRAWS = 3000
 
 
-def _sparse(rng, n, s):
-    w = np.zeros(n, dtype=complex)
-    pos = rng.choice(n, size=s, replace=False)
-    mags = rng.uniform(0.3, 2.0, size=s)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=s)
-    w[pos] = mags * np.exp(1j * phases)
-    return w
-
-
-def _perturb(rng, w, radius_sq):
-    u = rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
-    t = rng.uniform(0.01, 0.99)
-    u *= math.sqrt(t * radius_sq) / np.linalg.norm(u)
-    return w + u
-
-
-def theorem2_reference(draws, seed):
-    rng = np.random.default_rng(seed)
-    for _ in range(draws):
-        n = int(rng.integers(2, 33))
-        s = int(rng.integers(1, max(2, n // 2 + 1)))
-        w = _sparse(rng, n, s)
-        q2 = (np.abs(w[w != 0]) ** 2).min()
-        yield s, w, _perturb(rng, w, q2 / 2.0)
-
-
-def theorem3_reference(draws, seed):
-    rng = np.random.default_rng(seed)
-    for _ in range(draws):
-        tau = int(rng.integers(1, 4))
-        n = int(rng.integers(tau + 2, 33))
-        s = int(rng.integers(1, n - tau))
-        w = _sparse(rng, n, s)
-        q2 = (np.abs(w[w != 0]) ** 2).min()
-        w_hat = _perturb(rng, w, q2 * (1.0 - 1.0 / (tau + 2.0)))
-        assert np.count_nonzero(w_hat) >= s + tau  # dense, as the suite relies on
-        yield tau, w, w_hat
-
-
-def oracle_reference(draws, seed):
-    rng = np.random.default_rng(seed)
-    for _ in range(draws):
-        n = int(rng.integers(1, 13))
-        s = int(rng.integers(1, n + 1))
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        elif kind == 1:
-            base = rng.choice([0.0, 1.0, 2.0], size=n)
-            phase = rng.choice([1.0, -1.0, 1.0j, -1.0j], size=n)
-            v = base * phase
-        else:
-            v = rng.standard_normal(n)
-        yield s, v
-
-
-def _bits(v):
-    return np.asarray(v, dtype=complex).view(np.float64)
-
-
-def _by_draw(batches):
-    """{draw number: (batch, row)}; each draw appears once, in chunks of at
-    most CHUNK rows of one length."""
+def _rows(batches, decide):
+    """Every row of the batches in draw order, as (parameter, *vectors,
+    decision), where ``decide(batch)`` gives one decision per row of its
+    stack; checks that each batch holds one length and that each draw occurs
+    once."""
     rows = {}
     for batch in batches:
-        index, vectors = batch[0], batch[2]
-        assert len(index) <= CHUNK and vectors.shape[0] == len(index)
-        for j, i in enumerate(index):
+        index, param, *vectors = batch
+        assert len(param) == len(index)
+        for v in vectors:
+            assert v.shape == (len(index), vectors[0].shape[1])
+        for j, (i, decision) in enumerate(zip(index, decide(batch), strict=True)):
             assert i not in rows
-            rows[i] = (batch, j)
-    return rows
-
-
-def test_theorem2_draws_and_decisions_match_the_one_vector_loop():
-    batches = list(theorem2_draws(DRAWS, 5))
-    checks = {id(b): (theorem2_check(b[2], b[3]), ser(b[2], b[3])) for b in batches}
-    rows = _by_draw(batches)
+            rows[int(i)] = (int(param[j]), *(v[j] for v in vectors), decision)
     assert sorted(rows) == list(range(DRAWS))
-    for i, (s, w, w_hat) in enumerate(theorem2_reference(DRAWS, 5)):
-        batch, j = rows[i]
-        _, budgets, ws, w_hats = batch
-        assert budgets[j] == s
-        assert np.array_equal(_bits(ws[j]), _bits(w))
-        assert np.array_equal(_bits(w_hats[j]), _bits(w_hat))
-        check, sers = checks[id(batch)]
-        assert (check.premise[j], check.conclusion[j]) == theorem2_check(w, w_hat)
-        assert sers[j] == ser(w, w_hat)
+    return [rows[i] for i in range(DRAWS)]
 
 
-def test_theorem3_draws_and_decisions_match_the_one_vector_loop():
-    batches = list(theorem3_draws(DRAWS, 6))
-    checks = {id(b): theorem3_check(b[2], b[3], b[1]) for b in batches}
-    rows = _by_draw(batches)
-    assert sorted(rows) == list(range(DRAWS))
-    for i, (tau, w, w_hat) in enumerate(theorem3_reference(DRAWS, 6)):
-        batch, j = rows[i]
-        _, taus, ws, w_hats = batch
-        assert taus[j] == tau
-        assert np.array_equal(_bits(ws[j]), _bits(w))
-        assert np.array_equal(_bits(w_hats[j]), _bits(w_hat))
-        check = checks[id(batch)]
-        assert (check.premise[j], check.conclusion[j]) == theorem3_check(w, w_hat, tau)
+def _sparse_and_inside(w, w_hat, s, radius_sq):
+    """w has exactly s nonzeros, with magnitudes in [0.3, 2]; w_hat lies
+    strictly inside the ball of squared radius radius_sq(q^2) around w."""
+    mags = np.abs(w[w != 0])
+    assert mags.size == s
+    assert mags.min() >= 0.3 and mags.max() <= 2.0
+    assert np.sum(np.abs(w - w_hat) ** 2) < radius_sq(mags.min() ** 2)
 
 
-def test_oracle_draws_and_decisions_match_the_one_vector_loop():
-    batches = list(oracle_draws(DRAWS, 7))
-    agree = {
-        id(b): (hard_threshold(b[2], b[1]) == topk_reference(b[2], b[1])).all(axis=-1)
-        for b in batches
-    }
-    rows = _by_draw(batches)
-    assert sorted(rows) == list(range(DRAWS))
-    for i, (s, v) in enumerate(oracle_reference(DRAWS, 7)):
-        batch, j = rows[i]
-        _, budgets, vs = batch
-        assert budgets[j] == s
-        assert np.array_equal(vs[j], v)
-        assert agree[id(batch)][j] == np.array_equal(hard_threshold(v, s), topk_reference(v, s))
+def test_theorem2_draws_follow_the_law_and_decide_as_one_vector():
+    def decide(batch):
+        _, _, w, w_hat = batch
+        return zip(*theorem2_check(w, w_hat), ser(w, w_hat))
+
+    covered = {}  # the positions that a nonzero took, per length
+    for s, w, w_hat, (premise, conclusion, sers) in _rows(theorem2_draws(DRAWS, 5), decide):
+        n = w.size
+        covered.setdefault(n, set()).update(np.flatnonzero(w).tolist())
+        assert 2 <= n <= 32 and 1 <= s <= max(1, n // 2)
+        _sparse_and_inside(w, w_hat, s, lambda q2: q2 / 2.0)
+        assert (premise, conclusion) == theorem2_check(w, w_hat)
+        assert sers == ser(w, w_hat)
+    assert covered == {n: set(range(n)) for n in range(2, 33)}
+
+
+def test_theorem3_draws_follow_the_law_and_decide_as_one_vector():
+    def decide(batch):
+        _, tau, w, w_hat = batch
+        return zip(*theorem3_check(w, w_hat, tau))
+
+    lengths = set()
+    for tau, w, w_hat, decision in _rows(theorem3_draws(DRAWS, 6), decide):
+        n, s = w.size, np.count_nonzero(w)
+        lengths.add(n)
+        assert tau in (1, 2, 3) and tau + 2 <= n <= 32 and 1 <= s <= n - tau - 1
+        _sparse_and_inside(w, w_hat, s, lambda q2: q2 * (1.0 - 1.0 / (tau + 2.0)))
+        assert np.count_nonzero(w_hat) >= s + tau
+        assert decision == theorem3_check(w, w_hat, tau)
+    assert lengths == set(range(3, 33))
+
+
+_TIES = {m * p for m in (0.0, 1.0, 2.0) for p in (1.0, -1.0, 1.0j, -1.0j)}
+
+
+def _kind(v) -> int:
+    """0 for a complex normal row, 1 for a row of engineered ties, 2 for a
+    real row; a tie row with real phases only reads as tied."""
+    if all(x in _TIES for x in v.tolist()):
+        return 1
+    if not v.imag.any():
+        return 2
+    assert v.imag.all() and v.real.all()
+    return 0
+
+
+def test_oracle_draws_follow_the_law_and_decide_as_one_vector():
+    def decide(batch):
+        _, s, v = batch
+        return (hard_threshold(v, s) == topk_reference(v, s)).all(axis=-1)
+
+    lengths, kinds = set(), set()
+    for s, v, agreed in _rows(oracle_draws(DRAWS, 7), decide):
+        n = v.size
+        lengths.add(n)
+        kinds.add(_kind(v))
+        assert 1 <= n <= 12 and 1 <= s <= n
+        assert agreed == np.array_equal(hard_threshold(v, s), topk_reference(v, s))
+    assert lengths == set(range(1, 13))
+    assert kinds == {0, 1, 2}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 42, 1000, 31337])
+def test_the_suites_pass_at_seeds_other_than_the_pinned_ones(seed):
+    assert theorem2_suite(20_000, seed).failures == 0
+    assert theorem3_suite(20_000, seed + 1).failures == 0
+    assert hard_threshold_oracle_suite(10_000, seed + 2).failures == 0
 
 
 def test_topk_reference_stack_matches_rows():
@@ -163,13 +140,16 @@ def test_suite_counts_and_notes_follow_draw_order(monkeypatch):
         check = real(w, w_hat)
         return TheoremCheck(check.premise & (w.shape[-1] % 2 == 0), check.conclusion)
 
+    n = {}
+    for index, _, w, _ in theorem2_draws(200, 3):
+        n.update(dict.fromkeys(index.tolist(), w.shape[-1]))
     monkeypatch.setattr(verification, "theorem2_check", odd_n_leaves_the_ball)
     monkeypatch.setattr(verification, "ser", lambda w, w_hat: np.zeros(len(w)))
     res = theorem2_suite(200, 3)
     expected = [
-        "construction left the premise ball" if w.size % 2 else
+        "construction left the premise ball" if n[i] % 2 else
         "SER bound violated under the premise"
-        for _, w, _ in theorem2_reference(200, 3)
+        for i in range(200)
     ]
     assert res.failures == 200
     assert res.notes == expected
