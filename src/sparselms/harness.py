@@ -20,11 +20,11 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .estimators import THRESHOLDED, Estimator, EstimatorConfig, check_window
+from .estimators import READS, THRESHOLDED, Estimator, EstimatorConfig, check_window, reads_tracker
 from .sensing import SensingConfig, Windowed, half_size, make_stream, paired_bins
 from .signals import SignalSpec, multisine, noise_std, random_bins, signal_power, true_spectrum
 from .sparse_ops import _complex_pair, support
@@ -245,6 +245,15 @@ class TrackingSpec:
                 raise ValueError(f"phase_windows[{i}] must be >= 1, got {windows}")
 
 
+def _grown(sig: SignalSpec, extra: int, bins: tuple[int, ...] | None = None) -> SignalSpec:
+    """``sig`` with ``extra`` more unit sines, on ``bins`` when given: the
+    signal of a tracking experiment's second phase."""
+    if bins is not None:
+        bins = sig.bins + bins
+    amps = None if sig.amps is None else sig.amps + (1.0,) * extra
+    return replace(sig, sines=sig.sines + extra, bins=bins, amps=amps)
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
     label: str
@@ -277,30 +286,28 @@ class ExperimentSpec:
                 raise ValueError("tracking experiments require windowed sensing")
             if sum(self.tracking.phase_windows) != self.sensing.mode.windows:
                 raise ValueError("phase windows must sum to the sensing window count")
-            total = self.signal.sines + self.tracking.extra_sines
-            if total > self.signal.n // 2 - 1:
-                raise ValueError(
-                    f"cannot place {self.signal.sines} + {self.tracking.extra_sines} sines"
-                    f" on distinct bins in [1, {self.signal.n // 2 - 1}] at n={self.signal.n}"
-                )
-            if self.signal.snr_db < math.inf:
-                # the second phase adds unit sines, so its noise std differs
-                amps = self.signal.amplitudes + (1.0,) * self.tracking.extra_sines
-                power = sum(a * a for a in amps) / 2.0  # signal_power of that phase
-                try:
-                    noise_std(power, self.signal.snr_db)
-                except ValueError:
-                    raise ValueError(
-                        "signal.snr_db must give a finite, positive noise std at the"
-                        f" second phase's signal power {power}, got {self.signal.snr_db}"
-                    ) from None
+            try:  # SignalSpec judges the second phase's sine count and noise std
+                _grown(self.signal, self.tracking.extra_sines)
+            except ValueError as err:
+                raise ValueError(f"tracking: {err}") from err
         if self.signal.n != self.sensing.n:
             raise ValueError(
                 f"signal.n ({self.signal.n}) must equal sensing.n ({self.sensing.n})"
             )
+        if self.sensing.seed:
+            raise ValueError("sensing.seed is ignored by an experiment: each trial derives its own")
         for i, algo in enumerate(self.algorithms):
             check_window(algo.estimator, self.signal.n, algo.tracker is not None,
                          f"algorithms[{i}]")
+        for i, algo in enumerate(self.algorithms):
+            est, at = algo.estimator, f"algorithms[{i}]"
+            read = ("variant", "mu", *READS[est.variant])
+            for f in fields(est):
+                if f.name not in read and getattr(est, f.name) != f.default:
+                    raise ValueError(f"{at}.estimator.{f.name} is ignored by variant {est.variant}")
+            if algo.tracker is not None and not reads_tracker(est):
+                fixed = " with a fixed s" if est.variant in THRESHOLDED else ""
+                raise ValueError(f"{at}.tracker is ignored by variant {est.variant}{fixed}")
 
 
 @dataclass
@@ -353,6 +360,11 @@ def _full_support(w: np.ndarray, n: int) -> frozenset[int]:
     return kept | frozenset((n - k) % n for k in kept)
 
 
+def _phase(sig: SignalSpec, sensing: SensingConfig) -> _Phase:
+    sigma = noise_std(signal_power(sig), sig.snr_db)
+    return _Phase(sensing, multisine(sig), true_spectrum(sig), sigma)
+
+
 def _build_phases(spec: ExperimentSpec, trial: int) -> list[_Phase]:
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, trial, 0]))
     sig = spec.signal
@@ -360,30 +372,19 @@ def _build_phases(spec: ExperimentSpec, trial: int) -> list[_Phase]:
         sig = replace(sig, bins=random_bins(sig.n, sig.sines, rng))
 
     if spec.tracking is None:
-        sensing = replace(spec.sensing, seed=_derived_seed(spec.seed, trial, 1))
-        sigma = noise_std(signal_power(sig), sig.snr_db)
-        return [_Phase(sensing, multisine(sig), true_spectrum(sig), sigma)]
+        return [_phase(sig, replace(spec.sensing, seed=_derived_seed(spec.seed, trial, 1)))]
 
     # two-phase tracking signal: extra sines appear on fresh, distinct bins
     extra = spec.tracking.extra_sines
     pool = np.array(sorted(set(range(1, sig.n // 2)) - set(sig.bins)))
     extra_bins = tuple(int(b) for b in rng.choice(pool, size=extra, replace=False))
-    sig2 = replace(
-        sig,
-        sines=sig.sines + extra,
-        bins=sig.bins + extra_bins,
-        amps=None if sig.amps is None else sig.amps + (1.0,) * extra,
-    )
-    phases = []
-    for p, (phase_sig, wcount) in enumerate(zip((sig, sig2), spec.tracking.phase_windows)):
-        sensing = replace(
-            spec.sensing,
-            mode=Windowed(wcount),
-            seed=_derived_seed(spec.seed, trial, 1, p),
+    return [
+        _phase(phase_sig, replace(spec.sensing, mode=Windowed(wcount),
+                                  seed=_derived_seed(spec.seed, trial, 1, p)))
+        for p, (phase_sig, wcount) in enumerate(
+            zip((sig, _grown(sig, extra, extra_bins)), spec.tracking.phase_windows)
         )
-        sigma = noise_std(signal_power(phase_sig), phase_sig.snr_db)
-        phases.append(_Phase(sensing, multisine(phase_sig), true_spectrum(phase_sig), sigma))
-    return phases
+    ]
 
 
 def run_trial(spec: ExperimentSpec, algo: AlgorithmSpec, trial: int) -> TrialRecord:

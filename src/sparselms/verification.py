@@ -21,7 +21,7 @@ import numpy as np
 
 from .estimators import Estimator, EstimatorConfig
 from .sensing import SensingConfig, Windowed, half_size, make_stream, regressor_row
-from .signals import SignalSpec, multisine, noise_std, signal_power, true_spectrum
+from .signals import SignalSpec, multisine, noise_std, random_bins, signal_power, true_spectrum
 from .sparse_ops import hard_threshold, ser, theorem2_check, theorem3_check
 
 
@@ -298,7 +298,7 @@ def sza_bias_suite(realizations: int = 500, n: int = 32, seed: int = 17) -> Suit
     """
     sines, snr_db = 3, 20.0
     rng = np.random.default_rng(seed)
-    bins = tuple(int(b) for b in rng.choice(np.arange(1, n // 2), size=sines, replace=False))
+    bins = random_bins(n, sines, rng)
     spec = SignalSpec(n=n, sines=sines, bins=bins, snr_db=snr_db)
     z = multisine(spec)
     w_true = true_spectrum(spec)[:half_size(n)]  # the estimator's stored bins
@@ -342,7 +342,7 @@ def roundtrip_suite(seed: int = 13) -> SuiteResult:
     rng = np.random.default_rng(seed)
     res = SuiteResult("spectrum-roundtrip", 0, 0)
     for n, k in ((8, 1), (64, 3), (1000, 10)):
-        bins = tuple(int(b) for b in rng.choice(np.arange(1, n // 2), size=k, replace=False))
+        bins = random_bins(n, k, rng)
         amps = tuple(float(a) for a in rng.uniform(0.5, 2.0, size=k))
         spec = SignalSpec(n=n, sines=k, bins=bins, amps=amps)
         z = multisine(spec)

@@ -6,17 +6,19 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sparselms
 from sparselms import harness
-from sparselms.estimators import EstimatorConfig
+from sparselms.estimators import READS, VARIANTS, EstimatorConfig
 from sparselms.experiments import (
     REGISTRY,
     build_exp1,
@@ -642,7 +644,8 @@ def test_tracking_spec_needs_bins_for_its_extra_sines():
     )
     # bins 1..7: 3 + 4 sines fit, 3 + 5 do not
     ExperimentSpec(signal=SignalSpec(n=16, sines=3), tracking=TrackingSpec((2, 2), 4), **spec)
-    with pytest.raises(ValueError, match=r"cannot place 3 \+ 5 sines"):
+    message = "tracking: cannot place 8 sines on distinct bins in [1, 7] at n=16"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         ExperimentSpec(
             signal=SignalSpec(n=16, sines=3), tracking=TrackingSpec((2, 2), 5), **spec
         )
@@ -838,8 +841,8 @@ def test_config_rejects_a_mistyped_value(tmp_path, path, value, name):
          "signal: snr_db must give a finite, positive noise std at signal power 5.0, got -4000.0"),
         # loaded, then died in _build_phases at the second phase's noise std
         (("signal", "snr_db"), -3074.0,
-         "signal.snr_db must give a finite, positive noise std at the second phase's signal"
-         " power 10.0, got -3074.0"),
+         "tracking: snr_db must give a finite, positive noise std at signal power 10.0,"
+         " got -3074.0"),
         # the CLI's --trials stops a 0 at parse time; a config file reaches
         # this check
         (("trials",), 0, "trials must be >= 1"),
@@ -913,6 +916,14 @@ def test_config_rejects_an_empty_experiments_list(tmp_path):
     assert list(tmp_path.iterdir()) == [config]  # nothing written
 
 
+def _with_algorithm(spec: ExperimentSpec, index: int, **changes) -> ExperimentSpec:
+    """``spec`` with algorithm ``index`` changed, built anew, so that
+    ExperimentSpec's checks run as they do on a spec built in Python."""
+    algorithms = list(spec.algorithms)
+    algorithms[index] = replace(algorithms[index], **changes)
+    return replace(spec, algorithms=tuple(algorithms))
+
+
 @pytest.mark.parametrize(
     "index, key, value",
     [
@@ -930,15 +941,24 @@ def test_config_rejects_a_parameter_the_variant_ignores(index, key, value):
     d = _set(spec_to_dict(build_exp3()), ("algorithms", index, "estimator", key), value)
     variant = d["algorithms"][index]["estimator"]["variant"]
     name = f"algorithms[{index}].estimator.{key}"
-    with pytest.raises(ValueError, match=rf"^{re.escape(name)} is ignored by variant {variant}$"):
+    message = rf"^{re.escape(name)} is ignored by variant {variant}$"
+    with pytest.raises(ValueError, match=message):
         spec_from_dict(d)
+    # a spec built in Python obeys the same rule; it used to run with the field unread
+    spec = build_exp3()
+    estimator = replace(spec.algorithms[index].estimator, **{key: value})
+    with pytest.raises(ValueError, match=message):
+        _with_algorithm(spec, index, estimator=estimator)
 
 
 def test_config_rejects_a_tracker_without_a_budget():
     d = _set(spec_to_dict(build_exp2()), ("algorithms", 4, "tracker"), {})
     assert d["algorithms"][4]["estimator"]["variant"] == "lms"
-    with pytest.raises(ValueError, match=r"^algorithms\[4\]\.tracker is ignored by variant lms$"):
+    message = r"^algorithms\[4\]\.tracker is ignored by variant lms$"
+    with pytest.raises(ValueError, match=message):
         spec_from_dict(d)
+    with pytest.raises(ValueError, match=message):
+        _with_algorithm(build_exp2(), 4, tracker=TrackerParams())
 
 
 @pytest.mark.parametrize("index", [0, 3])
@@ -950,18 +970,24 @@ def test_config_rejects_a_tracker_the_budget_never_reads(index):
     variant = d["algorithms"][index]["estimator"]["variant"]
     assert d["algorithms"][index]["estimator"]["s"] > 0
     name = re.escape(f"algorithms[{index}].tracker")
-    with pytest.raises(ValueError, match=rf"^{name} is ignored by variant {variant} with a fixed s$"):
+    message = rf"^{name} is ignored by variant {variant} with a fixed s$"
+    with pytest.raises(ValueError, match=message):
         spec_from_dict(d)
+    with pytest.raises(ValueError, match=message):
+        _with_algorithm(build(n=64), index, tracker=TrackerParams())
 
 
 def test_config_rejects_burn_in_under_lms():
     # lms has no penalty or projection for burn-in to delay
     d = _set(spec_to_dict(build_exp2(n=64)), ("algorithms", 4, "estimator", "burn_in"), 500)
     assert d["algorithms"][4]["estimator"]["variant"] == "lms"
-    with pytest.raises(
-        ValueError, match=r"^algorithms\[4\]\.estimator\.burn_in is ignored by variant lms$"
-    ):
+    message = r"^algorithms\[4\]\.estimator\.burn_in is ignored by variant lms$"
+    with pytest.raises(ValueError, match=message):
         spec_from_dict(d)
+    spec = build_exp2(n=64)
+    estimator = replace(spec.algorithms[4].estimator, burn_in=500)
+    with pytest.raises(ValueError, match=message):
+        _with_algorithm(spec, 4, estimator=estimator)
 
 
 def test_config_in_the_verbose_export_format_loads_to_the_same_spec():
@@ -1031,6 +1057,22 @@ def test_load_specs_names_the_entry_of_a_list(tmp_path):
     path.write_text(yaml.safe_dump({"experiments": [spec_to_dict(build_exp2()), d]}))
     with pytest.raises(ValueError, match=r"experiments\[1\]: missing config key sensing\.m$"):
         load_specs(path)
+
+
+def test_load_specs_rejects_a_key_beside_experiments(tmp_path):
+    # trials and seed here used to load, and nothing read them
+    from sparselms.cli import main
+
+    path = tmp_path / "sweep.yaml"
+    doc = {"experiments": [spec_to_dict(build_exp2(n=64))], "trials": 7, "seed": 3}
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    message = f"{path}: unknown config key trials"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        load_specs(path)
+    with pytest.raises(SystemExit) as stop:
+        main(["run", str(path), "--out", str(tmp_path / "res")])
+    assert stop.value.code == f"error: {message}"
+    assert list(tmp_path.iterdir()) == [path]  # nothing written
 
 
 def _without_sensing_count() -> str:
@@ -1109,7 +1151,8 @@ def _cli(args, tmp_path):
     "args, message",
     [
         (["exp1", "--scale", "3"], "cannot place 2 sines on distinct bins in [1, 0] at n=3"),
-        (["exp4-tracking", "--scale", "8"], "cannot place 2 + 2 sines"),
+        (["exp4-tracking", "--scale", "8"],
+         "tracking: cannot place 4 sines on distinct bins in [1, 3] at n=8"),
     ],
     ids=["registry-scale", "tracking-scale"],
 )
@@ -1169,6 +1212,15 @@ def test_spec_rejects_window_length_mismatch():
         tiny_spec(sensing=SensingConfig(n=64, m=16, mode=RepeatedPass(20)))
 
 
+def test_spec_rejects_a_sensing_seed():
+    # each trial derives its sensing seed, so this one was never read, and a
+    # file, which has no sensing.seed, could not hold it
+    sensing = SensingConfig(n=32, m=16, mode=RepeatedPass(20), seed=9)
+    message = "sensing.seed is ignored by an experiment: each trial derives its own"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        tiny_spec(sensing=sensing)
+
+
 @pytest.mark.parametrize("n", [256, 1000, 4096])
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_registry_budgets_are_multiples_of_the_true_sparsity(name, n):
@@ -1177,6 +1229,21 @@ def test_registry_budgets_are_multiples_of_the_true_sparsity(name, n):
         for algo in spec.algorithms:
             if algo.estimator.s is not None:
                 assert algo.estimator.s % (2 * spec.signal.sines) == 0, (spec.name, algo.label)
+
+
+def test_every_registry_build_names_each_spec_once_or_raises():
+    # exp-msweep at N = 6 to 9 used to round two reference M to one M and
+    # build, run and summarize that experiment twice
+    for n in range(1, 129):
+        for name in REGISTRY:
+            try:
+                built = get_experiment(name, n=n)
+            except ValueError:
+                continue
+            names = [spec.name for spec in (built if isinstance(built, list) else [built])]
+            assert len(set(names)) == len(names), (name, n, names)
+    ms = [spec.sensing.m for spec in get_experiment("exp-msweep", n=8)]
+    assert ms == [1, 2, 3, 4, 5, 6, 7, 8]  # each M once, ascending
 
 
 def test_export_matches_registry(tmp_path):
@@ -1211,6 +1278,72 @@ def test_save_and_load_round_trip(tmp_path):
     with pytest.raises(ValueError, match="^need at least one spec to save$"):
         save_specs([], tmp_path / "none.yaml")
     assert not (tmp_path / "none.yaml").exists()
+
+
+# a value for each optional EstimatorConfig field; n is the window length
+_ESTIMATOR_VALUES = {
+    "rho": lambda n: st.floats(0.0, 0.1),
+    "beta": lambda n: st.floats(0.0, 10.0),
+    "epsilon": lambda n: st.floats(0.01, 5.0),
+    "s": lambda n: st.integers(1, n),
+    "burn_in": lambda n: st.integers(0, 50),
+}
+_NAMES = st.text("abcXYZ019-_ .:", min_size=1, max_size=6)
+
+
+@st.composite
+def _specs(draw):
+    """ExperimentSpec(...) of random arguments, or None when it raises."""
+    n = draw(st.integers(4, 40))
+    top = n // 2 - 1
+    sines = draw(st.integers(1, top))
+    per_sine = dict(min_size=sines, max_size=sines)
+    signal = SignalSpec(
+        n, sines,
+        bins=draw(st.none() | st.lists(st.integers(1, top), unique=True, **per_sine).map(tuple)),
+        amps=draw(st.none() | st.lists(st.floats(0.1, 3.0), **per_sine).map(tuple)),
+        snr_db=draw(st.sampled_from([math.inf, 20.0]) | st.floats(-40.0, 40.0)),
+    )
+    count = draw(st.integers(1, 4))
+    mode = draw(st.sampled_from([RepeatedPass, Windowed]))(count)
+    sensing = SensingConfig(n, draw(st.integers(1, n)), mode, seed=draw(st.sampled_from([0, 0, 3])))
+    tracking = None
+    if isinstance(mode, Windowed) and count > 1 and draw(st.booleans()):
+        first = draw(st.integers(1, count - 1))
+        tracking = TrackingSpec((first, count - first), draw(st.integers(0, 3)))
+    algorithms = []
+    for label in draw(st.lists(_NAMES, min_size=1, max_size=3, unique=True)):
+        variant = draw(st.sampled_from(VARIANTS))
+        # fields its variant reads, and one time in four any fields
+        names = READS[variant] if draw(st.integers(0, 3)) else tuple(_ESTIMATOR_VALUES)
+        chosen = draw(st.sets(st.sampled_from(names))) if names else ()
+        estimator = EstimatorConfig(
+            variant,
+            mu=draw(st.floats(0.0, 2.0 / n, exclude_min=True, exclude_max=True)),
+            **{name: draw(_ESTIMATOR_VALUES[name](n)) for name in sorted(chosen)},
+        )
+        tracker = draw(st.none() | st.builds(
+            TrackerParams, lam=st.floats(0.5, 1.0, exclude_min=True),
+            xi=st.floats(0.0, 5.0), q_star=st.floats(0.001, 1.0),
+        ))
+        algorithms.append(AlgorithmSpec(label, estimator, tracker))
+    try:
+        return ExperimentSpec(
+            name=draw(_NAMES), signal=signal, sensing=sensing, algorithms=tuple(algorithms),
+            trials=draw(st.integers(1, 3)), seed=draw(st.integers(0, 10)), tracking=tracking,
+        )
+    except ValueError:
+        return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_specs())
+def test_every_spec_that_constructs_survives_a_save_and_a_load(tmp_path_factory, spec):
+    # an lms spec with burn_in used to save, then fail to load
+    assume(spec is not None)
+    path = tmp_path_factory.mktemp("config") / "spec.yaml"
+    save_specs([spec], path)
+    assert load_specs(path) == [spec]
 
 
 def test_duplicate_labels_rejected():

@@ -1,5 +1,5 @@
-"""README.md is the user's manual: its example runs, and every name it cites
-from a ``sparselms`` module exists."""
+"""README.md is the user's manual: its examples run or load, and every name it
+cites from a ``sparselms`` module exists."""
 
 import contextlib
 import importlib
@@ -8,7 +8,11 @@ import pkgutil
 import re
 from pathlib import Path
 
+import yaml
+
 import sparselms
+from sparselms.experiments import spec_from_dict
+from sparselms.sensing import RepeatedPass
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 MODULES = {m.name for m in pkgutil.iter_modules(sparselms.__path__)}
@@ -22,6 +26,14 @@ def test_the_library_example_recovers_the_spectrum():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
     assert float(out.getvalue()) < 0.2
+
+
+def test_the_config_example_loads():
+    (block,) = re.findall(r"```yaml\n(.*?)```", README, re.S)
+    spec = spec_from_dict(yaml.safe_load(block))
+    assert [a.label for a in spec.algorithms] == ["HARD-EST", "LMS"]
+    assert spec.sensing.mode == RepeatedPass(100)
+    assert spec.sensing.m == 200
 
 
 def test_every_cited_module_name_resolves():
